@@ -35,6 +35,7 @@ from .graph import (
     complement,
     decompose_tree_cograph,
     evaluate_tc,
+    is_cotree,
     is_tree,
     is_triangle_free,
     m_degree_bound,

@@ -34,6 +34,7 @@ from .graph import (
     Graph,
     complement,
     decompose_tree_cograph,
+    is_cotree,
     is_tree,
     is_triangle_free,
     m_degree_bound,
@@ -145,7 +146,7 @@ def _cmd_dominance(args) -> int:
         vec = DominanceVector(1, (1,))
     elif is_tree(g):
         vec = dominance_vector_tree(g)
-    elif is_tree(complement(g)):
+    elif is_cotree(g):
         vec = dominance_vector_cotree(g)
         table_tree = complement(g)
     else:

@@ -27,6 +27,7 @@ from .graph import (
     TcJoin,
     TcUnion,
     TreeLeaf,
+    _fold,
     complement,
     is_tree,
     m_degree_bound,
@@ -119,6 +120,12 @@ def dominance_vector_tree(t: Graph) -> DominanceVector:
     m = rep.m_value
     delta = t.max_degree()
     chi_b = m - 1 if rep.pivot is not None else m
+    # at_least[d]: number of vertices of degree at least d
+    at_least = [0] * (delta + 2)
+    for nbrs in t.adj:
+        at_least[len(nbrs)] += 1
+    for d in range(delta - 1, -1, -1):
+        at_least[d] += at_least[d + 1]
     values = []
     for i in range(2, t.n + 1):
         if i <= chi_b:
@@ -126,7 +133,7 @@ def dominance_vector_tree(t: Graph) -> DominanceVector:
         elif rep.pivot is not None and i == m:
             values.append(m - 1)
         elif i <= delta + 1:
-            values.append(sum(1 for v in range(t.n) if t.degree(v) >= i - 1))
+            values.append(at_least[i - 1])
         else:
             values.append(0)
     return DominanceVector(2, tuple(values))
@@ -449,33 +456,40 @@ def dominance_join(
     return DominanceVector(chi, tuple(values))
 
 
-def dominance_tc(e: TcExpr) -> DominanceVector:
-    if isinstance(e, TreeLeaf):
-        if e.tree.n == 1:
-            return DominanceVector(1, (1,))
-        return dominance_vector_tree(e.tree)
-    if isinstance(e, CoTreeLeaf):
-        return _cotree_dominance_from_tree(e.tree)
-    parts = [(dominance_tc(c), c.span) for c in e.children]
-    acc, n_acc = parts[0]
-    for vec, n in parts[1:]:
-        if isinstance(e, TcUnion):
-            acc = dominance_union(acc, vec, n_acc, n)
-        else:
-            acc = dominance_join(acc, vec, n_acc, n)
-        n_acc += n
+def _leaf_dominance(leaf: TreeLeaf | CoTreeLeaf) -> DominanceVector:
+    if isinstance(leaf, CoTreeLeaf):
+        return _cotree_dominance_from_tree(leaf.tree)
+    if leaf.tree.n == 1:
+        return DominanceVector(1, (1,))
+    return dominance_vector_tree(leaf.tree)
+
+
+def _compose(node: TcUnion | TcJoin, vecs: list[DominanceVector]) -> DominanceVector:
+    combine = dominance_union if isinstance(node, TcUnion) else dominance_join
+    acc, n_acc = vecs[0], node.children[0].span
+    for vec, child in zip(vecs[1:], node.children[1:]):
+        acc = combine(acc, vec, n_acc, child.span)
+        n_acc += child.span
     return acc
+
+
+def dominance_tc(e: TcExpr) -> DominanceVector:
+    return _fold(e, _leaf_dominance, _compose)
 
 
 def b_chromatic_tc(e: TcExpr) -> int:
     return dominance_tc(e).b_chromatic()
 
 
+def _leaf_chromatic(leaf: TreeLeaf | CoTreeLeaf) -> int:
+    if isinstance(leaf, CoTreeLeaf):
+        return _cotree_dominance_from_tree(leaf.tree).chi
+    return 1 if leaf.tree.n == 1 else 2
+
+
 def chromatic_tc(e: TcExpr) -> int:
-    if isinstance(e, TreeLeaf):
-        return 1 if e.tree.n == 1 else 2
-    if isinstance(e, CoTreeLeaf):
-        return _cotree_dominance_from_tree(e.tree).chi
-    if isinstance(e, TcUnion):
-        return max(chromatic_tc(c) for c in e.children)
-    return sum(chromatic_tc(c) for c in e.children)
+    return _fold(
+        e,
+        _leaf_chromatic,
+        lambda node, chis: max(chis) if isinstance(node, TcUnion) else sum(chis),
+    )

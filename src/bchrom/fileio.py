@@ -141,8 +141,6 @@ def parse_tc_expression(text: str, base_dir: str = ".") -> TcExpr:
         if got != tok:
             raise ParseError(f"expected {tok!r}, found {got!r}")
 
-    counter = [0]
-
     def parse_leaf_graph() -> Graph:
         tok = take()
         if tok.startswith('"') or not tok.lstrip("-").isdigit():
@@ -171,32 +169,43 @@ def parse_tc_expression(text: str, base_dir: str = ".") -> TcExpr:
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
-    def parse_expr() -> TcExpr:
+    # union/join nodes whose closing parenthesis is still ahead, with the
+    # children read so far; an explicit stack, so nesting depth is unbounded
+    open_ops: list[tuple[str, list[TcExpr]]] = []
+    counter = 0
+    while True:
         expect("(")
         head = take()
-        if head in ("tree", "cotree"):
-            g = parse_leaf_graph()
-            expect(")")
-            ids = tuple(range(counter[0], counter[0] + g.n))
-            counter[0] += g.n
-            try:
-                return TreeLeaf(g, ids) if head == "tree" else CoTreeLeaf(g, ids)
-            except Exception as exc:
-                raise ParseError(f"invalid {head} leaf: {exc}") from None
         if head in ("union", "join"):
-            children = []
-            while peek() != ")":
-                children.append(parse_expr())
-            expect(")")
-            if len(children) < 2:
+            if peek() == ")":
                 raise ParseError(f"{head} needs at least two children")
-            return TcUnion(tuple(children)) if head == "union" else TcJoin(tuple(children))
-        raise ParseError(f"unknown expression head {head!r}")
-
-    expr = parse_expr()
+            open_ops.append((head, []))
+            continue
+        if head not in ("tree", "cotree"):
+            raise ParseError(f"unknown expression head {head!r}")
+        g = parse_leaf_graph()
+        expect(")")
+        ids = tuple(range(counter, counter + g.n))
+        counter += g.n
+        try:
+            node: TcExpr = TreeLeaf(g, ids) if head == "tree" else CoTreeLeaf(g, ids)
+        except Exception as exc:
+            raise ParseError(f"invalid {head} leaf: {exc}") from None
+        # hand the finished node to its parent, closing every node that ends here
+        while open_ops:
+            open_ops[-1][1].append(node)
+            if peek() != ")":
+                break
+            take()
+            op, children = open_ops.pop()
+            if len(children) < 2:
+                raise ParseError(f"{op} needs at least two children")
+            node = TcUnion(tuple(children)) if op == "union" else TcJoin(tuple(children))
+        else:
+            break
     if pos[0] != len(tokens):
         raise ParseError("trailing tokens after expression")
-    return expr
+    return node
 
 
 def read_tc_expression(path: str) -> TcExpr:
@@ -205,13 +214,25 @@ def read_tc_expression(path: str) -> TcExpr:
 
 
 def format_tc_expression(e: TcExpr) -> str:
-    if isinstance(e, (TreeLeaf, CoTreeLeaf)):
-        head = "tree" if isinstance(e, TreeLeaf) else "cotree"
-        nums = " ".join(f"{u} {v}" for u, v in e.tree.edges)
-        body = f"{e.tree.n} {nums}".strip()
-        return f"({head} {body})"
-    head = "union" if isinstance(e, TcUnion) else "join"
-    return "(" + head + " " + " ".join(format_tc_expression(c) for c in e.children) + ")"
+    parts: list[str] = []
+    stack: list[TcExpr | str] = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, (TreeLeaf, CoTreeLeaf)):
+            head = "tree" if isinstance(node, TreeLeaf) else "cotree"
+            nums = " ".join(f"{u} {v}" for u, v in node.tree.edges)
+            body = f"{node.tree.n} {nums}".strip()
+            parts.append(f"({head} {body})")
+        else:
+            parts.append(f"({node.head} ")
+            stack.append(")")
+            for i, child in enumerate(reversed(node.children)):
+                if i:
+                    stack.append(" ")
+                stack.append(child)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,24 @@ decomposition.
 Vertices are dense integers ``0..n-1``.  Graphs are immutable; adjacency is
 stored as sorted tuples, so equality is structural and instances are
 hashable.  All operations here are pure functions of their inputs.
+
+Derived views of a graph are computed once and kept on it: its edge list,
+bitmasks, neighbor sets and its complement.  A complement remembers the
+graph it came from as its own complement, so complementing twice builds
+nothing.
+
+The tree-cograph decomposition works on sorted vertex subsets of the input
+graph with set operations on its neighbor sets, and walks expressions on an
+explicit stack, so neither its time nor Python's recursion limit grows with
+the depth of the expression.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NotATree, NotTreeCograph, RangeError, StabilityTooLarge
 
@@ -79,13 +89,23 @@ class Graph:
 
 
 def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edges are exactly the non-edges of g."""
-    full = (1 << g.n) - 1
-    adj = []
-    for v in range(g.n):
-        mask = full & ~g.bits[v] & ~(1 << v)
-        adj.append(tuple(w for w in range(g.n) if (mask >> w) & 1))
-    return Graph(g.n, tuple(adj))
+    """Graph on the same vertices whose edges are exactly the non-edges of g.
+
+    The result is kept on g, and g is kept on it as its complement, so a
+    graph is complemented at most once however often this is called.
+    """
+    co = vars(g).get("_complement")
+    if co is None:
+        everyone = set(range(g.n))
+        rows = []
+        for v, nbrs in enumerate(g.nbr_sets):
+            row = everyone - nbrs
+            row.discard(v)
+            rows.append(tuple(sorted(row)))
+        co = Graph(g.n, tuple(rows))
+        vars(g)["_complement"] = co
+        vars(co)["_complement"] = g
+    return co
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -95,9 +115,20 @@ def is_triangle_free(g: Graph) -> bool:
     return True
 
 
+def _non_edges(g: Graph) -> int:
+    return g.n * (g.n - 1) // 2 - g.m
+
+
 def stability_at_most_two(g: Graph) -> bool:
     """True iff the complement contains no triangle, i.e. no three pairwise
-    non-adjacent vertices exist in g."""
+    non-adjacent vertices exist in g.
+
+    By Mantel's theorem a triangle-free graph on n vertices has at most
+    floor(n^2/4) edges, so a graph with more non-edges than that answers no
+    without being complemented.
+    """
+    if _non_edges(g) > g.n * g.n // 4:
+        return False
     return is_triangle_free(complement(g))
 
 
@@ -131,6 +162,69 @@ def is_tree(g: Graph) -> bool:
 
 def is_forest(g: Graph) -> bool:
     return g.m == g.n - len(connected_components(g))
+
+
+def is_cotree(g: Graph) -> bool:
+    """True iff the complement of g is a tree, decided from the edge count
+    and one complement search, without building the complement."""
+    return (
+        g.n >= 1
+        and _non_edges(g) == g.n - 1
+        and len(_co_components(g.nbr_sets, range(g.n))) == 1
+    )
+
+
+def _components(nbr: tuple[frozenset[int], ...], verts: Sequence[int]) -> list[list[int]]:
+    """Connected components of the subgraph induced by ``verts``, each
+    sorted, in the order of their first vertex in ``verts``."""
+    left = set(verts)
+    comps = []
+    for s in verts:
+        if s not in left:
+            continue
+        left.discard(s)
+        comp = [s]
+        queue = [s]
+        while queue:
+            new = nbr[queue.pop()] & left
+            if new:
+                left -= new
+                comp.extend(new)
+                queue.extend(new)
+        comp.sort()
+        comps.append(comp)
+    return comps
+
+
+def _co_components(nbr: tuple[frozenset[int], ...], verts: Sequence[int]) -> list[list[int]]:
+    """Connected components of the complement of the subgraph induced by
+    ``verts``, ordered as in ``_components``.
+
+    This is the complement search of linear cograph recognition (Corneil,
+    Perl & Stewart, SIAM J. Comput. 14(4), 1985): the unvisited vertices a
+    vertex is not adjacent to are its complement neighbors, and the ones it
+    is adjacent to stay unvisited.  Each step costs the number of unvisited
+    vertices, which is what it visits plus edges it crosses, so a search
+    costs O(|verts| + edges among them).
+    """
+    left = set(verts)
+    comps = []
+    for s in verts:
+        if s not in left:
+            continue
+        left.discard(s)
+        comp = [s]
+        queue = [s]
+        while queue and left:
+            v = queue.pop()
+            new = left - nbr[v]
+            if new:
+                left &= nbr[v]
+                comp.extend(new)
+                queue.extend(new)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
@@ -234,41 +328,73 @@ class CoTreeLeaf:
 
 
 @dataclass(frozen=True)
-class TcUnion:
+class _TcOperation:
+    """A union or join of at least two subexpressions.  ``span``, the
+    number of vertices denoted, is set once from the children's spans."""
+
+    head: ClassVar[str]
     children: tuple["TcExpr", ...]
+    span: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.children) < 2:
-            raise ValueError("union needs at least two children")
-
-    @property
-    def span(self) -> int:
-        return sum(c.span for c in self.children)
+            raise ValueError(f"{self.head} needs at least two children")
+        object.__setattr__(self, "span", sum(c.span for c in self.children))
 
 
 @dataclass(frozen=True)
-class TcJoin:
-    children: tuple["TcExpr", ...]
+class TcUnion(_TcOperation):
+    head = "union"
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("join needs at least two children")
 
-    @property
-    def span(self) -> int:
-        return sum(c.span for c in self.children)
+@dataclass(frozen=True)
+class TcJoin(_TcOperation):
+    head = "join"
 
 
 TcExpr = TreeLeaf | CoTreeLeaf | TcUnion | TcJoin
+_T = TypeVar("_T")
+
+
+def tc_postorder(e: TcExpr) -> Iterator[TcExpr]:
+    """Every node of an expression, children before their parent and
+    siblings left to right, from an explicit stack."""
+    stack: list[tuple[TcExpr, bool]] = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded or isinstance(node, (TreeLeaf, CoTreeLeaf)):
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+
+
+def _fold(
+    e: TcExpr,
+    leaf: Callable[[TreeLeaf | CoTreeLeaf], _T],
+    operation: Callable[[TcUnion | TcJoin, list[_T]], _T],
+) -> _T:
+    """Combine leaf values bottom-up: ``operation`` receives a node and
+    its children's values in order."""
+    values: list[_T] = []
+    for node in tc_postorder(e):
+        if isinstance(node, (TreeLeaf, CoTreeLeaf)):
+            values.append(leaf(node))
+        else:
+            k = len(node.children)
+            parts = values[-k:]
+            del values[-k:]
+            values.append(operation(node, parts))
+    return values[0]
 
 
 def _leaf_vertex_sets(e: TcExpr) -> list[int]:
-    if isinstance(e, (TreeLeaf, CoTreeLeaf)):
-        return list(e.vertices)
-    out: list[int] = []
-    for c in e.children:
-        out.extend(_leaf_vertex_sets(c))
-    return out
+    return [
+        v
+        for node in tc_postorder(e)
+        if isinstance(node, (TreeLeaf, CoTreeLeaf))
+        for v in node.vertices
+    ]
 
 
 def evaluate_tc(e: TcExpr) -> Graph:
@@ -279,66 +405,107 @@ def evaluate_tc(e: TcExpr) -> Graph:
         raise ValueError("leaf vertex maps must partition 0..n-1")
     edges: list[Edge] = []
 
-    def walk(node: TcExpr) -> list[int]:
-        if isinstance(node, TreeLeaf):
-            edges.extend(
-                norm_edge(node.vertices[u], node.vertices[v])
-                for u, v in node.tree.edges
-            )
-            return list(node.vertices)
-        if isinstance(node, CoTreeLeaf):
-            co = complement(node.tree)
-            edges.extend(
-                norm_edge(node.vertices[u], node.vertices[v]) for u, v in co.edges
-            )
-            return list(node.vertices)
-        spans = [walk(c) for c in node.children]
-        if isinstance(node, TcJoin):
-            for i in range(len(spans)):
-                for j in range(i + 1, len(spans)):
-                    edges.extend(norm_edge(a, b) for a in spans[i] for b in spans[j])
-        return [v for s in spans for v in s]
+    def leaf(node: TreeLeaf | CoTreeLeaf) -> list[int]:
+        tree = node.tree if isinstance(node, TreeLeaf) else complement(node.tree)
+        ids = node.vertices
+        edges.extend(norm_edge(ids[u], ids[v]) for u, v in tree.edges)
+        return list(ids)
 
-    walk(e)
+    def operation(node: TcUnion | TcJoin, spans: list[list[int]]) -> list[int]:
+        # grow the largest child's list, so each vertex is copied O(log n) times
+        spans.sort(key=len, reverse=True)
+        out = spans[0]
+        for span in spans[1:]:
+            if isinstance(node, TcJoin):
+                edges.extend(norm_edge(a, b) for a in out for b in span)
+            out.extend(span)
+        return out
+
+    _fold(e, leaf, operation)
     return Graph.from_edges(n, edges)
 
 
+def _leaf_tree(nbr: tuple[frozenset[int], ...], verts: list[int], co: bool) -> Graph:
+    """The subgraph induced by ``verts``, or with ``co`` its complement,
+    relabelled 0..k-1 in order."""
+    index = {v: i for i, v in enumerate(verts)}
+    inside = set(verts)
+    return Graph.from_edges(
+        len(verts),
+        (
+            (index[v], index[w])
+            for v in verts
+            for w in (inside - nbr[v] if co else nbr[v] & inside)
+            if v < w
+        ),
+    )
+
+
 def decompose_tree_cograph(g: Graph) -> TcExpr:
-    """Four-case recursion: tree leaf, co-tree leaf, union over components,
-    join over co-components; fails with NotTreeCograph otherwise.
+    """Four-case decomposition: tree leaf, co-tree leaf, union over
+    components, join over co-components; fails with NotTreeCograph
+    otherwise.
 
     Tree leaves win over co-tree leaves when both apply, and children are
     ordered by their smallest contained vertex, so the result is canonical.
+
+    Nodes are sorted vertex lists of g, kept on an explicit stack.  The
+    degree of each vertex inside its current list is kept too: a component
+    keeps it, and a co-component loses the vertices outside it, to which
+    each of its vertices is adjacent.  So a node's edge count is a sum, and
+    the tree and co-tree tests run a search only when the edge count
+    allows.  A node then costs O(|S| + m(S)) for a list S with m(S) edges,
+    and no node builds an induced subgraph or a complement; only a leaf
+    builds its tree, which has |S| - 1 edges.
     """
-
-    def rec(sub: Graph, ids: tuple[int, ...]) -> TcExpr:
-        if is_tree(sub):
-            return TreeLeaf(sub, ids)
-        co = complement(sub)
-        if is_tree(co):
-            return CoTreeLeaf(co, ids)
-        comps = connected_components(sub)
+    nbr = g.nbr_sets
+    degree = [len(a) for a in g.adj]
+    done: list[TcExpr] = []
+    # a vertex list to decompose, or (operation, child count) once its
+    # children, pushed above it, are done
+    todo: list = [list(range(g.n))]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            kind, k = item
+            children = tuple(done[-k:])
+            del done[-k:]
+            done.append(kind(children))
+            continue
+        verts = item
+        s = len(verts)
+        m = sum(degree[v] for v in verts) // 2
+        comps = cocomps = None
+        if m == s - 1:
+            comps = _components(nbr, verts)
+            if len(comps) == 1:
+                done.append(TreeLeaf(_leaf_tree(nbr, verts, False), tuple(verts)))
+                continue
+        if s * (s - 1) // 2 - m == s - 1:
+            cocomps = _co_components(nbr, verts)
+            if len(cocomps) == 1:
+                done.append(CoTreeLeaf(_leaf_tree(nbr, verts, True), tuple(verts)))
+                continue
+        if comps is None:
+            comps = _components(nbr, verts)
         if len(comps) > 1:
-            return TcUnion(
-                tuple(
-                    rec(induced_subgraph(sub, c), tuple(ids[v] for v in c))
-                    for c in comps
-                )
+            todo.append((TcUnion, len(comps)))
+            todo.extend(reversed(comps))
+            continue
+        if cocomps is None:
+            cocomps = _co_components(nbr, verts)
+        if len(cocomps) < 2:
+            raise NotTreeCograph(
+                "connected graph with connected complement that is neither a "
+                "tree nor a co-tree"
             )
-        cocomps = connected_components(co)
-        if len(cocomps) > 1:
-            return TcJoin(
-                tuple(
-                    rec(induced_subgraph(sub, c), tuple(ids[v] for v in c))
-                    for c in cocomps
-                )
-            )
-        raise NotTreeCograph(
-            "connected graph with connected complement that is neither a tree "
-            "nor a co-tree"
-        )
-
-    return rec(g, tuple(range(g.n)))
+        for part in cocomps:
+            outside = s - len(part)
+            for v in part:
+                degree[v] -= outside
+        todo.append((TcJoin, len(cocomps)))
+        todo.extend(reversed(cocomps))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

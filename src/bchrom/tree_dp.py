@@ -378,12 +378,13 @@ def deficiency_vector(t: Graph) -> list[float]:
     if t.n == 1:
         return [0]
     tables = deficiency_tables(t)
+    return [_root_minimum(tables, k) for k in range(t.n // 2 + 1)]
+
+
+def _root_minimum(tables: DeficiencyTables, k: int) -> float:
+    """The F-value at matching size k: the best root state of the tables."""
     f = tables.values[tables.tree.anchor]
-    out = []
-    for k in range(t.n // 2 + 1):
-        vals = [vec[k] if k < len(vec) else INF for vec in (f[0], f[1], f[5])]
-        out.append(min(vals))
-    return out
+    return min(vec[k] if k < len(vec) else INF for vec in (f[0], f[1], f[5]))
 
 
 def f_tree_k(t: Graph, k: int) -> float:
@@ -558,7 +559,7 @@ def deficiency_matching(t: Graph, k: int) -> tuple[float, Matching]:
     if not (0 <= k <= t.n // 2):
         raise KOutOfRange(f"k={k} outside 0..{t.n // 2}")
     tables = deficiency_tables(t)
-    val = deficiency_vector(t)[k]
+    val = _root_minimum(tables, k)
     if val == INF:
         raise KOutOfRange(f"no matching of size {k} exists")
     return int(val), reconstruct_deficiency_matching(tables, k)

@@ -1,0 +1,323 @@
+"""Differential tests for the tree-cograph path of the graph layer.
+
+The reference below is the original four-case recursion, which builds an
+induced subgraph and a complement at every node.  It is kept here, small
+and obviously correct, so the stack-based decomposition on vertex subsets
+can be checked against it on randomly labelled expressions.
+"""
+
+import io
+import random
+from contextlib import redirect_stdout
+from itertools import combinations
+
+import pytest
+
+from bchrom import tree_dp
+from bchrom.cli import main
+from bchrom.dominance import (
+    chromatic_tc,
+    dominance_tc,
+    dominance_vector_tree,
+)
+from bchrom.errors import NotTreeCograph
+from bchrom.fileio import format_edgelist, format_tc_expression, parse_tc_expression
+from bchrom.generators import random_graph, random_labeled_tree
+from bchrom.graph import (
+    CoTreeLeaf,
+    Graph,
+    TcJoin,
+    TcUnion,
+    TreeLeaf,
+    complement,
+    complete_bipartite,
+    connected_components,
+    decompose_tree_cograph,
+    evaluate_tc,
+    induced_subgraph,
+    is_cotree,
+    is_tree,
+    m_degree_bound,
+    m_i_count,
+    stability_at_most_two,
+    star_graph,
+    tc_postorder,
+)
+
+from conftest import all_graphs
+
+
+# ---------------------------------------------------------------------------
+# Reference: the four-case recursion on materialized subgraphs
+# ---------------------------------------------------------------------------
+
+
+def _reference_complement(g: Graph) -> Graph:
+    return Graph.from_edges(
+        g.n, [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    )
+
+
+def reference_decompose(g: Graph):
+    def rec(sub: Graph, ids: tuple[int, ...]):
+        if is_tree(sub):
+            return TreeLeaf(sub, ids)
+        co = _reference_complement(sub)
+        if is_tree(co):
+            return CoTreeLeaf(co, ids)
+        for graph, kind in ((sub, TcUnion), (co, TcJoin)):
+            parts = connected_components(graph)
+            if len(parts) > 1:
+                return kind(
+                    tuple(
+                        rec(induced_subgraph(sub, c), tuple(ids[v] for v in c))
+                        for c in parts
+                    )
+                )
+        raise NotTreeCograph("neither a tree, a co-tree, a union nor a join")
+
+    return rec(g, tuple(range(g.n)))
+
+
+# ---------------------------------------------------------------------------
+# Randomly labelled expressions
+# ---------------------------------------------------------------------------
+
+
+def _leaf(size: int, rng: random.Random, labels: list[int]):
+    tree = random_labeled_tree(size, rng)
+    ids = tuple(labels.pop() for _ in range(size))
+    if size > 2 and rng.random() < 0.5:
+        return CoTreeLeaf(tree, ids)
+    return TreeLeaf(tree, ids)
+
+
+def _sizes(total: int, parts: int, rng: random.Random) -> list[int]:
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def random_expression(family: str, n: int, rng: random.Random):
+    """An expression on exactly n vertices whose leaves take a random
+    permutation of 0..n-1 as their vertex ids."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    ops = (TcUnion, TcJoin) if rng.random() < 0.5 else (TcJoin, TcUnion)
+    if family == "chain":
+        expr = _leaf(1, rng, labels)
+        for level in range(n - 1):
+            pair = [_leaf(1, rng, labels), expr]
+            rng.shuffle(pair)
+            expr = ops[level % 2](tuple(pair))
+        return expr
+    if family == "wide":
+        parts = min(n, max(4, n // 6))
+        leaves = [_leaf(s, rng, labels) for s in _sizes(n, parts, rng)]
+        cut = len(leaves) // 2
+        if cut < 2:
+            return ops[0](tuple(leaves))
+        return ops[0]((ops[1](tuple(leaves[:cut])), ops[1](tuple(leaves[cut:]))))
+    # nested: split the budget recursively, alternating operations
+    todo = [(n, 0)]
+    done = []
+    order = []
+    while todo:
+        budget, depth = todo.pop()
+        parts = rng.randint(2, 4)
+        if budget < 2 * parts or (budget <= 8 and rng.random() < 0.5):
+            order.append(("leaf", budget))
+        else:
+            sizes = _sizes(budget, parts, rng)
+            order.append(("op", depth, len(sizes)))
+            todo.extend((s, depth + 1) for s in reversed(sizes))
+    for item in reversed(order):
+        if item[0] == "leaf":
+            done.append(_leaf(item[1], rng, labels))
+        else:
+            _, depth, k = item
+            children = tuple(reversed(done[-k:]))
+            del done[-k:]
+            done.append(ops[depth % 2](children))
+    return done[0]
+
+
+FAMILIES = ("chain", "wide", "nested")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_decompose_matches_reference(family):
+    rng = random.Random(f"decompose:{family}")
+    for _ in range(25):
+        g = evaluate_tc(random_expression(family, rng.randint(2, 40), rng))
+        expr = decompose_tree_cograph(g)
+        assert expr == reference_decompose(g)
+        assert evaluate_tc(expr) == g
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_decompose_round_trips_at_300(family):
+    rng = random.Random(f"large:{family}")
+    g = evaluate_tc(random_expression(family, 300, rng))
+    assert evaluate_tc(decompose_tree_cograph(g)) == g
+
+
+def test_non_tree_cographs_fail_in_both():
+    rng = random.Random(17)
+    failures = 0
+    for _ in range(150):
+        g = random_graph(rng.randint(1, 11), rng.uniform(0.2, 0.8), rng)
+        try:
+            expected = reference_decompose(g)
+        except NotTreeCograph:
+            failures += 1
+            with pytest.raises(NotTreeCograph):
+                decompose_tree_cograph(g)
+        else:
+            assert decompose_tree_cograph(g) == expected
+    assert failures > 50
+
+
+def test_decompose_empty_graph_fails():
+    with pytest.raises(NotTreeCograph):
+        decompose_tree_cograph(Graph(0, ()))
+
+
+def test_decompose_builds_no_complement():
+    rng = random.Random(4)
+    g = evaluate_tc(random_expression("nested", 80, rng))
+    decompose_tree_cograph(g)
+    assert "_complement" not in vars(g)
+
+
+# ---------------------------------------------------------------------------
+# Complement memo and the edge-count tests
+# ---------------------------------------------------------------------------
+
+
+def test_complement_is_built_once_and_inverts():
+    g = random_labeled_tree(30, random.Random(2))
+    co = complement(g)
+    assert complement(g) is co
+    assert complement(co) is g
+    assert co == _reference_complement(g)
+
+
+def test_is_cotree_matches_complement():
+    rng = random.Random(8)
+    graphs = [complement(random_labeled_tree(rng.randint(1, 12), rng)) for _ in range(40)]
+    graphs += [random_graph(rng.randint(1, 9), rng.uniform(0.3, 0.95), rng) for _ in range(200)]
+    for g in graphs:
+        assert is_cotree(g) == is_tree(_reference_complement(g))
+
+
+def _has_independent_triple(g: Graph) -> bool:
+    return any(
+        not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+        for a, b, c in combinations(range(g.n), 3)
+    )
+
+
+def test_stability_matches_brute_force_up_to_six():
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            assert stability_at_most_two(g) == (not _has_independent_triple(g))
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 10, 31])
+def test_stability_either_side_of_mantel_bound(n):
+    # the complement of K_{a,b} has exactly floor(n^2/4) non-edges
+    at = complement(complete_bipartite(n // 2, n - n // 2))
+    missing = [(u, v) for u, v in combinations(range(n), 2) if not at.has_edge(u, v)]
+    plus = Graph.from_edges(n, list(at.edges) + [missing[0]])
+    minus = Graph.from_edges(n, at.edges[1:])
+    for g, expected in ((at, True), (plus, True), (minus, False)):
+        assert stability_at_most_two(g) is expected
+        assert (not _has_independent_triple(g)) is expected
+
+
+# ---------------------------------------------------------------------------
+# Deep expressions: no walk recurses
+# ---------------------------------------------------------------------------
+
+
+def _chain(levels: int):
+    expr = TreeLeaf(Graph(1, ((),)), (0,))
+    for v in range(1, levels):
+        leaf = TreeLeaf(Graph(1, ((),)), (v,))
+        expr = (TcJoin if v % 2 else TcUnion)((leaf, expr))
+    return expr
+
+
+def _shape(e):
+    return [
+        (type(x).__name__, x.span, getattr(x, "tree", None))
+        for x in tc_postorder(e)
+    ]
+
+
+def test_deep_expression_round_trips_through_text():
+    e = _chain(10**4)
+    text = format_tc_expression(e)
+    parsed = parse_tc_expression(text)
+    assert format_tc_expression(parsed) == text
+    assert _shape(parsed) == _shape(e)
+    assert parsed.span == 10**4
+    assert chromatic_tc(parsed) == chromatic_tc(e)
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def test_deep_chain_dominance_edge_list_matches_tcx(tmp_path):
+    rng = random.Random(600)
+    e = random_expression("chain", 620, rng)
+    tcx = tmp_path / "chain.tcx"
+    tcx.write_text(format_tc_expression(e))
+    edges = tmp_path / "chain.txt"
+    edges.write_text(format_edgelist(evaluate_tc(e)))
+    code_tcx, out_tcx = _run(["dominance", str(tcx)])
+    code_edges, out_edges = _run(["dominance", str(edges)])
+    assert code_tcx == 0 and code_edges == 0
+    assert out_edges == out_tcx
+    assert len(out_tcx.splitlines()) == 620 - dominance_tc(e).chi + 1
+
+
+# ---------------------------------------------------------------------------
+# Tree dominance degree counts and the deficiency witness
+# ---------------------------------------------------------------------------
+
+
+def test_star_dominance_closed_form():
+    leaves = 2 * 10**4
+    vec = dominance_vector_tree(star_graph(leaves))
+    assert vec.chi == 2
+    assert vec.values == (2,) + (1,) * (leaves - 1)
+
+
+def test_tree_dominance_degree_counts_match_m_i():
+    rng = random.Random(21)
+    for _ in range(60):
+        t = random_labeled_tree(rng.randint(2, 40), rng)
+        vec = dominance_vector_tree(t)
+        for i in range(m_degree_bound(t) + 1, t.max_degree() + 2):
+            assert vec.value_at(i) == m_i_count(t, i)
+
+
+def test_deficiency_matching_builds_tables_once(monkeypatch):
+    calls = []
+    build = tree_dp.deficiency_tables
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(tree_dp, "deficiency_tables", counted)
+    t = random_labeled_tree(40, random.Random(9))
+    value, matching = tree_dp.deficiency_matching(t, 5)
+    assert len(calls) == 1
+    assert len(matching) == 5
+    assert value == tree_dp.deficiency_vector(t)[5]
