@@ -3,6 +3,9 @@
 Edge-list format (bit-exact): UTF-8; lines starting ``#`` are comments; the
 first non-comment line is ``p <n> <m>``; exactly m lines ``e <u> <v>`` with
 ``0 <= u < v < n`` follow.  Duplicate or out-of-range edges are parse errors.
+The header is read line by line, and the body is checked in bulk, with
+whole-list operations.  On invalid input the body is then walked line by
+line, and the error names the first bad line.
 
 Expression format: s-expressions over
 ``(tree <file|inline>) | (cotree ...) | (union e e+) | (join e e+)`` where
@@ -12,7 +15,10 @@ graph are assigned to leaves depth-first, left to right.
 
 from __future__ import annotations
 
+import operator
 import os
+import re
+from itertools import islice
 
 from .errors import ParseError
 from .graph import (
@@ -28,43 +34,96 @@ from .graph import (
 from .matching import Matching
 
 
-def parse_edgelist(text: str) -> Graph:
-    n = None
-    m = None
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _read_header(lines: list[str]) -> tuple[int, int, int]:
+    """``(n, m, index of the first body line)`` from the first line that is
+    neither blank nor a comment."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if n is None:
-            if parts[0] != "p" or len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'p <n> <m>'")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer counts") from None
-            if n < 0 or m < 0:
-                raise ParseError(f"line {lineno}: negative counts")
+        if parts[0] != "p" or len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 'p <n> <m>'")
+        try:
+            n, m = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer counts") from None
+        if n < 0 or m < 0:
+            raise ParseError(f"line {lineno}: negative counts")
+        return n, m, lineno
+    raise ParseError("missing 'p <n> <m>' header")
+
+
+def _body_error(text: str, start: int, n: int, m: int) -> ParseError:
+    """The error for a body, from line ``start + 1`` on, that the bulk
+    checks rejected: the body is walked line by line, and the first bad
+    line is named.  If every line is good on its own, the count is wrong."""
+    seen: set[Edge] = set()
+    for lineno, raw in enumerate(text.splitlines()[start:], start=start + 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
+        parts = line.split()
         if parts[0] != "e" or len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
+            return ParseError(f"line {lineno}: expected 'e <u> <v>'")
         try:
             u, v = int(parts[1]), int(parts[2])
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer endpoints") from None
+            return ParseError(f"line {lineno}: non-integer endpoints")
         if not (0 <= u < v < n):
-            raise ParseError(f"line {lineno}: edge ({u},{v}) violates 0 <= u < v < n")
+            return ParseError(f"line {lineno}: edge ({u},{v}) violates 0 <= u < v < n")
         if (u, v) in seen:
-            raise ParseError(f"line {lineno}: duplicate edge ({u},{v})")
+            return ParseError(f"line {lineno}: duplicate edge ({u},{v})")
         seen.add((u, v))
-        edges.append((u, v))
-    if n is None:
-        raise ParseError("missing 'p <n> <m>' header")
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    return ParseError(f"header declares {m} edges, found {len(seen)}")
+
+
+def _read_ints(words: list[str], ids: dict[str, int]) -> list[int]:
+    """The integers ``int()`` reads from ``words``.  Words that spell a
+    vertex id in canonical decimal are looked up in ``ids``, which is
+    faster than ``int()`` and shares one int object per vertex."""
+    try:
+        return list(map(ids.__getitem__, words))
+    except KeyError:
+        return list(map(int, words))
+
+
+def parse_edgelist(text: str) -> Graph:
+    lines = text.splitlines()
+    n, m, start = _read_header(lines)
+    # the body is checked with whole-list operations; only when a check
+    # fails is it walked line by line, to name the first bad line
+    rows = list(filter(None, map(str.strip, islice(lines, start, None))))
+    if "#" in text:
+        rows = [row for row in rows if row[0] != "#"]
+    del lines
+    if len(rows) != m:
+        raise _body_error(text, start, n, m)
+    body = "\n".join(rows)
+    del rows
+    # each of the m rows starts with the letter e, every third of the 3m
+    # words is "e", and no word that int() reads holds an e: so the words
+    # "e" are exactly the rows' first words, and each row is e <u> <v>
+    if ("\n" + body).count("\ne") != m:
+        raise _body_error(text, start, n, m)
+    words = body.split()
+    del body
+    if len(words) != 3 * m or words[::3].count("e") != m:
+        raise _body_error(text, start, n, m)
+    # a table longer than the 2m endpoints would cost more than it saves
+    ids = {str(v): v for v in range(min(n, 2 * m))}
+    try:
+        us = _read_ints(words[1::3], ids)
+        vs = _read_ints(words[2::3], ids)
+    except ValueError:
+        raise _body_error(text, start, n, m) from None
+    del words, ids
+    if m and (min(us) < 0 or max(vs) >= n or not all(map(operator.lt, us, vs))):
+        raise _body_error(text, start, n, m)
+    g = Graph.from_edges(n, zip(us, vs))
+    if g.m != m:  # from_edges collapsed a duplicate
+        raise _body_error(text, start, n, m)
+    return g
 
 
 def format_edgelist(g: Graph) -> str:
@@ -88,37 +147,26 @@ def write_edgelist(path: str, g: Graph) -> None:
 # ---------------------------------------------------------------------------
 
 
+# a parenthesis, a string literal (its closing quote optional, so that an
+# unterminated one is seen), a comment, or a run of other characters
+_TOKEN = re.compile(r'[()]|"[^"]*"?|;[^\n]*|[^\s()";]+')
+
+
 def _tokenize(text: str) -> list[str]:
+    """Tokens in text order; a string literal becomes ``"`` followed by its
+    contents, and comments are dropped."""
+    tokens = _TOKEN.findall(text)
+    if '"' not in text and ";" not in text:
+        return tokens
     out = []
-    token = ""
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
+    for tok in tokens:
+        if tok[0] == ";":
             continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
+        if tok[0] == '"':
+            if len(tok) < 2 or tok[-1] != '"':
                 raise ParseError("unterminated string literal")
-            out.append('"' + text[i + 1 : j])
-            i = j + 1
-            continue
-        if ch in "()":
-            if token:
-                out.append(token)
-                token = ""
-            out.append(ch)
-        elif ch.isspace():
-            if token:
-                out.append(token)
-                token = ""
-        else:
-            token += ch
-        i += 1
-    if token:
-        out.append(token)
+            tok = tok[:-1]
+        out.append(tok)
     return out
 
 

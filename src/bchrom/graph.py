@@ -44,16 +44,30 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a canonical graph; duplicate edges collapse silently."""
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+        """Build a canonical graph; duplicate edges collapse silently.
+
+        Edges are added unchecked and the rows are checked afterwards: an
+        endpoint of n or more stops the loop, and a negative endpoint or a
+        self-loop leaves a negative entry or the vertex itself in a row.
+        Only then are ``edges`` walked again, to name the first bad edge,
+        so pass a sequence, not an iterator, where an edge may be bad.
+        """
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        bad = False
+        try:
+            for u, v in edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        except IndexError:
+            bad = True
+        adj = []
+        for v, row in enumerate(nbrs):
+            s = set(row)
+            bad = bad or v in s
+            adj.append(tuple(sorted(s)))
+        if bad or any(row[0] < 0 for row in adj if row):
+            raise _bad_edge(n, edges)
+        return Graph(n, tuple(adj))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -86,6 +100,17 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.nbr_sets[u]
+
+
+def _bad_edge(n: int, edges: Iterable[tuple[int, int]]) -> ValueError:
+    """The error for the first edge of ``edges`` that is out of range for
+    n vertices or a self-loop."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            return ValueError(f"self-loop at vertex {u}")
+    return ValueError(f"an edge is out of range for n={n} or a self-loop")
 
 
 def complement(g: Graph) -> Graph:
@@ -288,8 +313,64 @@ def chromatic_stability2(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeLeaf:
+class _TcNode:
+    """Equality, hashing and repr of expression nodes, on an explicit stack.
+
+    The dataclass-generated methods recurse once per level of nesting and
+    fail on deep expressions.  As with them, nodes are equal when they have
+    the same class and equal fields; ``span`` is left out, being derived.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if isinstance(a, _TcOperation):
+                if len(a.children) != len(b.children):
+                    return False
+                pairs.extend(zip(a.children, b.children))
+            elif a.tree != b.tree or a.vertices != b.vertices:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return _fold(
+            self,
+            lambda leaf: hash((type(leaf).__name__, leaf.tree, leaf.vertices)),
+            lambda node, values: hash((node.head, *values)),
+        )
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+            elif isinstance(node, _TcOperation):
+                parts.append(f"{type(node).__name__}(children=(")
+                stack.append("))")
+                for i, child in enumerate(reversed(node.children)):
+                    if i:
+                        stack.append(", ")
+                    stack.append(child)
+            else:
+                parts.append(
+                    f"{type(node).__name__}(tree={node.tree!r}, vertices={node.vertices!r})"
+                )
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class TreeLeaf(_TcNode):
     """A leaf denoting the stored tree itself.
 
     ``vertices[i]`` is the id, in the denoted graph, of local vertex i.
@@ -309,8 +390,8 @@ class TreeLeaf:
         return self.tree.n
 
 
-@dataclass(frozen=True)
-class CoTreeLeaf:
+@dataclass(frozen=True, eq=False, repr=False)
+class CoTreeLeaf(_TcNode):
     """A leaf denoting the complement of the stored tree."""
 
     tree: Graph
@@ -327,8 +408,8 @@ class CoTreeLeaf:
         return self.tree.n
 
 
-@dataclass(frozen=True)
-class _TcOperation:
+@dataclass(frozen=True, eq=False, repr=False)
+class _TcOperation(_TcNode):
     """A union or join of at least two subexpressions.  ``span``, the
     number of vertices denoted, is set once from the children's spans."""
 
@@ -342,12 +423,12 @@ class _TcOperation:
         object.__setattr__(self, "span", sum(c.span for c in self.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TcUnion(_TcOperation):
     head = "union"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TcJoin(_TcOperation):
     head = "join"
 

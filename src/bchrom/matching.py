@@ -13,8 +13,6 @@ difference could be flipped to increase the overlap).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .errors import InvalidMatching, NotAugmenting
 from .graph import Edge, Graph, norm_edge
 
@@ -90,6 +88,8 @@ def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching (mature blossom implementation)."""
     if g.n == 0 or g.m == 0:
         return frozenset()
+    import networkx as nx  # on first use: it loads slower than the whole package
+
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges)
@@ -106,6 +106,8 @@ def min_length_augmenting_path(g: Graph, m: Matching) -> AltPath | None:
     if 2 * k > g.n:
         return None
     dummies = g.n - 2 * k
+    import networkx as nx
+
     G = nx.Graph()
     G.add_nodes_from(range(g.n + dummies))
     for u, v in g.edges:

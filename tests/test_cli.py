@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -147,3 +150,11 @@ def test_bench_stability():
     assert code == 0
     assert "stable: yes" in out
     assert "task: deficiency-table" in out
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    code = "import sys, bchrom.cli; bchrom.cli.build_parser(); print('networkx' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

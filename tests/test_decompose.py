@@ -240,8 +240,8 @@ def test_stability_either_side_of_mantel_bound(n):
 # ---------------------------------------------------------------------------
 
 
-def _chain(levels: int):
-    expr = TreeLeaf(Graph(1, ((),)), (0,))
+def _chain(levels: int, deepest=TreeLeaf):
+    expr = deepest(Graph(1, ((),)), (0,))
     for v in range(1, levels):
         leaf = TreeLeaf(Graph(1, ((),)), (v,))
         expr = (TcJoin if v % 2 else TcUnion)((leaf, expr))
@@ -262,7 +262,29 @@ def test_deep_expression_round_trips_through_text():
     assert format_tc_expression(parsed) == text
     assert _shape(parsed) == _shape(e)
     assert parsed.span == 10**4
+    assert parse_tc_expression(text) == parsed
     assert chromatic_tc(parsed) == chromatic_tc(e)
+
+
+def test_deep_expressions_compare_hash_and_print():
+    a, b = _chain(2000), _chain(2000)
+    c = _chain(2000, deepest=CoTreeLeaf)  # differs only at the deepest leaf
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != c and not a == c
+    assert repr(a) == repr(b) != repr(c)
+    assert repr(a).count("TreeLeaf(") == 2000
+    assert a != a.children[1] and a != 1
+
+
+def test_expression_repr_matches_dataclass_form():
+    leaf = Graph(1, ((),))
+    e = TcUnion((TreeLeaf(leaf, (0,)), TcJoin((CoTreeLeaf(leaf, (1,)), TreeLeaf(leaf, (2,))))))
+    assert repr(e) == (
+        "TcUnion(children=(TreeLeaf(tree=Graph(n=1, adj=((),)), vertices=(0,)), "
+        "TcJoin(children=(CoTreeLeaf(tree=Graph(n=1, adj=((),)), vertices=(1,)), "
+        "TreeLeaf(tree=Graph(n=1, adj=((),)), vertices=(2,))))))"
+    )
+    assert len({e, TcUnion(e.children), e.children[1]}) == 2
 
 
 def _run(argv):

@@ -1,0 +1,176 @@
+"""Differential tests for the edge-list parser.
+
+The reference below is the original parser, which checks the body one line
+at a time.  It is kept here, small and obviously correct, so the parser
+that checks the body with whole-list operations can be checked against it:
+on valid files of random graphs and dense co-trees in random labellings,
+and on seeded random mutations of small files, where both must return equal
+graphs or raise ``ParseError`` with the same message.
+"""
+
+import random
+
+import pytest
+
+from bchrom.errors import ParseError
+from bchrom.fileio import format_edgelist, parse_edgelist
+from bchrom.generators import random_graph, random_labeled_tree
+from bchrom.graph import Edge, Graph, complement, empty_graph
+
+
+def reference_parse_edgelist(text: str) -> Graph:
+    n = None
+    m = None
+    edges: list[Edge] = []
+    seen: set[Edge] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if n is None:
+            if parts[0] != "p" or len(parts) != 3:
+                raise ParseError(f"line {lineno}: expected 'p <n> <m>'")
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer counts") from None
+            if n < 0 or m < 0:
+                raise ParseError(f"line {lineno}: negative counts")
+            continue
+        if parts[0] != "e" or len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer endpoints") from None
+        if not (0 <= u < v < n):
+            raise ParseError(f"line {lineno}: edge ({u},{v}) violates 0 <= u < v < n")
+        if (u, v) in seen:
+            raise ParseError(f"line {lineno}: duplicate edge ({u},{v})")
+        seen.add((u, v))
+        edges.append((u, v))
+    if n is None:
+        raise ParseError("missing 'p <n> <m>' header")
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges, found {len(edges)}")
+    return Graph.from_edges(n, edges)
+
+
+def outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def assert_same(text: str) -> None:
+    assert outcome(parse_edgelist, text) == outcome(reference_parse_edgelist, text), repr(text)
+
+
+def relabel(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def dressed(g: Graph, rng: random.Random) -> str:
+    """An edge list of g in a random edge order, with comments, blank
+    lines, surrounding whitespace and line ends of several kinds."""
+    lines = ["# written by test_edgelist", "", f"p {g.n} {g.m}"]
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    for u, v in edges:
+        pad = rng.choice(["", " ", "\t", "  "])
+        gap = rng.choice([" ", "\t", "   "])
+        lines.append(f"{pad}e{gap}{u}{gap}{v}{rng.choice(['', ' ', chr(9)])}")
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "# comment e 1 2", "   ", "  #"]))
+    return rng.choice(["\n", "\r\n", "\r"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+def test_valid_files_of_random_and_co_tree_graphs():
+    rng = random.Random(3)
+    graphs = [empty_graph(0), empty_graph(5), random_graph(1, 0.5, rng)]
+    graphs += [random_graph(n, p, rng) for n in (2, 7, 30) for p in (0.1, 0.5, 0.9)]
+    graphs += [relabel(complement(random_labeled_tree(n, rng)), rng) for n in (2, 9, 60, 200)]
+    for g in graphs:
+        for text in (format_edgelist(g), dressed(g, rng)):
+            assert parse_edgelist(text) == g
+            assert_same(text)
+
+
+def test_known_errors_match_reference():
+    for text in [
+        "",
+        "# only a comment\n",
+        "p 3\n",
+        "q 3 0\n",
+        "p x 0\n",
+        "p -1 0\n",
+        "p 3 1\ne 0 1 2\n",
+        "p 3 1\ne 0\n",
+        "p 3 1\nf 0 1\n",
+        "p 3 1\ne0 1\n",
+        "p 3 1\ne 0 x\n",
+        "p 3 1\ne 1 0\n",
+        "p 3 1\ne 0 3\n",
+        "p 3 1\ne -1 2\n",
+        "p 3 1\ne 1 1\n",
+        "p 3 2\ne 0 1\ne 0 1\n",
+        "p 3 2\ne 0 1\n",
+        "p 3 1\ne 0 1\ne 1 2\n",
+        "p 3 1\np 3 1\n",
+        "p 3 2\ne 0 1 e 1 2\n",
+        "p 3 2\ne 0 1 e\n1 2\n",
+        "p 3 1\ne 0 1e\n",
+        "p 3 1\ne 0 +1\n",
+        "p 3 1\ne 0 0_1\n",
+        "p 300 1\ne 0 1_0\n",
+        "p 3 1\ne 0 ١\n",
+        "p 3 0\n\x0c\n",
+        "p 3 1\ne 0 1\x85e 1 2\n",
+    ]:
+        assert_same(text)
+
+
+def test_zero_edges():
+    assert parse_edgelist("p 4 0\n") == empty_graph(4)
+    assert parse_edgelist("# none\n\np 0 0") == empty_graph(0)
+    assert_same("p 4 0\n\n# e 0 1\n")
+
+
+ALPHABET = ["e", "p", " ", "\t", "\n", "\r\n", "#", "-", "+", "_", "x", "0", "1", "2", "9"]
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        kind = rng.randrange(6)
+        i = rng.randrange(len(text) + 1)
+        if kind == 0:  # insert a character
+            text = text[:i] + rng.choice(ALPHABET) + text[i:]
+        elif kind == 1:  # delete a character
+            text = text[:i] + text[i + 1 :]
+        elif kind == 2:  # replace a character
+            text = text[:i] + rng.choice(ALPHABET) + text[i + 1 :]
+        elif kind == 3:  # duplicate a line
+            j = rng.randrange(len(lines))
+            text = "\n".join(lines[: j + 1] + lines[j:])
+        elif kind == 4:  # delete a line
+            j = rng.randrange(len(lines))
+            text = "\n".join(lines[:j] + lines[j + 1 :])
+        else:  # swap two lines
+            j, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[j], lines[k] = lines[k], lines[j]
+            text = "\n".join(lines)
+    return text
+
+
+def test_random_mutations_match_reference():
+    rng = random.Random(11)
+    for trial in range(4000):
+        n = rng.randint(1, 6)
+        g = random_graph(n, rng.random(), rng)
+        text = format_edgelist(g) if trial % 2 else dressed(g, rng)
+        assert_same(mutate(text, rng))

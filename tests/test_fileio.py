@@ -11,6 +11,7 @@ from bchrom.fileio import (
     parse_edgelist,
     parse_matching,
     parse_tc_expression,
+    _tokenize,
 )
 from bchrom.graph import TreeLeaf, complement, evaluate_tc, path_graph
 
@@ -64,6 +65,17 @@ def test_tc_expression_errors():
         parse_tc_expression("(loop 1 2)")
     with pytest.raises(ParseError):
         parse_tc_expression("(tree 2 0 1) junk")
+
+
+def test_tokenize_in_text_order():
+    assert _tokenize('ab"x"') == ["ab", '"x']
+    assert _tokenize('(tree "a b;c"cd) ; note "\n(x)') == ["(", "tree", '"a b;c', "cd", ")", "(", "x", ")"]
+    assert _tokenize("(join;c\n(tree 1)\t(tree 1))") == [
+        "(", "join", "(", "tree", "1", ")", "(", "tree", "1", ")", ")"
+    ]
+    for text in ['(tree "leaf.g)', 'ab "', '"']:
+        with pytest.raises(ParseError, match="^unterminated string literal$"):
+            _tokenize(text)
 
 
 def test_matching_format_round_trip():
