@@ -10,10 +10,9 @@ fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
-    BudgetExceeded,
+    InvariantViolation,
     KOutOfRange,
     NotACoTree,
     NotATree,
@@ -32,9 +31,7 @@ from .graph import (
     is_tree,
     m_degree_bound,
 )
-from .tree_dp import INF, deficiency_vector
-
-SEARCH_BUDGET = 10**6
+from .tree_dp import INF, RootedTree, deficiency_vector, root_tree
 
 
 @dataclass(frozen=True)
@@ -144,261 +141,202 @@ def dominance_vector_tree(t: Graph) -> DominanceVector:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_extend(t: Graph, color: list[int], k: int) -> None:
-    """Fill uncolored vertices properly; trees always leave a color free."""
-    from collections import deque
-
-    todo = deque(v for v in range(t.n) if color[v] == -1)
-    while todo:
-        v = todo.popleft()
-        used = {color[w] for w in t.adj[v] if color[w] != -1}
-        for c in range(k):
-            if c not in used:
-                color[v] = c
-                break
-        else:
-            raise AssertionError("greedy extension failed on a tree")
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
-def _demand_csp(
-    t: Graph, k: int, color: list[int], witnesses: list[int], budget: list[int]
-) -> bool:
-    """Backtracking search finishing ``color`` so every witness sees every
-    other class among its neighbors.  Mutates ``color``; True on success."""
-    need: dict[int, set[int]] = {}
-    for w in witnesses:
-        seen = {color[x] for x in t.adj[w] if color[x] != -1}
-        need[w] = set(range(k)) - {color[w]} - seen
-    frontier = sorted(
-        {v for w in witnesses for v in t.adj[w] if color[v] == -1}
-    )
-    rest = [v for v in range(t.n) if color[v] == -1 and v not in set(frontier)]
-    order = frontier + rest
+def _alternating_search(
+    e: int, options: list[int], taken: list[int]
+) -> tuple[int, int, dict[int, tuple[int, int]]]:
+    """Breadth-first search along alternating paths from the free color e.
 
-    def feasible() -> bool:
-        for w in witnesses:
-            open_slots = sum(1 for x in t.adj[w] if color[x] == -1)
-            if len(need[w]) > open_slots:
-                return False
-        return True
-
-    def assign(i: int) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded("coloring search budget exhausted")
-        if i == len(order):
-            return all(not need[w] for w in witnesses)
-        v = order[i]
-        blocked = {color[x] for x in t.adj[v] if color[x] != -1}
-        wanted = [c for w in witnesses if v in t.nbr_sets[w] for c in sorted(need[w])]
-        trial = list(dict.fromkeys(wanted)) + [
-            c for c in range(k) if c not in wanted
-        ]
-        for c in trial:
-            if c in blocked:
-                continue
-            color[v] = c
-            touched = [w for w in witnesses if v in t.nbr_sets[w] and c in need[w]]
-            for w in touched:
-                need[w].discard(c)
-            if feasible() and assign(i + 1):
-                return True
-            for w in touched:
-                need[w].add(c)
-            color[v] = -1
-        return False
-
-    return assign(0)
+    Returns an unmatched option and the color it was reached from (-1, -1
+    when none is reachable), and for each color reached the color before it
+    on its path and the option holding it."""
+    back = {e: (-1, -1)}
+    queue = [e]
+    rest = list(range(len(options)))
+    for c in queue:
+        bit = 1 << c
+        left = []
+        for i in rest:
+            if not options[i] & bit:
+                left.append(i)
+            elif taken[i] < 0:
+                return i, c, back
+            else:
+                back[taken[i]] = (c, i)
+                queue.append(taken[i])
+        rest = left
+    return -1, -1, back
 
 
-def _search_b_coloring(t: Graph, k: int, budget: list[int]) -> list[int]:
-    """A proper k-coloring where every class has a dominating vertex."""
-    if k == 2:
-        color = [-1] * t.n
-        color[0] = 0
-        _greedy_extend(t, color, 2)
-        return color
-    candidates = sorted(
-        (v for v in range(t.n) if t.degree(v) >= k - 1),
-        key=lambda v: (-t.degree(v), v),
-    )
-    for wset in combinations(candidates, k):
-        color = [-1] * t.n
-        ws = sorted(wset)
-        for i, w in enumerate(ws):
-            color[w] = i
-        if any(color[u] == color[v] for u, v in t.edges if color[u] != -1 and color[v] != -1):
+def _cover(need: int, options: list[int]) -> tuple[list[int], int]:
+    """A maximum matching of the colors in ``need`` into distinct options,
+    each option a mask of the colors it may take: the color each option
+    takes (-1 for none) and the mask of colors left uncovered.  A greedy
+    pass, then one augmenting-path search per color it left free."""
+    taken = [-1] * len(options)
+    free = need
+    for i, opt in enumerate(options):
+        avail = opt & free
+        if avail:
+            c = _lowest(avail)
+            taken[i] = c
+            free ^= 1 << c
+    short = 0
+    while free:
+        e = _lowest(free)
+        free ^= 1 << e
+        i, c, back = _alternating_search(e, options, taken)
+        if i < 0:
+            short |= 1 << e
             continue
-        if _demand_csp(t, k, color, ws, budget):
-            _greedy_extend(t, color, k)
-            return color
-    raise AssertionError("no witness set admits a b-coloring at a feasible k")
+        while i >= 0:  # flip the path: each option takes the color it was reached from
+            taken[i] = c
+            c, i = back[c]
+    return taken, short
 
 
-def _pivot_recipe(t: Graph, rep: PivotReport, budget: list[int]) -> list[int]:
-    """Coloring a pivoted tree with m colors: the pivot and one dense vertex
-    at distance two share a color, their common dense neighbor is the one
-    class without a dominating vertex."""
-    m = rep.m_value
-    v = rep.pivot
-    assert v is not None
-    dense = sorted(rep.dense)
-    pick = None
-    for c in sorted(set(t.adj[v]) & rep.dense):
-        for w in sorted(set(t.adj[c]) & rep.dense):
-            if w != v and not t.has_edge(v, w):
-                pick = (w, c)
-                break
-        if pick:
+def _complete(rt: RootedTree, wcolor: list[int], k: int) -> list[int] | None:
+    """Color the tree so that each witness (``wcolor[v] >= 0``) wears its
+    color and sees every other color, or None when no such coloring exists.
+
+    Bottom-up, ``acc[v]`` is the mask of parent colors under which v's
+    subtree can be completed.  A free vertex may take the colors in
+    ``feas[v]``, those every child accepts.  For a witness, ``feas[v]`` is
+    the mask of colors its free children must cover; a parent color is
+    accepted when the rest can be matched into those children.  Top-down
+    repeats each witness's matching without its parent's color."""
+    full = (1 << k) - 1
+    acc = [0] * rt.graph.n
+    feas = [0] * rt.graph.n
+    for v in rt.order + (rt.root,):
+        c = wcolor[v]
+        if c < 0:
+            f = full
+            for u in rt.children[v]:
+                f &= acc[u]
+            feas[v] = f
+            acc[v] = full if f & (f - 1) else full ^ f if f else 0
+        else:
+            bit = 1 << c
+            need = full ^ bit
+            free = []
+            for u in rt.children[v]:
+                if not acc[u] & bit:
+                    return None
+                if wcolor[u] < 0:
+                    free.append(u)
+                else:
+                    need &= ~(1 << wcolor[u])
+            feas[v] = need
+            options = [feas[u] & need for u in free]
+            taken, short = _cover(need, options)
+            if not short:
+                acc[v] = full ^ bit
+            elif not short & (short - 1):
+                # one color short: the parent must wear a color that some
+                # maximum matching leaves free
+                _, _, back = _alternating_search(_lowest(short), options, taken)
+                acc[v] = sum(1 << d for d in back)
+        if not acc[v]:
+            return None
+    color = list(wcolor)
+    if color[rt.root] < 0:
+        color[rt.root] = _lowest(feas[rt.root])
+    for v in (rt.root,) + rt.order[::-1]:
+        bit = 1 << color[v]
+        free = [u for u in rt.children[v] if wcolor[u] < 0]
+        if wcolor[v] >= 0:
+            need = feas[v]
+            if v != rt.root:
+                need &= ~(1 << color[rt.parent[v]])
+            taken, short = _cover(need, [feas[u] & need for u in free])
+            if short:  # only the root, which has no parent to cover a color
+                return None
+            for u, d in zip(free, taken):
+                color[u] = d if d >= 0 else _lowest(feas[u] & ~bit)
+        else:
+            for u in free:
+                color[u] = _lowest(feas[u] & ~bit)
+    return color
+
+
+def _dominating_coloring(rt: RootedTree, k: int, target: int) -> list[int]:
+    t = rt.graph
+    deg = [len(a) for a in t.adj]
+    dense = sum(d >= k - 1 for d in deg)
+    for v in rt.order:  # children first, so each is a leaf when dropped
+        if dense <= target + 1:
             break
-    assert pick is not None, "pivoted trees have a dense vertex at distance two"
-    w, c = pick
-    color = [-1] * t.n
-    color[v] = 0
-    color[w] = 0
-    nxt = 1
-    for d in dense:
-        if d != w:
-            color[d] = nxt
-            nxt += 1
-    witnesses = [d for d in dense if d != c]
-    if not _demand_csp(t, m, color, witnesses, budget):
-        raise AssertionError("pivot recipe demands were unsatisfiable")
-    _greedy_extend(t, color, m)
-    return color
-
-
-def _sparse_three_coloring(t: Graph) -> list[int]:
-    """Trees whose degree bound is two are stars or double brooms; color with
-    three classes so exactly the internal vertices dominate."""
-    internal = [v for v in range(t.n) if t.degree(v) >= 2]
-    color = [-1] * t.n
-    if len(internal) == 1:
-        c = internal[0]
-        leaves = list(t.adj[c])
-        color[c] = 0
-        color[leaves[0]] = 1
-        color[leaves[1]] = 2
-        for x in leaves[2:]:
-            color[x] = 1
+        p = rt.parent[v]
+        dense -= (deg[v] >= k - 1) + (deg[p] == k - 1)
+        deg[p] -= 1
+        deg[v] = 0
+    dense_core = [v for v in range(t.n) if deg[v] >= k - 1]
+    if len(dense_core) == target:
+        tries = [dense_core]
     else:
-        a, b = internal
-        color[a] = 0
-        color[b] = 1
-        la = [x for x in t.adj[a] if x != b]
-        lb = [x for x in t.adj[b] if x != a]
-        color[la[0]] = 2
-        for x in la[1:]:
-            color[x] = 1
-        color[lb[0]] = 2
-        for x in lb[1:]:
-            color[x] = 0
-    return color
+        tries = [dense_core[:i] + dense_core[i + 1 :] for i in range(len(dense_core))]
+    for wset in tries:
+        wcolor = [-1] * t.n
+        for c, w in enumerate(wset):
+            wcolor[w] = c
+        color = _complete(rt, wcolor, k)
+        if color is not None:
+            return color
+    raise InvariantViolation(f"no witness set of {target} dense vertices completes at k={k}")
 
 
-def _padded_tree_coloring(t: Graph, k: int, budget: list[int]) -> list[int]:
-    """For degree-bound < k <= max degree + 1 (k >= 4): graft a caterpillar
-    onto a leaf so the combined tree has exactly k dense vertices and degree
-    bound k, b-color it, then drop the grafted part."""
-    kk = sum(1 for v in range(t.n) if t.degree(v) >= k - 1)
-    h = next(v for v in range(t.n) if t.degree(v) == 1)
-    edges = list(t.edges)
-    nid = t.n
-    spine = []
-    for _ in range(k - kk + 3):  # x, y, hubs..., z
-        spine.append(nid)
-        nid += 1
-    edges.append((h, spine[0]))
-    for i in range(len(spine) - 1):
-        edges.append((spine[i], spine[i + 1]))
-    for hub in spine[2:-1]:
-        for _ in range(k - 3):
-            edges.append((hub, nid))
-            nid += 1
-    big = Graph.from_edges(nid, edges)
-    color_big = _search_b_coloring(big, k, budget)
-    color = color_big[: t.n]
-    # renumber so classes on the original tree stay 0..k-1 and nonempty
-    present = sorted(set(color))
-    if len(present) != k:
-        raise AssertionError("padded coloring lost a class on restriction")
-    return color
+def b_coloring_tree(t: Graph, k: int) -> "Coloring":
+    """A proper k-coloring of a tree with exactly ``dom[k]`` dominant classes.
 
+    Above max degree + 1 no class can dominate: a 2-coloring by depth with
+    k - 2 vertices moved into classes of their own.  Otherwise the
+    construction is exact for four reasons:
 
-def _exact_dominants_search(t: Graph, k: int, target: int, budget: list[int]) -> list[int]:
-    """Last-resort exhaustive scan for a k-class coloring with exactly the
-    target number of dominant classes."""
-    from .oracle import OracleBudget, _Counter, _dominant_count, _scan_colorings
+    1. Witnesses lie in D, the vertices of degree at least k - 1, since a
+       dominating vertex sees the k - 1 other classes.
+    2. Pruning keeps a solution.  Leaves are dropped, deepest first, only
+       while D has more than dom[k] + 1 vertices, which happens only at
+       dom[k] = k <= chi_b.  The remaining core keeps k + 1 vertices of
+       degree at least k - 1, so it is not pivoted and by Irving & Manlove
+       (1999) and the b-continuity of trees it has a k-b-coloring, whose
+       witnesses lie in the core's D; the dropped leaves only add neighbors.
+    3. At most one dense vertex is left out: the core's D has dom[k] or
+       dom[k] + 1 vertices, so trying W = D, or W = D - {z} for each z,
+       covers every possible witness set; W[i] wears color i up to renaming.
+    4. The completion DP is exact for a fixed W: each free subtree's set of
+       feasible colors and each witness's set of acceptable parent colors
+       (from a maximum matching of its missing colors into its free
+       children) are computed exactly, bottom-up.
 
-    counter = _Counter(budget[0])
-    found: list[list[int] | None] = [None]
-
-    def visit(masks: list[int]) -> None:
-        if found[0] is not None or len(masks) != k:
-            return
-        if _dominant_count(t, masks) == target:
-            color = [-1] * t.n
-            for c, mask in enumerate(masks):
-                for v in range(t.n):
-                    if (mask >> v) & 1:
-                        color[v] = c
-            found[0] = color
-
-    _scan_colorings(t, counter, visit)
-    budget[0] = counter.left
-    if found[0] is None:
-        raise AssertionError("no coloring attains the predicted dominant count")
-    return found[0]
-
-
-def b_coloring_tree(t: Graph, k: int, budget: int = SEARCH_BUDGET) -> "Coloring":
-    """A proper k-coloring of a tree with exactly ``dom[k]`` dominant classes."""
+    Each witness sees all k classes, so every class is nonempty; dom[k] is
+    the maximum, so no coloring has more dominant classes.
+    """
     from .bcoloring import Coloring, verify_coloring
 
     if not is_tree(t) or t.n < 2:
         raise NotATree("tree b-coloring needs a tree on >= 2 vertices")
     if not (2 <= k <= t.n):
         raise KOutOfRange(f"k={k} outside 2..{t.n}")
-    dv = dominance_vector_tree(t)
-    target = dv.value_at(k)
-    rep = find_pivot(t)
-    m = rep.m_value
-    delta = t.max_degree()
-    chi_b = m - 1 if rep.pivot is not None else m
-    state = [budget]
-    try:
-        if k > delta + 1:
-            color = [-1] * t.n
-            color[0] = 0
-            _greedy_extend(t, color, 2)
-            # split classes until k are in use; properness is preserved
-            nxt = 2
-            for v in range(t.n):
-                if nxt >= k:
-                    break
-                cls = [w for w in range(t.n) if color[w] == color[v]]
-                if len(cls) > 1:
-                    color[v] = nxt
-                    nxt += 1
-            if nxt < k:
-                raise AssertionError("not enough vertices to populate k classes")
-        elif k <= chi_b:
-            color = _search_b_coloring(t, k, state)
-        elif rep.pivot is not None and k == m:
-            color = _pivot_recipe(t, rep, state)
-        elif k == 3 and m == 2:
-            color = _sparse_three_coloring(t)
-        else:
-            color = _padded_tree_coloring(t, k, state)
-    except AssertionError:
-        color = _exact_dominants_search(t, k, target, state)
+    target = dominance_vector_tree(t).value_at(k)
+    rt = root_tree(t)
+    if target:
+        color = _dominating_coloring(rt, k, target)
+    else:
+        color = [0] * t.n
+        for v in reversed(rt.order):
+            color[v] = 1 - color[rt.parent[v]]
+        for c, v in enumerate(rt.order[: k - 2], start=2):  # never the root or its neighbor
+            color[v] = c
     coloring = Coloring(tuple(color), k)
-    verdict = verify_coloring(t, coloring)
-    if len(verdict.dominant_classes) != target:
-        coloring = Coloring(tuple(_exact_dominants_search(t, k, target, state)), k)
-        verdict = verify_coloring(t, coloring)
-        if len(verdict.dominant_classes) != target:
-            raise AssertionError("constructed coloring misses the dominance target")
+    found = len(verify_coloring(t, coloring).dominant_classes)
+    if found != target:
+        raise InvariantViolation(
+            f"tree coloring has {found} dominant classes, not dom[{k}] = {target}"
+        )
     return coloring
 
 

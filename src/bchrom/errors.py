@@ -96,3 +96,7 @@ class InstanceTooLargeForExactSearch(BchromError):
 
 class WindowEmpty(BchromError):
     """The join composition window was empty (invariant violation)."""
+
+
+class InvariantViolation(BchromError):
+    """An internal invariant failed; the result would have been wrong."""

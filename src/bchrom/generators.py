@@ -60,13 +60,3 @@ def random_triangle_free(n: int, p: float, rng: random.Random) -> Graph:
         edges.append((u, v))
     return Graph.from_edges(n, edges)
 
-
-def random_bipartite(n: int, p: float, rng: random.Random) -> Graph:
-    side = [rng.randrange(2) for _ in range(n)]
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if side[u] != side[v] and rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)

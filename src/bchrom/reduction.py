@@ -20,6 +20,7 @@ from functools import cached_property
 from .errors import (
     BudgetExceeded,
     CardinalityChanged,
+    InvariantViolation,
     NotBipartite,
     NotCanonical,
     NotMaximal,
@@ -210,7 +211,8 @@ def normalize_smm(gadget: Gadget, m: Matching) -> Matching:
                     if guard > len(gadget.origin_edges) + 1:
                         raise AssertionError("out-shape repair did not converge")
                     path = find_short_augmenting(host, frozenset(work))
-                    assert path is not None and len(path) == 4
+                    if path is None or len(path) != 4:
+                        raise InvariantViolation("repair found no augmenting path of length three")
                     mid = norm_edge(path[1], path[2])
                     e2 = bridge_of.get(mid)
                     if e2 is None:

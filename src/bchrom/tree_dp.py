@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import KOutOfRange, NotATree
+from .errors import InvariantViolation, KOutOfRange, NotATree
 from .graph import Edge, Graph, connected_components, induced_subgraph, is_tree, norm_edge
 from .matching import Matching
 
@@ -470,10 +470,8 @@ def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matchin
         if st in (1, 2):
             out.append(norm_edge(rt.parent[v], v))
         if not cs:
-            if st in (1, 2):
-                assert kv == 1
-            else:
-                assert kv == 0 and st in (4, 5, 6)
+            if kv != (1 if st in (1, 2) else 0) or st in (0, 3):
+                raise InvariantViolation(f"leaf {v} reconstructed in state {st} with {kv} edges")
             continue
         m45 = [_vec_min(f[3], f[4]) for f in fs]
         m17 = [_vec_min(f[0], f[6]) for f in fs]
