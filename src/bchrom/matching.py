@@ -13,7 +13,7 @@ difference could be flipped to increase the overlap).
 
 from __future__ import annotations
 
-from .errors import InvalidMatching, NotAugmenting
+from .errors import InvalidMatching, InvariantViolation, NotAugmenting
 from .graph import Edge, Graph, norm_edge
 
 Matching = frozenset[Edge]
@@ -45,18 +45,35 @@ def _free_neighbors(g: Graph, matched: set[int], v: int) -> list[int]:
     return [w for w in g.adj[v] if w not in matched]
 
 
+def _defects(g: Graph, pairs, free: int) -> tuple[int, int]:
+    """The two deficiency counts of matched ``pairs`` whose unmatched vertices
+    are the bits of ``free``: free vertices with a free neighbor, and pairs
+    at the center of a length-3 augmenting path."""
+    bits = g.bits
+    s1 = 0
+    rest = free
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if bits[low.bit_length() - 1] & free:
+            s1 += 1
+    s2 = 0
+    for v, w in pairs:
+        a = bits[v] & free
+        b = bits[w] & free
+        if a and b and not (a == b and a & (a - 1) == 0):
+            s2 += 1
+    return s1, s2
+
+
+def _free_mask(g: Graph, matched: set[int]) -> int:
+    return ((1 << g.n) - 1) & ~sum(1 << v for v in matched)
+
+
 def is_strongly_maximal(g: Graph, m: Matching) -> bool:
     """No augmenting path of length one or three exists for m in g."""
     matched = validate_matching(g, m)
-    for u, v in g.edges:
-        if u not in matched and v not in matched:
-            return False
-    for v, w in m:
-        a = _free_neighbors(g, matched, v)
-        b = _free_neighbors(g, matched, w)
-        if a and b and (len(a) > 1 or len(b) > 1 or a[0] != b[0]):
-            return False
-    return True
+    return _defects(g, m, _free_mask(g, matched)) == (0, 0)
 
 
 def find_short_augmenting(g: Graph, m: Matching) -> AltPath | None:
@@ -130,7 +147,7 @@ def min_length_augmenting_path(g: Graph, m: Matching) -> AltPath | None:
         deg.setdefault(v, []).append(u)
     ends = sorted(v for v, nbrs in deg.items() if len(nbrs) == 1)
     if len(ends) != 2 or any(len(nbrs) > 2 for nbrs in deg.values()):
-        raise AssertionError("symmetric difference is not a single path")
+        raise InvariantViolation("symmetric difference is not a single path")
     path = [ends[0]]
     prev = -1
     while path[-1] != ends[1]:
@@ -138,7 +155,7 @@ def min_length_augmenting_path(g: Graph, m: Matching) -> AltPath | None:
         prev = path[-1]
         path.append(nxt[0])
     if len(path) != len(deg):
-        raise AssertionError("symmetric difference is not a single path")
+        raise InvariantViolation("symmetric difference is not a single path")
     if path[0] > path[-1]:
         path.reverse()
     return tuple(path)
@@ -170,14 +187,4 @@ def s1_s2(g: Graph, m: Matching) -> tuple[int, int]:
     path.  They sum to zero exactly when m is strongly maximal.
     """
     matched = validate_matching(g, m)
-    s1 = 0
-    for v in range(g.n):
-        if v not in matched and any(w not in matched for w in g.adj[v]):
-            s1 += 1
-    s2 = 0
-    for v, w in m:
-        a = _free_neighbors(g, matched, v)
-        b = _free_neighbors(g, matched, w)
-        if a and b and (len(a) > 1 or len(b) > 1 or a[0] != b[0]):
-            s2 += 1
-    return s1, s2
+    return _defects(g, m, _free_mask(g, matched))

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, GraphTooLarge, RangeError
+from .errors import BudgetExceeded, GraphTooLarge, InvariantViolation, RangeError
 from .graph import Edge, Graph
+from .matching import _defects
 
 INF = float("inf")
 
@@ -31,15 +32,18 @@ DEFAULT_BUDGET = OracleBudget()
 
 
 class _Counter:
-    __slots__ = ("left",)
+    """A search budget: ``tick`` spends from it and raises once it is gone."""
 
-    def __init__(self, limit: int) -> None:
+    __slots__ = ("left", "what")
+
+    def __init__(self, limit: int, what: str = "enumeration state") -> None:
         self.left = limit
+        self.what = what
 
     def tick(self, amount: int = 1) -> None:
         self.left -= amount
         if self.left < 0:
-            raise BudgetExceeded("enumeration state budget exhausted")
+            raise BudgetExceeded(f"{self.what} budget exhausted")
 
 
 def _admit(g: Graph, budget: OracleBudget) -> _Counter:
@@ -53,37 +57,6 @@ def _admit(g: Graph, budget: OracleBudget) -> _Counter:
 # ---------------------------------------------------------------------------
 
 
-def _strongly_maximal_mask(g: Graph, chosen: list[Edge], mask: int) -> bool:
-    free = ((1 << g.n) - 1) & ~mask
-    for u, v in g.edges:
-        if (free >> u) & 1 and (free >> v) & 1:
-            return False
-    for v, w in chosen:
-        a = g.bits[v] & free
-        b = g.bits[w] & free
-        if a and b and not (a == b and a & (a - 1) == 0):
-            return False
-    return True
-
-
-def _s1_s2_mask(g: Graph, chosen: list[Edge], mask: int) -> int:
-    free = ((1 << g.n) - 1) & ~mask
-    s1 = 0
-    f = free
-    while f:
-        v = (f & -f).bit_length() - 1
-        f &= f - 1
-        if g.bits[v] & free:
-            s1 += 1
-    s2 = 0
-    for v, w in chosen:
-        a = g.bits[v] & free
-        b = g.bits[w] & free
-        if a and b and not (a == b and a & (a - 1) == 0):
-            s2 += 1
-    return s1 + s2
-
-
 def oracle_min_smm(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int, frozenset[Edge]]:
     """Exact minimum strongly maximal matching by matching enumeration."""
     counter = _admit(g, budget)
@@ -92,12 +65,13 @@ def oracle_min_smm(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int
     best_size = g.n + 1
     best: tuple[Edge, ...] = ()
     chosen: list[Edge] = []
+    full = (1 << g.n) - 1
 
     def rec(i: int, mask: int) -> None:
         nonlocal best_size, best
         counter.tick()
         if i == L:
-            if len(chosen) < best_size and _strongly_maximal_mask(g, chosen, mask):
+            if len(chosen) < best_size and _defects(g, chosen, full & ~mask) == (0, 0):
                 best_size = len(chosen)
                 best = tuple(chosen)
             return
@@ -112,7 +86,7 @@ def oracle_min_smm(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int
     rec(0, 0)
     if best_size > g.n:
         # the empty matching is strongly maximal in an edgeless graph
-        raise AssertionError("every graph has a strongly maximal matching")
+        raise InvariantViolation("every graph has a strongly maximal matching")
     return best_size, frozenset(best)
 
 
@@ -123,12 +97,13 @@ def oracle_f_t_k(t: Graph, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> flo
     L = len(edges)
     best = INF
     chosen: list[Edge] = []
+    full = (1 << t.n) - 1
 
     def rec(i: int, mask: int) -> None:
         nonlocal best
         counter.tick()
         if len(chosen) == k:
-            val = _s1_s2_mask(t, chosen, mask)
+            val = sum(_defects(t, chosen, full & ~mask))
             if val < best:
                 best = val
             return

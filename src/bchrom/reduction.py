@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    BudgetExceeded,
     CardinalityChanged,
     InvariantViolation,
     NotBipartite,
@@ -28,7 +27,14 @@ from .errors import (
     UnknownEdge,
 )
 from .graph import Edge, Graph, is_forest, norm_edge
-from .matching import Matching, find_short_augmenting, is_strongly_maximal, validate_matching
+from .matching import (
+    Matching,
+    _defects,
+    find_short_augmenting,
+    is_strongly_maximal,
+    validate_matching,
+)
+from .oracle import _Counter
 from .tree_dp import min_smm_forest
 
 
@@ -209,14 +215,14 @@ def normalize_smm(gadget: Gadget, m: Matching) -> Matching:
                 while not is_strongly_maximal(host, frozenset(work)):
                     guard += 1
                     if guard > len(gadget.origin_edges) + 1:
-                        raise AssertionError("out-shape repair did not converge")
+                        raise InvariantViolation("out-shape repair did not converge")
                     path = find_short_augmenting(host, frozenset(work))
                     if path is None or len(path) != 4:
                         raise InvariantViolation("repair found no augmenting path of length three")
                     mid = norm_edge(path[1], path[2])
                     e2 = bridge_of.get(mid)
                     if e2 is None:
-                        raise AssertionError("repair path is not centered on a bridge")
+                        raise InvariantViolation("repair path is not centered on a bridge")
                     ids2 = gadget.blocks[e2]
                     work.difference_update(_out_shape(ids2))
                     work.update(_in_shape(e2[0], e2[1], ids2))
@@ -249,19 +255,7 @@ class ReductionReport:
     identity_holds: bool
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int) -> None:
-        self.left = limit
-
-    def tick(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceeded("certification search budget exhausted")
-
-
-def _min_maximal_matching(g: Graph, budget: _Budget) -> tuple[int, Matching]:
+def _min_maximal_matching(g: Graph, budget: _Counter) -> tuple[int, Matching]:
     edges = g.edges
     L = len(edges)
     best: list[tuple[int, Matching]] = [(g.n + 1, frozenset())]
@@ -401,7 +395,7 @@ def _block_configs() -> tuple[_BlockConfig, ...]:
 _BLOCK_CONFIGS = _block_configs()
 
 
-def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Budget) -> int:
+def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Counter) -> int:
     """Exact minimum strongly maximal matching of the host.
 
     Searches block by block over the admissible block configurations.  All
@@ -429,7 +423,6 @@ def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Budget) -> int:
     dang: dict[int, int] = {}
     sec: dict[int, int] = {}
     full = (1 << host.n) - 1
-    edges = host.edges
 
     def leaf_ok() -> bool:
         flat = []
@@ -439,16 +432,7 @@ def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Budget) -> int:
                 e = block_host_edges[bi][j]
                 flat.append(e)
                 mask |= (1 << e[0]) | (1 << e[1])
-        free = full & ~mask
-        for u, v in edges:
-            if (free >> u) & 1 and (free >> v) & 1:
-                return False
-        for v, w in flat:
-            a = host.bits[v] & free
-            b = host.bits[w] & free
-            if a and b and not (a == b and a & (a - 1) == 0):
-                return False
-        return True
+        return _defects(host, flat, full & ~mask) == (0, 0)
 
     def finalize_ok(w: int) -> bool:
         if w in covered:
@@ -466,7 +450,7 @@ def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Budget) -> int:
                     if u2 not in covered and v2 not in covered:
                         return
             if not leaf_ok():
-                raise AssertionError("flag analysis admitted a non-SMM leaf")
+                raise InvariantViolation("flag analysis admitted a non-SMM leaf")
             best[0] = size
             return
         u, v = items[bi][0]
@@ -507,7 +491,7 @@ def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Budget) -> int:
 
 def certify_reduction(g: Graph, search_budget: int = 10**7) -> ReductionReport:
     """Compute both optima independently and check the 3-per-edge identity."""
-    budget = _Budget(search_budget)
+    budget = _Counter(search_budget, "certification search")
     gadget = build_gadget(g)
     mmm, mmm_witness = _min_maximal_matching(g, budget)
     if is_forest(gadget.host):

@@ -27,12 +27,26 @@ State indices, shared by tables, dumps and reconstruction:
  6  pair-shared    parent and child both unmatched; parent already counted
                    outside (vector DP only)
 ==  =============  ==========================================================
+
+The recurrence is written once, as ``RULES``: ``RULES[s]`` lists the ways
+the edge into a vertex reaches state s from the edges into its children.  A
+rule ``(dist, rest, edges, defects)`` lets every child take the cheapest of
+its states in ``rest``, except that exactly one child takes state ``dist``
+when it is not None, and adds ``edges`` matching edges (the parent-child
+edge) and ``defects`` to the deficiency.  With no children the rules give
+the leaf tables: no child costs nothing, and exactly one is impossible.
+
+A matching is strongly maximal exactly when its deficiency is zero, so the
+scalar DP is the zero-deficiency part of the same table: states 0-4 and the
+rules with ``defects == 0`` that distinguish no pair-free child (a pair-free
+child always carries two defects).  Its cost is the number of edges.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvariantViolation, KOutOfRange, NotATree
 from .graph import Edge, Graph, connected_components, induced_subgraph, is_tree, norm_edge
@@ -101,6 +115,38 @@ def root_tree(t: Graph) -> RootedTree:
 
 
 # ---------------------------------------------------------------------------
+# The recurrence, written once
+# ---------------------------------------------------------------------------
+
+RULES: tuple[tuple[tuple[int | None, tuple[int, ...], int, int], ...], ...] = (
+    ((2, (3, 4), 0, 0),),
+    ((None, (3, 4), 1, 0),),
+    ((None, (3,), 1, 0), (None, (3, 4), 1, 1)),
+    ((1, (3,), 0, 0), (2, (3, 4), 0, 0)),
+    ((None, (0,), 0, 0), (5, (0,), 0, 0), (None, (0, 6), 0, 1)),
+    ((None, (0, 6), 0, 2),),
+    ((None, (0, 6), 0, 1),),
+)
+
+_SMM_RULES = tuple(  # the zero-deficiency part, as the module docstring says
+    tuple(r for r in rules if r[3] == 0 and (r[0] is None or r[0] < 5)) for rules in RULES[:5]
+)
+
+
+def _plan(rules: tuple):
+    """Read a rule table once: its distinct rest sets, its distinct (dist, rest
+    set, edges) combinations, and its rules as (state, combination, edges, defects)."""
+    rests = tuple(dict.fromkeys(r[1] for rs in rules for r in rs))
+    combos = tuple(dict.fromkeys(r[:3] for rs in rules for r in rs))
+    terms = tuple((s, combos.index(r[:3]), r[2], r[3]) for s, rs in enumerate(rules) for r in rs)
+    return rests, tuple((d, rests.index(r), e) for d, r, e in combos), terms
+
+
+_SMM_PLAN = _plan(_SMM_RULES)
+_VEC_PLAN = _plan(RULES)
+
+
+# ---------------------------------------------------------------------------
 # Minimum strongly maximal matching (scalar tables)
 # ---------------------------------------------------------------------------
 
@@ -111,101 +157,88 @@ class SmmTables:
     values: dict[int, tuple[float, float, float, float, float]]
 
 
+def _cheapest_values(fs: tuple, rest: tuple[int, ...]) -> list[float]:
+    """Per child, the cheapest of its states in ``rest``."""
+    if len(rest) == 1:
+        return list(map(itemgetter(rest[0]), fs))
+    return list(map(min, map(itemgetter(*rest), fs)))
+
+
+def _smm_value(fs: tuple, dist: int | None, rests: list[float]) -> tuple[float, int]:
+    """Cost of every child at its rest minimum, or of exactly one at ``dist``
+    instead; and the first child that can take ``dist`` at that cost, or -1."""
+    if dist is None:
+        return sum(rests), -1
+    none, one, at = 0, INF, -1
+    for i, f in enumerate(fs):
+        a, b = one + rests[i], none + f[dist]
+        one, at = (b, i) if b < a else (a, at)
+        none += rests[i]
+    return one, at
+
+
+def _smm_row(fs: tuple) -> tuple[float, float, float, float, float]:
+    """The scalar table of a vertex whose children have the tables ``fs``."""
+    rests, combos, terms = _SMM_PLAN
+    cheapest = [_cheapest_values(fs, rest) for rest in rests]
+    costs = [_smm_value(fs, dist, cheapest[ri])[0] for dist, ri, _ in combos]
+    row = [INF] * len(_SMM_RULES)
+    for st, ci, edges, _ in terms:
+        if costs[ci] + edges < row[st]:
+            row[st] = costs[ci] + edges
+    return tuple(row)
+
+
 def smm_tables(t: Graph) -> SmmTables:
     rt = root_tree(t)
     vals: dict[int, tuple[float, float, float, float, float]] = {}
+    seen: dict[tuple, tuple[float, float, float, float, float]] = {}  # children's tables -> row
     for v in rt.order:
-        cs = rt.children[v]
-        if not cs:
-            vals[v] = (INF, 1, 1, INF, 0)
-            continue
-        fs = [vals[c] for c in cs]
-        m45 = [f[3] if f[3] <= f[4] else f[4] for f in fs]
-        s45 = sum(m45)
-        s4 = sum(f[3] for f in fs)
-        # one-distinguished minima via a left-to-right accumulation:
-        # b tracks "one child already distinguished", a tracks "none yet"
-        a = 0.0
-        b_strict = INF  # distinguished child took edge-strict, rest min(3,4)
-        a4 = 0.0
-        b_loose = INF  # distinguished child took edge-loose, rest held-matched
-        for f, mv in zip(fs, m45):
-            b_strict = min(b_strict + mv, a + f[2])
-            a += mv
-            b_loose = min(b_loose + f[3], a4 + f[1])
-            a4 += f[3]
-        vals[v] = (b_strict, 1 + s45, 1 + s4, min(b_loose, b_strict), sum(f[0] for f in fs))
+        fs = tuple([vals[c] for c in rt.children[v]])
+        f = seen.get(fs)
+        if f is None:
+            f = seen[fs] = _smm_row(fs)
+        vals[v] = f
     return SmmTables(rt, vals)
 
 
-def _argmin_distinguished(dists: list[float], rests: list[float]) -> tuple[int, float]:
-    """Smallest index i minimizing dists[i] + sum of the other rests."""
-    l = len(dists)
-    suf = [0.0] * (l + 1)
-    for i in range(l - 1, -1, -1):
-        suf[i] = rests[i] + suf[i + 1]
-    best = INF
-    bi = -1
-    pre = 0.0
-    for i in range(l):
-        val = pre + dists[i] + suf[i + 1]
-        if val < best:
-            best = val
-            bi = i
-        pre += rests[i]
-    return bi, best
+def _smm_split(fs: tuple, dist: int | None, rest: tuple[int, ...], target: float):
+    """Child states for one rule whose combination costs ``target``, else None."""
+    rests = _cheapest_values(fs, rest)
+    cost, at = _smm_value(fs, dist, rests)
+    if cost != target:
+        return None
+    if len(rest) == 1:
+        picks = [rest[0]] * len(fs)
+    else:
+        picks = [rest[g.index(r)] for g, r in zip(map(itemgetter(*rest), fs), rests)]
+    if at >= 0:
+        picks[at] = dist
+    return picks
 
 
 def reconstruct_smm(tables: SmmTables) -> Matching:
     """Witness matching achieving min over the root states 0 and 1."""
-    rt = tables.tree
-    vals = tables.values
+    rt, vals = tables.tree, tables.values
     s0 = rt.anchor
     out: list[Edge] = []
-    start = 0 if vals[s0][0] <= vals[s0][1] else 1
-    stack: list[tuple[int, int]] = [(s0, start)]
+    stack = [(s0, 0 if vals[s0][0] <= vals[s0][1] else 1)]
+    seen: dict[tuple, tuple[int, list[int]]] = {}  # (state, children's tables) -> (edges, picks)
     while stack:
         v, st = stack.pop()
-        if st in (1, 2):
-            out.append(norm_edge(rt.parent[v], v))
-        cs = rt.children[v]
-        if not cs:
-            if st not in (1, 2, 4):
-                raise AssertionError("infeasible leaf state in reconstruction")
-            continue
-        fs = [vals[c] for c in cs]
-        m45 = [f[3] if f[3] <= f[4] else f[4] for f in fs]
-        if st == 0:
-            i, _ = _argmin_distinguished([f[2] for f in fs], m45)
-            for j, c in enumerate(cs):
-                if j == i:
-                    stack.append((c, 2))
-                else:
-                    stack.append((c, 3 if fs[j][3] <= fs[j][4] else 4))
-        elif st == 1:
-            for j, c in enumerate(cs):
-                stack.append((c, 3 if fs[j][3] <= fs[j][4] else 4))
-        elif st == 2:
-            for c in cs:
-                stack.append((c, 3))
-        elif st == 3:
-            f4s = [f[3] for f in fs]
-            ia, va = _argmin_distinguished([f[1] for f in fs], f4s)
-            ib, vb = _argmin_distinguished([f[2] for f in fs], m45)
-            if va <= vb:
-                for j, c in enumerate(cs):
-                    stack.append((c, 1 if j == ia else 3))
+        fs = tuple([vals[c] for c in rt.children[v]])
+        got = seen.get((st, fs))
+        if got is None:
+            for dist, rest, edges, _ in _SMM_RULES[st]:
+                picks = _smm_split(fs, dist, rest, vals[v][st] - edges)
+                if picks is not None:
+                    break
             else:
-                for j, c in enumerate(cs):
-                    if j == ib:
-                        stack.append((c, 2))
-                    else:
-                        stack.append((c, 3 if fs[j][3] <= fs[j][4] else 4))
-        elif st == 4:
-            for c in cs:
-                stack.append((c, 0))
-        else:
-            raise AssertionError("scalar DP has five states")
+                raise InvariantViolation(f"no rule reaches {STATE_NAMES[st]} at vertex {v}")
+            got = seen[st, fs] = edges, picks
+        if got[0]:
+            out.append(norm_edge(rt.parent[v], v))
+        stack.extend(zip(rt.children[v], got[1]))
     return frozenset(out)
 
 
@@ -215,14 +248,11 @@ def min_smm_tree(t: Graph) -> tuple[int, Matching]:
         raise NotATree("minimum strongly maximal matching DP requires a tree")
     if t.n == 1:
         return 0, frozenset()
-    if t.n == 2:
-        return 1, frozenset({(0, 1)})
     tables = smm_tables(t)
-    f = tables.values[tables.tree.anchor]
-    best = min(f[0], f[1])
+    best = min(tables.values[tables.tree.anchor][:2])
     witness = reconstruct_smm(tables)
     if len(witness) != best:
-        raise AssertionError("witness size disagrees with DP value")
+        raise InvariantViolation("witness size disagrees with DP value")
     return int(best), witness
 
 
@@ -290,27 +320,6 @@ def combine_one_distinguished(
     return done
 
 
-def _vec_min(a: list[float], b: list[float]) -> list[float]:
-    n = max(len(a), len(b))
-    out = [INF] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else INF
-        y = b[i] if i < len(b) else INF
-        out[i] = x if x <= y else y
-    return out
-
-
-def _vec_shift_add(vec: list[float], add: float, cap: int, shift: int = 0) -> list[float]:
-    out = [INF] * (cap + 1)
-    for i, x in enumerate(vec):
-        k = i + shift
-        if k > cap:
-            break
-        if x != INF:
-            out[k] = x + add
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Deficiency DP: minimum of the two deficiency counts at exact size k
 # ---------------------------------------------------------------------------
@@ -319,55 +328,47 @@ def _vec_shift_add(vec: list[float], add: float, cap: int, shift: int = 0) -> li
 @dataclass(frozen=True)
 class DeficiencyTables:
     tree: RootedTree
-    k_cap: int
     values: dict[int, tuple[list[float], ...]]
 
 
-def deficiency_tables(t: Graph, k_cap: int | None = None) -> DeficiencyTables:
+def _cheapest_vectors(fs: list, rest: tuple[int, ...]) -> list[list[float]]:
+    """Per child, the pointwise cheapest of its state vectors in ``rest``."""
+    if len(rest) == 1:
+        return [f[rest[0]] for f in fs]
+    return [list(map(min, *row)) for row in map(itemgetter(*rest), fs)]
+
+
+def _deficiency_row(fs: list, cap: int) -> tuple[list[float], ...]:
+    """The vector table, sizes 0..cap, of a vertex whose children have the tables ``fs``."""
+    rests, combos, terms = _VEC_PLAN
+    cheapest = [_cheapest_vectors(fs, rest) for rest in rests]
+    costs = [
+        combine_all(cheapest[ri], cap - e) if dist is None
+        else combine_one_distinguished([f[dist] for f in fs], cheapest[ri], cap - e)
+        for dist, ri, e in combos
+    ]
+    cands: list[list[list[float]]] = [[] for _ in RULES]
+    for st, ci, edges, defects in terms:
+        vec = costs[ci]  # at most cap - edges + 1 long
+        if defects:
+            vec = [x + defects for x in vec]
+        cands[st].append([INF] * edges + vec + [INF] * (cap + 1 - edges - len(vec)))
+    return tuple([c[0] if len(c) == 1 else list(map(min, *c)) for c in cands])
+
+
+_LEAF_ROW = tuple(map(tuple, _deficiency_row([], 1)))  # every childless vertex has cap 1
+
+
+def deficiency_tables(t: Graph) -> DeficiencyTables:
     rt = root_tree(t)
-    cap_all = t.n // 2 if k_cap is None else min(k_cap, t.n // 2)
+    cap_all = t.n // 2
+    leaf = tuple(map(list, _LEAF_ROW))
     vals: dict[int, tuple[list[float], ...]] = {}
     for v in rt.order:
         cs = rt.children[v]
         cap = min(cap_all, (rt.subtree_size[v] + 1) // 2)
-        if not cs:
-            f1 = [INF] * (cap + 1)
-            f2 = [INF, 0][: cap + 1] + [INF] * max(0, cap - 1)
-            f5 = [0] + [INF] * cap
-            f6 = [2] + [INF] * cap
-            f7 = [1] + [INF] * cap
-            vals[v] = (f1, list(f2), list(f2), list(f1), f5, f6, f7)
-            continue
-        fs = [vals[c] for c in cs]
-        m45 = [_vec_min(f[3], f[4]) for f in fs]
-        m17 = [_vec_min(f[0], f[6]) for f in fs]
-        f4s = [f[3] for f in fs]
-        f1s = [f[0] for f in fs]
-        c45 = combine_all(m45, cap - 1)
-        c4 = combine_all(f4s, cap - 1)
-        c17 = combine_all(m17, cap)
-        f1 = combine_one_distinguished([f[2] for f in fs], m45, cap)
-        f2 = _vec_shift_add(c45, 0, cap, shift=1)
-        f3 = _vec_min(
-            _vec_shift_add(c4, 0, cap, shift=1), _vec_shift_add(c45, 1, cap, shift=1)
-        )
-        f4 = _vec_min(combine_one_distinguished([f[1] for f in fs], f4s, cap), f1)
-        f5 = _vec_min(
-            _vec_min(
-                combine_all(f1s, cap),
-                combine_one_distinguished([f[5] for f in fs], f1s, cap),
-            ),
-            _vec_shift_add(c17, 1, cap),
-        )
-        f6 = _vec_shift_add(c17, 2, cap)
-        f7 = _vec_shift_add(c17, 1, cap)
-
-        def fit(vec: list[float]) -> list[float]:
-            vec = vec[: cap + 1]
-            return vec + [INF] * (cap + 1 - len(vec))
-
-        vals[v] = tuple(fit(x) for x in (f1, f2, f3, f4, f5, f6, f7))
-    return DeficiencyTables(rt, cap_all, vals)
+        vals[v] = _deficiency_row([vals[c] for c in cs], cap) if cs else leaf
+    return DeficiencyTables(rt, vals)
 
 
 def deficiency_vector(t: Graph) -> list[float]:
@@ -394,8 +395,7 @@ def f_tree_k(t: Graph, k: int) -> float:
         raise NotATree("deficiency DP requires a tree")
     if not (0 <= k <= t.n // 2):
         raise KOutOfRange(f"k={k} outside 0..{t.n // 2}")
-    vec = deficiency_vector(t)
-    val = vec[k]
+    val = deficiency_vector(t)[k]
     return val if val == INF else int(val)
 
 
@@ -404,145 +404,72 @@ def f_tree_k(t: Graph, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _split_all(child_vecs: list[list[float]], k: int, target: float) -> list[int]:
-    """Deterministic per-child sizes summing to k achieving the target cost;
-    each child takes the smallest feasible share."""
-    sufs: list[list[float]] = [[0]]
-    for vec in reversed(child_vecs):
-        sufs.append(minplus_convolve(vec, sufs[-1], k))
-    sufs.reverse()
-    ks = []
-    rem_k, rem_val = k, target
-    for i, vec in enumerate(child_vecs):
-        nxt = sufs[i + 1]
-        for ki in range(min(rem_k, len(vec) - 1) + 1):
-            need = rem_k - ki
-            if (
-                vec[ki] != INF
-                and need < len(nxt)
-                and nxt[need] != INF
-                and vec[ki] + nxt[need] == rem_val
-            ):
-                ks.append(ki)
-                rem_k, rem_val = need, nxt[need]
-                break
-        else:
-            raise AssertionError("split reconstruction failed")
-    return ks
+def _share(vec: list[float], rest: list[float], k: int, target: float) -> int | None:
+    """Smallest share of k for ``vec`` that the ``rest`` combination completes to target."""
+    for share in range(min(k, len(vec) - 1) + 1):
+        if k - share < len(rest) and vec[share] + rest[k - share] == target:
+            return share
+    return None
 
 
-def _split_one_distinguished(
-    dists: list[list[float]], rests: list[list[float]], k: int, target: float
-) -> tuple[int, list[int]]:
-    for i in range(len(dists)):
-        seq = rests[:i] + [dists[i]] + rests[i + 1 :]
-        try:
-            ks = _split_all(seq, k, target)
-            return i, ks
-        except AssertionError:
-            continue
-    raise AssertionError("no distinguished child achieves the target")
+def _split(fs: list, dist: int | None, rest: tuple[int, ...], k: int, target: float):
+    """Per child (state, share of k) for one rule costing ``target`` at size k,
+    else None.  Builds the suffix combinations once, then walks the children
+    left to right, giving each the smallest share that still reaches the
+    target; the first child that can take ``dist`` takes it."""
+    rests = _cheapest_vectors(fs, rest)
+    dists = None if dist is None else [f[dist] for f in fs]
+    alls: list[list[float]] = [[0]] * (len(fs) + 1)  # every child at rest
+    ones: list[list[float]] = [[INF]] * (len(fs) + 1)  # one of them at dist
+    for i in range(len(fs) - 1, -1, -1):
+        if dists is None or i > 0:  # a rule with dist reads alls[1:] only
+            alls[i] = minplus_convolve(rests[i], alls[i + 1], k)
+        if dists is not None:
+            with_dist = minplus_convolve(dists[i], alls[i + 1], k)
+            ones[i] = list(map(min, with_dist, minplus_convolve(rests[i], ones[i + 1], k)))
+    top = alls[0] if dists is None else ones[0]
+    if not 0 <= k < len(top) or top[k] != target:
+        return None
+    picks = []
+    for i, f in enumerate(fs):
+        if dists is not None:
+            share = _share(dists[i], alls[i + 1], k, target)
+            if share is not None:
+                picks.append((dist, share))
+                k, target, dists = k - share, target - dists[i][share], None
+                continue
+        share = _share(rests[i], alls[i + 1] if dists is None else ones[i + 1], k, target)
+        if share is None:
+            raise InvariantViolation("a child share lost the split's target")
+        picks.append((next(s for s in rest if f[s][share] == rests[i][share]), share))
+        k, target = k - share, target - rests[i][share]
+    return picks
 
 
 def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matching:
     """Size-k matching whose deficiency equals the DP value at k."""
-    rt = tables.tree
-    vals = tables.values
-    s0 = rt.anchor
-    root = vals[s0]
-    candidates = [(root[0], 0), (root[1], 1), (root[5], 5)]
-    start = None
-    best = INF
-    for vec, st in candidates:
-        v = vec[k] if k < len(vec) else INF
-        if v < best:
-            best = v
-            start = st
-    if start is None or best == INF:
+    rt, vals = tables.tree, tables.values
+    best = _root_minimum(tables, k)
+    if best == INF:
         raise KOutOfRange(f"no matching of size {k} exists")
+    s0 = rt.anchor
     out: list[Edge] = []
-    stack: list[tuple[int, int, int]] = [(s0, start, k)]
+    stack = [(s0, next(s for s in (0, 1, 5) if vals[s0][s][k] == best), k)]
     while stack:
         v, st, kv = stack.pop()
-        cs = rt.children[v]
-        fs = [vals[c] for c in cs]
-        target = vals[v][st][kv]
-        if st in (1, 2):
-            out.append(norm_edge(rt.parent[v], v))
-        if not cs:
-            if kv != (1 if st in (1, 2) else 0) or st in (0, 3):
-                raise InvariantViolation(f"leaf {v} reconstructed in state {st} with {kv} edges")
-            continue
-        m45 = [_vec_min(f[3], f[4]) for f in fs]
-        m17 = [_vec_min(f[0], f[6]) for f in fs]
-        f4s = [f[3] for f in fs]
-        f1s = [f[0] for f in fs]
-
-        def push_pointwise(ks: list[int], first: int, second: int) -> None:
-            for c, f, kc in zip(cs, fs, ks):
-                pick = first if f[first][kc] <= f[second][kc] else second
-                stack.append((c, pick, kc))
-
-        if st == 0:
-            i, ks = _split_one_distinguished([f[2] for f in fs], m45, kv, target)
-            for j, (c, f) in enumerate(zip(cs, fs)):
-                if j == i:
-                    stack.append((c, 2, ks[j]))
-                else:
-                    pick = 3 if f[3][ks[j]] <= f[4][ks[j]] else 4
-                    stack.append((c, pick, ks[j]))
-        elif st == 1:
-            ks = _split_all(m45, kv - 1, target)
-            push_pointwise(ks, 3, 4)
-        elif st == 2:
-            strict = combine_all(f4s, kv - 1)
-            if kv - 1 < len(strict) and strict[kv - 1] == target:
-                ks = _split_all(f4s, kv - 1, target)
-                for c, kc in zip(cs, ks):
-                    stack.append((c, 3, kc))
-            else:
-                ks = _split_all(m45, kv - 1, target - 1)
-                push_pointwise(ks, 3, 4)
-        elif st == 3:
-            loose = combine_one_distinguished([f[1] for f in fs], f4s, kv)
-            if kv < len(loose) and loose[kv] == target:
-                i, ks = _split_one_distinguished([f[1] for f in fs], f4s, kv, target)
-                for j, c in enumerate(cs):
-                    stack.append((c, 1 if j == i else 3, ks[j]))
-            else:
-                i, ks = _split_one_distinguished([f[2] for f in fs], m45, kv, target)
-                for j, (c, f) in enumerate(zip(cs, fs)):
-                    if j == i:
-                        stack.append((c, 2, ks[j]))
-                    else:
-                        pick = 3 if f[3][ks[j]] <= f[4][ks[j]] else 4
-                        stack.append((c, pick, ks[j]))
-        elif st == 4:
-            allm = combine_all(f1s, kv)
-            if kv < len(allm) and allm[kv] == target:
-                ks = _split_all(f1s, kv, target)
-                for c, kc in zip(cs, ks):
-                    stack.append((c, 0, kc))
-            else:
-                onefree = combine_one_distinguished([f[5] for f in fs], f1s, kv)
-                if kv < len(onefree) and onefree[kv] == target:
-                    i, ks = _split_one_distinguished([f[5] for f in fs], f1s, kv, target)
-                    for j, c in enumerate(cs):
-                        stack.append((c, 5 if j == i else 0, ks[j]))
-                else:
-                    ks = _split_all(m17, kv, target - 1)
-                    push_pointwise(ks, 0, 6)
-        elif st == 5:
-            ks = _split_all(m17, kv, target - 2)
-            push_pointwise(ks, 0, 6)
-        elif st == 6:
-            ks = _split_all(m17, kv, target - 1)
-            push_pointwise(ks, 0, 6)
+        fs = [vals[c] for c in rt.children[v]]
+        for dist, rest, edges, defects in RULES[st]:
+            picks = _split(fs, dist, rest, kv - edges, vals[v][st][kv] - defects)
+            if picks is not None:
+                break
         else:
-            raise AssertionError("vector DP has seven states")
+            raise InvariantViolation(f"no rule reaches {STATE_NAMES[st]} at vertex {v}, k={kv}")
+        if edges:
+            out.append(norm_edge(rt.parent[v], v))
+        stack.extend((c, s, kc) for c, (s, kc) in zip(rt.children[v], picks))
     matching = frozenset(out)
     if len(matching) != k:
-        raise AssertionError("reconstructed matching has the wrong size")
+        raise InvariantViolation("reconstructed matching has the wrong size")
     return matching
 
 
@@ -557,10 +484,8 @@ def deficiency_matching(t: Graph, k: int) -> tuple[float, Matching]:
     if not (0 <= k <= t.n // 2):
         raise KOutOfRange(f"k={k} outside 0..{t.n // 2}")
     tables = deficiency_tables(t)
-    val = _root_minimum(tables, k)
-    if val == INF:
-        raise KOutOfRange(f"no matching of size {k} exists")
-    return int(val), reconstruct_deficiency_matching(tables, k)
+    matching = reconstruct_deficiency_matching(tables, k)
+    return int(_root_minimum(tables, k)), matching
 
 
 # ---------------------------------------------------------------------------
@@ -572,24 +497,19 @@ def _fmt(x: float) -> str:
     return "INF" if x == INF else str(int(x))
 
 
+def _dump(tables, cells) -> str:
+    parent = tables.tree.parent
+    return "\n".join(
+        f"{parent[v]}-{v}\t{STATE_NAMES[st]}\t{k}\t{_fmt(x)}"
+        for v in sorted(tables.values)
+        for st, cell in enumerate(tables.values[v])
+        for k, x in cells(cell)
+    )
+
+
 def dump_smm_tables(tables: SmmTables) -> str:
-    rows = []
-    rt = tables.tree
-    for v in sorted(tables.values):
-        f = tables.values[v]
-        for st in range(5):
-            rows.append(f"{rt.parent[v]}-{v}\t{STATE_NAMES[st]}\t-\t{_fmt(f[st])}")
-    return "\n".join(rows)
+    return _dump(tables, lambda x: [("-", x)])
 
 
 def dump_deficiency_tables(tables: DeficiencyTables) -> str:
-    rows = []
-    rt = tables.tree
-    for v in sorted(tables.values):
-        f = tables.values[v]
-        for st in range(7):
-            for k, val in enumerate(f[st]):
-                rows.append(
-                    f"{rt.parent[v]}-{v}\t{STATE_NAMES[st]}\t{k}\t{_fmt(val)}"
-                )
-    return "\n".join(rows)
+    return _dump(tables, enumerate)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bchrom.errors import NotBipartite, NotCanonical, NotMaximal, UnknownEdge
+from bchrom.errors import BudgetExceeded, NotBipartite, NotCanonical, NotMaximal, UnknownEdge
 from bchrom.graph import (
     Graph,
     complete_bipartite,
@@ -197,6 +197,11 @@ def test_certify_named_fixtures():
     assert (r.min_maximal, r.identity_holds) == (2, True)
     r = certify_reduction(complete_bipartite(2, 3))
     assert (r.min_maximal, r.identity_holds) == (2, True)
+
+
+def test_certify_reports_its_own_budget():
+    with pytest.raises(BudgetExceeded, match="certification search budget exhausted"):
+        certify_reduction(C4, search_budget=5)
 
 
 def test_certify_all_connected_bipartite_up_to_4():
