@@ -35,6 +35,10 @@ its states in ``rest``, except that exactly one child takes state ``dist``
 when it is not None, and adds ``edges`` matching edges (the parent-child
 edge) and ``defects`` to the deficiency.  With no children the rules give
 the leaf tables: no child costs nothing, and exactly one is impossible.
+Held-free has no rule with one pair-free child and the rest root-free:
+pair-free is pair-shared plus one defect at every k, so such a split never
+costs less than the rule with every child at root-free or pair-shared and
+one defect.
 
 A matching is strongly maximal exactly when its deficiency is zero, so the
 scalar DP is the zero-deficiency part of the same table: states 0-4 and the
@@ -123,7 +127,7 @@ RULES: tuple[tuple[tuple[int | None, tuple[int, ...], int, int], ...], ...] = (
     ((None, (3, 4), 1, 0),),
     ((None, (3,), 1, 0), (None, (3, 4), 1, 1)),
     ((1, (3,), 0, 0), (2, (3, 4), 0, 0)),
-    ((None, (0,), 0, 0), (5, (0,), 0, 0), (None, (0, 6), 0, 1)),
+    ((None, (0,), 0, 0), (None, (0, 6), 0, 1)),
     ((None, (0, 6), 0, 2),),
     ((None, (0, 6), 0, 1),),
 )
@@ -157,14 +161,14 @@ class SmmTables:
     values: dict[int, tuple[float, float, float, float, float]]
 
 
-def _cheapest_values(fs: tuple, rest: tuple[int, ...]) -> list[float]:
+def _cheapest_values(fs: list, rest: tuple[int, ...]) -> list[float]:
     """Per child, the cheapest of its states in ``rest``."""
     if len(rest) == 1:
         return list(map(itemgetter(rest[0]), fs))
     return list(map(min, map(itemgetter(*rest), fs)))
 
 
-def _smm_value(fs: tuple, dist: int | None, rests: list[float]) -> tuple[float, int]:
+def _smm_value(fs: list, dist: int | None, rests: list[float]) -> tuple[float, int]:
     """Cost of every child at its rest minimum, or of exactly one at ``dist``
     instead; and the first child that can take ``dist`` at that cost, or -1."""
     if dist is None:
@@ -177,7 +181,7 @@ def _smm_value(fs: tuple, dist: int | None, rests: list[float]) -> tuple[float, 
     return one, at
 
 
-def _smm_row(fs: tuple) -> tuple[float, float, float, float, float]:
+def _smm_row(fs: list) -> tuple[float, float, float, float, float]:
     """The scalar table of a vertex whose children have the tables ``fs``."""
     rests, combos, terms = _SMM_PLAN
     cheapest = [_cheapest_values(fs, rest) for rest in rests]
@@ -192,17 +196,12 @@ def _smm_row(fs: tuple) -> tuple[float, float, float, float, float]:
 def smm_tables(t: Graph) -> SmmTables:
     rt = root_tree(t)
     vals: dict[int, tuple[float, float, float, float, float]] = {}
-    seen: dict[tuple, tuple[float, float, float, float, float]] = {}  # children's tables -> row
     for v in rt.order:
-        fs = tuple([vals[c] for c in rt.children[v]])
-        f = seen.get(fs)
-        if f is None:
-            f = seen[fs] = _smm_row(fs)
-        vals[v] = f
+        vals[v] = _smm_row([vals[c] for c in rt.children[v]])
     return SmmTables(rt, vals)
 
 
-def _smm_split(fs: tuple, dist: int | None, rest: tuple[int, ...], target: float):
+def _smm_split(fs: list, dist: int | None, rest: tuple[int, ...], target: float):
     """Child states for one rule whose combination costs ``target``, else None."""
     rests = _cheapest_values(fs, rest)
     cost, at = _smm_value(fs, dist, rests)
@@ -223,22 +222,18 @@ def reconstruct_smm(tables: SmmTables) -> Matching:
     s0 = rt.anchor
     out: list[Edge] = []
     stack = [(s0, 0 if vals[s0][0] <= vals[s0][1] else 1)]
-    seen: dict[tuple, tuple[int, list[int]]] = {}  # (state, children's tables) -> (edges, picks)
     while stack:
         v, st = stack.pop()
-        fs = tuple([vals[c] for c in rt.children[v]])
-        got = seen.get((st, fs))
-        if got is None:
-            for dist, rest, edges, _ in _SMM_RULES[st]:
-                picks = _smm_split(fs, dist, rest, vals[v][st] - edges)
-                if picks is not None:
-                    break
-            else:
-                raise InvariantViolation(f"no rule reaches {STATE_NAMES[st]} at vertex {v}")
-            got = seen[st, fs] = edges, picks
-        if got[0]:
+        fs = [vals[c] for c in rt.children[v]]
+        for dist, rest, edges, _ in _SMM_RULES[st]:
+            picks = _smm_split(fs, dist, rest, vals[v][st] - edges)
+            if picks is not None:
+                break
+        else:
+            raise InvariantViolation(f"no rule reaches {STATE_NAMES[st]} at vertex {v}")
+        if edges:
             out.append(norm_edge(rt.parent[v], v))
-        stack.extend(zip(rt.children[v], got[1]))
+        stack.extend(zip(rt.children[v], picks))
     return frozenset(out)
 
 
