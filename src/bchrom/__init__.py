@@ -35,7 +35,7 @@ from .graph import (
     complement,
     decompose_tree_cograph,
     evaluate_tc,
-    is_cotree,
+    is_coforest,
     is_tree,
     is_triangle_free,
     m_degree_bound,
@@ -68,6 +68,7 @@ from .reduction import (
     normalize_smm,
     project_matching,
 )
+from .route import NEEDS, ROUTES, Route, plan
 from .tree_dp import (
     DeficiencyTables,
     SmmTables,

@@ -126,14 +126,14 @@ def b_chromatic_stability2(
 ) -> tuple[int, Coloring]:
     """Exact b-chromatic number of a stability-2 graph with a witness.
 
-    Routes: complement a forest -> per-component tree DP; otherwise brute
-    force up to the cap; otherwise refuse, since the general problem is
-    NP-hard and a heuristic answer would misrepresent the guarantee.
+    Complement a forest -> per-component tree DP; otherwise brute force up
+    to the cap; otherwise refuse, since the general problem is NP-hard.
+    For library callers and ``chain``; the CLI's other commands ask
+    ``route.plan`` for the first route, of tree, co-forest, tree-cograph and
+    exact search, that applies and gives what they need.
     """
     if not stability_at_most_two(g):
         raise StabilityTooLarge("b-chromatic shortcut requires stability <= 2")
-    if g.n == 1:
-        return 1, Coloring((0,), 1)
     co = complement(g)
     if is_forest(co):
         size, mm = min_smm_forest(co)

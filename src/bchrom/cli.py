@@ -2,39 +2,25 @@
 
 Outputs are plain ``key: value`` text, deterministic for fixed inputs and
 seed.  Domain errors exit 1 with a one-line diagnostic; usage errors exit 2.
+
+``bchromatic``, ``dominance`` and ``bcolor`` each ask ``route.plan`` once
+for the first route, of tree, co-forest, tree-cograph and exact search in
+that order, that applies and gives what the command needs; a refusal names
+why each route was rejected.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-import time
 
 from . import fileio
-from .bcoloring import (
-    Coloring,
-    b_chromatic_stability2,
-    coloring_to_matching,
-    continuity_chain,
-    matching_to_coloring,
-    verify_coloring,
-)
-from .dominance import (
-    b_chromatic_tc,
-    b_chromatic_tree,
-    b_coloring_tree,
-    dominance_tc,
-    dominance_vector_cotree,
-    dominance_vector_tree,
-)
-from .errors import BchromError, KOutOfRange, NotTreeCograph
-from .generators import random_labeled_tree
+from .bcoloring import Coloring, b_chromatic_stability2, continuity_chain, verify_coloring
+from .errors import BchromError, NoRoute
 from .graph import (
     Graph,
-    complement,
-    decompose_tree_cograph,
-    is_cotree,
+    TcExpr,
+    evaluate_tc,
     is_tree,
     is_triangle_free,
     m_degree_bound,
@@ -49,153 +35,80 @@ from .oracle import (
     oracle_min_smm,
 )
 from .reduction import build_gadget, certify_reduction
-from .tree_dp import (
-    deficiency_tables,
-    deficiency_vector,
-    dump_deficiency_tables,
-    dump_smm_tables,
-    min_smm_tree,
-    smm_tables,
-)
+from .route import plan
+from .tree_dp import deficiency_tables, dump_deficiency_tables, dump_smm_tables, smm_tables
 
 
-def _load(path: str, fmt: str):
-    """Returns (graph, expression-or-None)."""
-    if fmt == "tcx" or (fmt == "auto" and path.endswith(".tcx")):
-        expr = fileio.read_tc_expression(path)
-        from .graph import evaluate_tc
+def _read(args) -> Graph | TcExpr:
+    """The input: an expression for ``.tcx``, else an edge list's graph."""
+    if args.format == "tcx" or (args.format == "auto" and args.file.endswith(".tcx")):
+        return fileio.read_tc_expression(args.file)
+    return fileio.read_edgelist(args.file)
 
-        return evaluate_tc(expr), expr
-    return fileio.read_edgelist(path), None
+
+def _graph(source: Graph | TcExpr) -> Graph:
+    return source if isinstance(source, Graph) else evaluate_tc(source)
 
 
 def _cmd_analyze(args) -> int:
-    g, expr = _load(args.file, args.format)
+    source = _read(args)
+    g = _graph(source)
     print(f"vertices: {g.n}")
     print(f"edges: {g.m}")
     print(f"tree: {'yes' if is_tree(g) else 'no'}")
     print(f"triangle-free: {'yes' if is_triangle_free(g) else 'no'}")
     print(f"stability-at-most-two: {'yes' if stability_at_most_two(g) else 'no'}")
-    if expr is None:
-        try:
-            decompose_tree_cograph(g)
-            print("tree-cograph: yes")
-        except NotTreeCograph:
-            print("tree-cograph: no")
-    else:
+    try:  # with no exact search allowed, a route exists exactly for tree-cographs
+        plan(source, "vector", max_n=0)
         print("tree-cograph: yes")
+    except NoRoute:
+        print("tree-cograph: no")
     if g.n >= 1:
         print(f"m-bound: {m_degree_bound(g)}")
         print(f"max-degree: {g.max_degree()}")
     return 0
 
 
-def _write_witness(path: str | None, coloring: Coloring) -> None:
+def _write(path: str | None, coloring: Coloring) -> None:
+    text = fileio.format_coloring(coloring)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(fileio.format_coloring(coloring))
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_bchromatic(args) -> int:
-    g, expr = _load(args.file, args.format)
-    witness: Coloring | None = None
-    table_tree = None
-    if expr is not None:
-        value = b_chromatic_tc(expr)
-    elif g.n == 1:
-        value, witness = 1, Coloring((0,), 1)
-    elif is_tree(g):
-        value = b_chromatic_tree(g)
-        table_tree = g
-        if args.witness:
-            witness = b_coloring_tree(g, value)
-    elif stability_at_most_two(g):
-        value, witness = b_chromatic_stability2(g, oracle_cap=args.max_n)
-        co = complement(g)
-        if is_tree(co):
-            table_tree = co
-    else:
-        try:
-            value = b_chromatic_tc(decompose_tree_cograph(g))
-        except NotTreeCograph:
-            raise BchromError(
-                "input is neither a tree, a stability-2 graph, nor a tree-cograph"
-            ) from None
-    print(value)
+    route = plan(_read(args), "witness" if args.witness else "value", args.max_n)
+    print(route.value)
     if args.witness:
-        if witness is None:
-            raise BchromError(
-                "witness colorings are available for trees and stability-2 inputs"
-            )
-        _write_witness(args.witness, witness)
+        _write(args.witness, route.witness)
     if args.dump_tables:
-        if table_tree is None or table_tree.n < 2:
+        if route.tree is None:
             raise BchromError("no matching DP tables were computed for this route")
-        print(dump_smm_tables(smm_tables(table_tree)))
+        print(dump_smm_tables(smm_tables(route.tree)))
     return 0
 
 
 def _cmd_dominance(args) -> int:
-    g, expr = _load(args.file, args.format)
-    table_tree = None
-    if expr is not None:
-        vec = dominance_tc(expr)
-    elif g.n == 1:
-        from .dominance import DominanceVector
-
-        vec = DominanceVector(1, (1,))
-    elif is_tree(g):
-        vec = dominance_vector_tree(g)
-    elif is_cotree(g):
-        vec = dominance_vector_cotree(g)
-        table_tree = complement(g)
-    else:
-        try:
-            vec = dominance_tc(decompose_tree_cograph(g))
-        except NotTreeCograph:
-            if stability_at_most_two(g) and g.n <= args.max_n:
-                vec = oracle_dominance(g, OracleBudget(max_n=args.max_n))
-            else:
-                raise BchromError(
-                    "no polynomial dominance route applies and the instance "
-                    "exceeds the exact-search cap"
-                ) from None
+    route = plan(_read(args), "vector", args.max_n)
+    vec = route.vector
     for t in range(vec.chi, vec.n + 1):
         print(f"{t} {vec.value_at(t)}")
     if args.dump_tables:
-        if table_tree is None:
+        if route.tables is None:
             raise BchromError("no deficiency tables were computed for this route")
-        print(dump_deficiency_tables(deficiency_tables(table_tree)))
+        print(dump_deficiency_tables(route.tables))
     return 0
 
 
 def _cmd_bcolor(args) -> int:
-    g, _ = _load(args.file, args.format)
-    k = args.k
-    if is_tree(g) and g.n >= 2:
-        coloring = b_coloring_tree(g, k)
-    elif stability_at_most_two(g):
-        value, witness = b_chromatic_stability2(g, oracle_cap=args.max_n)
-        chain = continuity_chain(g, witness)
-        by_t = {c.t: c for c in chain}
-        if k not in by_t:
-            raise KOutOfRange(
-                f"k={k} outside the b-spectrum [{chain[-1].t}, {chain[0].t}]"
-            )
-        coloring = by_t[k]
-    else:
-        raise BchromError("b-colorings are constructed for trees and stability-2 inputs")
-    text = fileio.format_coloring(coloring)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, plan(_read(args), "coloring", args.max_n).coloring(args.k))
     return 0
 
 
 def _cmd_chain(args) -> int:
-    g, _ = _load(args.file, args.format)
+    g = _graph(_read(args))
     if args.coloring:
         with open(args.coloring, encoding="utf-8") as fh:
             start = fileio.parse_coloring(fh.read(), g.n)
@@ -209,7 +122,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g, _ = _load(args.file, args.format)
+    g = _graph(_read(args))
     with open(args.coloring, encoding="utf-8") as fh:
         coloring = fileio.parse_coloring(fh.read(), g.n)
     verdict = verify_coloring(g, coloring)
@@ -220,7 +133,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    g, _ = _load(args.file, args.format)
+    g = _graph(_read(args))
     gadget = build_gadget(g)
     fileio.write_edgelist(args.output, gadget.host)
     with open(args.output + ".map", "w", encoding="utf-8") as fh:
@@ -233,7 +146,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g, _ = _load(args.file, args.format)
+    g = _graph(_read(args))
     report = certify_reduction(g, search_budget=args.budget)
     print(f"min-maximal-matching: {report.min_maximal}")
     print(f"min-smm-gadget: {report.min_smm_host}")
@@ -243,7 +156,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g, _ = _load(args.file, args.format)
+    g = _graph(_read(args))
     budget = OracleBudget(max_n=args.max_n, max_states=args.max_states)
     q = args.quantity
     if q == "min-smm":
@@ -269,52 +182,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    g, _ = _load(args.file, args.format)
+    g = _graph(_read(args))
     if args.kind == "min-smm":
         print(dump_smm_tables(smm_tables(g)))
     else:
         print(dump_deficiency_tables(deficiency_tables(g)))
     return 0
-
-
-def _cmd_bench(args) -> int:
-    for n in args.sizes:
-        results = []
-        for _ in range(2):
-            rng = random.Random(args.seed)
-            t = random_labeled_tree(n, rng)
-            t0 = time.perf_counter()
-            size, matching = min_smm_tree(t)
-            dt = time.perf_counter() - t0
-            results.append((size, matching))
-            print(f"task: min-smm-tree size: {n} seconds: {dt:.3f} result: {size}")
-        stable = results[0] == results[1]
-        print(f"task: min-smm-tree size: {n} stable: {'yes' if stable else 'no'}")
-        if not stable:
-            raise BchromError("benchmark outputs differ across identical runs")
-    for n in args.ftk_sizes:
-        vectors = []
-        for _ in range(2):
-            rng = random.Random(args.seed)
-            t = random_labeled_tree(n, rng)
-            t0 = time.perf_counter()
-            vec = deficiency_vector(t)
-            dt = time.perf_counter() - t0
-            vectors.append(vec)
-            zeros = sum(1 for x in vec if x == 0)
-            print(
-                f"task: deficiency-table size: {n} seconds: {dt:.3f} "
-                f"zero-entries: {zeros}"
-            )
-        stable = vectors[0] == vectors[1]
-        print(f"task: deficiency-table size: {n} stable: {'yes' if stable else 'no'}")
-        if not stable:
-            raise BchromError("benchmark outputs differ across identical runs")
-    return 0
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,44 +197,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_file=True):
-        if with_file:
-            sp.add_argument("file", help="input graph (edge list or .tcx expression)")
+    def common(sp, max_n=False):
+        sp.add_argument("file", help="input graph (edge list or .tcx expression)")
         sp.add_argument(
             "--format",
             choices=("auto", "edgelist", "tcx"),
             default="auto",
             help="input format (default: by extension)",
         )
+        if max_n:
+            sp.add_argument("--max-n", type=int, default=16, help="exact-search cap")
 
     sp = sub.add_parser("analyze", help="structural report")
     common(sp)
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("bchromatic", help="b-chromatic number")
-    common(sp)
+    common(sp, max_n=True)
     sp.add_argument("--witness", metavar="FILE", help="write a witness coloring")
-    sp.add_argument("--max-n", type=int, default=16, help="exact-search cap")
     sp.add_argument("--dump-tables", action="store_true", help="emit DP tables")
     sp.set_defaults(func=_cmd_bchromatic)
 
     sp = sub.add_parser("dominance", help="dominance vector, one 't dom' line each")
-    common(sp)
-    sp.add_argument("--max-n", type=int, default=16)
+    common(sp, max_n=True)
     sp.add_argument("--dump-tables", action="store_true", help="emit DP tables")
     sp.set_defaults(func=_cmd_dominance)
 
     sp = sub.add_parser("bcolor", help="coloring with k classes and dom[k] dominant ones")
-    common(sp)
+    common(sp, max_n=True)
     sp.add_argument("k", type=int)
     sp.add_argument("-o", "--output", metavar="FILE")
-    sp.add_argument("--max-n", type=int, default=16)
     sp.set_defaults(func=_cmd_bcolor)
 
     sp = sub.add_parser("chain", help="descending chain of b-colorings")
-    common(sp)
+    common(sp, max_n=True)
     sp.add_argument("--coloring", metavar="FILE", help="starting b-coloring")
-    sp.add_argument("--max-n", type=int, default=16)
     sp.set_defaults(func=_cmd_chain)
 
     sp = sub.add_parser("verify", help="check a coloring file")
@@ -383,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "quantity", choices=("min-smm", "chi-b", "chromatic", "dominance", "f-t-k")
     )
-    common(sp)
+    common(sp, max_n=True)
     sp.add_argument("--k", type=int, help="matching size for f-t-k")
-    sp.add_argument("--max-n", type=int, default=16)
     sp.add_argument("--max-states", type=int, default=10**8)
     sp.add_argument("--witness", metavar="FILE", help="write a witness matching")
     sp.set_defaults(func=_cmd_oracle)
@@ -395,25 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_tables)
 
-    sp = sub.add_parser("bench", help="timing run over random trees")
-    common(sp, with_file=False)
-    sp.add_argument("--sizes", type=_int_list, default=[1000])
-    sp.add_argument("--ftk-sizes", type=_int_list, default=[])
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_cmd_bench)
-
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BchromError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BchromError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

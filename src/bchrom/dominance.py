@@ -31,7 +31,7 @@ from .graph import (
     is_tree,
     m_degree_bound,
 )
-from .tree_dp import INF, RootedTree, deficiency_vector, root_tree
+from .tree_dp import INF, DeficiencyTables, RootedTree, deficiency_vector, root_tree
 
 
 @dataclass(frozen=True)
@@ -345,25 +345,25 @@ def b_coloring_tree(t: Graph, k: int) -> "Coloring":
 # ---------------------------------------------------------------------------
 
 
-def _cotree_dominance_from_tree(t: Graph) -> DominanceVector:
-    """Dominance of the complement of t, via the deficiency DP on t."""
-    if t.n == 1:
-        return DominanceVector(1, (1,))
-    fvec = deficiency_vector(t)
+def _cotree_dominance_from_tree(
+    t: Graph, tables: DeficiencyTables | None = None
+) -> DominanceVector:
+    """Dominance of the complement of t, via the deficiency DP on t (whose
+    tables may be given, built already)."""
+    fvec = deficiency_vector(t, tables)
     nu = max(k for k, val in enumerate(fvec) if val != INF)
     chi = t.n - nu
     values = tuple(int(i - fvec[t.n - i]) for i in range(chi, t.n + 1))
     return DominanceVector(chi, values)
 
 
-def dominance_vector_cotree(ct: Graph, t: Graph | None = None) -> DominanceVector:
+def dominance_vector_cotree(ct: Graph) -> DominanceVector:
     """Dominance vector of a co-tree; classes of a coloring of ct correspond
     to matchings of the underlying tree, missing dominance equals the
     deficiency of the matched size."""
-    under = complement(ct) if t is None else t
-    if not is_tree(under) or complement(ct) != under:
+    if not is_tree(complement(ct)):
         raise NotACoTree("input must be the complement of a tree")
-    return _cotree_dominance_from_tree(under)
+    return _cotree_dominance_from_tree(complement(ct))
 
 
 def dominance_union(
@@ -395,10 +395,8 @@ def dominance_join(
 
 
 def _leaf_dominance(leaf: TreeLeaf | CoTreeLeaf) -> DominanceVector:
-    if isinstance(leaf, CoTreeLeaf):
+    if isinstance(leaf, CoTreeLeaf) or leaf.tree.n == 1:  # a vertex is its own complement
         return _cotree_dominance_from_tree(leaf.tree)
-    if leaf.tree.n == 1:
-        return DominanceVector(1, (1,))
     return dominance_vector_tree(leaf.tree)
 
 

@@ -94,6 +94,10 @@ class InstanceTooLargeForExactSearch(BchromError):
     """No polynomial route applies and the instance exceeds the oracle cap."""
 
 
+class NoRoute(BchromError):
+    """No exact route applies to the input and gives what was asked."""
+
+
 class WindowEmpty(BchromError):
     """The join composition window was empty (invariant violation)."""
 

@@ -19,6 +19,7 @@ import operator
 import os
 import re
 from itertools import islice
+from typing import Iterator
 
 from .errors import ParseError
 from .graph import (
@@ -292,21 +293,23 @@ def format_matching(m: Matching) -> str:
     return "".join(f"{u} {v}\n" for u, v in sorted(m))
 
 
-def parse_matching(text: str) -> Matching:
-    edges = []
+def _int_pairs(text: str, shape: str) -> Iterator[tuple[int, int, int]]:
+    """``(line number, a, b)`` per line of the two integers ``shape`` names."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v'")
+            raise ParseError(f"line {lineno}: expected {shape!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            yield lineno, int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer endpoints") from None
-        edges.append(norm_edge(u, v))
-    return frozenset(edges)
+            raise ParseError(f"line {lineno}: non-integer fields") from None
+
+
+def parse_matching(text: str) -> Matching:
+    return frozenset(norm_edge(u, v) for _, u, v in _int_pairs(text, "u v"))
 
 
 def format_coloring(c) -> str:
@@ -314,27 +317,18 @@ def format_coloring(c) -> str:
 
 
 def parse_coloring(text: str, n: int):
+    """A coloring of n vertices, in classes numbered below n (no more fit)."""
     from .bcoloring import Coloring
 
     assign = [-1] * n
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected '<vertex> <class>'")
-        try:
-            v, cls = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer fields") from None
+    for lineno, v, cls in _int_pairs(text, "<vertex> <class>"):
         if not 0 <= v < n:
             raise ParseError(f"line {lineno}: vertex {v} out of range")
         if assign[v] != -1:
             raise ParseError(f"line {lineno}: vertex {v} colored twice")
-        if cls < 0:
-            raise ParseError(f"line {lineno}: negative class")
+        if not 0 <= cls < n:
+            raise ParseError(f"line {lineno}: class {cls} out of range")
         assign[v] = cls
     if any(x == -1 for x in assign):
         raise ParseError("some vertex has no color")
-    return Coloring(tuple(assign), max(assign) + 1)
+    return Coloring(tuple(assign), max(assign, default=-1) + 1)

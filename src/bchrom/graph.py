@@ -189,14 +189,10 @@ def is_forest(g: Graph) -> bool:
     return g.m == g.n - len(connected_components(g))
 
 
-def is_cotree(g: Graph) -> bool:
-    """True iff the complement of g is a tree, decided from the edge count
-    and one complement search, without building the complement."""
-    return (
-        g.n >= 1
-        and _non_edges(g) == g.n - 1
-        and len(_co_components(g.nbr_sets, range(g.n))) == 1
-    )
+def is_coforest(g: Graph) -> bool:
+    """True iff the complement of g is a forest, which has fewer than n
+    edges; so the complement is built only below n non-edges."""
+    return _non_edges(g) < max(g.n, 1) and is_forest(complement(g))
 
 
 def _components(nbr: tuple[frozenset[int], ...], verts: Sequence[int]) -> list[list[int]]:
@@ -370,11 +366,9 @@ class _TcNode:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class TreeLeaf(_TcNode):
-    """A leaf denoting the stored tree itself.
-
-    ``vertices[i]`` is the id, in the denoted graph, of local vertex i.
-    """
+class _TcLeaf(_TcNode):
+    """A leaf over a stored tree.  ``vertices[i]`` is the id, in the
+    denoted graph, of local vertex i."""
 
     tree: Graph
     vertices: tuple[int, ...]
@@ -390,22 +384,12 @@ class TreeLeaf(_TcNode):
         return self.tree.n
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CoTreeLeaf(_TcNode):
+class TreeLeaf(_TcLeaf):
+    """A leaf denoting the stored tree itself."""
+
+
+class CoTreeLeaf(_TcLeaf):
     """A leaf denoting the complement of the stored tree."""
-
-    tree: Graph
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not is_tree(self.tree):
-            raise NotATree("leaf graph must be a tree")
-        if len(self.vertices) != self.tree.n:
-            raise ValueError("vertex map length mismatch")
-
-    @property
-    def span(self) -> int:
-        return self.tree.n
 
 
 @dataclass(frozen=True, eq=False, repr=False)

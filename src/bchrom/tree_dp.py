@@ -253,11 +253,12 @@ def min_smm_tree(t: Graph) -> tuple[int, Matching]:
 
 def min_smm_forest(g: Graph) -> tuple[int, Matching]:
     """Per-component minimum; augmenting paths never cross components."""
-    if g.m != g.n - len(connected_components(g)):
+    comps = connected_components(g)
+    if g.m != g.n - len(comps):
         raise NotATree("input is not a forest")
     total = 0
     edges: set[Edge] = set()
-    for comp in connected_components(g):
+    for comp in comps:
         sub = induced_subgraph(g, comp)
         size, mm = min_smm_tree(sub)
         total += size
@@ -366,14 +367,15 @@ def deficiency_tables(t: Graph) -> DeficiencyTables:
     return DeficiencyTables(rt, vals)
 
 
-def deficiency_vector(t: Graph) -> list[float]:
+def deficiency_vector(t: Graph, tables: DeficiencyTables | None = None) -> list[float]:
     """F-values for every matching size k = 0..floor(n/2); the entry is the
-    infinity sentinel where no size-k matching exists."""
+    infinity sentinel where no size-k matching exists.  ``tables``, when
+    given, are t's deficiency tables, so they are not built again."""
     if not is_tree(t):
         raise NotATree("deficiency DP requires a tree")
     if t.n == 1:
         return [0]
-    tables = deficiency_tables(t)
+    tables = tables or deficiency_tables(t)
     return [_root_minimum(tables, k) for k in range(t.n // 2 + 1)]
 
 

@@ -145,13 +145,6 @@ def test_bchromatic_c5_via_oracle_route(files):
     assert code == 0 and out == "3\n"
 
 
-def test_bench_stability():
-    code, out = run(["bench", "--sizes", "60", "--ftk-sizes", "24", "--seed", "5"])
-    assert code == 0
-    assert "stable: yes" in out
-    assert "task: deficiency-table" in out
-
-
 def test_cli_import_leaves_networkx_unloaded():
     code = "import sys, bchrom.cli; bchrom.cli.build_parser(); print('networkx' in sys.modules)"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

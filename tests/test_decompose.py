@@ -34,8 +34,10 @@ from bchrom.graph import (
     connected_components,
     decompose_tree_cograph,
     evaluate_tc,
+    graph_union,
     induced_subgraph,
-    is_cotree,
+    is_coforest,
+    is_forest,
     is_tree,
     m_degree_bound,
     m_i_count,
@@ -202,12 +204,16 @@ def test_complement_is_built_once_and_inverts():
     assert co == _reference_complement(g)
 
 
-def test_is_cotree_matches_complement():
+def test_is_coforest_matches_complement():
     rng = random.Random(8)
     graphs = [complement(random_labeled_tree(rng.randint(1, 12), rng)) for _ in range(40)]
-    graphs += [random_graph(rng.randint(1, 9), rng.uniform(0.3, 0.95), rng) for _ in range(200)]
+    graphs += [  # co-forests that are not co-trees
+        complement(graph_union(*(random_labeled_tree(rng.randint(1, 6), rng) for _ in "ab")))
+        for _ in range(40)
+    ]
+    graphs += [random_graph(rng.randint(0, 9), rng.uniform(0.3, 0.95), rng) for _ in range(200)]
     for g in graphs:
-        assert is_cotree(g) == is_tree(_reference_complement(g))
+        assert is_coforest(g) == is_forest(_reference_complement(g))
 
 
 def _has_independent_triple(g: Graph) -> bool:

@@ -93,3 +93,12 @@ def test_coloring_format_round_trip():
         parse_coloring("0 0\n", 2)
     with pytest.raises(ParseError):
         parse_coloring("0 0\n0 1\n1 0\n", 2)
+
+
+def test_coloring_classes_are_numbered_below_n():
+    # a class number is not a size to allocate: n vertices fill at most n classes
+    with pytest.raises(ParseError, match="class 3000000 out of range"):
+        parse_coloring("0 3000000\n", 1)
+    with pytest.raises(ParseError, match="class -1 out of range"):
+        parse_coloring("0 -1\n", 1)
+    assert parse_coloring("", 0) == Coloring((), 0)
