@@ -4,7 +4,6 @@ stability two and for tree-cographs."""
 from .bcoloring import (
     BVerdict,
     Coloring,
-    b_chromatic_stability2,
     coloring_to_matching,
     continuity_chain,
     matching_to_coloring,

@@ -11,23 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    ClassTooLarge,
-    EmptyClass,
-    ImproperColoring,
-    InstanceTooLargeForExactSearch,
-    NotABColoring,
-    StabilityTooLarge,
-)
-from .graph import Graph, complement, is_forest, norm_edge, stability_at_most_two
-from .matching import (
-    Matching,
-    augment,
-    min_length_augmenting_path,
-    validate_matching,
-)
-from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_min_smm
-from .tree_dp import min_smm_forest
+from .errors import ClassTooLarge, EmptyClass, ImproperColoring, NotABColoring, StabilityTooLarge
+from .graph import Graph, complement, norm_edge, stability_at_most_two
+from .matching import Matching, augment, min_length_augmenting_path, validate_matching
 
 
 @dataclass(frozen=True)
@@ -119,32 +105,6 @@ def matching_to_coloring(g: Graph, m: Matching) -> Coloring:
             color[partner[v]] = nxt
         nxt += 1
     return Coloring(tuple(color), nxt)
-
-
-def b_chromatic_stability2(
-    g: Graph, oracle_cap: int = 16, budget: OracleBudget = DEFAULT_BUDGET
-) -> tuple[int, Coloring]:
-    """Exact b-chromatic number of a stability-2 graph with a witness.
-
-    Complement a forest -> per-component tree DP; otherwise brute force up
-    to the cap; otherwise refuse, since the general problem is NP-hard.
-    For library callers and ``chain``; the CLI's other commands ask
-    ``route.plan`` for the first route, of tree, co-forest, tree-cograph and
-    exact search, that applies and gives what they need.
-    """
-    if not stability_at_most_two(g):
-        raise StabilityTooLarge("b-chromatic shortcut requires stability <= 2")
-    co = complement(g)
-    if is_forest(co):
-        size, mm = min_smm_forest(co)
-    elif g.n <= oracle_cap:
-        size, mm = oracle_min_smm(co, budget)
-    else:
-        raise InstanceTooLargeForExactSearch(
-            f"n={g.n} exceeds the exact-search cap {oracle_cap} and the "
-            "complement is not a forest"
-        )
-    return g.n - size, matching_to_coloring(g, mm)
 
 
 def continuity_chain(g: Graph, c: Coloring) -> list[Coloring]:

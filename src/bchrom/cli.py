@@ -6,7 +6,8 @@ seed.  Domain errors exit 1 with a one-line diagnostic; usage errors exit 2.
 ``bchromatic``, ``dominance`` and ``bcolor`` each ask ``route.plan`` once
 for the first route, of tree, co-forest, tree-cograph and exact search in
 that order, that applies and gives what the command needs; a refusal names
-why each route was rejected.
+why each route was rejected.  ``bcolor`` answers every k in [chi, n] on
+trees and co-forests, and the b-spectrum only under exact search.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import argparse
 import sys
 
 from . import fileio
-from .bcoloring import Coloring, b_chromatic_stability2, continuity_chain, verify_coloring
-from .errors import BchromError, NoRoute
+from .bcoloring import Coloring, continuity_chain, verify_coloring
+from .errors import BchromError, NoRoute, StabilityTooLarge
 from .graph import (
     Graph,
     TcExpr,
@@ -84,9 +85,9 @@ def _cmd_bchromatic(args) -> int:
     if args.witness:
         _write(args.witness, route.witness)
     if args.dump_tables:
-        if route.tree is None:
+        if route.smm is None:
             raise BchromError("no matching DP tables were computed for this route")
-        print(dump_smm_tables(smm_tables(route.tree)))
+        print(dump_smm_tables(route.smm))
     return 0
 
 
@@ -112,8 +113,10 @@ def _cmd_chain(args) -> int:
     if args.coloring:
         with open(args.coloring, encoding="utf-8") as fh:
             start = fileio.parse_coloring(fh.read(), g.n)
+    elif not stability_at_most_two(g):
+        raise StabilityTooLarge("b-chromatic shortcut requires stability <= 2")
     else:
-        _, start = b_chromatic_stability2(g, oracle_cap=args.max_n)
+        start = plan(g, "witness", args.max_n).witness
     chain = continuity_chain(g, start)
     for c in chain:
         assignment = ",".join(str(x) for x in c.assignment)

@@ -31,7 +31,7 @@ from .graph import (
     is_tree,
     m_degree_bound,
 )
-from .tree_dp import INF, DeficiencyTables, RootedTree, deficiency_vector, root_tree
+from .tree_dp import INF, RootedTree, deficiency_vector, root_tree
 
 
 @dataclass(frozen=True)
@@ -345,16 +345,12 @@ def b_coloring_tree(t: Graph, k: int) -> "Coloring":
 # ---------------------------------------------------------------------------
 
 
-def _cotree_dominance_from_tree(
-    t: Graph, tables: DeficiencyTables | None = None
-) -> DominanceVector:
-    """Dominance of the complement of t, via the deficiency DP on t (whose
-    tables may be given, built already)."""
-    fvec = deficiency_vector(t, tables)
+def dominance_from_deficiency(n: int, fvec: list[float]) -> DominanceVector:
+    """Dominance of the complement of an n-vertex forest with F vector ``fvec``:
+    chi = n - nu and dom[t] = t - F[n - t], as a t-coloring's two-vertex classes
+    are a size-(n - t) matching whose deficiency counts the non-dominant ones."""
     nu = max(k for k, val in enumerate(fvec) if val != INF)
-    chi = t.n - nu
-    values = tuple(int(i - fvec[t.n - i]) for i in range(chi, t.n + 1))
-    return DominanceVector(chi, values)
+    return DominanceVector(n - nu, tuple(int(t - fvec[n - t]) for t in range(n - nu, n + 1)))
 
 
 def dominance_vector_cotree(ct: Graph) -> DominanceVector:
@@ -363,7 +359,7 @@ def dominance_vector_cotree(ct: Graph) -> DominanceVector:
     deficiency of the matched size."""
     if not is_tree(complement(ct)):
         raise NotACoTree("input must be the complement of a tree")
-    return _cotree_dominance_from_tree(complement(ct))
+    return dominance_from_deficiency(ct.n, deficiency_vector(complement(ct)))
 
 
 def dominance_union(
@@ -396,7 +392,7 @@ def dominance_join(
 
 def _leaf_dominance(leaf: TreeLeaf | CoTreeLeaf) -> DominanceVector:
     if isinstance(leaf, CoTreeLeaf) or leaf.tree.n == 1:  # a vertex is its own complement
-        return _cotree_dominance_from_tree(leaf.tree)
+        return dominance_from_deficiency(leaf.tree.n, deficiency_vector(leaf.tree))
     return dominance_vector_tree(leaf.tree)
 
 
@@ -419,7 +415,7 @@ def b_chromatic_tc(e: TcExpr) -> int:
 
 def _leaf_chromatic(leaf: TreeLeaf | CoTreeLeaf) -> int:
     if isinstance(leaf, CoTreeLeaf):
-        return _cotree_dominance_from_tree(leaf.tree).chi
+        return dominance_from_deficiency(leaf.tree.n, deficiency_vector(leaf.tree)).chi
     return 1 if leaf.tree.n == 1 else 2
 
 

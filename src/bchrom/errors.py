@@ -90,10 +90,6 @@ class BudgetExceeded(BchromError):
     """Enumeration or search exceeded its state budget."""
 
 
-class InstanceTooLargeForExactSearch(BchromError):
-    """No polynomial route applies and the instance exceeds the oracle cap."""
-
-
 class NoRoute(BchromError):
     """No exact route applies to the input and gives what was asked."""
 

@@ -33,14 +33,6 @@ def validate_matching(g: Graph, m: Matching) -> set[int]:
     return matched
 
 
-def matched_with(m: Matching) -> dict[int, int]:
-    partner: dict[int, int] = {}
-    for u, v in m:
-        partner[u] = v
-        partner[v] = u
-    return partner
-
-
 def _free_neighbors(g: Graph, matched: set[int], v: int) -> list[int]:
     return [w for w in g.adj[v] if w not in matched]
 

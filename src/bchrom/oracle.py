@@ -9,6 +9,7 @@ killing the t! symmetry).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, GraphTooLarge, InvariantViolation, RangeError
@@ -46,9 +47,16 @@ class _Counter:
             raise BudgetExceeded(f"{self.what} budget exhausted")
 
 
-def _admit(g: Graph, budget: OracleBudget) -> _Counter:
+def _admit(g: Graph, budget: OracleBudget, levels: int) -> _Counter:
+    """The search budget for g, once g is within the cap and a search that
+    recurses ``levels`` deep stays below the interpreter's recursion limit."""
     if g.n > budget.max_n:
         raise GraphTooLarge(f"n={g.n} exceeds oracle cap {budget.max_n}")
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    if depth + levels + 8 > sys.getrecursionlimit():  # 8: the search's helper frames
+        raise GraphTooLarge(f"the search would recurse {levels} levels, past the recursion limit")
     return _Counter(budget.max_states)
 
 
@@ -59,7 +67,7 @@ def _admit(g: Graph, budget: OracleBudget) -> _Counter:
 
 def oracle_min_smm(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int, frozenset[Edge]]:
     """Exact minimum strongly maximal matching by matching enumeration."""
-    counter = _admit(g, budget)
+    counter = _admit(g, budget, g.m)
     edges = g.edges
     L = len(edges)
     best_size = g.n + 1
@@ -92,7 +100,7 @@ def oracle_min_smm(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int
 
 def oracle_f_t_k(t: Graph, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> float:
     """Minimum of the two deficiency counts over matchings of size exactly k."""
-    counter = _admit(t, budget)
+    counter = _admit(t, budget, t.m)
     edges = t.edges
     L = len(edges)
     best = INF
@@ -123,7 +131,7 @@ def oracle_f_t_k(t: Graph, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> flo
 
 def oracle_nu(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Maximum matching size, by memoized recursion over free-vertex masks."""
-    counter = _admit(g, budget)
+    counter = _admit(g, budget, g.n)
     memo: dict[int, int] = {}
 
     def rec(mask: int) -> int:
@@ -151,7 +159,7 @@ def oracle_shortest_augmenting(
 ) -> int | None:
     """Edge count of a shortest augmenting path for m, by exhaustive DFS over
     simple alternating paths; None when m is maximum."""
-    counter = _admit(g, budget)
+    counter = _admit(g, budget, g.n)
     partner = {}
     for u, v in m:
         partner[u] = v
@@ -238,7 +246,7 @@ def oracle_dominance(g: Graph, budget: OracleBudget = DEFAULT_BUDGET):
     proper colorings with exactly t nonempty classes."""
     from .dominance import DominanceVector
 
-    counter = _admit(g, budget)
+    counter = _admit(g, budget, g.n)
     if g.n == 0:
         raise RangeError("dominance needs at least one vertex")
     best = [-1] * (g.n + 1)
@@ -260,7 +268,7 @@ def oracle_chi_b(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
 
 
 def oracle_chromatic(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    counter = _admit(g, budget)
+    counter = _admit(g, budget, g.n)
     if g.n == 0:
         return 0
     n = g.n

@@ -256,29 +256,33 @@ class ReductionReport:
 
 
 def _min_maximal_matching(g: Graph, budget: _Counter) -> tuple[int, Matching]:
+    """Branch and bound over the edges in order, on an explicit stack, so
+    any number of edges is searched; ``None`` undoes the last edge taken."""
     edges = g.edges
-    L = len(edges)
-    best: list[tuple[int, Matching]] = [(g.n + 1, frozenset())]
+    best_size, best = g.n + 1, frozenset()
     chosen: list[Edge] = []
-
-    def rec(i: int, mask: int) -> None:
+    full = (1 << g.n) - 1
+    stack: list[tuple[int, int] | None] = [(0, 0)]
+    while stack:
+        top = stack.pop()
+        if top is None:
+            chosen.pop()
+            continue
+        i, mask = top
         budget.tick()
-        if len(chosen) >= best[0][0]:
-            return
-        if i == L:
-            if all(mask & ((1 << u) | (1 << v)) for u, v in edges):
-                best[0] = (len(chosen), frozenset(chosen))
-            return
+        if len(chosen) >= best_size:
+            continue
+        if i == len(edges):
+            if _defects(g, (), full & ~mask)[0] == 0:  # no edge left with both ends free
+                best_size, best = len(chosen), frozenset(chosen)
+            continue
         u, v = edges[i]
         bit = (1 << u) | (1 << v)
-        if not mask & bit and len(chosen) + 1 < best[0][0]:
+        stack.append((i + 1, mask))
+        if not mask & bit and len(chosen) + 1 < best_size:
             chosen.append((u, v))
-            rec(i + 1, mask | bit)
-            chosen.pop()
-        rec(i + 1, mask)
-
-    rec(0, 0)
-    return (0, frozenset()) if L == 0 else best[0]
+            stack += (None, (i + 1, mask | bit))
+    return best_size, best
 
 
 _TEMPLATE_U, _TEMPLATE_V = 8, 9

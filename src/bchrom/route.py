@@ -1,46 +1,48 @@
 """The route planner: which exact computation answers a question.
 
 ``ROUTES`` is the table, one row per route, in the order tried: tree (a tree
-on two or more vertices), co-forest (the complement is a forest),
-tree-cograph (a ``.tcx`` expression, or a graph that decomposes into one)
-and exact search (stability at most two and n <= ``max_n``).  A row's
-``attempt`` tests the input; its ``gives`` names what it answers, of the
-value (b-chromatic number), the dominance vector, a witness b-coloring and a
-coloring with k classes and dom[k] dominant ones.  ``plan`` returns the
-first route that applies and gives what the command needs; cheap tests
-come first, and the decomposition runs only on what is neither a tree nor a
-co-forest.  An expression is routed without its graph when the
-tree-cograph route gives what is needed (a tree leaf is a tree, a co-tree
-leaf a co-forest); otherwise its graph is built.
+on two or more vertices), co-forest (the complement is a forest), tree-cograph
+(a ``.tcx`` expression, or a graph that decomposes into one) and exact search
+(stability at most two and n <= ``max_n``).  A row's ``attempt`` tests the
+input; its ``gives`` names what it answers, of the value (b-chromatic number),
+the dominance vector, a witness b-coloring and a coloring with k classes and
+dom[k] dominant ones (every k in [chi, n] on trees and co-forests, the
+b-spectrum only under exact search).  ``plan`` returns the first route that
+applies and gives what the command needs; cheap tests come first, and the
+decomposition runs only on what is neither a tree nor a co-forest.  An
+expression is routed without its graph when the tree-cograph route gives what
+is needed (a tree leaf is a tree, a co-tree leaf a co-forest); otherwise its
+graph is built.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import ClassVar
 
-from .bcoloring import continuity_chain, matching_to_coloring
-from .dominance import _cotree_dominance_from_tree, b_chromatic_tree, b_coloring_tree
-from .dominance import dominance_join, dominance_tc, dominance_vector_tree
-from .errors import KOutOfRange, NoRoute, NotTreeCograph
-from .graph import CoTreeLeaf, Graph, TcExpr, TreeLeaf, complement, connected_components
-from .graph import decompose_tree_cograph, evaluate_tc, induced_subgraph, is_coforest, is_tree
-from .graph import stability_at_most_two
+from .bcoloring import continuity_chain, matching_to_coloring, verify_coloring
+from .dominance import b_chromatic_tree, b_coloring_tree, dominance_from_deficiency
+from .dominance import dominance_tc, dominance_vector_tree
+from .errors import InvariantViolation, KOutOfRange, NoRoute, NotTreeCograph
+from .graph import CoTreeLeaf, Graph, TcExpr, TreeLeaf, complement, decompose_tree_cograph
+from .graph import evaluate_tc, is_coforest, is_tree, stability_at_most_two
 from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_dominance, oracle_min_smm
-from .tree_dp import DeficiencyTables, deficiency_tables, min_smm_forest
+from .tree_dp import DeficiencyTables, SmmTables, combine_all, forest_deficiency
+from .tree_dp import forest_deficiency_matching, forest_parts, min_smm_forest, smm_tables
 
 NEEDS = ("value", "vector", "witness", "coloring")
 
 
 class Route:
     """An exact route for one input, with a ``"route: reason"`` line in
-    ``rejected`` per route tried before it.  ``tree`` is the one tree whose
-    matching DPs it reads, if any; ``tables`` are those its vector built."""
+    ``rejected`` per route tried before it.  ``smm`` and ``tables`` are the
+    scalar and deficiency tables of the one tree whose matching DPs the
+    route reads, built once for its answers and ``--dump-tables``."""
 
     name: ClassVar[str]
     gives: ClassVar[frozenset[str]] = frozenset(NEEDS)
     rejected: tuple[str, ...] = ()
-    tree: Graph | None = None
+    smm: SmmTables | None = None
     tables: DeficiencyTables | None = None
 
     def __init__(self, **state) -> None:
@@ -52,6 +54,7 @@ class TreeRoute(Route):
     value = cached_property(lambda self: b_chromatic_tree(self.tree))
     vector = cached_property(lambda self: dominance_vector_tree(self.tree))
     witness = cached_property(lambda self: self.coloring(self.value))
+    smm = cached_property(lambda self: smm_tables(self.tree))
 
     def coloring(self, k: int):
         return b_coloring_tree(self.tree, k)
@@ -72,37 +75,45 @@ class _MatchingRoute(Route):
     value = cached_property(lambda self: self.graph.n - self._smm[0])
     witness = cached_property(lambda self: matching_to_coloring(self.graph, self._smm[1]))
 
-    def coloring(self, k: int):
-        by_t = {c.t: c for c in continuity_chain(self.graph, self.witness)}
-        if k not in by_t:
-            raise KOutOfRange(f"k={k} outside the b-spectrum [{min(by_t)}, {max(by_t)}]")
-        return by_t[k]
-
 
 class CoForestRoute(_MatchingRoute):
+    """The complement ``co`` is a forest, whose components feed the linear
+    scalar DP, for the value and the witness, and one set of deficiency
+    tables, for the vector and a coloring at every k in [chi, n]."""
+
     name = "co-forest"
     graph = cached_property(lambda self: complement(self.co))
-    _smm = cached_property(lambda self: min_smm_forest(self.co))
+    parts = cached_property(lambda self: forest_parts(self.co))
+    _smm = cached_property(lambda self: min_smm_forest(self.co, self.parts, self.smm and [self.smm]))
+    _deficiency = cached_property(lambda self: forest_deficiency(self.parts))
+    vector = cached_property(
+        lambda self: dominance_from_deficiency(self.co.n, combine_all(self._deficiency[1]))
+    )
+    smm = cached_property(lambda self: smm_tables(self.co) if self._one_tree else None)
+    tables = cached_property(lambda self: self._deficiency[0][0] if self._one_tree else None)
+    _one_tree = property(lambda self: self.co.n > 1 and len(self.parts) == 1)
 
-    @cached_property
-    def vector(self):
-        if self.tree is not None:
-            self.tables = deficiency_tables(self.tree)
-            return _cotree_dominance_from_tree(self.tree, self.tables)
-        parts = [_cotree_dominance_from_tree(induced_subgraph(self.co, comp))
-                 for comp in connected_components(self.co)]
-        return reduce(lambda a, b: dominance_join(a, b, a.n, b.n), parts)
+    def coloring(self, k: int):
+        """Pairs of a size-(n - k) matching of least deficiency share a
+        class; the deficiency counts the non-dominant classes."""
+        vec = self.vector
+        if not vec.chi <= k <= vec.n:
+            raise KOutOfRange(f"k={k} outside [{vec.chi}, {vec.n}]")
+        matching = forest_deficiency_matching(self.parts, *self._deficiency, vec.n - k)
+        coloring = matching_to_coloring(self.graph, matching)
+        found = len(verify_coloring(self.graph, coloring).dominant_classes)
+        if found != vec.value_at(k):
+            raise InvariantViolation(f"co-forest coloring has {found} dominant classes, "
+                                     f"not dom[{k}] = {vec.value_at(k)}")
+        return coloring
 
     @classmethod
     def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:
         if isinstance(source, Graph) and is_coforest(source):
-            co = complement(source)
-        elif isinstance(source, CoTreeLeaf):
-            co = evaluate_tc(TreeLeaf(source.tree, source.vertices))
-        else:
-            return "the complement is not a forest"
-        # a forest with n - 1 edges is one tree
-        return cls(co=co, tree=co if co.n >= 2 and co.m == co.n - 1 else None)
+            return cls(co=complement(source))
+        if isinstance(source, CoTreeLeaf):
+            return cls(co=evaluate_tc(TreeLeaf(source.tree, source.vertices)))
+        return "the complement is not a forest"
 
 
 class TreeCographRoute(Route):
@@ -125,6 +136,12 @@ class ExactSearchRoute(_MatchingRoute):
     name = "exact-search"
     _smm = cached_property(lambda self: oracle_min_smm(complement(self.graph), DEFAULT_BUDGET))
     vector = cached_property(lambda self: oracle_dominance(self.graph, self.budget))
+
+    def coloring(self, k: int):
+        by_t = {c.t: c for c in continuity_chain(self.graph, self.witness)}
+        if k not in by_t:
+            raise KOutOfRange(f"k={k} outside the b-spectrum [{min(by_t)}, {max(by_t)}]")
+        return by_t[k]
 
     @classmethod
     def attempt(cls, source: Graph, max_n: int) -> Route | str:

@@ -237,13 +237,14 @@ def reconstruct_smm(tables: SmmTables) -> Matching:
     return frozenset(out)
 
 
-def min_smm_tree(t: Graph) -> tuple[int, Matching]:
-    """Minimum cardinality of a strongly maximal matching, with a witness."""
+def min_smm_tree(t: Graph, tables: SmmTables | None = None) -> tuple[int, Matching]:
+    """Minimum cardinality of a strongly maximal matching, with a witness.
+    ``tables``, when given, are t's scalar tables, so they are not built again."""
     if not is_tree(t):
         raise NotATree("minimum strongly maximal matching DP requires a tree")
     if t.n == 1:
         return 0, frozenset()
-    tables = smm_tables(t)
+    tables = tables or smm_tables(t)
     best = min(tables.values[tables.tree.anchor][:2])
     witness = reconstruct_smm(tables)
     if len(witness) != best:
@@ -251,19 +252,28 @@ def min_smm_tree(t: Graph) -> tuple[int, Matching]:
     return int(best), witness
 
 
-def min_smm_forest(g: Graph) -> tuple[int, Matching]:
-    """Per-component minimum; augmenting paths never cross components."""
+def forest_parts(g: Graph) -> list[tuple[list[int], Graph]]:
+    """Each component of the forest g: its vertices, and the tree they induce."""
     comps = connected_components(g)
     if g.m != g.n - len(comps):
         raise NotATree("input is not a forest")
-    total = 0
-    edges: set[Edge] = set()
-    for comp in comps:
-        sub = induced_subgraph(g, comp)
-        size, mm = min_smm_tree(sub)
-        total += size
-        edges.update(norm_edge(comp[u], comp[v]) for u, v in mm)
-    return total, frozenset(edges)
+    return [(comp, g if len(comps) == 1 else induced_subgraph(g, comp)) for comp in comps]
+
+
+def _lift(parts: list[tuple[list[int], Graph]], matchings: list) -> Matching:
+    """The forest's matching made of one matching of each of its ``parts``."""
+    return frozenset(
+        norm_edge(comp[u], comp[v]) for (comp, _), mm in zip(parts, matchings) for u, v in mm
+    )
+
+
+def min_smm_forest(g: Graph, parts: list | None = None, tables: list | None = None
+                   ) -> tuple[int, Matching]:
+    """Per-component minimum; augmenting paths never cross components.
+    ``parts`` are g's ``forest_parts`` and ``tables`` their scalar tables."""
+    parts = parts or forest_parts(g)
+    found = [min_smm_tree(sub, tab) for (_, sub), tab in zip(parts, tables or [None] * len(parts))]
+    return sum(size for size, _ in found), _lift(parts, [mm for _, mm in found])
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +480,33 @@ def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matchin
     return matching
 
 
+def forest_deficiency(parts: list[tuple[list[int], Graph]]) -> tuple[list, list[list[float]]]:
+    """Each tree's deficiency tables (None for a single vertex), built once,
+    and its F vector.  F adds up over components, since augmenting paths of
+    length 1 and 3 stay inside one: the forest's F is ``combine_all`` of theirs."""
+    tables = [deficiency_tables(sub) if sub.n > 1 else None for _, sub in parts]
+    return tables, [deficiency_vector(sub, tab) for (_, sub), tab in zip(parts, tables)]
+
+
+def forest_deficiency_matching(parts: list, tables: list, fvecs: list, k: int) -> Matching:
+    """A size-k matching of the forest whose deficiency is its F[k], from
+    ``forest_deficiency``: ``_split`` splits k over the components."""
+    picks = _split([(f,) for f in fvecs], None, (0,), k, combine_all(fvecs, k)[k])
+    return _lift(parts, [reconstruct_deficiency_matching(tab, share) if share else ()
+                         for tab, (_, share) in zip(tables, picks)])
+
+
 def deficiency_matching(t: Graph, k: int) -> tuple[float, Matching]:
-    """DP value at k plus a witness matching attaining it."""
+    """DP value at k plus a witness matching attaining it: the one-component
+    case of ``forest_deficiency_matching``."""
     if not is_tree(t):
         raise NotATree("deficiency DP requires a tree")
-    if t.n == 1:
-        if k != 0:
-            raise KOutOfRange("single vertex admits only the empty matching")
-        return 0, frozenset()
     if not (0 <= k <= t.n // 2):
         raise KOutOfRange(f"k={k} outside 0..{t.n // 2}")
-    tables = deficiency_tables(t)
-    matching = reconstruct_deficiency_matching(tables, k)
-    return int(_root_minimum(tables, k)), matching
+    parts = forest_parts(t)
+    tables, fvecs = forest_deficiency(parts)
+    matching = forest_deficiency_matching(parts, tables, fvecs, k)
+    return int(fvecs[0][k]), matching
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from bchrom.bcoloring import (
     Coloring,
-    b_chromatic_stability2,
     coloring_to_matching,
     continuity_chain,
     matching_to_coloring,
@@ -13,19 +12,18 @@ from bchrom.bcoloring import (
 from bchrom.errors import (
     EmptyClass,
     ImproperColoring,
-    InstanceTooLargeForExactSearch,
     NotABColoring,
     StabilityTooLarge,
 )
 from bchrom.graph import (
     complement,
     complete_graph,
-    cycle_graph,
     empty_graph,
     path_graph,
 )
 from bchrom.matching import is_strongly_maximal
 from bchrom.oracle import oracle_chi_b, oracle_chromatic
+from bchrom.route import plan
 
 from conftest import all_graphs, random_stability2
 
@@ -109,54 +107,23 @@ def _stability2(g):
     return stability_at_most_two(g)
 
 
-def test_b_chromatic_stability2_examples():
-    co_p6 = complement(path_graph(6))
-    value, witness = b_chromatic_stability2(co_p6)
-    assert value == 4
-    assert verify_coloring(co_p6, witness).is_b_coloring
-    value, witness = b_chromatic_stability2(complete_graph(5))
-    assert value == 5 and witness.t == 5
-    co_c7 = complement(cycle_graph(7))
-    value, witness = b_chromatic_stability2(co_c7, oracle_cap=7)
-    assert value == 7 - 3
-    assert verify_coloring(co_c7, witness).is_b_coloring
-
-
-def test_b_chromatic_stability2_refuses_large_non_forest():
-    co = complement(cycle_graph(18))
-    with pytest.raises(InstanceTooLargeForExactSearch):
-        b_chromatic_stability2(co, oracle_cap=16)
-
-
-def test_b_chromatic_stability2_against_oracle():
-    rng = random.Random(7)
-    for _ in range(80):
-        g = random_stability2(rng.randint(1, 8), rng)
-        value, witness = b_chromatic_stability2(g)
-        assert value == oracle_chi_b(g)
-        verdict = verify_coloring(g, witness)
-        assert verdict.is_b_coloring and witness.t == value
-
-
 def test_continuity_chain_examples():
     co_p6 = complement(path_graph(6))
-    _, start = b_chromatic_stability2(co_p6)
-    chain = continuity_chain(co_p6, start)
+    chain = continuity_chain(co_p6, plan(co_p6, "witness").witness)
     assert [c.t for c in chain] == [4, 3]
     k4 = complete_graph(4)
     chain = continuity_chain(k4, Coloring((0, 1, 2, 3), 4))
     assert [c.t for c in chain] == [4]
     co_p5 = complement(path_graph(5))
-    _, start = b_chromatic_stability2(co_p5)
-    assert [c.t for c in continuity_chain(co_p5, start)] == [3]
+    assert [c.t for c in continuity_chain(co_p5, plan(co_p5, "witness").witness)] == [3]
 
 
 def test_continuity_chain_levels_all_verified():
     rng = random.Random(8)
     for _ in range(50):
         g = random_stability2(rng.randint(2, 9), rng)
-        value, start = b_chromatic_stability2(g)
-        chain = continuity_chain(g, start)
+        route = plan(g, "witness")
+        value, chain = route.value, continuity_chain(g, route.witness)
         chi = oracle_chromatic(g)
         assert [c.t for c in chain] == list(range(value, chi - 1, -1))
         for c in chain:

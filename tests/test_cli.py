@@ -2,7 +2,7 @@ import io
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -151,3 +151,22 @@ def test_cli_import_leaves_networkx_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_searches_deeper_than_the_recursion_limit_end_in_one_error_line(tmp_path):
+    path = str(tmp_path / "p1501.g")
+    with open(path, "w") as fh:
+        fh.write(format_edgelist(path_graph(1501)))
+    cap = ["--max-n", "5000"]
+    for argv in (
+        ["certify", path, "--budget", "100000"],
+        ["oracle", "min-smm", path, *cap],
+        ["oracle", "chi-b", path, *cap],
+        ["oracle", "chromatic", path, *cap],
+        ["oracle", "f-t-k", path, *cap, "--k", "3"],
+    ):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

@@ -3,7 +3,9 @@ the brute-force oracle on randomly labelled inputs, and refusals that name
 why every route was rejected."""
 
 import io
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -31,6 +33,8 @@ from bchrom.graph import (
 )
 from bchrom.oracle import oracle_chi_b, oracle_dominance
 from bchrom.route import plan
+
+from conftest import random_stability2
 
 
 def _relabel(g: Graph, rng: random.Random) -> Graph:
@@ -200,3 +204,107 @@ def test_coforest_and_tree_cograph_routes_agree_beyond_the_oracle():
         assert plan(g, "vector").name == "co-forest"
         assert plan(expr, "vector").vector == plan(g, "vector").vector
         assert plan(expr, "value").value == plan(g, "value").value
+
+
+def test_dump_tables_builds_the_scalar_tables_once(tmp_path, monkeypatch):
+    calls = []
+    original = tree_dp.smm_tables
+
+    def counted(t):
+        calls.append(t.n)
+        return original(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bchrom.") and getattr(module, "smm_tables", None) is original:
+            monkeypatch.setattr(module, "smm_tables", counted)
+    path = tmp_path / "cotree.g"
+    path.write_text(format_edgelist(complement(random_labeled_tree(30, random.Random(4)))))
+    code, out, _ = _run(["bchromatic", str(path), "--dump-tables"])
+    assert code == 0 and "held-free" in out
+    assert calls == [30]
+
+
+def test_plan_stability2_examples():
+    co_p6 = complement(path_graph(6))
+    route = plan(co_p6, "witness")
+    assert route.value == 4
+    assert verify_coloring(co_p6, route.witness).is_b_coloring
+    route = plan(complete_graph(5), "witness")
+    assert route.value == 5 and route.witness.t == 5
+    co_c7 = complement(cycle_graph(7))
+    route = plan(co_c7, "witness", max_n=7)
+    assert route.value == 7 - 3
+    assert verify_coloring(co_c7, route.witness).is_b_coloring
+
+
+def test_plan_refuses_a_large_stability2_non_coforest():
+    co = complement(cycle_graph(18))
+    with pytest.raises(NoRoute):
+        plan(co, "witness", max_n=16)
+
+
+def test_plan_stability2_against_oracle():
+    rng = random.Random(7)
+    for _ in range(80):
+        g = random_stability2(rng.randint(1, 8), rng)
+        route = plan(g, "witness")
+        value, witness = route.value, route.witness
+        assert value == oracle_chi_b(g)
+        verdict = verify_coloring(g, witness)
+        assert verdict.is_b_coloring and witness.t == value
+
+
+def _cotree_or_coforest(rng: random.Random) -> Graph:
+    if rng.random() < 0.5:
+        return complement(random_labeled_tree(rng.randint(1, 10), rng))
+    return _relabel(_coforest(rng.randint(2, 10), rng), rng)
+
+
+def test_bcolor_answers_every_k_from_chi_to_n_on_coforests(tmp_path):
+    rng = random.Random(14)
+    for i in range(24):
+        g = _cotree_or_coforest(rng)
+        vec = oracle_dominance(g)
+        path, out = tmp_path / f"g{i}.g", tmp_path / f"g{i}.col"
+        path.write_text(format_edgelist(g))
+        for k in range(vec.chi, g.n + 1):
+            assert _run(["bcolor", str(path), str(k), "-o", str(out)]) == (0, "", ""), (g, k)
+            coloring = parse_coloring(out.read_text(), g.n)
+            verdict = verify_coloring(g, coloring)
+            assert coloring.t == k and len(verdict.dominant_classes) == vec.value_at(k), (g, k)
+        for k in (vec.chi - 1, g.n + 1):
+            code, text, err = _run(["bcolor", str(path), str(k)])
+            assert (code, text) == (1, "") and err.startswith("error: k=") and err.count("\n") == 1
+
+
+def test_bcolor_on_a_300_vertex_cotree_at_chi_needs_no_chain(tmp_path):
+    t = random_labeled_tree(300, random.Random(15))
+    g = complement(t)
+    chi = plan(g, "vector").vector.chi
+    path = tmp_path / "cotree300.g"
+    path.write_text(format_edgelist(g))
+    script = (
+        "import sys\n"
+        "from bchrom import bcoloring, cli, route\n"
+        "route.continuity_chain = bcoloring.continuity_chain = None\n"
+        f"code = cli.main(['bcolor', {str(path)!r}, '{chi}', '-o', {str(tmp_path / 'c.col')!r}])\n"
+        "print(code, 'networkx' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (done.stdout, done.stderr) == ("0 False\n", "")
+    coloring = parse_coloring((tmp_path / "c.col").read_text(), g.n)
+    verdict = verify_coloring(g, coloring)
+    assert coloring.t == chi and verdict.is_b_coloring
+
+
+def test_exact_search_bcolor_answers_its_b_spectrum_only(tmp_path):
+    g = graph_union(complete_graph(3), complete_graph(3))
+    path = tmp_path / "k3k3.g"
+    path.write_text(format_edgelist(g))
+    assert plan(g, "coloring").name == "exact-search"
+    code, out, _ = _run(["bcolor", str(path), "3"])
+    assert code == 0 and parse_coloring(out, g.n).t == 3
+    code, out, err = _run(["bcolor", str(path), "4"])
+    assert (code, out) == (1, "") and "outside the b-spectrum [3, 3]" in err
