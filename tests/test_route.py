@@ -292,7 +292,8 @@ def test_bcolor_on_a_300_vertex_cotree_at_chi_needs_no_chain(tmp_path):
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert (done.stdout, done.stderr) == ("0 False\n", "")
     coloring = parse_coloring((tmp_path / "c.col").read_text(), g.n)
     verdict = verify_coloring(g, coloring)
