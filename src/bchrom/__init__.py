@@ -12,24 +12,20 @@ from .bcoloring import (
 from .dominance import (
     DominanceVector,
     PivotReport,
-    b_chromatic_tc,
     b_chromatic_tree,
     b_coloring_tree,
-    chromatic_tc,
     dominance_join,
     dominance_tc,
     dominance_union,
-    dominance_vector_cotree,
     dominance_vector_tree,
     find_pivot,
 )
 from .graph import (
-    CoTreeLeaf,
     Graph,
     TcExpr,
     TcJoin,
+    TcLeaf,
     TcUnion,
-    TreeLeaf,
     chromatic_stability2,
     complement,
     decompose_tree_cograph,

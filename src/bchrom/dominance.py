@@ -10,27 +10,10 @@ fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .errors import (
-    InvariantViolation,
-    KOutOfRange,
-    NotACoTree,
-    NotATree,
-    RangeError,
-    WindowEmpty,
-)
-from .graph import (
-    CoTreeLeaf,
-    Graph,
-    TcExpr,
-    TcJoin,
-    TcUnion,
-    TreeLeaf,
-    _fold,
-    complement,
-    is_tree,
-    m_degree_bound,
-)
+from .errors import InvariantViolation, KOutOfRange, NotATree, RangeError
+from .graph import Graph, TcExpr, TcLeaf, TcUnion, _fold, is_tree, m_degree_bound
 from .tree_dp import INF, RootedTree, deficiency_vector, root_tree
 
 
@@ -353,75 +336,39 @@ def dominance_from_deficiency(n: int, fvec: list[float]) -> DominanceVector:
     return DominanceVector(n - nu, tuple(int(t - fvec[n - t]) for t in range(n - nu, n + 1)))
 
 
-def dominance_vector_cotree(ct: Graph) -> DominanceVector:
-    """Dominance vector of a co-tree; classes of a coloring of ct correspond
-    to matchings of the underlying tree, missing dominance equals the
-    deficiency of the matched size."""
-    if not is_tree(complement(ct)):
-        raise NotACoTree("input must be the complement of a tree")
-    return dominance_from_deficiency(ct.n, deficiency_vector(complement(ct)))
-
-
-def dominance_union(
-    a: DominanceVector, b: DominanceVector, na: int, nb: int
-) -> DominanceVector:
-    if na != a.n or nb != b.n:
-        raise RangeError("operand sizes disagree with their vectors")
+def dominance_union(a: DominanceVector, b: DominanceVector) -> DominanceVector:
     chi = max(a.chi, b.chi)
-    values = tuple(
-        min(t, a.value_at(t) + b.value_at(t)) for t in range(chi, na + nb + 1)
-    )
+    values = tuple(min(t, a.value_at(t) + b.value_at(t)) for t in range(chi, a.n + b.n + 1))
     return DominanceVector(chi, values)
 
 
-def dominance_join(
-    a: DominanceVector, b: DominanceVector, na: int, nb: int
-) -> DominanceVector:
-    if na != a.n or nb != b.n:
-        raise RangeError("operand sizes disagree with their vectors")
-    chi = a.chi + b.chi
-    values = []
-    for t in range(chi, na + nb + 1):
-        lo = max(a.chi, t - nb)
-        hi = min(na, t - b.chi)
-        if lo > hi:
-            raise WindowEmpty(f"empty join window at t={t}")
-        values.append(max(a.value_at(j) + b.value_at(t - j) for j in range(lo, hi + 1)))
-    return DominanceVector(chi, tuple(values))
+def dominance_join(a: DominanceVector, b: DominanceVector) -> DominanceVector:
+    """A t-coloring of a join gives j classes to a and t - j to b.  The
+    window of j, [max(a.chi, t - b.n), min(a.n, t - b.chi)], is never
+    empty for t in [a.chi + b.chi, a.n + b.n]: each lower end is at most
+    each upper end, as a.chi <= a.n, t >= a.chi + b.chi, t <= a.n + b.n
+    and b.chi <= b.n."""
+    values = tuple(
+        max(
+            a.value_at(j) + b.value_at(t - j)
+            for j in range(max(a.chi, t - b.n), min(a.n, t - b.chi) + 1)
+        )
+        for t in range(a.chi + b.chi, a.n + b.n + 1)
+    )
+    return DominanceVector(a.chi + b.chi, values)
 
 
-def _leaf_dominance(leaf: TreeLeaf | CoTreeLeaf) -> DominanceVector:
-    if isinstance(leaf, CoTreeLeaf) or leaf.tree.n == 1:  # a vertex is its own complement
-        return dominance_from_deficiency(leaf.tree.n, deficiency_vector(leaf.tree))
-    return dominance_vector_tree(leaf.tree)
-
-
-def _compose(node: TcUnion | TcJoin, vecs: list[DominanceVector]) -> DominanceVector:
-    combine = dominance_union if isinstance(node, TcUnion) else dominance_join
-    acc, n_acc = vecs[0], node.children[0].span
-    for vec, child in zip(vecs[1:], node.children[1:]):
-        acc = combine(acc, vec, n_acc, child.span)
-        n_acc += child.span
-    return acc
+def _leaf_dominance(leaf: TcLeaf) -> DominanceVector:
+    if leaf.denotes_tree:
+        return dominance_vector_tree(leaf.tree)
+    return dominance_from_deficiency(leaf.tree.n, deficiency_vector(leaf.tree))
 
 
 def dominance_tc(e: TcExpr) -> DominanceVector:
-    return _fold(e, _leaf_dominance, _compose)
-
-
-def b_chromatic_tc(e: TcExpr) -> int:
-    return dominance_tc(e).b_chromatic()
-
-
-def _leaf_chromatic(leaf: TreeLeaf | CoTreeLeaf) -> int:
-    if isinstance(leaf, CoTreeLeaf):
-        return dominance_from_deficiency(leaf.tree.n, deficiency_vector(leaf.tree)).chi
-    return 1 if leaf.tree.n == 1 else 2
-
-
-def chromatic_tc(e: TcExpr) -> int:
     return _fold(
         e,
-        _leaf_chromatic,
-        lambda node, chis: max(chis) if isinstance(node, TcUnion) else sum(chis),
+        _leaf_dominance,
+        lambda node, vecs: reduce(
+            dominance_union if isinstance(node, TcUnion) else dominance_join, vecs
+        ),
     )

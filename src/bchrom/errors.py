@@ -13,10 +13,6 @@ class NotATree(BchromError):
     """Operation requires a tree (connected, acyclic)."""
 
 
-class NotACoTree(BchromError):
-    """Operation requires the complement of the input to be a tree."""
-
-
 class NotTreeCograph(BchromError):
     """The four-case decomposition failed at some recursion node."""
 
@@ -92,10 +88,6 @@ class BudgetExceeded(BchromError):
 
 class NoRoute(BchromError):
     """No exact route applies to the input and gives what was asked."""
-
-
-class WindowEmpty(BchromError):
-    """The join composition window was empty (invariant violation)."""
 
 
 class InvariantViolation(BchromError):

@@ -9,8 +9,10 @@ line, and the error names the first bad line.
 
 Expression format: s-expressions over
 ``(tree <file|inline>) | (cotree ...) | (union e e+) | (join e e+)`` where
-the inline form lists n and then edge pairs.  Vertex ids of the denoted
-graph are assigned to leaves depth-first, left to right.
+the inline form lists n and then edge pairs.  Both leaf heads read a tree
+into a ``TcLeaf``; ``cotree`` sets its ``co`` flag, so the leaf denotes
+the tree's complement.  Vertex ids of the denoted graph are assigned to
+leaves depth-first, left to right.
 """
 
 from __future__ import annotations
@@ -22,16 +24,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import ParseError
-from .graph import (
-    CoTreeLeaf,
-    Edge,
-    Graph,
-    TcExpr,
-    TcJoin,
-    TcUnion,
-    TreeLeaf,
-    norm_edge,
-)
+from .graph import Edge, Graph, TcExpr, TcJoin, TcLeaf, TcUnion, norm_edge
 from .matching import Matching
 
 
@@ -237,7 +230,7 @@ def parse_tc_expression(text: str, base_dir: str = ".") -> TcExpr:
         ids = tuple(range(counter, counter + g.n))
         counter += g.n
         try:
-            node: TcExpr = TreeLeaf(g, ids) if head == "tree" else CoTreeLeaf(g, ids)
+            node: TcExpr = TcLeaf(g, ids, co=head == "cotree")
         except Exception as exc:
             raise ParseError(f"invalid {head} leaf: {exc}") from None
         # hand the finished node to its parent, closing every node that ends here
@@ -269,8 +262,8 @@ def format_tc_expression(e: TcExpr) -> str:
         node = stack.pop()
         if isinstance(node, str):
             parts.append(node)
-        elif isinstance(node, (TreeLeaf, CoTreeLeaf)):
-            head = "tree" if isinstance(node, TreeLeaf) else "cotree"
+        elif isinstance(node, TcLeaf):
+            head = "cotree" if node.co else "tree"
             nums = " ".join(f"{u} {v}" for u, v in node.tree.edges)
             body = f"{node.tree.n} {nums}".strip()
             parts.append(f"({head} {body})")

@@ -10,10 +10,12 @@ bitmasks, neighbor sets and its complement.  A complement remembers the
 graph it came from as its own complement, so complementing twice builds
 nothing.
 
-The tree-cograph decomposition works on sorted vertex subsets of the input
-graph with set operations on its neighbor sets, and walks expressions on an
-explicit stack, so neither its time nor Python's recursion limit grows with
-the depth of the expression.
+A tree-cograph expression is built from ``TcLeaf`` leaves by ``TcUnion``
+and ``TcJoin``.  A leaf stores a tree and denotes that tree or, with
+``co``, its complement.  The tree-cograph decomposition works on sorted
+vertex subsets of the input graph with set operations on its neighbor
+sets, and walks expressions on an explicit stack, so neither its time nor
+Python's recursion limit grows with the depth of the expression.
 """
 
 from __future__ import annotations
@@ -123,8 +125,8 @@ def complement(g: Graph) -> Graph:
     if co is None:
         everyone = set(range(g.n))
         rows = []
-        for v, nbrs in enumerate(g.nbr_sets):
-            row = everyone - nbrs
+        for v, nbrs in enumerate(g.adj):
+            row = everyone.difference(nbrs)
             row.discard(v)
             rows.append(tuple(sorted(row)))
         co = Graph(g.n, tuple(rows))
@@ -333,14 +335,14 @@ class _TcNode:
                 if len(a.children) != len(b.children):
                     return False
                 pairs.extend(zip(a.children, b.children))
-            elif a.tree != b.tree or a.vertices != b.vertices:
+            elif a.co != b.co or a.tree != b.tree or a.vertices != b.vertices:
                 return False
         return True
 
     def __hash__(self) -> int:
         return _fold(
             self,
-            lambda leaf: hash((type(leaf).__name__, leaf.tree, leaf.vertices)),
+            lambda leaf: hash((leaf.co, leaf.tree, leaf.vertices)),
             lambda node, values: hash((node.head, *values)),
         )
 
@@ -360,18 +362,20 @@ class _TcNode:
                     stack.append(child)
             else:
                 parts.append(
-                    f"{type(node).__name__}(tree={node.tree!r}, vertices={node.vertices!r})"
+                    f"TcLeaf(tree={node.tree!r}, vertices={node.vertices!r}, co={node.co!r})"
                 )
         return "".join(parts)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class _TcLeaf(_TcNode):
-    """A leaf over a stored tree.  ``vertices[i]`` is the id, in the
-    denoted graph, of local vertex i."""
+class TcLeaf(_TcNode):
+    """A leaf over a stored tree, denoting the tree itself or, with ``co``,
+    its complement.  ``vertices[i]`` is the id, in the denoted graph, of
+    local vertex i."""
 
     tree: Graph
     vertices: tuple[int, ...]
+    co: bool = False
 
     def __post_init__(self) -> None:
         if not is_tree(self.tree):
@@ -383,13 +387,12 @@ class _TcLeaf(_TcNode):
     def span(self) -> int:
         return self.tree.n
 
-
-class TreeLeaf(_TcLeaf):
-    """A leaf denoting the stored tree itself."""
-
-
-class CoTreeLeaf(_TcLeaf):
-    """A leaf denoting the complement of the stored tree."""
+    @property
+    def denotes_tree(self) -> bool:
+        """The leaf rule: a leaf that is not ``co`` and has two or more
+        vertices is a tree; every other leaf is a co-forest, the
+        complement of ``tree``, since a vertex is its own complement."""
+        return not self.co and self.tree.n >= 2
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -417,7 +420,7 @@ class TcJoin(_TcOperation):
     head = "join"
 
 
-TcExpr = TreeLeaf | CoTreeLeaf | TcUnion | TcJoin
+TcExpr = TcLeaf | TcUnion | TcJoin
 _T = TypeVar("_T")
 
 
@@ -427,7 +430,7 @@ def tc_postorder(e: TcExpr) -> Iterator[TcExpr]:
     stack: list[tuple[TcExpr, bool]] = [(e, False)]
     while stack:
         node, expanded = stack.pop()
-        if expanded or isinstance(node, (TreeLeaf, CoTreeLeaf)):
+        if expanded or isinstance(node, TcLeaf):
             yield node
         else:
             stack.append((node, True))
@@ -436,14 +439,14 @@ def tc_postorder(e: TcExpr) -> Iterator[TcExpr]:
 
 def _fold(
     e: TcExpr,
-    leaf: Callable[[TreeLeaf | CoTreeLeaf], _T],
+    leaf: Callable[[TcLeaf], _T],
     operation: Callable[[TcUnion | TcJoin, list[_T]], _T],
 ) -> _T:
     """Combine leaf values bottom-up: ``operation`` receives a node and
     its children's values in order."""
     values: list[_T] = []
     for node in tc_postorder(e):
-        if isinstance(node, (TreeLeaf, CoTreeLeaf)):
+        if isinstance(node, TcLeaf):
             values.append(leaf(node))
         else:
             k = len(node.children)
@@ -454,12 +457,7 @@ def _fold(
 
 
 def _leaf_vertex_sets(e: TcExpr) -> list[int]:
-    return [
-        v
-        for node in tc_postorder(e)
-        if isinstance(node, (TreeLeaf, CoTreeLeaf))
-        for v in node.vertices
-    ]
+    return [v for node in tc_postorder(e) if isinstance(node, TcLeaf) for v in node.vertices]
 
 
 def evaluate_tc(e: TcExpr) -> Graph:
@@ -470,8 +468,8 @@ def evaluate_tc(e: TcExpr) -> Graph:
         raise ValueError("leaf vertex maps must partition 0..n-1")
     edges: list[Edge] = []
 
-    def leaf(node: TreeLeaf | CoTreeLeaf) -> list[int]:
-        tree = node.tree if isinstance(node, TreeLeaf) else complement(node.tree)
+    def leaf(node: TcLeaf) -> list[int]:
+        tree = complement(node.tree) if node.co else node.tree
         ids = node.vertices
         edges.extend(norm_edge(ids[u], ids[v]) for u, v in tree.edges)
         return list(ids)
@@ -507,11 +505,11 @@ def _leaf_tree(nbr: tuple[frozenset[int], ...], verts: list[int], co: bool) -> G
 
 
 def decompose_tree_cograph(g: Graph) -> TcExpr:
-    """Four-case decomposition: tree leaf, co-tree leaf, union over
-    components, join over co-components; fails with NotTreeCograph
-    otherwise.
+    """Four-case decomposition: a leaf for a tree, a ``co`` leaf for a
+    co-tree, a union over components, a join over co-components; fails
+    with NotTreeCograph otherwise.
 
-    Tree leaves win over co-tree leaves when both apply, and children are
+    A plain leaf wins over a ``co`` leaf when both apply, and children are
     ordered by their smallest contained vertex, so the result is canonical.
 
     Nodes are sorted vertex lists of g, kept on an explicit stack.  The
@@ -544,12 +542,12 @@ def decompose_tree_cograph(g: Graph) -> TcExpr:
         if m == s - 1:
             comps = _components(nbr, verts)
             if len(comps) == 1:
-                done.append(TreeLeaf(_leaf_tree(nbr, verts, False), tuple(verts)))
+                done.append(TcLeaf(_leaf_tree(nbr, verts, False), tuple(verts)))
                 continue
         if s * (s - 1) // 2 - m == s - 1:
             cocomps = _co_components(nbr, verts)
             if len(cocomps) == 1:
-                done.append(CoTreeLeaf(_leaf_tree(nbr, verts, True), tuple(verts)))
+                done.append(TcLeaf(_leaf_tree(nbr, verts, True), tuple(verts), co=True))
                 continue
         if comps is None:
             comps = _components(nbr, verts)

@@ -11,8 +11,8 @@ b-spectrum only under exact search).  ``plan`` returns the first route that
 applies and gives what the command needs; cheap tests come first, and the
 decomposition runs only on what is neither a tree nor a co-forest.  An
 expression is routed without its graph when the tree-cograph route gives what
-is needed (a tree leaf is a tree, a co-tree leaf a co-forest); otherwise its
-graph is built.
+is needed; otherwise its graph is built.  A lone leaf goes to the tree or the
+co-forest route on its stored tree, by ``TcLeaf.denotes_tree``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .bcoloring import continuity_chain, matching_to_coloring, verify_coloring
 from .dominance import b_chromatic_tree, b_coloring_tree, dominance_from_deficiency
 from .dominance import dominance_tc, dominance_vector_tree
 from .errors import InvariantViolation, KOutOfRange, NoRoute, NotTreeCograph
-from .graph import CoTreeLeaf, Graph, TcExpr, TreeLeaf, complement, decompose_tree_cograph
+from .graph import Graph, TcExpr, TcLeaf, complement, decompose_tree_cograph
 from .graph import evaluate_tc, is_coforest, is_tree, stability_at_most_two
-from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_dominance, oracle_min_smm
+from .oracle import OracleBudget, oracle_dominance, oracle_min_smm
 from .tree_dp import DeficiencyTables, SmmTables, combine_all, forest_deficiency
 from .tree_dp import forest_deficiency_matching, forest_parts, min_smm_forest, smm_tables
 
@@ -61,10 +61,10 @@ class TreeRoute(Route):
 
     @classmethod
     def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:
+        if isinstance(source, TcLeaf) and source.denotes_tree:
+            return cls(tree=source.tree)
         if isinstance(source, Graph) and source.n >= 2 and is_tree(source):
             return cls(tree=source)
-        if isinstance(source, TreeLeaf) and source.span >= 2:
-            return cls(tree=evaluate_tc(source))
         return "not a tree on two or more vertices"
 
 
@@ -109,10 +109,10 @@ class CoForestRoute(_MatchingRoute):
 
     @classmethod
     def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:
+        if isinstance(source, TcLeaf) and not source.denotes_tree:
+            return cls(co=source.tree)
         if isinstance(source, Graph) and is_coforest(source):
             return cls(co=complement(source))
-        if isinstance(source, CoTreeLeaf):
-            return cls(co=evaluate_tc(TreeLeaf(source.tree, source.vertices)))
         return "the complement is not a forest"
 
 
@@ -134,7 +134,7 @@ class TreeCographRoute(Route):
 
 class ExactSearchRoute(_MatchingRoute):
     name = "exact-search"
-    _smm = cached_property(lambda self: oracle_min_smm(complement(self.graph), DEFAULT_BUDGET))
+    _smm = cached_property(lambda self: oracle_min_smm(complement(self.graph), self.budget))
     vector = cached_property(lambda self: oracle_dominance(self.graph, self.budget))
 
     def coloring(self, k: int):

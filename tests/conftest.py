@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from bchrom.generators import random_graph, random_labeled_tree, random_triangle_free
-from bchrom.graph import Graph, complement, path_graph, star_graph
+from bchrom.graph import Graph, TcJoin, TcLeaf, TcUnion, complement, path_graph, star_graph
 
 
 def all_graphs(n: int):
@@ -71,6 +71,66 @@ def random_graph_corpus(count: int, max_n: int, seed: int = 99) -> list[Graph]:
         random_graph(rng.randint(1, max_n), rng.uniform(0.1, 0.9), rng)
         for _ in range(count)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Randomly labelled expressions
+# ---------------------------------------------------------------------------
+
+
+def _leaf(size: int, rng: random.Random, labels: list[int]) -> TcLeaf:
+    tree = random_labeled_tree(size, rng)
+    ids = tuple(labels.pop() for _ in range(size))
+    return TcLeaf(tree, ids, co=size > 2 and rng.random() < 0.5)
+
+
+def _sizes(total: int, parts: int, rng: random.Random) -> list[int]:
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def random_expression(family: str, n: int, rng: random.Random):
+    """An expression on exactly n vertices whose leaves take a random
+    permutation of 0..n-1 as their vertex ids."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    ops = (TcUnion, TcJoin) if rng.random() < 0.5 else (TcJoin, TcUnion)
+    if family == "chain":
+        expr = _leaf(1, rng, labels)
+        for level in range(n - 1):
+            pair = [_leaf(1, rng, labels), expr]
+            rng.shuffle(pair)
+            expr = ops[level % 2](tuple(pair))
+        return expr
+    if family == "wide":
+        parts = min(n, max(4, n // 6))
+        leaves = [_leaf(s, rng, labels) for s in _sizes(n, parts, rng)]
+        cut = len(leaves) // 2
+        if cut < 2:
+            return ops[0](tuple(leaves))
+        return ops[0]((ops[1](tuple(leaves[:cut])), ops[1](tuple(leaves[cut:]))))
+    # nested: split the budget recursively, alternating operations
+    todo = [(n, 0)]
+    done = []
+    order = []
+    while todo:
+        budget, depth = todo.pop()
+        parts = rng.randint(2, 4)
+        if budget < 2 * parts or (budget <= 8 and rng.random() < 0.5):
+            order.append(("leaf", budget))
+        else:
+            sizes = _sizes(budget, parts, rng)
+            order.append(("op", depth, len(sizes)))
+            todo.extend((s, depth + 1) for s in reversed(sizes))
+    for item in reversed(order):
+        if item[0] == "leaf":
+            done.append(_leaf(item[1], rng, labels))
+        else:
+            _, depth, k = item
+            children = tuple(reversed(done[-k:]))
+            del done[-k:]
+            done.append(ops[depth % 2](children))
+    return done[0]
 
 
 @pytest.fixture(scope="session")

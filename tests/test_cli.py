@@ -42,7 +42,7 @@ def test_bchromatic_cotree(files):
     assert code == 0 and out == "4\n"
 
 
-def test_bchromatic_tcx(files):
+def test_bchromatic_on_tcx(files):
     code, out = run(["bchromatic", files["tcx"]])
     assert code == 0 and out == "2\n"
 

@@ -15,20 +15,15 @@ import pytest
 
 from bchrom import tree_dp
 from bchrom.cli import main
-from bchrom.dominance import (
-    chromatic_tc,
-    dominance_tc,
-    dominance_vector_tree,
-)
+from bchrom.dominance import dominance_tc, dominance_vector_tree
 from bchrom.errors import NotTreeCograph
 from bchrom.fileio import format_edgelist, format_tc_expression, parse_tc_expression
 from bchrom.generators import random_graph, random_labeled_tree
 from bchrom.graph import (
-    CoTreeLeaf,
     Graph,
     TcJoin,
+    TcLeaf,
     TcUnion,
-    TreeLeaf,
     complement,
     complete_bipartite,
     connected_components,
@@ -46,7 +41,7 @@ from bchrom.graph import (
     tc_postorder,
 )
 
-from conftest import all_graphs
+from conftest import all_graphs, random_expression
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +58,10 @@ def _reference_complement(g: Graph) -> Graph:
 def reference_decompose(g: Graph):
     def rec(sub: Graph, ids: tuple[int, ...]):
         if is_tree(sub):
-            return TreeLeaf(sub, ids)
+            return TcLeaf(sub, ids)
         co = _reference_complement(sub)
         if is_tree(co):
-            return CoTreeLeaf(co, ids)
+            return TcLeaf(co, ids, co=True)
         for graph, kind in ((sub, TcUnion), (co, TcJoin)):
             parts = connected_components(graph)
             if len(parts) > 1:
@@ -79,68 +74,6 @@ def reference_decompose(g: Graph):
         raise NotTreeCograph("neither a tree, a co-tree, a union nor a join")
 
     return rec(g, tuple(range(g.n)))
-
-
-# ---------------------------------------------------------------------------
-# Randomly labelled expressions
-# ---------------------------------------------------------------------------
-
-
-def _leaf(size: int, rng: random.Random, labels: list[int]):
-    tree = random_labeled_tree(size, rng)
-    ids = tuple(labels.pop() for _ in range(size))
-    if size > 2 and rng.random() < 0.5:
-        return CoTreeLeaf(tree, ids)
-    return TreeLeaf(tree, ids)
-
-
-def _sizes(total: int, parts: int, rng: random.Random) -> list[int]:
-    cuts = sorted(rng.sample(range(1, total), parts - 1))
-    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
-
-
-def random_expression(family: str, n: int, rng: random.Random):
-    """An expression on exactly n vertices whose leaves take a random
-    permutation of 0..n-1 as their vertex ids."""
-    labels = list(range(n))
-    rng.shuffle(labels)
-    ops = (TcUnion, TcJoin) if rng.random() < 0.5 else (TcJoin, TcUnion)
-    if family == "chain":
-        expr = _leaf(1, rng, labels)
-        for level in range(n - 1):
-            pair = [_leaf(1, rng, labels), expr]
-            rng.shuffle(pair)
-            expr = ops[level % 2](tuple(pair))
-        return expr
-    if family == "wide":
-        parts = min(n, max(4, n // 6))
-        leaves = [_leaf(s, rng, labels) for s in _sizes(n, parts, rng)]
-        cut = len(leaves) // 2
-        if cut < 2:
-            return ops[0](tuple(leaves))
-        return ops[0]((ops[1](tuple(leaves[:cut])), ops[1](tuple(leaves[cut:]))))
-    # nested: split the budget recursively, alternating operations
-    todo = [(n, 0)]
-    done = []
-    order = []
-    while todo:
-        budget, depth = todo.pop()
-        parts = rng.randint(2, 4)
-        if budget < 2 * parts or (budget <= 8 and rng.random() < 0.5):
-            order.append(("leaf", budget))
-        else:
-            sizes = _sizes(budget, parts, rng)
-            order.append(("op", depth, len(sizes)))
-            todo.extend((s, depth + 1) for s in reversed(sizes))
-    for item in reversed(order):
-        if item[0] == "leaf":
-            done.append(_leaf(item[1], rng, labels))
-        else:
-            _, depth, k = item
-            children = tuple(reversed(done[-k:]))
-            del done[-k:]
-            done.append(ops[depth % 2](children))
-    return done[0]
 
 
 FAMILIES = ("chain", "wide", "nested")
@@ -246,17 +179,19 @@ def test_stability_either_side_of_mantel_bound(n):
 # ---------------------------------------------------------------------------
 
 
-def _chain(levels: int, deepest=TreeLeaf):
-    expr = deepest(Graph(1, ((),)), (0,))
+def _chain(levels: int, deepest_co: bool = False):
+    """Alternating joins and unions of one-vertex leaves, each level adding
+    a leaf on the left; vertex ids run left to right, as the parser gives."""
+    expr = TcLeaf(Graph(1, ((),)), (levels - 1,), co=deepest_co)
     for v in range(1, levels):
-        leaf = TreeLeaf(Graph(1, ((),)), (v,))
+        leaf = TcLeaf(Graph(1, ((),)), (levels - 1 - v,))
         expr = (TcJoin if v % 2 else TcUnion)((leaf, expr))
     return expr
 
 
 def _shape(e):
     return [
-        (type(x).__name__, x.span, getattr(x, "tree", None))
+        (type(x).__name__, x.span, getattr(x, "tree", None), getattr(x, "co", None))
         for x in tc_postorder(e)
     ]
 
@@ -269,26 +204,26 @@ def test_deep_expression_round_trips_through_text():
     assert _shape(parsed) == _shape(e)
     assert parsed.span == 10**4
     assert parse_tc_expression(text) == parsed
-    assert chromatic_tc(parsed) == chromatic_tc(e)
+    assert parsed == e and hash(parsed) == hash(e)
 
 
 def test_deep_expressions_compare_hash_and_print():
     a, b = _chain(2000), _chain(2000)
-    c = _chain(2000, deepest=CoTreeLeaf)  # differs only at the deepest leaf
+    c = _chain(2000, deepest_co=True)  # differs only at the deepest leaf
     assert a == b and not a != b and hash(a) == hash(b)
     assert a != c and not a == c
     assert repr(a) == repr(b) != repr(c)
-    assert repr(a).count("TreeLeaf(") == 2000
+    assert repr(a).count("co=False)") == 2000 and repr(c).count("co=False)") == 1999
     assert a != a.children[1] and a != 1
 
 
 def test_expression_repr_matches_dataclass_form():
     leaf = Graph(1, ((),))
-    e = TcUnion((TreeLeaf(leaf, (0,)), TcJoin((CoTreeLeaf(leaf, (1,)), TreeLeaf(leaf, (2,))))))
+    e = TcUnion((TcLeaf(leaf, (0,)), TcJoin((TcLeaf(leaf, (1,), co=True), TcLeaf(leaf, (2,))))))
     assert repr(e) == (
-        "TcUnion(children=(TreeLeaf(tree=Graph(n=1, adj=((),)), vertices=(0,)), "
-        "TcJoin(children=(CoTreeLeaf(tree=Graph(n=1, adj=((),)), vertices=(1,)), "
-        "TreeLeaf(tree=Graph(n=1, adj=((),)), vertices=(2,))))))"
+        "TcUnion(children=(TcLeaf(tree=Graph(n=1, adj=((),)), vertices=(0,), co=False), "
+        "TcJoin(children=(TcLeaf(tree=Graph(n=1, adj=((),)), vertices=(1,), co=True), "
+        "TcLeaf(tree=Graph(n=1, adj=((),)), vertices=(2,), co=False)))))"
     )
     assert len({e, TcUnion(e.children), e.children[1]}) == 2
 

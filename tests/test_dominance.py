@@ -5,26 +5,23 @@ import pytest
 from bchrom.bcoloring import verify_coloring
 from bchrom.dominance import (
     DominanceVector,
-    b_chromatic_tc,
     b_chromatic_tree,
     b_coloring_tree,
-    chromatic_tc,
     dominance_join,
     dominance_tc,
     dominance_union,
-    dominance_vector_cotree,
     dominance_vector_tree,
     find_pivot,
 )
-from bchrom.errors import NotACoTree, NotATree, WindowEmpty
+from bchrom.errors import NotATree
+from bchrom.generators import random_graph, random_labeled_tree
 from bchrom.graph import (
     Graph,
     TcJoin,
-    TcUnion,
-    TreeLeaf,
-    CoTreeLeaf,
+    TcLeaf,
     complement,
     complete_graph,
+    cycle_graph,
     decompose_tree_cograph,
     empty_graph,
     graph_join,
@@ -32,7 +29,8 @@ from bchrom.graph import (
     path_graph,
     star_graph,
 )
-from bchrom.oracle import oracle_chi_b, oracle_chromatic, oracle_dominance
+from bchrom.oracle import oracle_dominance
+from bchrom.route import CoForestRoute, plan
 
 from conftest import random_stability2, tree_catalog
 
@@ -127,34 +125,33 @@ def test_b_coloring_tree_all_k_matches_dominance():
 
 def test_cotree_dominance_examples():
     co_p6 = complement(path_graph(6))
-    dv = dominance_vector_cotree(co_p6)
+    dv = plan(co_p6, "vector").vector
     assert dv.chi == 3
     assert dv.values == (3, 4, 1, 0)
     co_p3 = complement(path_graph(3))
-    dv = dominance_vector_cotree(co_p3)
+    dv = plan(co_p3, "vector").vector
     assert dv.chi == 2 and dv.value_at(3) == 0
     co_p5 = complement(path_graph(5))
-    dv = dominance_vector_cotree(co_p5)
+    dv = plan(co_p5, "vector").vector
     assert dv.chi == 3 and dv.value_at(5) == 0
-    with pytest.raises(NotACoTree):
-        dominance_vector_cotree(complete_graph(4))
+    assert CoForestRoute.attempt(complement(cycle_graph(5)), 16) == "the complement is not a forest"
 
 
 def test_cotree_dominance_against_oracle():
     for t in tree_catalog(9, extra_random=50, seed=94):
         ct = complement(t)
-        dv = dominance_vector_cotree(ct)
+        dv = plan(ct, "vector").vector
         want = oracle_dominance(ct)
         assert dv.chi == want.chi and dv.values == want.values, f"tree {t.edges}"
 
 
 def test_union_examples():
     k3 = DominanceVector(3, (3,))
-    got = dominance_union(k3, k3, 3, 3)
+    got = dominance_union(k3, k3)
     assert got.value_at(3) == 3
     assert got.value_at(4) == 0
-    co_p3 = dominance_vector_cotree(complement(path_graph(3)))
-    got = dominance_union(co_p3, co_p3, 3, 3)
+    co_p3 = plan(complement(path_graph(3)), "vector").vector
+    got = dominance_union(co_p3, co_p3)
     want = oracle_dominance(graph_union(complement(path_graph(3)), complement(path_graph(3))))
     assert got.chi == want.chi and got.values == want.values
 
@@ -162,10 +159,10 @@ def test_union_examples():
 def test_join_examples():
     k3 = DominanceVector(3, (3,))
     k1 = DominanceVector(1, (1,))
-    assert dominance_join(k3, k3, 3, 3).value_at(6) == 6
-    assert dominance_join(k1, k1, 1, 1).value_at(2) == 2
+    assert dominance_join(k3, k3).value_at(6) == 6
+    assert dominance_join(k1, k1).value_at(2) == 2
     p3 = dominance_vector_tree(path_graph(3))
-    got = dominance_join(p3, k1, 3, 1)
+    got = dominance_join(p3, k1)
     assert got.chi == 3 and got.value_at(3) == 3
     want = oracle_dominance(graph_join(path_graph(3), empty_graph(1)))
     assert got.values == want.values
@@ -190,34 +187,58 @@ def test_union_join_against_oracle_random_pairs():
     for _ in range(60):
         a, b = rng.choice(pool), rng.choice(pool)
         da, db = oracle_dominance(a), oracle_dominance(b)
-        got_u = dominance_union(da, db, a.n, b.n)
+        got_u = dominance_union(da, db)
         want_u = oracle_dominance(graph_union(a, b))
         assert (got_u.chi, got_u.values) == (want_u.chi, want_u.values)
-        got_j = dominance_join(da, db, a.n, b.n)
+        got_j = dominance_join(da, db)
         want_j = oracle_dominance(graph_join(a, b))
         assert (got_j.chi, got_j.values) == (want_j.chi, want_j.values)
 
 
+def _vector_pool(rng: random.Random) -> list[DominanceVector]:
+    """Oracle vectors of graphs up to 4 vertices and routed vectors of tree
+    and co-tree leaves up to 60 vertices."""
+    pool = [oracle_dominance(random_graph(n, 0.5, rng)) for n in (1, 1, 2, 2, 3, 3, 4, 4, 4, 4)]
+    for co in (False, True):
+        for n in (1, 2, 3, 7, 20, 60):
+            tree = random_labeled_tree(n, rng)
+            pool.append(plan(TcLeaf(tree, tuple(range(n)), co=co), "vector").vector)
+    return pool
+
+
+def test_union_and_join_are_commutative_and_associative():
+    rng = random.Random(97)
+    pool = _vector_pool(rng)
+    for _ in range(60):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        for combine in (dominance_union, dominance_join):
+            assert combine(a, b) == combine(b, a), combine.__name__
+            assert combine(combine(a, b), c) == combine(a, combine(b, c)), combine.__name__
+    for a in pool:  # every join window is nonempty
+        for b in pool:
+            assert dominance_join(a, b).n == a.n + b.n
+
+
 def test_dominance_tc_examples(piv11):
-    assert b_chromatic_tc(TreeLeaf(piv11, tuple(range(11)))) == 3
-    assert b_chromatic_tc(CoTreeLeaf(path_graph(6), tuple(range(6)))) == 4
-    k1 = TreeLeaf(path_graph(1), (0,))
-    k1b = TreeLeaf(path_graph(1), (1,))
+    assert dominance_tc(TcLeaf(piv11, tuple(range(11)))).b_chromatic() == 3
+    assert dominance_tc(TcLeaf(path_graph(6), tuple(range(6)), co=True)).b_chromatic() == 4
+    k1 = TcLeaf(path_graph(1), (0,))
+    k1b = TcLeaf(path_graph(1), (1,))
     join = TcJoin((k1, k1b))
-    assert b_chromatic_tc(join) == 2
+    assert dominance_tc(join).b_chromatic() == 2
     assert dominance_tc(join).values == (2,)
 
 
-def test_chromatic_tc_examples():
-    assert chromatic_tc(TreeLeaf(path_graph(6), tuple(range(6)))) == 2
-    assert chromatic_tc(CoTreeLeaf(path_graph(6), tuple(range(6)))) == 3
+def test_tree_cograph_chromatic_examples():
+    assert dominance_tc(TcLeaf(path_graph(6), tuple(range(6)))).chi == 2
+    assert dominance_tc(TcLeaf(path_graph(6), tuple(range(6)), co=True)).chi == 3
     expr = TcJoin(
         (
-            TreeLeaf(path_graph(6), tuple(range(6))),
-            CoTreeLeaf(path_graph(6), tuple(range(6, 12))),
+            TcLeaf(path_graph(6), tuple(range(6))),
+            TcLeaf(path_graph(6), tuple(range(6, 12)), co=True),
         )
     )
-    assert chromatic_tc(expr) == 5
+    assert dominance_tc(expr).chi == 5
 
 
 def test_tc_fixed_points_form_interval():
@@ -233,8 +254,6 @@ def test_tc_fixed_points_form_interval():
 
 
 def _random_tree_cograph(rng: random.Random, max_n: int) -> Graph:
-    from bchrom.generators import random_labeled_tree
-
     g = random_labeled_tree(rng.randint(1, 4), rng)
     if rng.random() < 0.3:
         g = complement(g)

@@ -13,7 +13,7 @@ from bchrom.fileio import (
     parse_tc_expression,
     _tokenize,
 )
-from bchrom.graph import TreeLeaf, complement, evaluate_tc, path_graph
+from bchrom.graph import complement, evaluate_tc, path_graph
 
 
 def test_edgelist_round_trip():

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from bchrom.errors import NotTreeCograph, RangeError, StabilityTooLarge
 from bchrom.graph import (
-    CoTreeLeaf,
     Graph,
     TcJoin,
+    TcLeaf,
     TcUnion,
-    TreeLeaf,
     chromatic_stability2,
     complement,
     complete_bipartite,
@@ -91,14 +90,14 @@ def test_is_tree():
 
 def test_decompose_path_is_leaf():
     expr = decompose_tree_cograph(path_graph(6))
-    assert isinstance(expr, TreeLeaf)
+    assert isinstance(expr, TcLeaf) and not expr.co
 
 
 def test_decompose_k3_is_join_of_singletons():
     expr = decompose_tree_cograph(complete_graph(3))
     assert isinstance(expr, TcJoin)
     assert len(expr.children) == 3
-    assert all(isinstance(c, TreeLeaf) and c.tree.n == 1 for c in expr.children)
+    assert all(isinstance(c, TcLeaf) and not c.co and c.tree.n == 1 for c in expr.children)
 
 
 def test_decompose_c5_fails():
@@ -107,8 +106,9 @@ def test_decompose_c5_fails():
 
 
 def test_decompose_prefers_tree_leaf():
-    assert isinstance(decompose_tree_cograph(path_graph(2)), TreeLeaf)
-    assert isinstance(decompose_tree_cograph(empty_graph(1)), TreeLeaf)
+    for g in (path_graph(2), empty_graph(1)):
+        expr = decompose_tree_cograph(g)
+        assert isinstance(expr, TcLeaf) and not expr.co
 
 
 def test_decompose_round_trips():
@@ -141,7 +141,7 @@ def test_union_join_children_ordering():
     firsts = [min(c.vertices) if hasattr(c, "vertices") else None for c in expr.children]
     spans = []
     for c in expr.children:
-        if isinstance(c, (TreeLeaf, CoTreeLeaf)):
+        if isinstance(c, TcLeaf):
             spans.append(min(c.vertices))
         else:
             spans.append(min(min(l.vertices) for l in _leaves(c)))
@@ -149,7 +149,7 @@ def test_union_join_children_ordering():
 
 
 def _leaves(expr):
-    if isinstance(expr, (TreeLeaf, CoTreeLeaf)):
+    if isinstance(expr, TcLeaf):
         return [expr]
     return [l for c in expr.children for l in _leaves(c)]
 

@@ -15,7 +15,13 @@ from bchrom import tree_dp
 from bchrom.bcoloring import verify_coloring
 from bchrom.cli import main
 from bchrom.errors import NoRoute
-from bchrom.fileio import format_edgelist, format_tc_expression, parse_coloring
+from bchrom.fileio import (
+    format_edgelist,
+    format_tc_expression,
+    parse_coloring,
+    parse_edgelist,
+    parse_tc_expression,
+)
 from bchrom.generators import random_labeled_tree
 from bchrom.graph import (
     Graph,
@@ -34,7 +40,7 @@ from bchrom.graph import (
 from bchrom.oracle import oracle_chi_b, oracle_dominance
 from bchrom.route import plan
 
-from conftest import random_stability2
+from conftest import random_expression, random_stability2
 
 
 def _relabel(g: Graph, rng: random.Random) -> Graph:
@@ -122,6 +128,12 @@ def test_expressions_are_routed_without_their_graph_for_values():
     witness = plan(e, "witness")  # the tree-cograph route gives no witness
     assert witness.name == "exact-search"
     assert witness.rejected[2] == "tree-cograph: gives no witness"
+    # one leaf rule: a plain leaf on two or more vertices is a tree, every other leaf a co-forest
+    for text, name in (("(tree 2 0 1)", "tree"), ("(tree 1)", "co-forest"),
+                       ("(cotree 1)", "co-forest"), ("(cotree 2 0 1)", "co-forest")):
+        for need in ("value", "vector"):
+            assert plan(parse_tc_expression(text), need).name == name, (text, need)
+    assert plan(parse_edgelist("p 1 0\n"), "vector").name == "co-forest"
 
 
 def test_rejection_reasons_on_c5_plus_vertex():
@@ -309,3 +321,48 @@ def test_exact_search_bcolor_answers_its_b_spectrum_only(tmp_path):
     assert code == 0 and parse_coloring(out, g.n).t == 3
     code, out, err = _run(["bcolor", str(path), "4"])
     assert (code, out) == (1, "") and "outside the b-spectrum [3, 3]" in err
+
+
+def test_exact_search_spends_its_own_budget(tmp_path):
+    g = complement(cycle_graph(18))
+    path, out = tmp_path / "co_c18.g", tmp_path / "w.col"
+    path.write_text(format_edgelist(g))
+    assert _run(["dominance", str(path), "--max-n", "18"])[0] == 0
+    assert _run(["bchromatic", str(path), "--max-n", "18"]) == (0, "10\n", "")
+    argv = ["bchromatic", str(path), "--max-n", "18", "--witness", str(out)]
+    assert _run(argv) == (0, "10\n", "")
+    code, text, _ = _run(["verify", str(path), str(out)])
+    assert code == 0 and text.startswith("B-COLORING yes\n")
+    coloring = parse_coloring(out.read_text(), g.n)
+    assert coloring.t == 10 and verify_coloring(g, coloring).is_b_coloring
+
+
+def _assert_b_continuous(route):
+    """The fixed points of the vector run from chi to the route's value."""
+    vec = route.vector
+    assert vec.fixed_points() == list(range(vec.chi, route.value + 1)), route.name
+
+
+def test_b_continuity_of_trees_beyond_the_oracle():
+    rng = random.Random(16)
+    for n in (2, 3, 50, 400, 2000):
+        for _ in range(2):
+            route = plan(random_labeled_tree(n, rng), "vector")
+            assert route.name == "tree"
+            _assert_b_continuous(route)
+
+
+def test_b_continuity_of_coforests_beyond_the_oracle():
+    rng = random.Random(17)
+    for n in (5, 40, 120, 300):
+        for g in (complement(random_labeled_tree(n, rng)), _relabel(_coforest(n, rng), rng)):
+            route = plan(g, "vector")
+            assert route.name in ("tree", "co-forest")
+            _assert_b_continuous(route)
+
+
+@pytest.mark.parametrize("family", ("nested", "wide", "chain"))
+def test_b_continuity_of_tree_cographs_beyond_the_oracle(family):
+    rng = random.Random(f"continuity:{family}")
+    for n in (12, 60, 200):
+        _assert_b_continuous(plan(random_expression(family, n, rng), "vector"))
