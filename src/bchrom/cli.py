@@ -81,24 +81,24 @@ def _write(path: str | None, coloring: Coloring) -> None:
 
 def _cmd_bchromatic(args) -> int:
     route = plan(_read(args), "witness" if args.witness else "value", args.max_n)
+    if args.dump_tables and route.smm is None:  # refused before any output
+        raise BchromError("no matching DP tables were computed for this route")
     print(route.value)
     if args.witness:
         _write(args.witness, route.witness)
     if args.dump_tables:
-        if route.smm is None:
-            raise BchromError("no matching DP tables were computed for this route")
         print(dump_smm_tables(route.smm))
     return 0
 
 
 def _cmd_dominance(args) -> int:
     route = plan(_read(args), "vector", args.max_n)
+    if args.dump_tables and route.tables is None:  # refused before any output
+        raise BchromError("no deficiency tables were computed for this route")
     vec = route.vector
     for t in range(vec.chi, vec.n + 1):
         print(f"{t} {vec.value_at(t)}")
     if args.dump_tables:
-        if route.tables is None:
-            raise BchromError("no deficiency tables were computed for this route")
         print(dump_deficiency_tables(route.tables))
     return 0
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from operator import itemgetter
 
 from .errors import InvariantViolation, KOutOfRange, NotATree
@@ -148,6 +149,17 @@ def _plan(rules: tuple):
 
 _SMM_PLAN = _plan(_SMM_RULES)
 _VEC_PLAN = _plan(RULES)
+# For each combination with every child at rest: the index of a combination
+# with one distinguished child over the same rest set and no more edges, else
+# None.  That fold runs at the same or a larger cap, and its all-rest
+# accumulator holds the wanted combination as a prefix, since a cap only
+# truncates.
+_VEC_SHARED = tuple(
+    None if dist is not None else next(
+        (ci for ci, (d, r, e) in enumerate(_VEC_PLAN[1]) if d is not None and r == ri
+         and e <= edges), None)
+    for dist, ri, edges in _VEC_PLAN[1]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -281,49 +293,104 @@ def min_smm_forest(g: Graph, parts: list | None = None, tables: list | None = No
 # ---------------------------------------------------------------------------
 
 
+def _span(v: list[float]) -> tuple[int, int]:
+    """The finite span [lo, hi) of v: from its first finite entry to just
+    past its last; lo == hi when every entry is INF.  Table rows often end
+    in a long run of INF, which the INF count and one slice comparison find
+    at C level; a Python-level scan runs only over leading INF entries, and
+    over the tail when INF entries are interior."""
+    n = len(v)
+    infs = v.count(INF)
+    if infs == n:
+        return 0, 0
+    lo = 0
+    while v[lo] == INF:
+        lo += 1
+    hi = n - infs + lo
+    if hi < n and v[hi:] != [INF] * (n - hi):
+        hi = n
+        while v[hi - 1] == INF:
+            hi -= 1
+    return lo, hi
+
+
 def minplus_convolve(a: list[float], b: list[float], cap: int | None = None) -> list[float]:
-    """h[k] = min over i+j=k of a[i]+b[j], truncated at cap."""
+    """h[k] = min over i+j=k of a[i]+b[j], for k up to len(a)+len(b)-2 and
+    at most cap.  Only the operands' finite spans are read: an all-INF
+    operand, or spans whose first sum lies above the top, give all INF; an
+    operand with one finite entry gives a shifted copy of the other; else
+    the shorter span drives the outer loop over the longer one."""
     top = len(a) + len(b) - 2
-    if cap is not None:
-        top = min(top, cap)
+    if cap is not None and cap < top:
+        top = cap
+    la, ha = _span(a)
+    lb, hb = _span(b)
+    if la == ha or lb == hb or la + lb > top:
+        return [INF] * (top + 1)
+    if ha - la > hb - lb:
+        a, la, ha, b, lb, hb = b, lb, hb, a, la, ha
+    if ha - la == 1:
+        x, end = a[la], min(hb, top - la + 1)
+        row = b[lb:end] if x == 0 else [x + y for y in b[lb:end]]
+        return [INF] * (la + lb) + row + [INF] * (top + 1 - la - end)
     out = [INF] * (top + 1)
-    for i, ai in enumerate(a):
-        if ai == INF or i > top:
-            continue
-        lim = min(len(b) - 1, top - i)
-        for j in range(lim + 1):
-            s = ai + b[j]
-            if s < out[i + j]:
-                out[i + j] = s
+    for i in range(la, min(ha, top - lb + 1)):
+        x = a[i]
+        if x != INF:
+            end = min(hb, top - i + 1)
+            out[i + lb:i + end] = [z if z <= s else s for z, y in zip(out[i + lb:i + end], b[lb:end])
+                                   for s in (x + y,)]
     return out
+
+
+def _vmin(a: list[float], b: list[float]) -> list[float]:
+    """Pointwise minimum; past the shorter vector, the longer one's entries."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x if x <= y else y for x, y in zip(a, b)] + a[len(b):]
+
+
+def _truncated(v: list[float], cap: int | None) -> list[float]:
+    """A copy of v up to index cap: its min-plus convolution with [0]."""
+    return v[:None if cap is None else max(cap + 1, 0)]
 
 
 def combine_all(children: list[list[float]], cap: int | None = None) -> list[float]:
     """Min-cost way to split a total k across all children; the empty list
     combines to cost zero at k=0."""
-    acc: list[float] = [0]
-    for vec in children:
+    if not children:
+        return [0]
+    acc = _truncated(children[0], cap)
+    for vec in children[1:]:
         acc = minplus_convolve(acc, vec, cap)
     return acc
+
+
+def _fold_one(dists: list[list[float]], rests: list[list[float]], cap: int | None
+              ) -> tuple[list[float], list[float]]:
+    """``combine_one_distinguished`` and ``combine_all(rests, cap)``, from one
+    fold: the second is the fold's every-child-at-rest accumulator.  The
+    first child's convolutions with [0] and [INF] are a truncated copy and
+    INF, so the fold starts from it."""
+    if not (dists and rests):
+        return [INF], [0]
+    none_yet, done = _truncated(rests[0], cap), _truncated(dists[0], cap)
+    done += [INF] * (len(none_yet) - len(done))
+    for dv, rv in zip(dists[1:], rests[1:]):
+        done = _vmin(minplus_convolve(done, rv, cap), minplus_convolve(none_yet, dv, cap))
+        none_yet = minplus_convolve(none_yet, rv, cap)
+    return done, none_yet
 
 
 def combine_one_distinguished(
     dists: list[list[float]], rests: list[list[float]], cap: int | None = None
 ) -> list[float]:
     """Like combine_all over ``rests``, except exactly one child (any one)
-    contributes its ``dists`` vector instead."""
-    none_yet: list[float] = [0]
-    done: list[float] = [INF]
-    for dv, rv in zip(dists, rests):
-        with_new = minplus_convolve(none_yet, dv, cap)
-        done = minplus_convolve(done, rv, cap)
-        for k in range(min(len(done), len(with_new))):
-            if with_new[k] < done[k]:
-                done[k] = with_new[k]
-        if len(with_new) > len(done):
-            done.extend(with_new[len(done):])
-        none_yet = minplus_convolve(none_yet, rv, cap)
-    return done
+    contributes its ``dists`` vector instead.  One left-to-right fold keeps
+    the combinations with none and with one child at ``dists`` so far; the
+    first of them ends as ``combine_all(rests, cap)``, which the vector DP
+    reads from the same fold (``_fold_one``)."""
+    return _fold_one(dists, rests, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +408,20 @@ def _cheapest_vectors(fs: list, rest: tuple[int, ...]) -> list[list[float]]:
     """Per child, the pointwise cheapest of its state vectors in ``rest``."""
     if len(rest) == 1:
         return [f[rest[0]] for f in fs]
-    return [list(map(min, *row)) for row in map(itemgetter(*rest), fs)]
+    return [reduce(_vmin, row) for row in map(itemgetter(*rest), fs)]
 
 
 def _deficiency_row(fs: list, cap: int) -> tuple[list[float], ...]:
     """The vector table, sizes 0..cap, of a vertex whose children have the tables ``fs``."""
     rests, combos, terms = _VEC_PLAN
     cheapest = [_cheapest_vectors(fs, rest) for rest in rests]
+    folds = {ci: _fold_one([f[dist] for f in fs], cheapest[ri], cap - e)
+             for ci, (dist, ri, e) in enumerate(combos) if dist is not None}
     costs = [
-        combine_all(cheapest[ri], cap - e) if dist is None
-        else combine_one_distinguished([f[dist] for f in fs], cheapest[ri], cap - e)
-        for dist, ri, e in combos
+        folds[ci][0] if dist is not None
+        else combine_all(cheapest[ri], cap - e) if _VEC_SHARED[ci] is None
+        else folds[_VEC_SHARED[ci]][1][:cap - e + 1]
+        for ci, (dist, ri, e) in enumerate(combos)
     ]
     cands: list[list[list[float]]] = [[] for _ in RULES]
     for st, ci, edges, defects in terms:
@@ -359,7 +429,7 @@ def _deficiency_row(fs: list, cap: int) -> tuple[list[float], ...]:
         if defects:
             vec = [x + defects for x in vec]
         cands[st].append([INF] * edges + vec + [INF] * (cap + 1 - edges - len(vec)))
-    return tuple([c[0] if len(c) == 1 else list(map(min, *c)) for c in cands])
+    return tuple([reduce(_vmin, c) for c in cands])
 
 
 _LEAF_ROW = tuple(map(tuple, _deficiency_row([], 1)))  # every childless vertex has cap 1
@@ -433,7 +503,7 @@ def _split(fs: list, dist: int | None, rest: tuple[int, ...], k: int, target: fl
             alls[i] = minplus_convolve(rests[i], alls[i + 1], k)
         if dists is not None:
             with_dist = minplus_convolve(dists[i], alls[i + 1], k)
-            ones[i] = list(map(min, with_dist, minplus_convolve(rests[i], ones[i + 1], k)))
+            ones[i] = _vmin(with_dist, minplus_convolve(rests[i], ones[i + 1], k))
     top = alls[0] if dists is None else ones[0]
     if not 0 <= k < len(top) or top[k] != target:
         return None

@@ -170,3 +170,35 @@ def test_searches_deeper_than_the_recursion_limit_end_in_one_error_line(tmp_path
             code, out = run(argv)
         assert (code, out) == (1, ""), argv
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+
+def test_dump_tables_without_tables_prints_nothing_before_the_error(files, tmp_path):
+    # the tree route builds no deficiency tables, a co-forest of two trees
+    # and a lone vertex build neither kind, nor do tree-cograph expressions
+    from bchrom.graph import Graph, graph_union
+
+    inputs = {}
+    for name, g in {
+        "p5": path_graph(5),
+        "co-two-trees": complement(graph_union(path_graph(3), path_graph(4))),
+        "one-vertex": Graph.from_edges(1, []),
+    }.items():
+        inputs[name] = tmp_path / f"{name}.g"
+        inputs[name].write_text(format_edgelist(g))
+    cases = [
+        ["dominance", inputs["p5"]],
+        ["dominance", inputs["co-two-trees"]],
+        ["dominance", inputs["one-vertex"]],
+        ["dominance", files["tcx"]],
+        ["bchromatic", inputs["co-two-trees"]],
+        ["bchromatic", inputs["one-vertex"]],
+        ["bchromatic", files["tcx"]],
+        ["bchromatic", files["c5"]],
+    ]
+    for command, path in cases:
+        argv = [command, str(path), "--dump-tables"]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.getvalue().startswith("error: no ") and err.getvalue().count("\n") == 1, argv

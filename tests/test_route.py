@@ -32,6 +32,7 @@ from bchrom.graph import (
     empty_graph,
     graph_join,
     graph_union,
+    induced_subgraph,
     is_forest,
     is_tree,
     path_graph,
@@ -359,6 +360,22 @@ def test_b_continuity_of_coforests_beyond_the_oracle():
             route = plan(g, "vector")
             assert route.name in ("tree", "co-forest")
             _assert_b_continuous(route)
+
+
+def test_b_monotonicity_of_coforests_beyond_the_oracle():
+    """Deleting vertices of a co-tree one after another leaves co-forests,
+    whose b-chromatic numbers never increase along the chain."""
+    rng = random.Random(18)
+    for n, deletions in ((40, 39), (120, 60), (300, 20)):
+        g = complement(random_labeled_tree(n, rng))
+        last = plan(g, "vector").vector.b_chromatic()
+        for _ in range(deletions):
+            g = induced_subgraph(g, rng.sample(range(g.n), g.n - 1))
+            route = plan(g, "vector")
+            assert route.name in ("tree", "co-forest")
+            value = route.vector.b_chromatic()
+            assert value <= last, (n, g.n)
+            last = value
 
 
 @pytest.mark.parametrize("family", ("nested", "wide", "chain"))

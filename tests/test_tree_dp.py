@@ -71,6 +71,68 @@ def test_minplus_combine_examples():
     assert minplus_convolve([0, 1], [0, 2], cap=1) == [0, 1]
 
 
+def _minplus_by_splits(a, b, cap):
+    """Minimum over every split i + j = k, reading only finite entries, since
+    a split through an INF entry never attains a minimum."""
+    top = len(a) + len(b) - 2 if cap is None else min(cap, len(a) + len(b) - 2)
+    out = [INF] * (top + 1)
+    finite_b = [(j, y) for j, y in enumerate(b) if y != INF]
+    for i, x in enumerate(a):
+        if x != INF:
+            for j, y in finite_b:
+                if i + j <= top and x + y < out[i + j]:
+                    out[i + j] = x + y
+    return out
+
+
+def _first_finite(v):
+    return next((i for i, x in enumerate(v) if x != INF), None)
+
+
+# Operand shapes the span shortcuts treat apart: INF heads and tails, interior
+# INF (which tree tables never hold), one finite entry, all INF, and INF tails
+# longer than any fixed-size buffer, also of INF objects other than ``INF``.
+KERNEL_OPERANDS = [
+    [0],
+    [3],
+    [INF],
+    [INF] * 5,
+    [INF] * 5000,
+    [0, 1, 2, 3],
+    [4, 2, 0, 1, 7],
+    [INF, INF, 3, 1, 4, INF, INF],
+    [INF, 0, INF],
+    [INF, INF, 7],
+    [0, INF, 2, INF, INF, 5, INF],
+    [INF, 6, INF, INF, 1],
+    [0, 1] + [INF] * 5000,
+    [INF, 3] + [INF + 1] * 4100,
+    [2] + [INF] * 4100 + [1] + [INF] * 4200,
+    [INF] * 4097 + [5, 0],
+]
+
+
+def test_minplus_convolve_equals_the_minimum_over_all_splits():
+    rng = random.Random(11)
+    randoms = [[rng.choice([INF, INF, 0, 1, 2, 5, 9]) for _ in range(rng.randint(1, 9))]
+               for _ in range(60)]
+    operands = KERNEL_OPERANDS + randoms
+    pairs = [(a, b) for a in KERNEL_OPERANDS for b in KERNEL_OPERANDS]
+    pairs += [(rng.choice(operands), rng.choice(operands)) for _ in range(400)]
+    for a, b in pairs:
+        caps = [None]
+        la, lb = _first_finite(a), _first_finite(b)
+        if la is not None and lb is not None:
+            last = len(a) + len(b) - 2
+            caps += [la + lb - 1, (la + lb + last) // 2, la + lb]
+        for cap in caps:
+            want = _minplus_by_splits(a, b, cap)
+            for x, y in ((a, b), (b, a)):
+                got = minplus_convolve(x, y, cap)
+                assert got == want, (a[:12], b[:12], cap)
+                assert all(type(v) is int for v in got if v != INF), (a[:12], b[:12], cap)
+
+
 def test_combine_all_matches_exhaustive():
     rng = random.Random(9)
     for _ in range(60):
