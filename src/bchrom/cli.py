@@ -17,6 +17,7 @@ import sys
 
 from . import fileio
 from .bcoloring import Coloring, continuity_chain, verify_coloring
+from .dominance import DominanceVector
 from .errors import BchromError, NoRoute, StabilityTooLarge
 from .graph import (
     Graph,
@@ -79,6 +80,11 @@ def _write(path: str | None, coloring: Coloring) -> None:
         sys.stdout.write(text)
 
 
+def _write_vector(vec: DominanceVector) -> None:
+    """One 't dom' line per t from chi to n, in one write."""
+    sys.stdout.write("".join(f"{t} {d}\n" for t, d in enumerate(vec.values, vec.chi)))
+
+
 def _cmd_bchromatic(args) -> int:
     route = plan(_read(args), "witness" if args.witness else "value", args.max_n)
     if args.dump_tables and route.smm is None:  # refused before any output
@@ -95,9 +101,7 @@ def _cmd_dominance(args) -> int:
     route = plan(_read(args), "vector", args.max_n)
     if args.dump_tables and route.tables is None:  # refused before any output
         raise BchromError("no deficiency tables were computed for this route")
-    vec = route.vector
-    for t in range(vec.chi, vec.n + 1):
-        print(f"{t} {vec.value_at(t)}")
+    _write_vector(route.vector)
     if args.dump_tables:
         print(dump_deficiency_tables(route.tables))
     return 0
@@ -173,9 +177,7 @@ def _cmd_oracle(args) -> int:
     elif q == "chromatic":
         print(f"chromatic: {oracle_chromatic(g, budget)}")
     elif q == "dominance":
-        vec = oracle_dominance(g, budget)
-        for t in range(vec.chi, vec.n + 1):
-            print(f"{t} {vec.value_at(t)}")
+        _write_vector(oracle_dominance(g, budget))
     else:  # f-t-k
         if args.k is None:
             raise BchromError("f-t-k needs --k")

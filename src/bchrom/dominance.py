@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 from .errors import InvariantViolation, KOutOfRange, NotATree, RangeError
 from .graph import Graph, TcExpr, TcLeaf, TcUnion, _fold, is_tree, m_degree_bound
@@ -25,9 +26,8 @@ class DominanceVector:
     def __post_init__(self) -> None:
         if not self.values or self.values[0] != self.chi:
             raise ValueError("dominance at the chromatic number must equal it")
-        for j, v in enumerate(self.values):
-            if not 0 <= v <= self.chi + j:
-                raise ValueError("dominance entries lie between 0 and t")
+        if not all(0 <= v <= t for t, v in enumerate(self.values, self.chi)):
+            raise ValueError("dominance entries lie between 0 and t")
 
     @property
     def n(self) -> int:
@@ -60,7 +60,8 @@ def find_pivot(t: Graph) -> PivotReport:
     if not is_tree(t):
         raise NotATree("pivot search requires a tree")
     m = m_degree_bound(t)
-    dense = frozenset(v for v in range(t.n) if t.degree(v) >= m - 1)
+    deg = t.degrees
+    dense = frozenset(v for v, d in enumerate(deg) if d >= m - 1)
     pivot = None
     if len(dense) == m:
         for v in range(t.n):
@@ -74,7 +75,7 @@ def find_pivot(t: Graph) -> PivotReport:
             if not ok:
                 continue
             for d in dense & near:
-                if any(x in dense for x in t.adj[d]) and t.degree(d) != m - 1:
+                if any(x in dense for x in t.adj[d]) and deg[d] != m - 1:
                     ok = False
                     break
             if ok:
@@ -100,22 +101,18 @@ def dominance_vector_tree(t: Graph) -> DominanceVector:
     m = rep.m_value
     delta = t.max_degree()
     chi_b = m - 1 if rep.pivot is not None else m
-    # at_least[d]: number of vertices of degree at least d
+    # at_least[d]: number of vertices of degree at least d, for d <= delta + 1
     at_least = [0] * (delta + 2)
-    for nbrs in t.adj:
-        at_least[len(nbrs)] += 1
-    for d in range(delta - 1, -1, -1):
-        at_least[d] += at_least[d + 1]
-    values = []
-    for i in range(2, t.n + 1):
-        if i <= chi_b:
-            values.append(i)
-        elif rep.pivot is not None and i == m:
-            values.append(m - 1)
-        elif i <= delta + 1:
-            values.append(at_least[i - 1])
-        else:
-            values.append(0)
+    for d in t.degrees:
+        at_least[d] += 1
+    at_least = list(accumulate(reversed(at_least)))[::-1]
+    # values[i - 2] = dom[i] for i = 2..n; after the identity and the dip,
+    # i = len(values) + 2 is next, and it reads at_least[i - 1]
+    values = list(range(2, chi_b + 1))
+    if rep.pivot is not None:
+        values.append(m - 1)
+    values += at_least[len(values) + 1 : delta + 1]
+    values += [0] * (t.n - 1 - len(values))
     return DominanceVector(2, tuple(values))
 
 
@@ -248,7 +245,7 @@ def _complete(rt: RootedTree, wcolor: list[int], k: int) -> list[int] | None:
 
 def _dominating_coloring(rt: RootedTree, k: int, target: int) -> list[int]:
     t = rt.graph
-    deg = [len(a) for a in t.adj]
+    deg = list(t.degrees)
     dense = sum(d >= k - 1 for d in deg)
     for v in rt.order:  # children first, so each is a leaf when dropped
         if dense <= target + 1:

@@ -6,9 +6,11 @@ stored as sorted tuples, so equality is structural and instances are
 hashable.  All operations here are pure functions of their inputs.
 
 Derived views of a graph are computed once and kept on it: its edge list,
-bitmasks, neighbor sets and its complement.  A complement remembers the
-graph it came from as its own complement, so complementing twice builds
-nothing.
+degrees, bitmasks, neighbor sets, connected components and its complement.
+A complement remembers the graph it came from as its own complement, so
+complementing twice builds nothing.  The components are a tuple of tuples,
+so no caller can change what the next one reads, and the tests for trees,
+forests and co-forests search a graph at most once.
 
 A tree-cograph expression is built from ``TcLeaf`` leaves by ``TcUnion``
 and ``TcJoin``.  A leaf stores a tree and denotes that tree or, with
@@ -20,7 +22,6 @@ Python's recursion limit grows with the depth of the expression.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
@@ -76,8 +77,12 @@ class Graph:
         return tuple((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
 
     @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(map(len, self.adj))
+
+    @cached_property
     def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(self.degrees) // 2
 
     @cached_property
     def bits(self) -> tuple[int, ...]:
@@ -98,7 +103,7 @@ class Graph:
         return len(self.adj[v])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max(self.degrees, default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.nbr_sets[u]
@@ -159,24 +164,30 @@ def stability_at_most_two(g: Graph) -> bool:
     return is_triangle_free(complement(g))
 
 
-def connected_components(g: Graph) -> list[list[int]]:
+def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The connected components of g, each sorted, in the order of their
+    smallest vertex.  The search runs once; the result is kept on g."""
+    comps = vars(g).get("_components")
+    if comps is None:
+        comps = vars(g)["_components"] = _search_components(g)
+    return comps
+
+
+def _search_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
         if seen[s]:
             continue
-        comp = [s]
         seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
+        comp = [s]
+        for v in comp:  # breadth first: the list is the queue, walked as it grows
             for w in g.adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def is_connected(g: Graph) -> bool:
@@ -271,7 +282,7 @@ def m_degree_bound(g: Graph) -> int:
     """Largest i such that at least i vertices have degree >= i-1."""
     if g.n < 1:
         raise RangeError("m-bound requires at least one vertex")
-    degs = sorted((len(a) for a in g.adj), reverse=True)
+    degs = sorted(g.degrees, reverse=True)
     # with degrees non-increasing the predicate holds on a prefix of i
     m = 0
     for i, d in enumerate(degs, start=1):
@@ -290,7 +301,7 @@ def m_i_count(t: Graph, i: int) -> int:
     delta = t.max_degree()
     if not (m < i <= delta + 1):
         raise RangeError(f"i={i} outside ({m}, {delta + 1}]")
-    return sum(1 for v in range(t.n) if t.degree(v) >= i - 1)
+    return sum(d >= i - 1 for d in t.degrees)
 
 
 def chromatic_stability2(g: Graph) -> int:
@@ -522,7 +533,7 @@ def decompose_tree_cograph(g: Graph) -> TcExpr:
     builds its tree, which has |S| - 1 edges.
     """
     nbr = g.nbr_sets
-    degree = [len(a) for a in g.adj]
+    degree = list(g.degrees)
     done: list[TcExpr] = []
     # a vertex list to decompose, or (operation, child count) once its
     # children, pushed above it, are done

@@ -87,7 +87,7 @@ def root_tree(t: Graph) -> RootedTree:
         raise NotATree("rooting requires a tree")
     if t.n < 2:
         raise NotATree("rooting requires at least two vertices")
-    root = next(v for v in range(t.n) if t.degree(v) == 1)
+    root = t.degrees.index(1)
     parent = [-1] * t.n
     seen = [False] * t.n
     seen[root] = True
@@ -264,7 +264,7 @@ def min_smm_tree(t: Graph, tables: SmmTables | None = None) -> tuple[int, Matchi
     return int(best), witness
 
 
-def forest_parts(g: Graph) -> list[tuple[list[int], Graph]]:
+def forest_parts(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
     """Each component of the forest g: its vertices, and the tree they induce."""
     comps = connected_components(g)
     if g.m != g.n - len(comps):
@@ -272,7 +272,7 @@ def forest_parts(g: Graph) -> list[tuple[list[int], Graph]]:
     return [(comp, g if len(comps) == 1 else induced_subgraph(g, comp)) for comp in comps]
 
 
-def _lift(parts: list[tuple[list[int], Graph]], matchings: list) -> Matching:
+def _lift(parts: list[tuple[tuple[int, ...], Graph]], matchings: list) -> Matching:
     """The forest's matching made of one matching of each of its ``parts``."""
     return frozenset(
         norm_edge(comp[u], comp[v]) for (comp, _), mm in zip(parts, matchings) for u, v in mm
@@ -424,11 +424,16 @@ def _deficiency_row(fs: list, cap: int) -> tuple[list[float], ...]:
         for ci, (dist, ri, e) in enumerate(combos)
     ]
     cands: list[list[list[float]]] = [[] for _ in RULES]
+    rows: dict[tuple[int, int, int], list[float]] = {}  # one per distinct term
     for st, ci, edges, defects in terms:
-        vec = costs[ci]  # at most cap - edges + 1 long
-        if defects:
-            vec = [x + defects for x in vec]
-        cands[st].append([INF] * edges + vec + [INF] * (cap + 1 - edges - len(vec)))
+        row = rows.get((ci, edges, defects))
+        if row is None:
+            vec = costs[ci]  # at most cap - edges + 1 long
+            if defects:
+                vec = [x + defects for x in vec]
+            row = rows[ci, edges, defects] = (
+                [INF] * edges + vec + [INF] * (cap + 1 - edges - len(vec)))
+        cands[st].append(row)
     return tuple([reduce(_vmin, c) for c in cands])
 
 
@@ -550,7 +555,8 @@ def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matchin
     return matching
 
 
-def forest_deficiency(parts: list[tuple[list[int], Graph]]) -> tuple[list, list[list[float]]]:
+def forest_deficiency(parts: list[tuple[tuple[int, ...], Graph]]
+                      ) -> tuple[list, list[list[float]]]:
     """Each tree's deficiency tables (None for a single vertex), built once,
     and its F vector.  F adds up over components, since augmenting paths of
     length 1 and 3 stay inside one: the forest's F is ``combine_all`` of theirs."""

@@ -1,14 +1,23 @@
 import io
 import os
+import random
 import subprocess
 import sys
+from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from bchrom.cli import main
 from bchrom.fileio import format_edgelist, parse_edgelist, parse_coloring
-from bchrom.graph import complement, cycle_graph, path_graph
+from bchrom.graph import (
+    Graph,
+    complement,
+    cycle_graph,
+    is_triangle_free,
+    path_graph,
+    star_graph,
+)
 
 
 @pytest.fixture()
@@ -202,3 +211,160 @@ def test_dump_tables_without_tables_prints_nothing_before_the_error(files, tmp_p
             code, out = run(argv)
         assert (code, out) == (1, ""), argv
         assert err.getvalue().startswith("error: no ") and err.getvalue().count("\n") == 1, argv
+
+
+# Reference copies of the tree route before its components and degrees were
+# kept on the graph: one search per test, degrees from generators, and one
+# print per entry of the dominance vector.
+
+
+def _old_components(g):
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in g.adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _old_m(g):
+    return sum(len(a) for a in g.adj) // 2
+
+
+def _old_is_tree(g):
+    return g.n >= 1 and _old_m(g) == g.n - 1 and (g.n <= 1 or len(_old_components(g)) == 1)
+
+
+def _old_max_degree(g):
+    return max((len(a) for a in g.adj), default=0)
+
+
+def _old_m_degree_bound(g):
+    degs = sorted((len(a) for a in g.adj), reverse=True)
+    m = 0
+    for i, d in enumerate(degs, start=1):
+        if d < i - 1:
+            break
+        m = i
+    return m
+
+
+def _old_pivot(t, m):
+    dense = frozenset(v for v in range(t.n) if t.degree(v) >= m - 1)
+    if len(dense) != m:
+        return None
+    for v in range(t.n):
+        if v in dense:
+            continue
+        near = set(t.adj[v])
+        if not all(d in near or any(x in dense and x in near for x in t.adj[d]) for d in dense):
+            continue
+        if all(not any(x in dense for x in t.adj[d]) or t.degree(d) == m - 1
+               for d in dense & near):
+            return v
+    return None
+
+
+def _old_dominance_text(t):
+    assert _old_is_tree(t) and t.n >= 2
+    m = _old_m_degree_bound(t)
+    pivot = _old_pivot(t, m)
+    delta = _old_max_degree(t)
+    chi_b = m - 1 if pivot is not None else m
+    at_least = [0] * (delta + 2)
+    for nbrs in t.adj:
+        at_least[len(nbrs)] += 1
+    for d in range(delta - 1, -1, -1):
+        at_least[d] += at_least[d + 1]
+    values = []
+    for i in range(2, t.n + 1):
+        if i <= chi_b:
+            values.append(i)
+        elif pivot is not None and i == m:
+            values.append(m - 1)
+        elif i <= delta + 1:
+            values.append(at_least[i - 1])
+        else:
+            values.append(0)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        for t_ in range(2, t.n + 1):
+            print(f"{t_} {values[t_ - 2]}")
+    return buf.getvalue(), pivot is not None
+
+
+def _old_analyze_text(g):
+    n, m = g.n, _old_m(g)
+    stable = n * (n - 1) // 2 - m <= n * n // 4 and is_triangle_free(complement(g))
+    return "".join(f"{line}\n" for line in (
+        f"vertices: {n}",
+        f"edges: {m}",
+        f"tree: {'yes' if _old_is_tree(g) else 'no'}",
+        f"triangle-free: {'yes' if is_triangle_free(g) else 'no'}",
+        f"stability-at-most-two: {'yes' if stable else 'no'}",
+        "tree-cograph: yes",  # a tree is one leaf
+        f"m-bound: {_old_m_degree_bound(g)}",
+        f"max-degree: {_old_max_degree(g)}",
+    ))
+
+
+def _caterpillar(spine, legs):
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return Graph.from_edges(spine * (legs + 1), edges)
+
+
+def _pivoted(m, extra):
+    """Pivot 0 beside hub 1 and dense vertex m; the hub's other neighbors
+    2..m-1 are dense; each dense vertex has degree m - 1; a path of
+    ``extra`` vertices hangs from the last leaf."""
+    edges = [(0, 1), (0, m)] + [(1, d) for d in range(2, m)]
+    n = m + 1
+    for d in range(2, m + 1):
+        edges += [(d, leaf) for leaf in range(n, n + m - 2)]
+        n += m - 2
+    edges += [(v, v + 1) for v in range(n - 1, n + extra - 1)]
+    return Graph.from_edges(n + extra, edges)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_tree_answers_match_the_per_entry_reference(tmp_path):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1310)
+    small = [
+        _relabelled(Graph.from_edges(n, list(t.edges())), rng)
+        for n in range(2, 11)
+        for t in nx.nonisomorphic_trees(n)
+    ]
+    assert len(small) == 200
+    large = [path_graph(n) for n in (50, 2000)] + [star_graph(n) for n in (50, 1999)]
+    large += [_caterpillar(s, legs) for s, legs in ((10, 3), (400, 4), (1000, 1))]
+    large += [_pivoted(m, extra) for m, extra in ((4, 0), (7, 10), (20, 0), (44, 100))]
+    large = [_relabelled(t, rng) for t in large]
+    pivoted = 0
+    for i, t in enumerate(small + large):
+        path = tmp_path / f"t{i}.g"
+        path.write_text(format_edgelist(t))
+        want, has_pivot = _old_dominance_text(t)
+        pivoted += has_pivot
+        assert run(["dominance", str(path)]) == (0, want), t
+        assert run(["analyze", str(path)]) == (0, _old_analyze_text(t)), t
+        if t.n <= 9:  # the brute-force oracle is exponential in n
+            assert run(["oracle", "dominance", str(path)]) == (0, want), t
+    assert pivoted == 4  # the _pivoted trees; no tree below 11 vertices has a pivot

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bchrom import tree_dp
+from bchrom import graph, tree_dp
 from bchrom.bcoloring import verify_coloring
 from bchrom.cli import main
 from bchrom.errors import NoRoute
@@ -27,6 +27,7 @@ from bchrom.graph import (
     Graph,
     complement,
     complete_graph,
+    connected_components,
     cycle_graph,
     decompose_tree_cograph,
     empty_graph,
@@ -235,6 +236,46 @@ def test_dump_tables_builds_the_scalar_tables_once(tmp_path, monkeypatch):
     code, out, _ = _run(["bchromatic", str(path), "--dump-tables"])
     assert code == 0 and "held-free" in out
     assert calls == [30]
+
+
+def test_tree_requests_search_the_tree_once(tmp_path, monkeypatch):
+    """The tree route's checks (route, pivot scan, rooting, coloring) all
+    read the components kept on the graph, so a request searches once."""
+    searched = []
+    original = graph._search_components
+
+    def counted(g):
+        searched.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(graph, "_search_components", counted)
+    path = tmp_path / "tree.g"
+    path.write_text(format_edgelist(random_labeled_tree(2000, random.Random(8))))
+    code, out, _ = _run(["bchromatic", str(path)])
+    chi_b = int(out)
+    for argv in (
+        ["dominance", str(path)],
+        ["bchromatic", str(path)],
+        ["bchromatic", str(path), "--witness", str(tmp_path / "w.col")],
+        ["bcolor", str(path), str(chi_b)],
+        ["bcolor", str(path), "1999"],
+    ):
+        searched.clear()
+        code, _, err = _run(argv)
+        assert (code, err) == (0, "") and searched == [2000], argv
+
+
+def test_kept_components_cannot_be_changed():
+    g = graph_union(path_graph(3), path_graph(2))
+    comps = connected_components(g)
+    with pytest.raises(TypeError):
+        comps[0] = (4,)
+    with pytest.raises(TypeError):
+        comps[1][0] = 0
+    with pytest.raises(AttributeError):
+        comps[0].append(4)
+    assert connected_components(g) is comps
+    assert comps == ((0, 1, 2), (3, 4))
 
 
 def test_plan_stability2_examples():
