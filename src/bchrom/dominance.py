@@ -4,7 +4,8 @@ tree-cographs.
 ``dom[t]`` is the maximum number of color classes admitting a dominating
 vertex over all proper colorings with exactly t classes.  A b-coloring with
 t colors exists iff ``dom[t] = t``; the b-chromatic number is the largest
-fixed point.
+fixed point.  Tree-cograph composition works on whole value lists: a union
+is one pointwise pass, and a join runs on ``tree_dp.minplus_convolve``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import accumulate
 
 from .errors import InvariantViolation, KOutOfRange, NotATree, RangeError
 from .graph import Graph, TcExpr, TcLeaf, TcUnion, _fold, is_tree, m_degree_bound
-from .tree_dp import INF, RootedTree, deficiency_vector, root_tree
+from .tree_dp import INF, RootedTree, deficiency_vector, minplus_convolve, root_tree
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,10 @@ class PivotReport:
     dense: frozenset[int]
     pivot: int | None
 
+    @property
+    def b_chromatic(self) -> int:
+        return self.m_value - 1 if self.pivot is not None else self.m_value
+
 
 def find_pivot(t: Graph) -> PivotReport:
     """Scan for the distinguished non-dense vertex that forces the b-chromatic
@@ -87,20 +92,20 @@ def find_pivot(t: Graph) -> PivotReport:
 def b_chromatic_tree(t: Graph) -> int:
     if not is_tree(t) or t.n < 2:
         raise NotATree("b-chromatic formula needs a tree on >= 2 vertices")
-    rep = find_pivot(t)
-    return rep.m_value - 1 if rep.pivot is not None else rep.m_value
+    return find_pivot(t).b_chromatic
 
 
-def dominance_vector_tree(t: Graph) -> DominanceVector:
+def dominance_vector_tree(t: Graph, rep: PivotReport | None = None) -> DominanceVector:
     """Assemble the vector from its four regimes: the identity up to the
     b-chromatic number, one dip at the degree bound for pivoted trees, the
-    degree counts up to max degree + 1, and zero beyond."""
+    degree counts up to max degree + 1, and zero beyond.  ``rep`` is t's
+    pivot report when the caller has it."""
     if not is_tree(t) or t.n < 2:
         raise NotATree("tree dominance needs a tree on >= 2 vertices")
-    rep = find_pivot(t)
+    rep = rep or find_pivot(t)
     m = rep.m_value
     delta = t.max_degree()
-    chi_b = m - 1 if rep.pivot is not None else m
+    chi_b = rep.b_chromatic
     # at_least[d]: number of vertices of degree at least d, for d <= delta + 1
     at_least = [0] * (delta + 2)
     for d in t.degrees:
@@ -269,8 +274,10 @@ def _dominating_coloring(rt: RootedTree, k: int, target: int) -> list[int]:
     raise InvariantViolation(f"no witness set of {target} dense vertices completes at k={k}")
 
 
-def b_coloring_tree(t: Graph, k: int) -> "Coloring":
-    """A proper k-coloring of a tree with exactly ``dom[k]`` dominant classes.
+def b_coloring_tree(t: Graph, k: int, target: int | None = None) -> "Coloring":
+    """A proper k-coloring of a tree with exactly ``dom[k]`` dominant classes;
+    ``target`` is dom[k] when the caller knows it, else it is read off the
+    tree's dominance vector.
 
     Above max degree + 1 no class can dominate: a 2-coloring by depth with
     k - 2 vertices moved into classes of their own.  Otherwise the
@@ -301,7 +308,8 @@ def b_coloring_tree(t: Graph, k: int) -> "Coloring":
         raise NotATree("tree b-coloring needs a tree on >= 2 vertices")
     if not (2 <= k <= t.n):
         raise KOutOfRange(f"k={k} outside 2..{t.n}")
-    target = dominance_vector_tree(t).value_at(k)
+    if target is None:
+        target = dominance_vector_tree(t).value_at(k)
     rt = root_tree(t)
     if target:
         color = _dominating_coloring(rt, k, target)
@@ -334,25 +342,22 @@ def dominance_from_deficiency(n: int, fvec: list[float]) -> DominanceVector:
 
 
 def dominance_union(a: DominanceVector, b: DominanceVector) -> DominanceVector:
-    chi = max(a.chi, b.chi)
-    values = tuple(min(t, a.value_at(t) + b.value_at(t)) for t in range(chi, a.n + b.n + 1))
-    return DominanceVector(chi, values)
+    """A t-coloring of a union colors each side from the same t colors, so
+    dom[t] = min(t, dom_a[t] + dom_b[t]), where a side reads 0 above its n."""
+    chi, n = max(a.chi, b.chi), a.n + b.n
+    xs = a.values[chi - a.chi :] + (0,) * b.n
+    ys = b.values[chi - b.chi :] + (0,) * a.n
+    values = [s if s < t else t for t, x, y in zip(range(chi, n + 1), xs, ys) for s in (x + y,)]
+    return DominanceVector(chi, tuple(values))
 
 
 def dominance_join(a: DominanceVector, b: DominanceVector) -> DominanceVector:
-    """A t-coloring of a join gives j classes to a and t - j to b.  The
-    window of j, [max(a.chi, t - b.n), min(a.n, t - b.chi)], is never
-    empty for t in [a.chi + b.chi, a.n + b.n]: each lower end is at most
-    each upper end, as a.chi <= a.n, t >= a.chi + b.chi, t <= a.n + b.n
-    and b.chi <= b.n."""
-    values = tuple(
-        max(
-            a.value_at(j) + b.value_at(t - j)
-            for j in range(max(a.chi, t - b.n), min(a.n, t - b.chi) + 1)
-        )
-        for t in range(a.chi + b.chi, a.n + b.n + 1)
-    )
-    return DominanceVector(a.chi + b.chi, values)
+    """A t-coloring of a join gives j classes to a and t - j to b, so
+    dom[t] = max over j of dom_a[j] + dom_b[t - j]: a (max,+) convolution,
+    run as the min-plus convolution of the negated value lists.  Its index
+    range is every split with both sides between their chi and n."""
+    sums = minplus_convolve([-v for v in a.values], [-v for v in b.values])
+    return DominanceVector(a.chi + b.chi, tuple([-s for s in sums]))
 
 
 def _leaf_dominance(leaf: TcLeaf) -> DominanceVector:

@@ -420,7 +420,6 @@ def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Counter) -> int:
     for bi, ((u, v), _ids) in enumerate(items):
         last_block[u] = bi
         last_block[v] = bi
-    best = [upper + 1]
     chosen: list[_BlockConfig | None] = [None] * nblocks
     covered: set[int] = set()
     head_free: dict[int, int] = {}
@@ -443,54 +442,70 @@ def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Counter) -> int:
             return not (head_free.get(w) and sec.get(w))
         return not head_free.get(w) and not dang.get(w)
 
-    def rec(bi: int, size: int) -> None:
-        budget.tick()
-        if size + 3 * (nblocks - bi) >= best[0]:
-            return
-        if bi == nblocks:
-            for b2, cfg in enumerate(chosen):
-                if cfg.bridge_matched:
-                    u2, v2 = items[b2][0]
-                    if u2 not in covered and v2 not in covered:
-                        return
-            if not leaf_ok():
-                raise InvariantViolation("flag analysis admitted a non-SMM leaf")
-            best[0] = size
-            return
+    def place(bi: int, cfg: _BlockConfig, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) block bi's configuration."""
         u, v = items[bi][0]
-        for cfg in _BLOCK_CONFIGS:
+        for w, cov, hf, dg, sc in (
+            (u, cfg.cov_u, cfg.head_u_free, cfg.dang_u, cfg.sec_u),
+            (v, cfg.cov_v, cfg.head_v_free, cfg.dang_v, cfg.sec_v),
+        ):
+            if cov:
+                if sign > 0:
+                    covered.add(w)
+                else:
+                    covered.discard(w)
+            head_free[w] = head_free.get(w, 0) + sign * hf
+            dang[w] = dang.get(w, 0) + sign * dg
+            sec[w] = sec.get(w, 0) + sign * sc
+        chosen[bi] = cfg if sign > 0 else None
+
+    def visit(bi: int, size: int) -> bool:
+        """Spend one node on blocks 0..bi-1 decided at total ``size``: a leaf
+        that passes its checks is the best so far.  True when block bi's
+        configurations are still to be searched."""
+        nonlocal best
+        budget.tick()
+        if size + 3 * (nblocks - bi) >= best:
+            return False
+        if bi < nblocks:
+            return True
+        for b2, cfg in enumerate(chosen):
+            if cfg.bridge_matched:
+                u2, v2 = items[b2][0]
+                if u2 not in covered and v2 not in covered:
+                    return False
+        if not leaf_ok():
+            raise InvariantViolation("flag analysis admitted a non-SMM leaf")
+        best = size
+        return False
+
+    # one frame [block, size, next configuration] per block being searched;
+    # a frame whose block holds a configuration is back from searching under it
+    best = upper + 1
+    stack = [[0, 0, 0]] if visit(0, 0) else []
+    while stack:
+        frame = stack[-1]
+        bi, size, ci = frame
+        if chosen[bi] is not None:
+            place(bi, chosen[bi], -1)
+        u, v = items[bi][0]
+        for ci in range(ci, len(_BLOCK_CONFIGS)):
+            cfg = _BLOCK_CONFIGS[ci]
             if (cfg.cov_u and u in covered) or (cfg.cov_v and v in covered):
                 continue
-            for w, cov, hf, dg, sc in (
-                (u, cfg.cov_u, cfg.head_u_free, cfg.dang_u, cfg.sec_u),
-                (v, cfg.cov_v, cfg.head_v_free, cfg.dang_v, cfg.sec_v),
+            place(bi, cfg, 1)
+            if (
+                (last_block[u] != bi or finalize_ok(u))
+                and (last_block[v] != bi or finalize_ok(v))
+                and visit(bi + 1, size + cfg.size)
             ):
-                if cov:
-                    covered.add(w)
-                head_free[w] = head_free.get(w, 0) + hf
-                dang[w] = dang.get(w, 0) + dg
-                sec[w] = sec.get(w, 0) + sc
-            chosen[bi] = cfg
-            ok = True
-            if last_block[u] == bi and not finalize_ok(u):
-                ok = False
-            if ok and last_block[v] == bi and not finalize_ok(v):
-                ok = False
-            if ok:
-                rec(bi + 1, size + cfg.size)
-            chosen[bi] = None
-            for w, cov, hf, dg, sc in (
-                (u, cfg.cov_u, cfg.head_u_free, cfg.dang_u, cfg.sec_u),
-                (v, cfg.cov_v, cfg.head_v_free, cfg.dang_v, cfg.sec_v),
-            ):
-                if cov:
-                    covered.discard(w)
-                head_free[w] -= hf
-                dang[w] -= dg
-                sec[w] -= sc
-
-    rec(0, 0)
-    return best[0]
+                frame[2] = ci + 1
+                stack.append([bi + 1, size + cfg.size, 0])
+                break
+            place(bi, cfg, -1)
+        else:
+            stack.pop()
+    return best
 
 
 def certify_reduction(g: Graph, search_budget: int = 10**7) -> ReductionReport:

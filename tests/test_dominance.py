@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -7,6 +8,7 @@ from bchrom.dominance import (
     DominanceVector,
     b_chromatic_tree,
     b_coloring_tree,
+    _leaf_dominance,
     dominance_join,
     dominance_tc,
     dominance_union,
@@ -19,6 +21,8 @@ from bchrom.graph import (
     Graph,
     TcJoin,
     TcLeaf,
+    TcUnion,
+    _fold,
     complement,
     complete_graph,
     cycle_graph,
@@ -26,13 +30,15 @@ from bchrom.graph import (
     empty_graph,
     graph_join,
     graph_union,
+    induced_subgraph,
     path_graph,
     star_graph,
+    tc_postorder,
 )
 from bchrom.oracle import oracle_dominance
 from bchrom.route import CoForestRoute, plan
 
-from conftest import random_stability2, tree_catalog
+from conftest import random_expression, random_stability2, tree_catalog
 
 
 def test_pivot_examples(piv11):
@@ -168,7 +174,8 @@ def test_join_examples():
     assert got.values == want.values
 
 
-def test_union_join_against_oracle_random_pairs():
+def _oracle_graph_pairs():
+    """60 pairs drawn, with seed 95, from 40 random graphs on 1-4 vertices."""
     rng = random.Random(95)
     pool = []
     for _ in range(40):
@@ -185,7 +192,11 @@ def test_union_join_against_oracle_random_pairs():
             )
         )
     for _ in range(60):
-        a, b = rng.choice(pool), rng.choice(pool)
+        yield rng.choice(pool), rng.choice(pool)
+
+
+def test_union_join_against_oracle_random_pairs():
+    for a, b in _oracle_graph_pairs():
         da, db = oracle_dominance(a), oracle_dominance(b)
         got_u = dominance_union(da, db)
         want_u = oracle_dominance(graph_union(a, b))
@@ -217,6 +228,124 @@ def test_union_and_join_are_commutative_and_associative():
     for a in pool:  # every join window is nonempty
         for b in pool:
             assert dominance_join(a, b).n == a.n + b.n
+
+
+# ---------------------------------------------------------------------------
+# Reference: union and join cell by cell, through ``value_at``
+# ---------------------------------------------------------------------------
+
+
+def _reference_union(a: DominanceVector, b: DominanceVector) -> DominanceVector:
+    chi = max(a.chi, b.chi)
+    values = tuple(min(t, a.value_at(t) + b.value_at(t)) for t in range(chi, a.n + b.n + 1))
+    return DominanceVector(chi, values)
+
+
+def _reference_join(a: DominanceVector, b: DominanceVector) -> DominanceVector:
+    """A t-coloring of a join gives j classes to a and t - j to b.  The
+    window of j, [max(a.chi, t - b.n), min(a.n, t - b.chi)], is never
+    empty for t in [a.chi + b.chi, a.n + b.n]: each lower end is at most
+    each upper end, as a.chi <= a.n, t >= a.chi + b.chi, t <= a.n + b.n
+    and b.chi <= b.n."""
+    values = tuple(
+        max(
+            a.value_at(j) + b.value_at(t - j)
+            for j in range(max(a.chi, t - b.n), min(a.n, t - b.chi) + 1)
+        )
+        for t in range(a.chi + b.chi, a.n + b.n + 1)
+    )
+    return DominanceVector(a.chi + b.chi, values)
+
+
+def _random_vector(rng: random.Random) -> DominanceVector:
+    """chi from 1, one entry or up to 40, and often a tail of zeros."""
+    chi = rng.choice((1, 1, 2, 3, rng.randint(4, 30)))
+    size = rng.choice((1, 1, 2, rng.randint(3, 40)))
+    zeros_from = rng.randint(1, size) if rng.random() < 0.6 else size
+    values = [chi] + [rng.randint(0, t) for t in range(chi + 1, chi + zeros_from)]
+    return DominanceVector(chi, tuple(values + [0] * (size - len(values))))
+
+
+def _assert_both_rules_match(a: DominanceVector, b: DominanceVector) -> None:
+    for x, y in ((a, b), (b, a)):
+        assert dominance_union(x, y) == _reference_union(x, y), (x, y)
+        assert dominance_join(x, y) == _reference_join(x, y), (x, y)
+
+
+def test_union_and_join_equal_the_reference_on_random_vectors():
+    rng = random.Random(98)
+    for _ in range(3000):
+        _assert_both_rules_match(_random_vector(rng), _random_vector(rng))
+    one = DominanceVector(1, (1,))
+    for b in (one, DominanceVector(1, (1, 0, 0)), DominanceVector(5, (5, 0)), _random_vector(rng)):
+        _assert_both_rules_match(one, b)
+
+
+def test_union_and_join_equal_the_reference_on_oracle_pairs():
+    for a, b in _oracle_graph_pairs():
+        _assert_both_rules_match(oracle_dominance(a), oracle_dominance(b))
+
+
+@pytest.mark.parametrize("family", ("nested", "wide", "chain"))
+def test_dominance_tc_equals_the_reference_fold(family):
+    rng = random.Random(f"reference fold:{family}")
+    for n in (2, 7, 40, 120, 300):
+        expr = random_expression(family, n, rng)
+        want = _fold(
+            expr,
+            _leaf_dominance,
+            lambda node, vecs: reduce(
+                _reference_union if isinstance(node, TcUnion) else _reference_join, vecs
+            ),
+        )
+        assert dominance_tc(expr) == want, (family, n)
+
+
+# ---------------------------------------------------------------------------
+# Tree-cographs are b-monotonic and b-continuous (result 4)
+# ---------------------------------------------------------------------------
+
+
+def _delete_leaf_vertex(expr, rng: random.Random):
+    """The expression with one vertex of degree at most 1 in one leaf's tree
+    deleted, so that leaf stays a tree; a leaf left empty is dropped and an
+    operation left with one child is replaced by that child."""
+    leaves = [node for node in tc_postorder(expr) if isinstance(node, TcLeaf)]
+    target = rng.choice(leaves)
+    tree = target.tree
+    gone = rng.choice([v for v in range(tree.n) if tree.degree(v) <= 1])
+    keep = [v for v in range(tree.n) if v != gone]
+
+    def leaf(node):
+        if node is not target:
+            return node
+        if not keep:
+            return None
+        return TcLeaf(induced_subgraph(tree, keep), tuple(node.vertices[v] for v in keep), node.co)
+
+    def operation(node, children):
+        children = tuple(c for c in children if c is not None)
+        return children[0] if len(children) == 1 else type(node)(children)
+
+    return _fold(expr, leaf, operation)
+
+
+@pytest.mark.parametrize("family", ("nested", "wide", "chain"))
+def test_b_monotonicity_of_tree_cographs_beyond_the_oracle(family):
+    """Deleting vertices one at a time, each from a leaf's tree, never raises
+    the b-chromatic number, and each expression along the way is
+    b-continuous: every t in [chi, chi_b] is a fixed point."""
+    rng = random.Random(f"monotonicity:{family}")
+    for n, deletions in ((12, 11), (60, 30), (200, 40)):
+        expr = random_expression(family, n, rng)
+        last = None
+        for _ in range(deletions + 1):
+            vec = dominance_tc(expr)
+            value = vec.b_chromatic()
+            assert vec.fixed_points() == list(range(vec.chi, value + 1)), (family, expr.span)
+            assert last is None or value <= last, (family, expr.span)
+            last = value
+            expr = _delete_leaf_vertex(expr, rng)
 
 
 def test_dominance_tc_examples(piv11):

@@ -66,5 +66,73 @@ def test_the_scan_finds_raise_and_except_sites():
     assert sorted(_assertion_error_sites(tree)) == [("except", 3), ("raise", 2), ("raise", 4)]
 
 
+def _called_names(node) -> set[str]:
+    return {
+        call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+
+
+def _self_calls(tree, outer=()):
+    """(enclosing functions, function) for every function that calls itself
+    by name, nested or not."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in _called_names(node):
+                yield outer, node
+            yield from _self_calls(node, outer + (node,))
+        else:
+            yield from _self_calls(node, outer)
+
+
+def _admitted(oracle_tree) -> set[str]:
+    """Functions of ``oracle.py`` that size their search with ``_admit``,
+    directly or because every caller in the module does."""
+    functions = {n.name: n for n in oracle_tree.body if isinstance(n, ast.FunctionDef)}
+    admitted = {name for name, fn in functions.items() if "_admit" in _called_names(fn)}
+    for name in functions:
+        callers = [c for c, fn in functions.items() if name in _called_names(fn) and c != name]
+        if callers and all(c in admitted for c in callers):
+            admitted.add(name)
+    return admitted
+
+
+def test_no_recursion_whose_depth_grows_without_a_guard():
+    """Python stops at about 1000 frames, so a search that recurses once per
+    vertex or edge must either be an oracle search whose depth ``_admit``
+    checks against the recursion limit, or have a depth fixed by the code:
+    ``reduction._block_configs`` recurses once per template edge."""
+    trees = dict(_package_trees())
+    admitted = _admitted(trees["oracle.py"])
+    found = []
+    for name, tree in trees.items():
+        for outer, fn in _self_calls(tree):
+            where = ".".join([f.name for f in outer] + [fn.name])
+            if name == "oracle.py" and outer and outer[0].name in admitted:
+                continue
+            if (name, where) == ("reduction.py", "_block_configs.rec"):
+                continue
+            found.append(f"{name}:{fn.lineno} {where}")
+    assert not found, found
+
+
+def test_the_recursion_scan_finds_nested_and_top_level_self_calls():
+    tree = ast.parse(
+        "def outer():\n"
+        "    def rec(i):\n"
+        "        return rec(i - 1) if i else 0\n"
+        "    return rec(3)\n"
+        "def top(i):\n"
+        "    return top(i - 1)\n"
+        "def plain():\n"
+        "    return outer()\n"
+    )
+    assert [(tuple(f.name for f in outer), fn.name) for outer, fn in _self_calls(tree)] == [
+        (("outer",), "rec"),
+        ((), "top"),
+    ]
+
+
 def test_invariant_violation_is_a_domain_error():
     assert issubclass(InvariantViolation, BchromError)

@@ -231,3 +231,146 @@ def _canon(g: Graph):
         if best is None or key < best:
             best = key
     return (g.n, best)
+
+
+# ---------------------------------------------------------------------------
+# The gadget's branch and bound on an explicit stack
+# ---------------------------------------------------------------------------
+
+
+def _reference_branch_bound(gadget, upper, budget):
+    """The recursive search, one frame per original edge, kept as the
+    reference for the stack-based ``_min_smm_branch_bound``."""
+    from bchrom.errors import InvariantViolation
+    from bchrom.graph import norm_edge
+    from bchrom.matching import _defects
+    from bchrom.reduction import _BLOCK_CONFIGS, _block_edges
+
+    host = gadget.host
+    items = list(gadget.blocks.items())
+    nblocks = len(items)
+    block_host_edges = [
+        [norm_edge(*pair) for pair in _block_edges(e[0], e[1], ids)]
+        for e, ids in items
+    ]
+    last_block = {}
+    for bi, ((u, v), _ids) in enumerate(items):
+        last_block[u] = bi
+        last_block[v] = bi
+    best = [upper + 1]
+    chosen = [None] * nblocks
+    covered = set()
+    head_free, dang, sec = {}, {}, {}
+    full = (1 << host.n) - 1
+
+    def leaf_ok():
+        flat = []
+        mask = 0
+        for bi, cfg in enumerate(chosen):
+            for j in cfg.edge_idx:
+                e = block_host_edges[bi][j]
+                flat.append(e)
+                mask |= (1 << e[0]) | (1 << e[1])
+        return _defects(host, flat, full & ~mask) == (0, 0)
+
+    def finalize_ok(w):
+        if w in covered:
+            return not (head_free.get(w) and sec.get(w))
+        return not head_free.get(w) and not dang.get(w)
+
+    def rec(bi, size):
+        budget.tick()
+        if size + 3 * (nblocks - bi) >= best[0]:
+            return
+        if bi == nblocks:
+            for b2, cfg in enumerate(chosen):
+                if cfg.bridge_matched:
+                    u2, v2 = items[b2][0]
+                    if u2 not in covered and v2 not in covered:
+                        return
+            if not leaf_ok():
+                raise InvariantViolation("flag analysis admitted a non-SMM leaf")
+            best[0] = size
+            return
+        u, v = items[bi][0]
+        for cfg in _BLOCK_CONFIGS:
+            if (cfg.cov_u and u in covered) or (cfg.cov_v and v in covered):
+                continue
+            for w, cov, hf, dg, sc in (
+                (u, cfg.cov_u, cfg.head_u_free, cfg.dang_u, cfg.sec_u),
+                (v, cfg.cov_v, cfg.head_v_free, cfg.dang_v, cfg.sec_v),
+            ):
+                if cov:
+                    covered.add(w)
+                head_free[w] = head_free.get(w, 0) + hf
+                dang[w] = dang.get(w, 0) + dg
+                sec[w] = sec.get(w, 0) + sc
+            chosen[bi] = cfg
+            ok = True
+            if last_block[u] == bi and not finalize_ok(u):
+                ok = False
+            if ok and last_block[v] == bi and not finalize_ok(v):
+                ok = False
+            if ok:
+                rec(bi + 1, size + cfg.size)
+            chosen[bi] = None
+            for w, cov, hf, dg, sc in (
+                (u, cfg.cov_u, cfg.head_u_free, cfg.dang_u, cfg.sec_u),
+                (v, cfg.cov_v, cfg.head_v_free, cfg.dang_v, cfg.sec_v),
+            ):
+                if cov:
+                    covered.discard(w)
+                head_free[w] -= hf
+                dang[w] -= dg
+                sec[w] -= sc
+
+    rec(0, 0)
+    return best[0]
+
+
+def _certify_graphs():
+    """The graphs the certify tests above use."""
+    yield from (K2, P3, C4, cycle_graph(6), complete_bipartite(2, 3))
+    from bchrom.graph import is_connected
+
+    for n in range(2, 5):
+        for g in all_graphs(n):
+            if g.m and _is_bipartite(g) and is_connected(g):
+                yield g
+
+
+def test_branch_bound_equals_the_recursive_reference():
+    """Same minimum and the same number of nodes spent, at the upper bound
+    the certifier passes and at a looser one."""
+    from bchrom.oracle import _Counter
+    from bchrom.reduction import _min_maximal_matching, _min_smm_branch_bound
+
+    for g in _certify_graphs():
+        gadget = build_gadget(g)
+        _, witness = _min_maximal_matching(g, _Counter(10**6))
+        upper = len(lift_matching(g, witness))
+        for bound in (upper, upper + 3):
+            spent = []
+            for search in (_reference_branch_bound, _min_smm_branch_bound):
+                budget = _Counter(10**6)
+                spent.append((search(gadget, bound, budget), 10**6 - budget.left))
+            assert spent[0] == spent[1], (g.edges, bound)
+
+
+def test_certify_on_a_deep_gadget_ends_in_one_line(tmp_path):
+    """K(2,600) blows up into 1200 blocks, one recursion frame each in a
+    recursive search; at this budget that search passes Python's recursion
+    limit before the budget runs out."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from bchrom.cli import main
+    from bchrom.fileio import format_edgelist
+
+    path = tmp_path / "k2_600.g"
+    path.write_text(format_edgelist(complete_bipartite(2, 600)))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["certify", str(path), "--budget", "730000"])
+    assert code in (0, 1)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

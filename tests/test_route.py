@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bchrom import graph, tree_dp
+from bchrom import dominance, graph, tree_dp
 from bchrom.bcoloring import verify_coloring
 from bchrom.cli import main
 from bchrom.errors import NoRoute
@@ -263,6 +263,36 @@ def test_tree_requests_search_the_tree_once(tmp_path, monkeypatch):
         searched.clear()
         code, _, err = _run(argv)
         assert (code, err) == (0, "") and searched == [2000], argv
+
+
+def test_tree_requests_scan_for_the_pivot_once(tmp_path, monkeypatch):
+    """The tree route keeps one pivot report for its value, vector and
+    colorings; a witness is colored at dom[chi_b] = chi_b with no vector."""
+    calls = []
+    for fn in (dominance.find_pivot, dominance.dominance_vector_tree):
+
+        def counted(*args, _fn=fn):
+            calls.append(_fn.__name__)
+            return _fn(*args)
+
+        for name, module in list(sys.modules.items()):  # every module that bound the name
+            if name.startswith("bchrom.") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    path = tmp_path / "tree.g"
+    path.write_text(format_edgelist(random_labeled_tree(2000, random.Random(8))))
+    code, out, _ = _run(["bchromatic", str(path)])
+    chi_b = int(out)
+    for argv, vectors in (
+        (["dominance", str(path)], 1),
+        (["bchromatic", str(path)], 0),
+        (["bchromatic", str(path), "--witness", str(tmp_path / "w.col")], 0),
+        (["bcolor", str(path), str(chi_b)], 1),
+        (["bcolor", str(path), "1999"], 1),
+    ):
+        calls.clear()
+        code, _, err = _run(argv)
+        assert (code, err) == (0, "") and calls.count("find_pivot") == 1, (argv, calls)
+        assert calls.count("dominance_vector_tree") == vectors, (argv, calls)
 
 
 def test_kept_components_cannot_be_changed():
