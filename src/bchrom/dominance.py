@@ -95,14 +95,13 @@ def b_chromatic_tree(t: Graph) -> int:
     return find_pivot(t).b_chromatic
 
 
-def dominance_vector_tree(t: Graph, rep: PivotReport | None = None) -> DominanceVector:
+def dominance_vector_tree(t: Graph) -> DominanceVector:
     """Assemble the vector from its four regimes: the identity up to the
     b-chromatic number, one dip at the degree bound for pivoted trees, the
-    degree counts up to max degree + 1, and zero beyond.  ``rep`` is t's
-    pivot report when the caller has it."""
+    degree counts up to max degree + 1, and zero beyond."""
     if not is_tree(t) or t.n < 2:
         raise NotATree("tree dominance needs a tree on >= 2 vertices")
-    rep = rep or find_pivot(t)
+    rep = find_pivot(t)
     m = rep.m_value
     delta = t.max_degree()
     chi_b = rep.b_chromatic

@@ -21,8 +21,8 @@ from functools import cached_property
 from typing import ClassVar
 
 from .bcoloring import continuity_chain, matching_to_coloring, verify_coloring
-from .dominance import b_coloring_tree, dominance_from_deficiency, dominance_tc
-from .dominance import dominance_vector_tree, find_pivot
+from .dominance import b_chromatic_tree, b_coloring_tree, dominance_from_deficiency
+from .dominance import dominance_tc, dominance_vector_tree
 from .errors import InvariantViolation, KOutOfRange, NoRoute, NotTreeCograph
 from .graph import Graph, TcExpr, TcLeaf, complement, decompose_tree_cograph
 from .graph import evaluate_tc, is_coforest, is_tree, stability_at_most_two
@@ -50,19 +50,15 @@ class Route:
 
 
 class TreeRoute(Route):
-    """The value, the vector and every coloring read one pivot scan; the
-    witness's target is dom[chi_b] = chi_b, so it builds no vector."""
-
     name = "tree"
-    pivot = cached_property(lambda self: find_pivot(self.tree))
-    value = cached_property(lambda self: self.pivot.b_chromatic)
-    vector = cached_property(lambda self: dominance_vector_tree(self.tree, self.pivot))
+    value = cached_property(lambda self: b_chromatic_tree(self.tree))
+    vector = cached_property(lambda self: dominance_vector_tree(self.tree))
+    # dom[chi_b] = chi_b, so the witness needs no vector
     witness = cached_property(lambda self: b_coloring_tree(self.tree, self.value, self.value))
     smm = cached_property(lambda self: smm_tables(self.tree))
 
     def coloring(self, k: int):
-        vec = self.vector  # out of its range, b_coloring_tree refuses k
-        return b_coloring_tree(self.tree, k, vec.value_at(k) if vec.chi <= k <= vec.n else None)
+        return b_coloring_tree(self.tree, k)
 
     @classmethod
     def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:

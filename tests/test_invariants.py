@@ -99,10 +99,11 @@ def _admitted(oracle_tree) -> set[str]:
 
 
 def test_no_recursion_whose_depth_grows_without_a_guard():
-    """Python stops at about 1000 frames, so a search that recurses once per
-    vertex or edge must either be an oracle search whose depth ``_admit``
-    checks against the recursion limit, or have a depth fixed by the code:
-    ``reduction._block_configs`` recurses once per template edge."""
+    """Python stops at about 1000 frames, so a function that calls itself by
+    name must either be an oracle search whose depth ``_admit`` checks
+    against the recursion limit, or have a depth fixed by the code:
+    ``reduction._block_configs`` recurses once per template edge.  Mutual
+    recursion and calls through an attribute (``self.f``) are not scanned."""
     trees = dict(_package_trees())
     admitted = _admitted(trees["oracle.py"])
     found = []
