@@ -3,9 +3,23 @@
 Edge-list format (bit-exact): UTF-8; lines starting ``#`` are comments; the
 first non-comment line is ``p <n> <m>``; exactly m lines ``e <u> <v>`` with
 ``0 <= u < v < n`` follow.  Duplicate or out-of-range edges are parse errors.
-The header is read line by line, and the body is checked in bulk, with
-whole-list operations.  On invalid input the body is then walked line by
+
+The header is read line by line.  The body is read in pieces of about
+``PIECE_CHARS`` characters, each cut just after a ``"\\n"``, and each piece
+is checked with whole-list operations: every third word is ``e``, there are
+3k words for k rows, and the endpoints are read through a table of vertex
+ids.  A plain piece (ASCII, lines ended by ``"\\n"`` alone, each starting
+with ``e``) is split as it is; any other piece is first stripped of blank
+lines, comments and surrounding whitespace.  No list of the whole file's
+words or lines is built.  On invalid input the body is then walked line by
 line, and the error names the first bad line.
+
+Pairs in canonical order, sorted by (u, v) as ``format_edgelist`` writes
+them, become rows without a set or a sort per vertex
+(``Graph.from_sorted_pairs``).  A graph with fewer non-edges than vertices,
+as a co-forest has, is built as the complement of its missing pairs, so it
+comes linked to that sparse complement and is never complemented again.
+Pairs in any other order go through ``Graph.from_edges``.
 
 Expression format: s-expressions over
 ``(tree <file|inline>) | (cotree ...) | (union e e+) | (join e e+)`` where
@@ -20,31 +34,42 @@ from __future__ import annotations
 import operator
 import os
 import re
-from itertools import islice
 from typing import Iterator
 
 from .errors import ParseError
 from .graph import Edge, Graph, TcExpr, TcJoin, TcLeaf, TcUnion, norm_edge
 from .matching import Matching
 
+# characters of edge-list body read at a time
+PIECE_CHARS = 1 << 18
+# line boundaries of str.splitlines other than "\n", in ASCII
+_OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e"
 
-def _read_header(lines: list[str]) -> tuple[int, int, int]:
-    """``(n, m, index of the first body line)`` from the first line that is
-    neither blank nor a comment."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "p" or len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'p <n> <m>'")
-        try:
-            n, m = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer counts") from None
-        if n < 0 or m < 0:
-            raise ParseError(f"line {lineno}: negative counts")
-        return n, m, lineno
+
+def _read_header(text: str) -> tuple[int, int, int, int]:
+    """``(n, m, line number of the header, offset of the line after it)``
+    from the first line that is neither blank nor a comment.  Lines are
+    read one ``"\\n"``-ended segment at a time, each split as
+    ``str.splitlines`` splits the whole text."""
+    lineno = pos = 0
+    while pos < len(text):
+        nl = text.find("\n", pos)
+        for raw in text[pos : len(text) if nl < 0 else nl + 1].splitlines(keepends=True):
+            lineno += 1
+            pos += len(raw)
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if parts[0] != "p" or len(parts) != 3:
+                raise ParseError(f"line {lineno}: expected 'p <n> <m>'")
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer counts") from None
+            if n < 0 or m < 0:
+                raise ParseError(f"line {lineno}: negative counts")
+            return n, m, lineno, pos
     raise ParseError("missing 'p <n> <m>' header")
 
 
@@ -82,41 +107,76 @@ def _read_ints(words: list[str], ids: dict[str, int]) -> list[int]:
         return list(map(int, words))
 
 
-def parse_edgelist(text: str) -> Graph:
-    lines = text.splitlines()
-    n, m, start = _read_header(lines)
-    # the body is checked with whole-list operations; only when a check
-    # fails is it walked line by line, to name the first bad line
-    rows = list(filter(None, map(str.strip, islice(lines, start, None))))
-    if "#" in text:
-        rows = [row for row in rows if row[0] != "#"]
-    del lines
-    if len(rows) != m:
-        raise _body_error(text, start, n, m)
-    body = "\n".join(rows)
-    del rows
-    # each of the m rows starts with the letter e, every third of the 3m
+def _pieces(text: str, start: int) -> Iterator[str]:
+    """``text[start:]`` in pieces of at least ``PIECE_CHARS`` characters,
+    each but the last cut just after a ``"\\n"``."""
+    while start < len(text):
+        end = text.find("\n", start + PIECE_CHARS - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _piece_pairs(piece: str, ids: dict[str, int]) -> tuple[list[int], list[int]] | None:
+    """The endpoints ``(us, vs)`` of the rows of ``piece``, or None if a
+    row is not ``e <u> <v>`` with integer endpoints.
+
+    The piece is checked with whole-list operations.  It is plain when it
+    is ASCII, ends its lines with ``"\\n"`` alone and starts each line
+    with ``e``; any other piece is first stripped of blank lines, comments
+    and surrounding whitespace.
+    """
+    k = piece.count("\n") + (not piece.endswith("\n"))
+    if (not piece.isascii() or any(end in piece for end in _OTHER_LINE_ENDS)
+            or piece.count("\ne") + piece.startswith("e") != k):
+        rows = list(filter(None, map(str.strip, piece.splitlines())))
+        if "#" in piece:
+            rows = [row for row in rows if row[0] != "#"]
+        k = len(rows)
+        piece = "\n".join(rows)
+        del rows
+        if piece.count("\ne") + piece.startswith("e") != k:
+            return None
+    # each of the k rows starts with the letter e, every third of the 3k
     # words is "e", and no word that int() reads holds an e: so the words
     # "e" are exactly the rows' first words, and each row is e <u> <v>
-    if ("\n" + body).count("\ne") != m:
-        raise _body_error(text, start, n, m)
-    words = body.split()
-    del body
-    if len(words) != 3 * m or words[::3].count("e") != m:
-        raise _body_error(text, start, n, m)
+    words = piece.split()
+    if len(words) != 3 * k or words[::3].count("e") != k:
+        return None
+    try:
+        return _read_ints(words[1::3], ids), _read_ints(words[2::3], ids)
+    except ValueError:
+        return None
+
+
+def _read_body(text: str, start: int, body: int, n: int, m: int) -> tuple[list[int], list[int]]:
+    """The endpoints ``(us, vs)`` of the m rows from offset ``body`` on;
+    the header is line ``start``.  Only when a piece fails its checks is
+    the body walked line by line, to name the first bad line."""
     # a table longer than the 2m endpoints would cost more than it saves
     ids = {str(v): v for v in range(min(n, 2 * m))}
-    try:
-        us = _read_ints(words[1::3], ids)
-        vs = _read_ints(words[2::3], ids)
-    except ValueError:
-        raise _body_error(text, start, n, m) from None
-    del words, ids
-    if m and (min(us) < 0 or max(vs) >= n or not all(map(operator.lt, us, vs))):
+    us: list[int] = []
+    vs: list[int] = []
+    for piece in _pieces(text, body):
+        pairs = _piece_pairs(piece, ids)
+        if pairs is None:
+            raise _body_error(text, start, n, m)
+        us += pairs[0]
+        vs += pairs[1]
+    if len(us) != m:
         raise _body_error(text, start, n, m)
-    g = Graph.from_edges(n, zip(us, vs))
-    if g.m != m:  # from_edges collapsed a duplicate
-        raise _body_error(text, start, n, m)
+    return us, vs
+
+
+def parse_edgelist(text: str) -> Graph:
+    n, m, start, body = _read_header(text)
+    us, vs = _read_body(text, start, body, n, m)
+    g = Graph.from_sorted_pairs(n, us, vs)
+    if g is None:
+        if m and (min(us) < 0 or max(vs) >= n or not all(map(operator.lt, us, vs))):
+            raise _body_error(text, start, n, m)
+        g = Graph.from_edges(n, zip(us, vs))
+        if g.m != m:  # from_edges collapsed a duplicate
+            raise _body_error(text, start, n, m)
     return g
 
 
@@ -164,88 +224,92 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def parse_tc_expression(text: str, base_dir: str = ".") -> TcExpr:
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek() -> str:
-        if pos[0] >= len(tokens):
-            raise ParseError("unexpected end of expression")
-        return tokens[pos[0]]
-
-    def take() -> str:
-        tok = peek()
-        pos[0] += 1
-        return tok
-
-    def expect(tok: str) -> None:
-        got = take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, found {got!r}")
-
-    def parse_leaf_graph() -> Graph:
-        tok = take()
-        if tok.startswith('"') or not tok.lstrip("-").isdigit():
-            path = tok[1:] if tok.startswith('"') else tok
-            full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-            try:
-                return read_edgelist(full)
-            except OSError as exc:
-                raise ParseError(f"cannot read leaf file {path!r}: {exc}") from None
+def _leaf_graph(tokens: list[str], i: int, base_dir: str) -> tuple[Graph, int]:
+    """The graph of the leaf whose body starts at ``tokens[i]``, and the
+    index of the token after the body."""
+    tok = tokens[i]
+    i += 1
+    if tok.startswith('"') or not tok.lstrip("-").isdigit():
+        path = tok[1:] if tok.startswith('"') else tok
+        full = path if os.path.isabs(path) else os.path.join(base_dir, path)
         try:
-            n = int(tok)
-        except ValueError:
-            raise ParseError(f"bad leaf size {tok!r}") from None
-        nums = []
-        while peek() != ")":
-            word = take()
+            return read_edgelist(full), i
+        except OSError as exc:
+            raise ParseError(f"cannot read leaf file {path!r}: {exc}") from None
+    try:
+        n = int(tok)
+    except ValueError:
+        raise ParseError(f"bad leaf size {tok!r}") from None
+    if tokens[i] == ")" and n >= 0:  # no edges, as at every one-vertex leaf
+        return Graph(n, ((),) * n), i
+    try:
+        end = tokens.index(")", i)
+    except ValueError:
+        end = len(tokens)
+    words = tokens[i:end]
+    try:
+        nums = list(map(int, words))
+    except ValueError:
+        for word in words:  # name the first word that is not an integer
             try:
-                nums.append(int(word))
+                int(word)
             except ValueError:
                 raise ParseError(f"bad vertex id {word!r}") from None
-        if len(nums) % 2:
-            raise ParseError("inline leaf lists whole edge pairs")
-        edges = [(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)]
-        try:
-            return Graph.from_edges(n, edges)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+    if end == len(tokens):
+        raise ParseError("unexpected end of expression")
+    if len(nums) % 2:
+        raise ParseError("inline leaf lists whole edge pairs")
+    try:
+        return Graph.from_edges(n, list(zip(nums[::2], nums[1::2]))), end
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
+
+def parse_tc_expression(text: str, base_dir: str = ".") -> TcExpr:
+    tokens = _tokenize(text)
+    i = 0
     # union/join nodes whose closing parenthesis is still ahead, with the
     # children read so far; an explicit stack, so nesting depth is unbounded
     open_ops: list[tuple[str, list[TcExpr]]] = []
     counter = 0
-    while True:
-        expect("(")
-        head = take()
-        if head in ("union", "join"):
-            if peek() == ")":
-                raise ParseError(f"{head} needs at least two children")
-            open_ops.append((head, []))
-            continue
-        if head not in ("tree", "cotree"):
-            raise ParseError(f"unknown expression head {head!r}")
-        g = parse_leaf_graph()
-        expect(")")
-        ids = tuple(range(counter, counter + g.n))
-        counter += g.n
-        try:
-            node: TcExpr = TcLeaf(g, ids, co=head == "cotree")
-        except Exception as exc:
-            raise ParseError(f"invalid {head} leaf: {exc}") from None
-        # hand the finished node to its parent, closing every node that ends here
-        while open_ops:
-            open_ops[-1][1].append(node)
-            if peek() != ")":
+    try:  # reading past the last token is the one IndexError here
+        while True:
+            if tokens[i] != "(":
+                raise ParseError(f"expected '(', found {tokens[i]!r}")
+            head = tokens[i + 1]
+            i += 2
+            if head in ("union", "join"):
+                if tokens[i] == ")":
+                    raise ParseError(f"{head} needs at least two children")
+                open_ops.append((head, []))
+                continue
+            if head not in ("tree", "cotree"):
+                raise ParseError(f"unknown expression head {head!r}")
+            g, i = _leaf_graph(tokens, i, base_dir)
+            if tokens[i] != ")":
+                raise ParseError(f"expected ')', found {tokens[i]!r}")
+            i += 1
+            ids = tuple(range(counter, counter + g.n))
+            counter += g.n
+            try:
+                node: TcExpr = TcLeaf(g, ids, co=head == "cotree")
+            except Exception as exc:
+                raise ParseError(f"invalid {head} leaf: {exc}") from None
+            # hand the finished node to its parent, closing every node that ends here
+            while open_ops:
+                open_ops[-1][1].append(node)
+                if tokens[i] != ")":
+                    break
+                i += 1
+                op, children = open_ops.pop()
+                if len(children) < 2:
+                    raise ParseError(f"{op} needs at least two children")
+                node = TcUnion(tuple(children)) if op == "union" else TcJoin(tuple(children))
+            else:
                 break
-            take()
-            op, children = open_ops.pop()
-            if len(children) < 2:
-                raise ParseError(f"{op} needs at least two children")
-            node = TcUnion(tuple(children)) if op == "union" else TcJoin(tuple(children))
-        else:
-            break
-    if pos[0] != len(tokens):
+    except IndexError:
+        raise ParseError("unexpected end of expression") from None
+    if i != len(tokens):
         raise ParseError("trailing tokens after expression")
     return node
 

@@ -8,9 +8,11 @@ hashable.  All operations here are pure functions of their inputs.
 Derived views of a graph are computed once and kept on it: its edge list,
 degrees, bitmasks, neighbor sets, connected components and its complement.
 A complement remembers the graph it came from as its own complement, so
-complementing twice builds nothing.  The components are a tuple of tuples,
-so no caller can change what the next one reads, and the tests for trees,
-forests and co-forests search a graph at most once.
+complementing twice builds nothing.  A dense graph built from its sparse
+complement, as ``Graph.from_sorted_pairs`` builds a co-forest, comes with
+that link, so its complement costs nothing.  The components are a tuple of
+tuples, so no caller can change what the next one reads, and the tests for
+trees, forests and co-forests search a graph at most once.
 
 A tree-cograph expression is built from ``TcLeaf`` leaves by ``TcUnion``
 and ``TcJoin``.  A leaf stores a tree and denotes that tree or, with
@@ -22,8 +24,11 @@ Python's recursion limit grows with the depth of the expression.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count, islice, pairwise, repeat
+from operator import ge, le, lt
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NotATree, NotTreeCograph, RangeError, StabilityTooLarge
@@ -71,6 +76,41 @@ class Graph:
         if bad or any(row[0] < 0 for row in adj if row):
             raise _bad_edge(n, edges)
         return Graph(n, tuple(adj))
+
+    @staticmethod
+    def from_sorted_pairs(n: int, us: list[int], vs: list[int]) -> "Graph | None":
+        """The graph of the pairs ``(us[i], vs[i])`` when they satisfy
+        ``0 <= u < v < n`` and come strictly increasing in (u, v), the order
+        ``format_edgelist`` writes; otherwise None, and ``from_edges`` is
+        the builder to call.
+
+        Each vertex's higher neighbors are one slice of ``vs``, cut where
+        ``bisect`` finds the vertex's first pair.  A graph with fewer
+        non-edges than ``max(n, 1)``, the most a co-forest has, is built
+        from its complement: each slice is compared with the vertices above
+        its vertex, the pairs it misses form a sparse graph, and the dense
+        graph is the complement of that one, linked to it both ways.
+        Otherwise a pair that does not rise above its predecessor in v must
+        start a slice, and the lower neighbors take one append per pair.
+        """
+        if not all(map(le, us, islice(us, 1, None))):
+            return None
+        if us and (us[0] < 0 or us[-1] >= n):
+            return None
+        # the slice of vertex u is vs[a:b] for the u-th pair of cuts
+        cuts = pairwise(map(bisect_left, repeat(us), range(n + 1)))
+        if _coforest_sized(n, len(us)):
+            missing = _missing_pairs(n, vs, cuts)
+            return None if missing is None else _complement_of(Graph.from_edges(n, missing))
+        if us and (max(vs) >= n or not all(map(lt, us, vs))):
+            return None
+        drops = compress(count(1), map(ge, vs, islice(vs, 1, None)))
+        if any(us[i - 1] == us[i] for i in drops):
+            return None
+        lower: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(us, vs):
+            lower[v].append(u)
+        return Graph(n, tuple(tuple(row + vs[a:b]) for row, (a, b) in zip(lower, cuts)))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -128,16 +168,74 @@ def complement(g: Graph) -> Graph:
     """
     co = vars(g).get("_complement")
     if co is None:
-        everyone = set(range(g.n))
-        rows = []
-        for v, nbrs in enumerate(g.adj):
-            row = everyone.difference(nbrs)
-            row.discard(v)
-            rows.append(tuple(sorted(row)))
-        co = Graph(g.n, tuple(rows))
-        vars(g)["_complement"] = co
-        vars(co)["_complement"] = g
+        co = _complement_of(g)
     return co
+
+
+def _complement_of(g: Graph) -> Graph:
+    """Build g's complement and link the two, each as the other's.
+
+    A graph with fewer edges than vertices, as a forest has, has a dense
+    complement: each row is a copy of the list of all vertices with the
+    vertex and its neighbors deleted, so the steps in Python grow with
+    n + m.  Otherwise each row is a set difference.
+    """
+    n = g.n
+    rows = []
+    if g.m < n:
+        everyone = list(range(n))
+        for v, nbrs in enumerate(g.adj):
+            row = everyone.copy()
+            del row[v]
+            for w in reversed(nbrs):  # from the top, so no deletion moves the next
+                del row[w - (w > v)]
+            rows.append(tuple(row))
+    else:
+        everyone_set = set(range(n))
+        for v, nbrs in enumerate(g.adj):
+            row_set = everyone_set.difference(nbrs)
+            row_set.discard(v)
+            rows.append(tuple(sorted(row_set)))
+    co = Graph(n, tuple(rows))
+    vars(g)["_complement"] = co
+    vars(co)["_complement"] = g
+    return co
+
+
+def _missing_pairs(
+    n: int, vs: list[int], cuts: Iterable[tuple[int, int]]
+) -> list[Edge] | None:
+    """The pairs (u, w), u < w < n, absent from the slices ``vs[a:b]`` of
+    u's higher neighbors, one ``(a, b)`` of ``cuts`` per vertex u, or None
+    if a slice does not rise strictly through vertices above u and below n.
+
+    Along a run of consecutive vertices ``vs[i] - i`` stays the same, and
+    in a strictly rising slice it grows at each gap.  So each gap is found
+    by a binary search, and each run is then checked against the list of
+    all vertices: the steps in Python grow with the number of gaps, not
+    with m.
+    """
+    everyone = list(range(n))
+    out: list[Edge] = []
+    for u, (a, b) in enumerate(cuts):
+        c = u + 1 - a  # vs[i] == c + i along the run from a
+        while c + b < n:
+            lo, hi = a, b
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if vs[mid] - mid == c:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            present = vs[lo] if lo < b else n
+            if not c + lo < present <= n or vs[a:lo] != everyone[c + a : c + lo]:
+                return None
+            out += [(u, w) for w in range(c + lo, present)]
+            c = present - lo
+            a = lo
+        if vs[a:b] != everyone[c + a : c + b]:
+            return None
+    return out
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -149,6 +247,12 @@ def is_triangle_free(g: Graph) -> bool:
 
 def _non_edges(g: Graph) -> int:
     return g.n * (g.n - 1) // 2 - g.m
+
+
+def _coforest_sized(n: int, m: int) -> bool:
+    """True iff n vertices and m edges leave fewer than ``max(n, 1)``
+    non-edges, as the complement of a forest on n vertices has."""
+    return n * (n - 1) // 2 - m < max(n, 1)
 
 
 def stability_at_most_two(g: Graph) -> bool:
@@ -205,7 +309,7 @@ def is_forest(g: Graph) -> bool:
 def is_coforest(g: Graph) -> bool:
     """True iff the complement of g is a forest, which has fewer than n
     edges; so the complement is built only below n non-edges."""
-    return _non_edges(g) < max(g.n, 1) and is_forest(complement(g))
+    return _coforest_sized(g.n, g.m) and is_forest(complement(g))
 
 
 def _components(nbr: tuple[frozenset[int], ...], verts: Sequence[int]) -> list[list[int]]:

@@ -2,10 +2,12 @@
 
 The reference below is the original parser, which checks the body one line
 at a time.  It is kept here, small and obviously correct, so the parser
-that checks the body with whole-list operations can be checked against it:
-on valid files of random graphs and dense co-trees in random labellings,
-and on seeded random mutations of small files, where both must return equal
-graphs or raise ``ParseError`` with the same message.
+that checks the body in pieces with whole-list operations can be checked
+against it: on valid files of random graphs and dense co-trees in random
+labellings, on files that span several pieces with defects placed at the
+cuts between them, and on seeded random mutations of small files, where
+both must return equal graphs or raise ``ParseError`` with the same
+message.
 """
 
 import random
@@ -13,9 +15,10 @@ import random
 import pytest
 
 from bchrom.errors import ParseError
+import bchrom.fileio
 from bchrom.fileio import format_edgelist, parse_edgelist
 from bchrom.generators import random_graph, random_labeled_tree
-from bchrom.graph import Edge, Graph, complement, empty_graph
+from bchrom.graph import Edge, Graph, complement, empty_graph, is_forest
 
 
 def reference_parse_edgelist(text: str) -> Graph:
@@ -74,9 +77,10 @@ def relabel(g: Graph, rng: random.Random) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def dressed(g: Graph, rng: random.Random) -> str:
+def dressed(g: Graph, rng: random.Random, end: str | None = None) -> str:
     """An edge list of g in a random edge order, with comments, blank
-    lines, surrounding whitespace and line ends of several kinds."""
+    lines, surrounding whitespace and line ends of several kinds, or all
+    ``end``."""
     lines = ["# written by test_edgelist", "", f"p {g.n} {g.m}"]
     edges = list(g.edges)
     rng.shuffle(edges)
@@ -86,7 +90,8 @@ def dressed(g: Graph, rng: random.Random) -> str:
         lines.append(f"{pad}e{gap}{u}{gap}{v}{rng.choice(['', ' ', chr(9)])}")
         if rng.random() < 0.1:
             lines.append(rng.choice(["", "# comment e 1 2", "   ", "  #"]))
-    return rng.choice(["\n", "\r\n", "\r"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+    end = end or rng.choice(["\n", "\r\n", "\r"])
+    return end.join(lines) + rng.choice(["", "\n", "\r\n"])
 
 
 def test_valid_files_of_random_and_co_tree_graphs():
@@ -174,3 +179,86 @@ def test_random_mutations_match_reference():
         g = random_graph(n, rng.random(), rng)
         text = format_edgelist(g) if trial % 2 else dressed(g, rng)
         assert_same(mutate(text, rng))
+
+
+def shuffled(g: Graph, rng: random.Random) -> str:
+    """An edge list of g with its lines in a random order."""
+    lines = [f"e {u} {v}\n" for u, v in g.edges]
+    rng.shuffle(lines)
+    return f"p {g.n} {g.m}\n" + "".join(lines)
+
+
+def body_cuts(text: str) -> list[int]:
+    """Indices, in ``text.split("\\n")``, of the first line of each piece
+    of the body after the first, for a text whose header is line 0."""
+    cuts = []
+    start = text.index("\n") + 1
+    while True:
+        start = text.find("\n", start + bchrom.fileio.PIECE_CHARS - 1) + 1
+        if not 0 < start < len(text):
+            return cuts
+        cuts.append(text.count("\n", 0, start))
+
+
+def defects_around(text: str, line: int) -> list[str]:
+    """Copies of ``text`` with a duplicate edge, a broken row or a comment
+    at line ``line`` or one line either side."""
+    out = []
+    for j in (line - 1, line, line + 1):
+        lines = text.split("\n")
+        for kind in ("duplicate", "broken", "comment"):
+            changed = list(lines)
+            if kind == "duplicate":
+                changed[j] = changed[j - 1]
+            elif kind == "broken":
+                changed[j] = "e 1"
+            else:
+                changed.insert(j, "# a comment")
+            out.append("\n".join(changed))
+    return out
+
+
+def test_co_tree_over_several_pieces_matches_reference():
+    rng = random.Random(700)
+    g = relabel(complement(random_labeled_tree(700, rng)), rng)
+    canonical = format_edgelist(g)
+    cuts = body_cuts(canonical)
+    assert len(cuts) >= 3
+    texts = [canonical, dressed(g, rng, end="\r\n")]
+    texts.append(defects_around(canonical, cuts[0])[0])  # a duplicate edge just before the cut
+    for text in texts:
+        assert_same(text)
+    assert parse_edgelist(texts[1]) == g
+
+
+def test_defects_at_piece_cuts_match_reference(monkeypatch):
+    rng = random.Random(5)
+    graphs = [relabel(complement(random_labeled_tree(40, rng)), rng), random_graph(40, 0.5, rng)]
+    for size in (64, 1000):
+        monkeypatch.setattr(bchrom.fileio, "PIECE_CHARS", size)
+        for g in graphs:
+            text = format_edgelist(g)
+            cuts = body_cuts(text)
+            assert len(cuts) >= 2
+            for line in cuts[:4]:
+                for changed in defects_around(text, line):
+                    assert_same(changed)
+            assert_same(dressed(g, rng))
+
+
+def test_parsed_co_tree_comes_linked_to_its_forest():
+    rng = random.Random(8)
+    for n in (1, 2, 3, 30, 700):
+        g = parse_edgelist(format_edgelist(relabel(complement(random_labeled_tree(n, rng)), rng)))
+        co = complement(g)
+        assert co == complement(Graph(g.n, g.adj))
+        assert is_forest(co)
+        assert complement(co) is g
+
+
+def test_shuffled_order_parses_to_the_canonical_graph():
+    rng = random.Random(9)
+    for g in (relabel(complement(random_labeled_tree(700, rng)), rng),
+              relabel(random_labeled_tree(20000, rng), rng)):
+        assert parse_edgelist(format_edgelist(g)) == g
+        assert parse_edgelist(shuffled(g, rng)) == g

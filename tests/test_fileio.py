@@ -67,6 +67,34 @@ def test_tc_expression_errors():
         parse_tc_expression("(tree 2 0 1) junk")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of expression"),
+        ("(tree", "unexpected end of expression"),
+        ("(tree 1", "unexpected end of expression"),
+        ("(join (tree 1) (tree 1)", "unexpected end of expression"),
+        ("tree 1)", "expected '(', found 'tree'"),
+        ("(union (tree 1) x)", "expected '(', found 'x'"),
+        ("(forest 1)", "unknown expression head 'forest'"),
+        ("(union)", "union needs at least two children"),
+        ("(union (tree 1))", "union needs at least two children"),
+        ("(tree 1) (tree 1)", "trailing tokens after expression"),
+        ("(tree 2 0 1 1)", "inline leaf lists whole edge pairs"),
+        ("(tree 2 0 x)", "bad vertex id 'x'"),
+        ("(tree 2 0 (", "bad vertex id '('"),
+        ("(tree -1)", "adjacency length must equal vertex count"),
+        ("(tree 3 0 5)", "edge (0,5) out of range for n=3"),
+        ("(tree 3 0 1)", "invalid tree leaf: leaf graph must be a tree"),
+        ("(cotree 3 0 1 1 2 0 2)", "invalid cotree leaf: leaf graph must be a tree"),
+    ],
+)
+def test_tc_expression_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_tc_expression(text)
+    assert str(info.value) == message
+
+
 def test_tokenize_in_text_order():
     assert _tokenize('ab"x"') == ["ab", '"x']
     assert _tokenize('(tree "a b;c"cd) ; note "\n(x)') == ["(", "tree", '"a b;c', "cd", ")", "(", "x", ")"]

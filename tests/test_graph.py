@@ -49,6 +49,58 @@ def test_complement_involution(n, rnd):
     assert complement(complement(g)) == g
 
 
+def test_complement_rows_of_sparse_and_dense_graphs():
+    rng = random.Random(4)
+    for n in (1, 2, 5, 12, 40):
+        for p in (0.0, 0.02, 0.1, 0.5, 0.9, 1.0):
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            co = complement(Graph(g.n, g.adj))
+            for v in range(n):
+                assert co.adj[v] == tuple(w for w in range(n) if w != v and w not in g.adj[v])
+    star = star_graph(30)
+    assert complement(star).adj[0] == ()
+
+
+def _pairs_with_defect(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    """Pairs 0 <= u < v < n in (u, v) order, sometimes with one defect: a
+    duplicate, two pairs swapped, a pair reversed or an endpoint out of
+    range."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    if pairs and rng.random() < 0.7:
+        i = rng.randrange(len(pairs))
+        u, v = pairs[i]
+        kind = rng.randrange(5)
+        if kind == 0:
+            pairs.insert(i, (u, v))
+        elif kind == 1 and i + 1 < len(pairs):
+            pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+        elif kind == 2:
+            pairs[i] = (v, u)
+        elif kind == 3:
+            pairs[i] = (u, n + rng.randrange(2))
+        else:
+            pairs[i] = (-1, v)
+    return pairs
+
+
+def test_from_sorted_pairs_builds_canonical_pairs_only():
+    rng = random.Random(6)
+    for trial in range(3000):
+        n = rng.randint(0, 9)
+        p = rng.choice([0.1, 0.5, 0.9, 1.0])
+        pairs = _pairs_with_defect(n, p, rng)
+        g = Graph.from_sorted_pairs(n, [u for u, _ in pairs], [v for _, v in pairs])
+        canonical = all(0 <= u < v < n for u, v in pairs) and all(
+            a < b for a, b in zip(pairs, pairs[1:])
+        )
+        if canonical:
+            assert g == Graph.from_edges(n, pairs), pairs
+        else:
+            assert g is None, pairs
+
+
 def test_triangle_free_examples():
     assert is_triangle_free(cycle_graph(5))
     assert not is_triangle_free(complete_graph(3))
