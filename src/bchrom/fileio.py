@@ -14,12 +14,12 @@ lines, comments and surrounding whitespace.  No list of the whole file's
 words or lines is built.  On invalid input the body is then walked line by
 line, and the error names the first bad line.
 
-Pairs in canonical order, sorted by (u, v) as ``format_edgelist`` writes
-them, become rows without a set or a sort per vertex
-(``Graph.from_sorted_pairs``).  A graph with fewer non-edges than vertices,
-as a co-forest has, is built as the complement of its missing pairs, so it
-comes linked to that sparse complement and is never complemented again.
-Pairs in any other order go through ``Graph.from_edges``.
+A graph with fewer non-edges than vertices, as a co-forest has, whose
+pairs come in canonical order, sorted by (u, v) as ``format_edgelist``
+writes them, is built as the complement of its missing pairs
+(``Graph.from_sorted_dense_pairs``), so it comes linked to that sparse
+complement and is never complemented again.  Any other graph is built by
+``Graph.from_edges``.
 
 Expression format: s-expressions over
 ``(tree <file|inline>) | (cotree ...) | (union e e+) | (join e e+)`` where
@@ -152,8 +152,10 @@ def _read_body(text: str, start: int, body: int, n: int, m: int) -> tuple[list[i
     """The endpoints ``(us, vs)`` of the m rows from offset ``body`` on;
     the header is line ``start``.  Only when a piece fails its checks is
     the body walked line by line, to name the first bad line."""
-    # a table longer than the 2m endpoints would cost more than it saves
-    ids = {str(v): v for v in range(min(n, 2 * m))}
+    # a table longer than the 2m endpoints would cost more than it saves,
+    # and the header alone must not size it: each id spelled in the body
+    # takes a character of the body at least
+    ids = {str(v): v for v in range(min(n, 2 * m, len(text) - body))}
     us: list[int] = []
     vs: list[int] = []
     for piece in _pieces(text, body):
@@ -170,7 +172,7 @@ def _read_body(text: str, start: int, body: int, n: int, m: int) -> tuple[list[i
 def parse_edgelist(text: str) -> Graph:
     n, m, start, body = _read_header(text)
     us, vs = _read_body(text, start, body, n, m)
-    g = Graph.from_sorted_pairs(n, us, vs)
+    g = Graph.from_sorted_dense_pairs(n, us, vs)
     if g is None:
         if m and (min(us) < 0 or max(vs) >= n or not all(map(operator.lt, us, vs))):
             raise _body_error(text, start, n, m)

@@ -9,10 +9,10 @@ Derived views of a graph are computed once and kept on it: its edge list,
 degrees, bitmasks, neighbor sets, connected components and its complement.
 A complement remembers the graph it came from as its own complement, so
 complementing twice builds nothing.  A dense graph built from its sparse
-complement, as ``Graph.from_sorted_pairs`` builds a co-forest, comes with
-that link, so its complement costs nothing.  The components are a tuple of
-tuples, so no caller can change what the next one reads, and the tests for
-trees, forests and co-forests search a graph at most once.
+complement, as ``Graph.from_sorted_dense_pairs`` builds a co-forest, comes
+with that link, so its complement costs nothing.  The components are a
+tuple of tuples, so no caller can change what the next one reads, and the
+tests for trees, forests and co-forests search a graph at most once.
 
 A tree-cograph expression is built from ``TcLeaf`` leaves by ``TcUnion``
 and ``TcJoin``.  A leaf stores a tree and denotes that tree or, with
@@ -27,8 +27,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, islice, pairwise, repeat
-from operator import ge, le, lt
+from itertools import islice, pairwise, repeat
+from operator import le
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NotATree, NotTreeCograph, RangeError, StabilityTooLarge
@@ -78,39 +78,27 @@ class Graph:
         return Graph(n, tuple(adj))
 
     @staticmethod
-    def from_sorted_pairs(n: int, us: list[int], vs: list[int]) -> "Graph | None":
-        """The graph of the pairs ``(us[i], vs[i])`` when they satisfy
+    def from_sorted_dense_pairs(n: int, us: list[int], vs: list[int]) -> "Graph | None":
+        """The graph of the pairs ``(us[i], vs[i])`` when they leave fewer
+        non-edges than ``max(n, 1)``, the most a co-forest has, satisfy
         ``0 <= u < v < n`` and come strictly increasing in (u, v), the order
         ``format_edgelist`` writes; otherwise None, and ``from_edges`` is
         the builder to call.
 
         Each vertex's higher neighbors are one slice of ``vs``, cut where
-        ``bisect`` finds the vertex's first pair.  A graph with fewer
-        non-edges than ``max(n, 1)``, the most a co-forest has, is built
-        from its complement: each slice is compared with the vertices above
-        its vertex, the pairs it misses form a sparse graph, and the dense
-        graph is the complement of that one, linked to it both ways.
-        Otherwise a pair that does not rise above its predecessor in v must
-        start a slice, and the lower neighbors take one append per pair.
+        ``bisect`` finds the vertex's first pair.  Each slice is compared
+        with the vertices above its vertex, the pairs it misses form a
+        sparse graph, and the dense graph is the complement of that one,
+        linked to it both ways.
         """
-        if not all(map(le, us, islice(us, 1, None))):
+        if not _coforest_sized(n, len(us)) or not all(map(le, us, islice(us, 1, None))):
             return None
         if us and (us[0] < 0 or us[-1] >= n):
             return None
         # the slice of vertex u is vs[a:b] for the u-th pair of cuts
         cuts = pairwise(map(bisect_left, repeat(us), range(n + 1)))
-        if _coforest_sized(n, len(us)):
-            missing = _missing_pairs(n, vs, cuts)
-            return None if missing is None else _complement_of(Graph.from_edges(n, missing))
-        if us and (max(vs) >= n or not all(map(lt, us, vs))):
-            return None
-        drops = compress(count(1), map(ge, vs, islice(vs, 1, None)))
-        if any(us[i - 1] == us[i] for i in drops):
-            return None
-        lower: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(us, vs):
-            lower[v].append(u)
-        return Graph(n, tuple(tuple(row + vs[a:b]) for row, (a, b) in zip(lower, cuts)))
+        missing = _missing_pairs(n, vs, cuts)
+        return None if missing is None else _complement_of(Graph.from_edges(n, missing))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:

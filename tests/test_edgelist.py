@@ -11,6 +11,7 @@ message.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -143,6 +144,21 @@ def test_zero_edges():
     assert parse_edgelist("p 4 0\n") == empty_graph(4)
     assert parse_edgelist("# none\n\np 0 0") == empty_graph(0)
     assert_same("p 4 0\n\n# e 0 1\n")
+
+
+def test_large_header_over_a_short_body_allocates_by_the_body():
+    # the memory of a rejected file follows its length, not its header:
+    # a table of 10**6 vertex ids would hold over 50 MB
+    tracemalloc.start()
+    try:
+        for text in ("p 1000000 1000000\n", "p 1000000 1000000\ne 0 1\ne 2 3\n"):
+            assert_same(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ParseError, match="^header declares 100000000 edges, found 0$"):
+        parse_edgelist("p 100000000 100000000\n")
 
 
 ALPHABET = ["e", "p", " ", "\t", "\n", "\r\n", "#", "-", "+", "_", "x", "0", "1", "2", "9"]

@@ -85,20 +85,24 @@ def _pairs_with_defect(n: int, p: float, rng: random.Random) -> list[tuple[int, 
     return pairs
 
 
-def test_from_sorted_pairs_builds_canonical_pairs_only():
+def test_from_sorted_dense_pairs_builds_canonical_co_forest_sized_pairs_only():
     rng = random.Random(6)
+    built = 0
     for trial in range(3000):
         n = rng.randint(0, 9)
-        p = rng.choice([0.1, 0.5, 0.9, 1.0])
+        p = rng.choice([0.5, 0.9, 0.97, 1.0])
         pairs = _pairs_with_defect(n, p, rng)
-        g = Graph.from_sorted_pairs(n, [u for u, _ in pairs], [v for _, v in pairs])
+        g = Graph.from_sorted_dense_pairs(n, [u for u, _ in pairs], [v for _, v in pairs])
         canonical = all(0 <= u < v < n for u, v in pairs) and all(
             a < b for a, b in zip(pairs, pairs[1:])
         )
-        if canonical:
+        if canonical and n * (n - 1) // 2 - len(pairs) < max(n, 1):
             assert g == Graph.from_edges(n, pairs), pairs
+            assert complement(g) == complement(Graph(g.n, g.adj))
+            built += 1
         else:
             assert g is None, pairs
+    assert built > 500
 
 
 def test_triangle_free_examples():
