@@ -26,7 +26,6 @@ from .graph import (
     TcJoin,
     TcLeaf,
     TcUnion,
-    chromatic_stability2,
     complement,
     decompose_tree_cograph,
     evaluate_tc,
@@ -41,7 +40,7 @@ from .matching import (
     augment,
     find_short_augmenting,
     is_strongly_maximal,
-    maximum_matching,
+    least_deficiency_matchings,
     min_length_augmenting_path,
     s1_s2,
 )

@@ -6,8 +6,7 @@ seed.  Domain errors exit 1 with a one-line diagnostic; usage errors exit 2.
 ``bchromatic``, ``dominance`` and ``bcolor`` each ask ``route.plan`` once
 for the first route, of tree, co-forest, tree-cograph and exact search in
 that order, that applies and gives what the command needs; a refusal names
-why each route was rejected.  ``bcolor`` answers every k in [chi, n] on
-trees and co-forests, and the b-spectrum only under exact search.
+why each route was rejected.  ``bcolor`` answers every k in [chi, n].
 """
 
 from __future__ import annotations

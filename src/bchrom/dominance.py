@@ -333,9 +333,9 @@ def b_coloring_tree(t: Graph, k: int, target: int | None = None) -> "Coloring":
 
 
 def dominance_from_deficiency(n: int, fvec: list[float]) -> DominanceVector:
-    """Dominance of the complement of an n-vertex forest with F vector ``fvec``:
-    chi = n - nu and dom[t] = t - F[n - t], as a t-coloring's two-vertex classes
-    are a size-(n - t) matching whose deficiency counts the non-dominant ones."""
+    """Dominance of a stability-2 graph whose n-vertex complement has F vector
+    ``fvec``: chi = n - nu and dom[t] = t - F[n - t], as a t-coloring's two-vertex
+    classes are a size-(n - t) matching whose deficiency counts the non-dominant ones."""
     nu = max(k for k, val in enumerate(fvec) if val != INF)
     return DominanceVector(n - nu, tuple(int(t - fvec[n - t]) for t in range(n - nu, n + 1)))
 

@@ -31,7 +31,7 @@ from itertools import islice, pairwise, repeat
 from operator import le
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import NotATree, NotTreeCograph, RangeError, StabilityTooLarge
+from .errors import NotATree, NotTreeCograph, RangeError
 
 Edge = tuple[int, int]
 
@@ -394,19 +394,6 @@ def m_i_count(t: Graph, i: int) -> int:
     if not (m < i <= delta + 1):
         raise RangeError(f"i={i} outside ({m}, {delta + 1}]")
     return sum(d >= i - 1 for d in t.degrees)
-
-
-def chromatic_stability2(g: Graph) -> int:
-    """Chromatic number of a graph with stability at most two.
-
-    Color classes have size at most two, so a minimum coloring pairs up as
-    many vertices as a maximum matching of the complement allows.
-    """
-    if not stability_at_most_two(g):
-        raise StabilityTooLarge("chromatic shortcut needs stability <= 2")
-    from .matching import maximum_matching
-
-    return g.n - len(maximum_matching(complement(g)))
 
 
 # ---------------------------------------------------------------------------

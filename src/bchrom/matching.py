@@ -93,17 +93,31 @@ def find_short_augmenting(g: Graph, m: Matching) -> AltPath | None:
     return best
 
 
-def maximum_matching(g: Graph) -> Matching:
-    """A maximum-cardinality matching (mature blossom implementation)."""
-    if g.n == 0 or g.m == 0:
-        return frozenset()
-    import networkx as nx  # on first use: it loads slower than the whole package
-
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges)
-    mate = nx.max_weight_matching(G, maxcardinality=True)
-    return frozenset(norm_edge(u, v) for u, v in mate)
+def least_deficiency_matchings(g: Graph, counter) -> tuple[list[float], list[Matching]]:
+    """Per size k, the least deficiency F[k] (``inf`` past the maximum) over
+    size-k matchings of g, and one matching that attains it.  Each vertex in
+    turn, lowest first, stays free or is matched to a higher undecided
+    neighbor; ``counter`` (an ``oracle._Counter``) is ticked once a matching."""
+    n, bits, full = g.n, g.bits, (1 << g.n) - 1
+    least: list[float] = [float("inf")] * (n // 2 + 1)
+    found: list[Matching] = [frozenset()] * (n // 2 + 1)
+    stack = [(0, 0, ())]
+    while stack:
+        start, mask, pairs = stack.pop()
+        counter.tick()
+        rest = full & ~mask & -(1 << start)  # undecided: each stays free here
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            higher = bits[v] & rest  # and is matched to these on the stack
+            while higher:
+                w = (higher & -higher).bit_length() - 1
+                higher &= higher - 1
+                stack.append((v + 1, mask | 1 << v | 1 << w, (*pairs, (v, w))))
+        k = len(pairs)
+        if least[k] and (d := sum(_defects(g, pairs, full & ~mask))) < least[k]:
+            least[k], found[k] = d, frozenset(pairs)
+    return least, found
 
 
 def min_length_augmenting_path(g: Graph, m: Matching) -> AltPath | None:

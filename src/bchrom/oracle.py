@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, GraphTooLarge, InvariantViolation, RangeError
+from .errors import BudgetExceeded, GraphTooLarge, InvariantViolation, KOutOfRange, RangeError
 from .graph import Edge, Graph
 from .matching import _defects
 
@@ -100,6 +100,8 @@ def oracle_min_smm(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int
 
 def oracle_f_t_k(t: Graph, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> float:
     """Minimum of the two deficiency counts over matchings of size exactly k."""
+    if k < 0:
+        raise KOutOfRange(f"k={k} is negative")
     counter = _admit(t, budget, t.m)
     edges = t.edges
     L = len(edges)

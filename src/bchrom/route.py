@@ -6,9 +6,8 @@ on two or more vertices), co-forest (the complement is a forest), tree-cograph
 (stability at most two and n <= ``max_n``).  A row's ``attempt`` tests the
 input; its ``gives`` names what it answers, of the value (b-chromatic number),
 the dominance vector, a witness b-coloring and a coloring with k classes and
-dom[k] dominant ones (every k in [chi, n] on trees and co-forests, the
-b-spectrum only under exact search).  ``plan`` returns the first route that
-applies and gives what the command needs; cheap tests come first, and the
+dom[k] dominant ones, at any k in [chi, n].  ``plan`` returns the first route
+that applies and gives what the command needs; cheap tests come first, and the
 decomposition runs only on what is neither a tree nor a co-forest.  An
 expression is routed without its graph when the tree-cograph route gives what
 is needed; otherwise its graph is built.  A lone leaf goes to the tree or the
@@ -20,13 +19,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import ClassVar
 
-from .bcoloring import continuity_chain, matching_to_coloring, verify_coloring
+from .bcoloring import matching_to_coloring, verify_coloring
 from .dominance import b_chromatic_tree, b_coloring_tree, dominance_from_deficiency
 from .dominance import dominance_tc, dominance_vector_tree
 from .errors import InvariantViolation, KOutOfRange, NoRoute, NotTreeCograph
 from .graph import Graph, TcExpr, TcLeaf, complement, decompose_tree_cograph
 from .graph import evaluate_tc, is_coforest, is_tree, stability_at_most_two
-from .oracle import OracleBudget, oracle_dominance, oracle_min_smm
+from .matching import least_deficiency_matchings
+from .oracle import OracleBudget, _Counter
 from .tree_dp import DeficiencyTables, SmmTables, combine_all, forest_deficiency
 from .tree_dp import forest_deficiency_matching, forest_parts, min_smm_forest, smm_tables
 
@@ -70,11 +70,26 @@ class TreeRoute(Route):
 
 
 class _MatchingRoute(Route):
-    """A stability-2 graph ``graph``, colored from a minimum strongly maximal
-    matching ``_smm`` of its complement: matched pairs share a class."""
+    """A stability-2 graph ``graph``, colored from matchings of its complement
+    ``co`` (matched pairs share a class): a minimum strongly maximal ``_smm``,
+    and per size the least deficiency ``_f`` and a ``_matching`` attaining it."""
 
     value = cached_property(lambda self: self.graph.n - self._smm[0])
     witness = cached_property(lambda self: matching_to_coloring(self.graph, self._smm[1]))
+    vector = cached_property(lambda self: dominance_from_deficiency(self.co.n, self._f))
+
+    def coloring(self, k: int):
+        """Pairs of a size-(n - k) matching of least deficiency share a
+        class; the deficiency counts the non-dominant classes."""
+        vec = self.vector
+        if not vec.chi <= k <= vec.n:
+            raise KOutOfRange(f"k={k} outside [{vec.chi}, {vec.n}]")
+        coloring = matching_to_coloring(self.graph, self._matching(vec.n - k))
+        found = len(verify_coloring(self.graph, coloring).dominant_classes)
+        if found != vec.value_at(k):
+            raise InvariantViolation(f"{self.name} coloring has {found} dominant classes, "
+                                     f"not dom[{k}] = {vec.value_at(k)}")
+        return coloring
 
 
 class CoForestRoute(_MatchingRoute):
@@ -87,26 +102,13 @@ class CoForestRoute(_MatchingRoute):
     parts = cached_property(lambda self: forest_parts(self.co))
     _smm = cached_property(lambda self: min_smm_forest(self.co, self.parts, self.smm and [self.smm]))
     _deficiency = cached_property(lambda self: forest_deficiency(self.parts))
-    vector = cached_property(
-        lambda self: dominance_from_deficiency(self.co.n, combine_all(self._deficiency[1]))
-    )
+    _f = cached_property(lambda self: combine_all(self._deficiency[1]))
     smm = cached_property(lambda self: smm_tables(self.co) if self._one_tree else None)
     tables = cached_property(lambda self: self._deficiency[0][0] if self._one_tree else None)
     _one_tree = property(lambda self: self.co.n > 1 and len(self.parts) == 1)
 
-    def coloring(self, k: int):
-        """Pairs of a size-(n - k) matching of least deficiency share a
-        class; the deficiency counts the non-dominant classes."""
-        vec = self.vector
-        if not vec.chi <= k <= vec.n:
-            raise KOutOfRange(f"k={k} outside [{vec.chi}, {vec.n}]")
-        matching = forest_deficiency_matching(self.parts, *self._deficiency, vec.n - k)
-        coloring = matching_to_coloring(self.graph, matching)
-        found = len(verify_coloring(self.graph, coloring).dominant_classes)
-        if found != vec.value_at(k):
-            raise InvariantViolation(f"co-forest coloring has {found} dominant classes, "
-                                     f"not dom[{k}] = {vec.value_at(k)}")
-        return coloring
+    def _matching(self, size: int):
+        return forest_deficiency_matching(self.parts, *self._deficiency, size)
 
     @classmethod
     def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:
@@ -135,14 +137,15 @@ class TreeCographRoute(Route):
 
 class ExactSearchRoute(_MatchingRoute):
     name = "exact-search"
-    _smm = cached_property(lambda self: oracle_min_smm(complement(self.graph), self.budget))
-    vector = cached_property(lambda self: oracle_dominance(self.graph, self.budget))
+    co = cached_property(lambda self: complement(self.graph))
+    _table = cached_property(lambda self: least_deficiency_matchings(
+        self.co, _Counter(self.budget.max_states, "exact search")))
+    _f = property(lambda self: self._table[0])
+    # the least size of deficiency 0 is that of a minimum strongly maximal matching
+    _smm = cached_property(lambda self: (k := self._f.index(0), self._matching(k)))
 
-    def coloring(self, k: int):
-        by_t = {c.t: c for c in continuity_chain(self.graph, self.witness)}
-        if k not in by_t:
-            raise KOutOfRange(f"k={k} outside the b-spectrum [{min(by_t)}, {max(by_t)}]")
-        return by_t[k]
+    def _matching(self, size: int):
+        return self._table[1][size]
 
     @classmethod
     def attempt(cls, source: Graph, max_n: int) -> Route | str:

@@ -120,6 +120,14 @@ def test_oracle_subcommand(files):
     assert code == 0 and "f: 4" in out
 
 
+def test_oracle_f_t_k_refuses_a_negative_k_before_searching(files):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        # a budget of one state: any search would end in a budget error instead
+        code, out = run(["oracle", "f-t-k", files["c5"], "--k", "-1", "--max-states", "1"])
+    assert (code, out, err.getvalue()) == (1, "", "error: k=-1 is negative\n")
+
+
 def test_tables_flag(files):
     code, out = run(["dominance", files["cop6"], "--dump-tables"])
     assert code == 0

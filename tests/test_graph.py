@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchrom.errors import NotTreeCograph, RangeError, StabilityTooLarge
+from bchrom.errors import NotTreeCograph, RangeError
 from bchrom.graph import (
     Graph,
     TcJoin,
     TcLeaf,
     TcUnion,
-    chromatic_stability2,
     complement,
     complete_bipartite,
     complete_graph,
@@ -208,23 +207,6 @@ def _leaves(expr):
     if isinstance(expr, TcLeaf):
         return [expr]
     return [l for c in expr.children for l in _leaves(c)]
-
-
-def test_chromatic_stability2_examples():
-    assert chromatic_stability2(complement(path_graph(6))) == 3
-    assert chromatic_stability2(complete_graph(5)) == 5
-    assert chromatic_stability2(complement(path_graph(5))) == 3
-    with pytest.raises(StabilityTooLarge):
-        chromatic_stability2(empty_graph(3))
-
-
-def test_chromatic_stability2_against_oracle():
-    rng = random.Random(11)
-    from conftest import random_stability2
-
-    for _ in range(60):
-        g = random_stability2(rng.randint(1, 7), rng)
-        assert chromatic_stability2(g) == oracle_chromatic(g)
 
 
 def test_chi_le_chib_le_m_sampled():

@@ -5,16 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchrom.errors import InvalidMatching, NotAugmenting
-from bchrom.graph import Graph, complete_graph, cycle_graph, empty_graph, path_graph
+from bchrom.graph import Graph, path_graph
 from bchrom.matching import (
     augment,
     find_short_augmenting,
     is_strongly_maximal,
-    maximum_matching,
     min_length_augmenting_path,
     s1_s2,
 )
-from bchrom.oracle import oracle_nu, oracle_shortest_augmenting
+from bchrom.oracle import oracle_shortest_augmenting
 
 from conftest import random_graph_corpus
 
@@ -57,12 +56,6 @@ def test_find_short_augmenting_examples():
     assert find_short_augmenting(p4, frozenset({(1, 2)})) == (0, 1, 2, 3)
 
 
-def test_maximum_matching_examples():
-    assert len(maximum_matching(P6)) == 3
-    assert len(maximum_matching(cycle_graph(5))) == 2
-    assert maximum_matching(empty_graph(4)) == frozenset()
-
-
 def test_min_length_augmenting_examples():
     assert min_length_augmenting_path(P6, frozenset({(1, 2), (3, 4)})) == (
         0,
@@ -88,11 +81,6 @@ def test_s1_s2_examples():
     assert s1_s2(P6, frozenset({(2, 3)})) == (4, 1)
     assert s1_s2(P6, frozenset({(1, 2), (3, 4)})) == (0, 0)
     assert s1_s2(P6, frozenset()) == (6, 0)
-
-
-def test_maximum_matching_against_oracle():
-    for g in random_graph_corpus(150, 10, seed=21):
-        assert len(maximum_matching(g)) == oracle_nu(g)
 
 
 def test_min_length_against_oracle():
@@ -147,11 +135,6 @@ def test_augmenting_preserves_strong_maximality():
             m = m2
             checked += 1
     assert checked >= 40
-
-
-def test_maximum_is_strongly_maximal():
-    for g in random_graph_corpus(80, 9, seed=61):
-        assert is_strongly_maximal(g, maximum_matching(g))
 
 
 @settings(max_examples=80)

@@ -12,9 +12,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from bchrom import dominance, graph, tree_dp
-from bchrom.bcoloring import verify_coloring
+from bchrom.bcoloring import coloring_to_matching, matching_to_coloring, verify_coloring
 from bchrom.cli import main
-from bchrom.errors import NoRoute
+from bchrom.errors import BudgetExceeded, NoRoute
 from bchrom.fileio import (
     format_edgelist,
     format_tc_expression,
@@ -22,7 +22,7 @@ from bchrom.fileio import (
     parse_edgelist,
     parse_tc_expression,
 )
-from bchrom.generators import random_labeled_tree
+from bchrom.generators import random_labeled_tree, random_triangle_free
 from bchrom.graph import (
     Graph,
     complement,
@@ -39,8 +39,10 @@ from bchrom.graph import (
     path_graph,
     stability_at_most_two,
 )
-from bchrom.oracle import oracle_chi_b, oracle_dominance
-from bchrom.route import plan
+from bchrom.matching import least_deficiency_matchings, s1_s2
+from bchrom.oracle import OracleBudget, _Counter, oracle_chi_b, oracle_dominance, oracle_f_t_k
+from bchrom.oracle import oracle_min_smm, oracle_nu
+from bchrom.route import ExactSearchRoute, plan
 
 from conftest import random_expression, random_stability2
 
@@ -344,21 +346,26 @@ def _cotree_or_coforest(rng: random.Random) -> Graph:
     return _relabel(_coforest(rng.randint(2, 10), rng), rng)
 
 
+def _assert_bcolor_answers_every_k(tmp_path, name: str, g: Graph) -> None:
+    """``bcolor`` gives a verified coloring with the oracle's dom[k] dominant
+    classes at every k in [chi, n], and refuses k = chi - 1 and k = n + 1 in one line."""
+    vec = oracle_dominance(g)
+    path, out = tmp_path / f"{name}.g", tmp_path / f"{name}.col"
+    path.write_text(format_edgelist(g))
+    for k in range(vec.chi, g.n + 1):
+        assert _run(["bcolor", str(path), str(k), "-o", str(out)]) == (0, "", ""), (g, k)
+        coloring = parse_coloring(out.read_text(), g.n)
+        verdict = verify_coloring(g, coloring)
+        assert coloring.t == k and len(verdict.dominant_classes) == vec.value_at(k), (g, k)
+    for k in (vec.chi - 1, g.n + 1):
+        code, text, err = _run(["bcolor", str(path), str(k)])
+        assert (code, text) == (1, "") and err.startswith("error: k=") and err.count("\n") == 1
+
+
 def test_bcolor_answers_every_k_from_chi_to_n_on_coforests(tmp_path):
     rng = random.Random(14)
     for i in range(24):
-        g = _cotree_or_coforest(rng)
-        vec = oracle_dominance(g)
-        path, out = tmp_path / f"g{i}.g", tmp_path / f"g{i}.col"
-        path.write_text(format_edgelist(g))
-        for k in range(vec.chi, g.n + 1):
-            assert _run(["bcolor", str(path), str(k), "-o", str(out)]) == (0, "", ""), (g, k)
-            coloring = parse_coloring(out.read_text(), g.n)
-            verdict = verify_coloring(g, coloring)
-            assert coloring.t == k and len(verdict.dominant_classes) == vec.value_at(k), (g, k)
-        for k in (vec.chi - 1, g.n + 1):
-            code, text, err = _run(["bcolor", str(path), str(k)])
-            assert (code, text) == (1, "") and err.startswith("error: k=") and err.count("\n") == 1
+        _assert_bcolor_answers_every_k(tmp_path, f"g{i}", _cotree_or_coforest(rng))
 
 
 def test_bcolor_on_a_300_vertex_cotree_at_chi_needs_no_chain(tmp_path):
@@ -385,14 +392,81 @@ def test_bcolor_on_a_300_vertex_cotree_at_chi_needs_no_chain(tmp_path):
 
 
 def test_exact_search_bcolor_answers_its_b_spectrum_only(tmp_path):
-    g = graph_union(complete_graph(3), complete_graph(3))
-    path = tmp_path / "k3k3.g"
-    path.write_text(format_edgelist(g))
-    assert plan(g, "coloring").name == "exact-search"
-    code, out, _ = _run(["bcolor", str(path), "3"])
-    assert code == 0 and parse_coloring(out, g.n).t == 3
-    code, out, err = _run(["bcolor", str(path), "4"])
-    assert (code, out) == (1, "") and "outside the b-spectrum [3, 3]" in err
+    """Exact search answers every k in [chi, n], not the b-spectrum only."""
+    k3k3 = graph_union(complete_graph(3), complete_graph(3))
+    for name, g in (("k3k3", k3k3), ("c5", cycle_graph(5)), ("wheel", WHEEL5)):
+        assert plan(g, "coloring").name == "exact-search"
+        _assert_bcolor_answers_every_k(tmp_path, name, g)
+
+
+def test_exact_search_reads_every_answer_off_one_matching_table():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 40:
+        g = random_stability2(rng.randint(4, 10), rng)
+        co = complement(g)
+        if is_forest(co):
+            continue
+        checked += 1
+        least, found = least_deficiency_matchings(co, _Counter(10**6))
+        nu = oracle_nu(co)
+        assert least == [oracle_f_t_k(co, k) for k in range(g.n // 2 + 1)], g
+        assert least[nu] == 0 and len(found[nu]) == nu  # a maximum matching is strongly maximal
+        route = ExactSearchRoute(graph=g, budget=OracleBudget())
+        vec = route.vector
+        assert vec == oracle_dominance(g), g
+        assert route.value == oracle_chi_b(g) == g.n - oracle_min_smm(co)[0], g
+        assert route.witness.t == route.value and verify_coloring(g, route.witness).is_b_coloring
+        for k in range(vec.chi, g.n + 1):
+            coloring = route.coloring(k)
+            pairs = coloring_to_matching(g, coloring)
+            assert len(pairs) == g.n - k and sum(s1_s2(co, pairs)) == k - vec.value_at(k), (g, k)
+            assert matching_to_coloring(g, pairs) == coloring, (g, k)
+    k3k3 = graph_union(complete_graph(3), complete_graph(3))  # K(3,3) has 34 matchings
+    with pytest.raises(BudgetExceeded, match="exact search"):
+        ExactSearchRoute(graph=k3k3, budget=OracleBudget(max_states=10)).vector
+
+
+def test_every_route_answers_without_networkx_or_the_oracle_searches(tmp_path):
+    rng = random.Random(2)
+    graphs = {"tree": random_labeled_tree(8, rng), "co-forest": complement(random_labeled_tree(12, rng)),
+              "exact-search": complement(random_triangle_free(12, 0.3, random.Random(2)))}
+    vectors = {name: oracle_dominance(g) for name, g in graphs.items()}
+    argvs = []
+    for name, g in graphs.items():
+        assert plan(g, "coloring").name == name
+        path = tmp_path / f"{name}.g"
+        path.write_text(format_edgelist(g))
+        argvs += [["bchromatic", str(path), "--witness", f"{path}.w"], ["dominance", str(path)]]
+        argvs += [["bcolor", str(path), str(k), "-o", f"{path}.{k}"]
+                  for k in range(vectors[name].chi, g.n + 1)]
+    expr = random_expression("nested", 12, random.Random(5))
+    assert plan(expr, "vector").name == "tree-cograph"
+    tcx = tmp_path / "tc.tcx"
+    tcx.write_text(format_tc_expression(expr))
+    argvs += [["bchromatic", str(tcx)], ["dominance", str(tcx)]]
+    script = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from bchrom import bcoloring, cli, oracle, route\n"
+        "for module in (oracle, route):  # wherever the names are bound\n"
+        "    module.oracle_dominance = module.oracle_min_smm = None\n"
+        "route.continuity_chain = bcoloring.continuity_chain = None\n"
+        f"print([cli.main(argv) for argv in {argvs!r}])\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.stderr == "" and done.stdout.endswith(f"{[0] * len(argvs)}\n")
+    for name, g in graphs.items():
+        vec, path = vectors[name], tmp_path / f"{name}.g"
+        witness = parse_coloring((tmp_path / f"{name}.g.w").read_text(), g.n)
+        assert witness.t == vec.b_chromatic() and verify_coloring(g, witness).is_b_coloring
+        for k in range(vec.chi, g.n + 1):
+            coloring = parse_coloring((tmp_path / f"{name}.g.{k}").read_text(), g.n)
+            verdict = verify_coloring(g, coloring)
+            assert coloring.t == k and len(verdict.dominant_classes) == vec.value_at(k), (name, k)
 
 
 def test_exact_search_spends_its_own_budget(tmp_path):
