@@ -6,20 +6,25 @@ first non-comment line is ``p <n> <m>``; exactly m lines ``e <u> <v>`` with
 
 The header is read line by line.  The body is read in pieces of about
 ``PIECE_CHARS`` characters, each cut just after a ``"\\n"``, and each piece
-is checked with whole-list operations: every third word is ``e``, there are
-3k words for k rows, and the endpoints are read through a table of vertex
-ids.  A plain piece (ASCII, lines ended by ``"\\n"`` alone, each starting
-with ``e``) is split as it is; any other piece is first stripped of blank
-lines, comments and surrounding whitespace.  No list of the whole file's
-words or lines is built.  On invalid input the body is then walked line by
-line, and the error names the first bad line.
+is checked with whole-list operations: every third word is ``e``, and there
+are 3k words for k rows.  A plain piece (ASCII, lines ended by ``"\\n"``
+alone, each starting with ``e``) is split as it is; any other piece is
+first stripped of blank lines, comments and surrounding whitespace.  No
+list of the whole file's words or lines is built.  On invalid input the
+body is then walked line by line, and the error names the first bad line.
 
-A graph with fewer non-edges than vertices, as a co-forest has, whose
-pairs come in canonical order, sorted by (u, v) as ``format_edgelist``
-writes them, is built as the complement of its missing pairs
-(``Graph.from_sorted_dense_pairs``), so it comes linked to that sparse
-complement and is never complemented again.  Any other graph is built by
-``Graph.from_edges``.
+The endpoints are read by ``int()``, or, when m >= 2n, through a table of
+vertex ids: there each id is spelled four times on average, and looking a
+word up saves about a quarter of what an entry costs to build.
+
+Pairs in canonical order, strictly increasing in (u, v) as
+``format_edgelist`` writes them, are built by ``Graph.from_sorted_pairs``:
+a graph with fewer non-edges than vertices, as a co-forest has, as the
+complement of its missing pairs, so it comes linked to that sparse
+complement and is never complemented again, and any other graph by
+appending each pair to its two rows, with no set or sort per vertex.
+Pairs in any other order are built by ``Graph.from_edges``; a duplicate,
+reversed or out-of-range pair is then named by its line.
 
 Expression format: s-expressions over
 ``(tree <file|inline>) | (cotree ...) | (union e e+) | (join e e+)`` where
@@ -98,13 +103,16 @@ def _body_error(text: str, start: int, n: int, m: int) -> ParseError:
 
 
 def _read_ints(words: list[str], ids: dict[str, int]) -> list[int]:
-    """The integers ``int()`` reads from ``words``.  Words that spell a
-    vertex id in canonical decimal are looked up in ``ids``, which is
-    faster than ``int()`` and shares one int object per vertex."""
-    try:
-        return list(map(ids.__getitem__, words))
-    except KeyError:
-        return list(map(int, words))
+    """The integers ``int()`` reads from ``words``.  When ``ids`` holds
+    every word, spelled in canonical decimal, the words are looked up in
+    it, which is faster than ``int()`` and shares one int object per
+    vertex."""
+    if ids:
+        try:
+            return list(map(ids.__getitem__, words))
+        except KeyError:
+            pass
+    return list(map(int, words))
 
 
 def _pieces(text: str, start: int) -> Iterator[str]:
@@ -152,10 +160,11 @@ def _read_body(text: str, start: int, body: int, n: int, m: int) -> tuple[list[i
     """The endpoints ``(us, vs)`` of the m rows from offset ``body`` on;
     the header is line ``start``.  Only when a piece fails its checks is
     the body walked line by line, to name the first bad line."""
-    # a table longer than the 2m endpoints would cost more than it saves,
-    # and the header alone must not size it: each id spelled in the body
-    # takes a character of the body at least
-    ids = {str(v): v for v in range(min(n, 2 * m, len(text) - body))}
+    # an entry of the table costs about as much as four int() calls save,
+    # so it pays only at four or more endpoint words per id, m >= 2n; and
+    # the header alone must not size it: each id spelled in the body takes
+    # a character of the body at least
+    ids = {str(v): v for v in range(min(n, len(text) - body))} if m >= 2 * n else {}
     us: list[int] = []
     vs: list[int] = []
     for piece in _pieces(text, body):
@@ -172,7 +181,7 @@ def _read_body(text: str, start: int, body: int, n: int, m: int) -> tuple[list[i
 def parse_edgelist(text: str) -> Graph:
     n, m, start, body = _read_header(text)
     us, vs = _read_body(text, start, body, n, m)
-    g = Graph.from_sorted_dense_pairs(n, us, vs)
+    g = Graph.from_sorted_pairs(n, us, vs)
     if g is None:
         if m and (min(us) < 0 or max(vs) >= n or not all(map(operator.lt, us, vs))):
             raise _body_error(text, start, n, m)

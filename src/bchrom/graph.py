@@ -8,9 +8,10 @@ hashable.  All operations here are pure functions of their inputs.
 Derived views of a graph are computed once and kept on it: its edge list,
 degrees, bitmasks, neighbor sets, connected components and its complement.
 A complement remembers the graph it came from as its own complement, so
-complementing twice builds nothing.  A dense graph built from its sparse
-complement, as ``Graph.from_sorted_dense_pairs`` builds a co-forest, comes
-with that link, so its complement costs nothing.  The components are a
+complementing twice builds nothing.  ``Graph.from_sorted_pairs`` builds a
+graph from pairs in canonical (u, v) order with no set or sort per vertex;
+a co-forest it builds from its sparse complement, and it comes with that
+link, so its complement costs nothing.  The components are a
 tuple of tuples, so no caller can change what the next one reads, and the
 tests for trees, forests and co-forests search a graph at most once.
 
@@ -28,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, pairwise, repeat
-from operator import le
+from operator import le, lt
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NotATree, NotTreeCograph, RangeError
@@ -78,27 +79,40 @@ class Graph:
         return Graph(n, tuple(adj))
 
     @staticmethod
-    def from_sorted_dense_pairs(n: int, us: list[int], vs: list[int]) -> "Graph | None":
-        """The graph of the pairs ``(us[i], vs[i])`` when they leave fewer
-        non-edges than ``max(n, 1)``, the most a co-forest has, satisfy
+    def from_sorted_pairs(n: int, us: list[int], vs: list[int]) -> "Graph | None":
+        """The graph of the pairs ``(us[i], vs[i])`` when they satisfy
         ``0 <= u < v < n`` and come strictly increasing in (u, v), the order
         ``format_edgelist`` writes; otherwise None, and ``from_edges`` is
         the builder to call.
 
-        Each vertex's higher neighbors are one slice of ``vs``, cut where
-        ``bisect`` finds the vertex's first pair.  Each slice is compared
-        with the vertices above its vertex, the pairs it misses form a
-        sparse graph, and the dense graph is the complement of that one,
-        linked to it both ways.
+        Pairs that leave fewer non-edges than ``max(n, 1)``, the most a
+        co-forest has, are read as slices: each vertex's higher neighbors
+        are one slice of ``vs``, cut where ``bisect`` finds the vertex's
+        first pair, the pairs the slices miss form a sparse graph, and the
+        dense graph is the complement of that one, linked to it both ways.
+        Any other pairs are appended to their two rows in pair order,
+        which needs no set and no sort: a vertex's lower neighbors arrive
+        before its higher ones, and each group rises.
         """
-        if not _coforest_sized(n, len(us)) or not all(map(le, us, islice(us, 1, None))):
+        if _coforest_sized(n, len(us)):
+            if not all(map(le, us, islice(us, 1, None))):
+                return None
+            if us and (us[0] < 0 or us[-1] >= n):
+                return None
+            # the slice of vertex u is vs[a:b] for the u-th pair of cuts
+            cuts = pairwise(map(bisect_left, repeat(us), range(n + 1)))
+            missing = _missing_pairs(n, vs, cuts)
+            return None if missing is None else _complement_of(Graph.from_edges(n, missing))
+        # in pairs rising in (u, v) every u >= us[0], so us[0] >= 0, u < v
+        # in each pair and max(vs) < n give 0 <= u < v < n for all
+        if us and not (us[0] >= 0 and max(vs) < n and all(map(lt, us, vs)) and all(
+                map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))):
             return None
-        if us and (us[0] < 0 or us[-1] >= n):
-            return None
-        # the slice of vertex u is vs[a:b] for the u-th pair of cuts
-        cuts = pairwise(map(bisect_left, repeat(us), range(n + 1)))
-        missing = _missing_pairs(n, vs, cuts)
-        return None if missing is None else _complement_of(Graph.from_edges(n, missing))
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(us, vs):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return Graph(n, tuple(map(tuple, nbrs)))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -227,10 +241,17 @@ def _missing_pairs(
 
 
 def is_triangle_free(g: Graph) -> bool:
-    for u, v in g.edges:
-        if g.bits[u] & g.bits[v]:
-            return False
-    return True
+    """True iff no edge's endpoints share a neighbor.
+
+    A graph with fewer edges than vertices, as a forest has, is tested
+    with its neighbor sets, whose size grows with n + m; the n-bit masks
+    of a denser graph would take memory quadratic in n.
+    """
+    if g.m < g.n:
+        sets, adj = g.nbr_sets, g.adj
+        return all(sets[u].isdisjoint(adj[v]) for u, v in g.edges)
+    bits = g.bits
+    return not any(bits[u] & bits[v] for u, v in g.edges)
 
 
 def _non_edges(g: Graph) -> int:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -60,6 +61,20 @@ def test_analyze_c5(files):
     code, out = run(["analyze", files["c5"]])
     assert code == 0
     assert "tree-cograph: no" in out
+
+
+def test_analyze_of_a_long_path_allocates_linearly(tmp_path):
+    # the path's n-bit adjacency masks alone would hold 25 MB
+    path = tmp_path / "p20000.g"
+    path.write_text(format_edgelist(path_graph(20000)))
+    tracemalloc.start()
+    try:
+        code, out = run(["analyze", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "triangle-free: yes" in out
+    assert peak < 16 << 20
 
 
 def test_verify_yes_and_no(files, tmp_path):

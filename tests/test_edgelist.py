@@ -10,7 +10,9 @@ both must return equal graphs or raise ``ParseError`` with the same
 message.
 """
 
+import bisect
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -159,6 +161,13 @@ def test_large_header_over_a_short_body_allocates_by_the_body():
     assert peak < 1 << 20
     with pytest.raises(ParseError, match="^header declares 100000000 edges, found 0$"):
         parse_edgelist("p 100000000 100000000\n")
+    tracemalloc.start()
+    try:  # at m >= 2n, where the table of vertex ids is built
+        assert_same("p 1000000 2000000\ne 0 1\ne 2 3\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 ALPHABET = ["e", "p", " ", "\t", "\n", "\r\n", "#", "-", "+", "_", "x", "0", "1", "2", "9"]
@@ -273,8 +282,75 @@ def test_parsed_co_tree_comes_linked_to_its_forest():
 
 
 def test_shuffled_order_parses_to_the_canonical_graph():
+    # canonical bodies are built by Graph.from_sorted_pairs, shuffled ones
+    # by Graph.from_edges
     rng = random.Random(9)
-    for g in (relabel(complement(random_labeled_tree(700, rng)), rng),
-              relabel(random_labeled_tree(20000, rng), rng)):
+    graphs = [relabel(complement(random_labeled_tree(700, rng)), rng),
+              relabel(random_labeled_tree(20000, rng), rng)]
+    for trial in range(120):
+        n = rng.randint(1, 80)
+        graphs.append([
+            relabel(random_labeled_tree(n, rng), rng),
+            random_forest(n, rng),
+            random_graph(n, rng.choice([0.02, 0.1, 0.3]), rng),
+            complement(random_forest(n, rng)),
+        ][trial % 4])
+    for g in graphs:
         assert parse_edgelist(format_edgelist(g)) == g
         assert parse_edgelist(shuffled(g, rng)) == g
+
+
+def random_forest(n: int, rng: random.Random) -> Graph:
+    tree = relabel(random_labeled_tree(n, rng), rng)
+    return Graph.from_edges(n, [e for e in tree.edges if rng.random() < 0.8])
+
+
+def with_row(g: Graph, row: tuple[int, int], after: int) -> tuple[str, int]:
+    """The canonical edge list of g with the row ``e <row>`` placed after
+    its ``after`` first rows, the header counting it, and the row's line
+    number."""
+    lines = [f"e {u} {v}" for u, v in g.edges]
+    lines.insert(after, f"e {row[0]} {row[1]}")
+    return f"p {g.n} {len(lines)}\n" + "\n".join(lines) + "\n", after + 2
+
+
+def test_defects_in_canonical_place_name_their_line():
+    # each defect sits where canonical order puts it, so only the checks
+    # of the pairs, not those of the order, can find it
+    rng = random.Random(15)
+    graphs = [relabel(random_labeled_tree(60, rng), rng), random_graph(40, 0.3, rng),
+              relabel(complement(random_labeled_tree(30, rng)), rng)]
+    for g in graphs:
+        edges = list(g.edges)
+        for _ in range(10):
+            i = rng.randrange(len(edges))
+            u, v = edges[i]
+            cases = [
+                ((u, v), i + 1, f"duplicate edge ({u},{v})"),
+                ((v, u), bisect.bisect(edges, (v, u)), f"edge ({v},{u}) violates"),
+                ((u, g.n), bisect.bisect(edges, (u, g.n)), f"edge ({u},{g.n}) violates"),
+                ((-1, v), 0, f"edge (-1,{v}) violates"),
+            ]
+            for row, after, message in cases:
+                text, lineno = with_row(g, row, after)
+                assert_same(text)
+                with pytest.raises(ParseError, match=re.escape(f"line {lineno}: {message}")):
+                    parse_edgelist(text)
+
+
+@pytest.mark.parametrize("spell", ["0{}".format, "00{}".format, "+{}".format])
+def test_ids_spelled_otherwise_parse_alike_with_and_without_the_id_table(spell):
+    # the table of vertex ids is built only at m >= 2n
+    rng = random.Random(16)
+    n = 30
+    everyone = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for m in (2 * n - 1, 2 * n):
+        g = Graph.from_edges(n, sorted(rng.sample(everyone, m)))
+        rows = [f"e {u} {v}" for u, v in g.edges]
+        u, v = g.edges[m // 2]
+        rows[m // 2] = f"e {spell(u)} {spell(v)}"
+        everywhere = [f"e {spell(u)} {spell(v)}" for u, v in g.edges]
+        for body in (rows, everywhere):
+            text = f"p {n} {m}\n" + "\n".join(body) + "\n"
+            assert parse_edgelist(text) == g
+            assert_same(text)

@@ -84,30 +84,52 @@ def _pairs_with_defect(n: int, p: float, rng: random.Random) -> list[tuple[int, 
     return pairs
 
 
-def test_from_sorted_dense_pairs_builds_canonical_co_forest_sized_pairs_only():
+def test_from_sorted_pairs_builds_canonical_pairs_only():
+    # every canonical pair list, of any density, builds the graph
+    # from_edges builds, and a co-forest-sized one comes linked to its
+    # complement; any other list gives None
     rng = random.Random(6)
-    built = 0
+    built = coforests = 0
     for trial in range(3000):
         n = rng.randint(0, 9)
-        p = rng.choice([0.5, 0.9, 0.97, 1.0])
+        p = rng.choice([0.0, 0.1, 0.3, 0.5, 0.9, 0.97, 1.0])
         pairs = _pairs_with_defect(n, p, rng)
-        g = Graph.from_sorted_dense_pairs(n, [u for u, _ in pairs], [v for _, v in pairs])
+        g = Graph.from_sorted_pairs(n, [u for u, _ in pairs], [v for _, v in pairs])
         canonical = all(0 <= u < v < n for u, v in pairs) and all(
             a < b for a, b in zip(pairs, pairs[1:])
         )
-        if canonical and n * (n - 1) // 2 - len(pairs) < max(n, 1):
+        if canonical:
             assert g == Graph.from_edges(n, pairs), pairs
             assert complement(g) == complement(Graph(g.n, g.adj))
             built += 1
+            if n * (n - 1) // 2 - len(pairs) < max(n, 1):
+                assert "_complement" in vars(g), pairs
+                assert complement(complement(g)) is g
+                coforests += 1
         else:
             assert g is None, pairs
-    assert built > 500
+    assert built > 1000 and coforests > 300
 
 
 def test_triangle_free_examples():
     assert is_triangle_free(cycle_graph(5))
     assert not is_triangle_free(complete_graph(3))
     assert is_triangle_free(path_graph(6))
+
+
+def test_triangle_free_agrees_with_the_bitmask_test_either_side_of_m_equal_n():
+    # graphs with fewer edges than vertices are tested with neighbor sets
+    rng = random.Random(12)
+    sides = set()
+    for trial in range(600):
+        n, p = rng.randint(1, 14), rng.random() * 0.4
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        with_masks = not any(g.bits[u] & g.bits[v] for u, v in g.edges)
+        assert is_triangle_free(g) == with_masks, g.edges
+        sides.add((g.m < g.n, with_masks))
+    assert sides == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_stability_examples():
