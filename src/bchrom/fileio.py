@@ -17,12 +17,19 @@ The endpoints are read by ``int()``, or, when m >= 2n, through a table of
 vertex ids: there each id is spelled four times on average, and looking a
 word up saves about a quarter of what an entry costs to build.
 
+A header with fewer non-edges than vertices, as a co-forest has, over a
+body of six characters per line at least, is first read without splitting
+the body: the body is compared with the canonical text of K_n, built one
+vertex's row of lines at a time, and the lines it lacks are the missing
+pairs.  When the body is exactly that text less n(n-1)/2 - m lines, the
+graph is the complement of the missing pairs, so it comes linked to that
+sparse complement and is never complemented again.  Any other body
+(comments, CRLF line ends, another order, a bad line) is refused and read
+as below, so every error names the same line.
+
 Pairs in canonical order, strictly increasing in (u, v) as
-``format_edgelist`` writes them, are built by ``Graph.from_sorted_pairs``:
-a graph with fewer non-edges than vertices, as a co-forest has, as the
-complement of its missing pairs, so it comes linked to that sparse
-complement and is never complemented again, and any other graph by
-appending each pair to its two rows, with no set or sort per vertex.
+``format_edgelist`` writes them, are built by ``Graph.from_sorted_pairs``,
+which appends each pair to its two rows, with no set or sort per vertex.
 Pairs in any other order are built by ``Graph.from_edges``; a duplicate,
 reversed or out-of-range pair is then named by its line.
 
@@ -42,7 +49,17 @@ import re
 from typing import Iterator
 
 from .errors import ParseError
-from .graph import Edge, Graph, TcExpr, TcJoin, TcLeaf, TcUnion, norm_edge
+from .graph import (
+    Edge,
+    Graph,
+    TcExpr,
+    TcJoin,
+    TcLeaf,
+    TcUnion,
+    _coforest_sized,
+    _complement_of,
+    norm_edge,
+)
 from .matching import Matching
 
 # characters of edge-list body read at a time
@@ -128,11 +145,13 @@ def _piece_pairs(piece: str, ids: dict[str, int]) -> tuple[list[int], list[int]]
     """The endpoints ``(us, vs)`` of the rows of ``piece``, or None if a
     row is not ``e <u> <v>`` with integer endpoints.
 
-    The piece is checked with whole-list operations.  It is plain when it
-    is ASCII, ends its lines with ``"\\n"`` alone and starts each line
-    with ``e``; any other piece is first stripped of blank lines, comments
-    and surrounding whitespace.
+    The piece is checked with whole-list operations.  Its ``"\\r\\n"``
+    line ends become ``"\\n"``.  It is then plain when it is ASCII, ends
+    its lines with ``"\\n"`` alone and starts each line with ``e``; any
+    other piece is first stripped of blank lines, comments and
+    surrounding whitespace.
     """
+    piece = piece.replace("\r\n", "\n")
     k = piece.count("\n") + (not piece.endswith("\n"))
     if (not piece.isascii() or any(end in piece for end in _OTHER_LINE_ENDS)
             or piece.count("\ne") + piece.startswith("e") != k):
@@ -178,8 +197,76 @@ def _read_body(text: str, start: int, body: int, n: int, m: int) -> tuple[list[i
     return us, vs
 
 
+def _common_prefix(text: str, pos: int, row: str, j: int) -> int:
+    """The length of the longest common prefix of ``text[pos:]`` and
+    ``row[j:]``, where ``row[j:]`` is not a prefix of ``text[pos:]``, so
+    the length is below ``len(row) - j``.
+
+    It is found by binary search over slice comparisons, each comparing
+    only the span between the bounds, so about ``len(row) - j``
+    characters are compared in all.  The first eight characters are
+    compared first: a text in another order, or with other line ends,
+    differs within them at nearly every line.
+    """
+    lo, hi = 0, len(row) - j
+    if text[pos : pos + 8] == row[j : j + 8]:
+        lo = 8
+    else:
+        hi = min(hi, 8)
+    while hi - lo > 1:  # the first lo characters match, the first hi do not
+        mid = (lo + hi) // 2
+        if text[pos + lo : pos + mid] == row[j + lo : j + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _read_coforest(text: str, body: int, n: int, m: int) -> Graph | None:
+    """The graph of a co-forest-sized body from offset ``body`` on, when
+    the body is exactly the canonical text of K_n with n(n-1)/2 - m of
+    its lines taken out; otherwise None, and nothing about the body is
+    known.
+
+    K_n's text is built one row at a time, the lines ``e u w`` of one
+    vertex u, and compared with the body.  A row that the body holds
+    whole is passed over with one comparison; elsewhere the first
+    mismatch is found by ``_common_prefix``, and the row's line that
+    holds it is taken to be missing.  The graph is the complement of the
+    missing pairs, and comes linked to that sparse complement.
+    """
+    budget = n * (n - 1) // 2 - m
+    # each line takes six characters at least, so the header alone does
+    # not size the rows
+    if budget < 0 or len(text) - body < 6 * m:
+        return None
+    ids = list(map(str, range(n)))
+    missing: list[Edge] = []
+    pos = body
+    for u in range(n - 1):
+        head = f"e {u} "
+        row = head + ("\n" + head).join(ids[u + 1 :]) + "\n"
+        j = 0  # the row's lines before j are matched or missing
+        while not text.startswith(row[j:], pos):
+            cut = row.rfind("\n", 0, j + _common_prefix(text, pos, row, j)) + 1
+            end = row.index("\n", cut) + 1
+            missing.append((u, int(row[cut + len(head) : end - 1])))
+            if len(missing) > budget:
+                return None
+            pos += cut - j
+            j = end
+        pos += len(row) - j
+    if pos != len(text) or len(missing) != budget:
+        return None
+    return _complement_of(Graph.from_edges(n, missing))
+
+
 def parse_edgelist(text: str) -> Graph:
     n, m, start, body = _read_header(text)
+    if _coforest_sized(n, m):
+        g = _read_coforest(text, body, n, m)
+        if g is not None:
+            return g
     us, vs = _read_body(text, start, body, n, m)
     g = Graph.from_sorted_pairs(n, us, vs)
     if g is None:

@@ -8,12 +8,13 @@ hashable.  All operations here are pure functions of their inputs.
 Derived views of a graph are computed once and kept on it: its edge list,
 degrees, bitmasks, neighbor sets, connected components and its complement.
 A complement remembers the graph it came from as its own complement, so
-complementing twice builds nothing.  ``Graph.from_sorted_pairs`` builds a
-graph from pairs in canonical (u, v) order with no set or sort per vertex;
-a co-forest it builds from its sparse complement, and it comes with that
-link, so its complement costs nothing.  The components are a
-tuple of tuples, so no caller can change what the next one reads, and the
-tests for trees, forests and co-forests search a graph at most once.
+complementing twice builds nothing, and a co-forest read from its
+canonical text (``fileio.parse_edgelist``) is built as the complement of
+its sparse forest, so its complement costs nothing.
+``Graph.from_sorted_pairs`` builds a graph from pairs in canonical (u, v)
+order with no set or sort per vertex.  The components are a tuple of
+tuples, so no caller can change what the next one reads, and the tests
+for trees, forests and co-forests search a graph at most once.
 
 A tree-cograph expression is built from ``TcLeaf`` leaves by ``TcUnion``
 and ``TcJoin``.  A leaf stores a tree and denotes that tree or, with
@@ -25,11 +26,10 @@ Python's recursion limit grows with the depth of the expression.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, pairwise, repeat
-from operator import le, lt
+from itertools import islice
+from operator import lt
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NotATree, NotTreeCograph, RangeError
@@ -85,28 +85,16 @@ class Graph:
         ``format_edgelist`` writes; otherwise None, and ``from_edges`` is
         the builder to call.
 
-        Pairs that leave fewer non-edges than ``max(n, 1)``, the most a
-        co-forest has, are read as slices: each vertex's higher neighbors
-        are one slice of ``vs``, cut where ``bisect`` finds the vertex's
-        first pair, the pairs the slices miss form a sparse graph, and the
-        dense graph is the complement of that one, linked to it both ways.
-        Any other pairs are appended to their two rows in pair order,
-        which needs no set and no sort: a vertex's lower neighbors arrive
-        before its higher ones, and each group rises.
+        The pairs are checked with whole-list operations and appended to
+        their two rows in pair order, which needs no set and no sort: a
+        vertex's lower neighbors arrive before its higher ones, and each
+        group rises.
         """
-        if _coforest_sized(n, len(us)):
-            if not all(map(le, us, islice(us, 1, None))):
-                return None
-            if us and (us[0] < 0 or us[-1] >= n):
-                return None
-            # the slice of vertex u is vs[a:b] for the u-th pair of cuts
-            cuts = pairwise(map(bisect_left, repeat(us), range(n + 1)))
-            missing = _missing_pairs(n, vs, cuts)
-            return None if missing is None else _complement_of(Graph.from_edges(n, missing))
         # in pairs rising in (u, v) every u >= us[0], so us[0] >= 0, u < v
-        # in each pair and max(vs) < n give 0 <= u < v < n for all
-        if us and not (us[0] >= 0 and max(vs) < n and all(map(lt, us, vs)) and all(
-                map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))):
+        # in each pair and max(vs) < n give 0 <= u < v < n for all; the
+        # order is tested first, as pairs in another order fail it at once
+        if us and not (all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
+                       and us[0] >= 0 and max(vs) < n and all(map(lt, us, vs))):
             return None
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in zip(us, vs):
@@ -202,42 +190,6 @@ def _complement_of(g: Graph) -> Graph:
     vars(g)["_complement"] = co
     vars(co)["_complement"] = g
     return co
-
-
-def _missing_pairs(
-    n: int, vs: list[int], cuts: Iterable[tuple[int, int]]
-) -> list[Edge] | None:
-    """The pairs (u, w), u < w < n, absent from the slices ``vs[a:b]`` of
-    u's higher neighbors, one ``(a, b)`` of ``cuts`` per vertex u, or None
-    if a slice does not rise strictly through vertices above u and below n.
-
-    Along a run of consecutive vertices ``vs[i] - i`` stays the same, and
-    in a strictly rising slice it grows at each gap.  So each gap is found
-    by a binary search, and each run is then checked against the list of
-    all vertices: the steps in Python grow with the number of gaps, not
-    with m.
-    """
-    everyone = list(range(n))
-    out: list[Edge] = []
-    for u, (a, b) in enumerate(cuts):
-        c = u + 1 - a  # vs[i] == c + i along the run from a
-        while c + b < n:
-            lo, hi = a, b
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if vs[mid] - mid == c:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            present = vs[lo] if lo < b else n
-            if not c + lo < present <= n or vs[a:lo] != everyone[c + a : c + lo]:
-                return None
-            out += [(u, w) for w in range(c + lo, present)]
-            c = present - lo
-            a = lo
-        if vs[a:b] != everyone[c + a : c + b]:
-            return None
-    return out
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -5,9 +5,10 @@ at a time.  It is kept here, small and obviously correct, so the parser
 that checks the body in pieces with whole-list operations can be checked
 against it: on valid files of random graphs and dense co-trees in random
 labellings, on files that span several pieces with defects placed at the
-cuts between them, and on seeded random mutations of small files, where
-both must return equal graphs or raise ``ParseError`` with the same
-message.
+cuts between them, on seeded random mutations of small files, and on
+canonical co-forest files, which are read by comparison with the text of
+K_n, each with one change; both must return equal graphs or raise
+``ParseError`` with the same message.
 """
 
 import bisect
@@ -153,7 +154,9 @@ def test_large_header_over_a_short_body_allocates_by_the_body():
     # a table of 10**6 vertex ids would hold over 50 MB
     tracemalloc.start()
     try:
-        for text in ("p 1000000 1000000\n", "p 1000000 1000000\ne 0 1\ne 2 3\n"):
+        for text in ("p 1000000 1000000\n", "p 1000000 1000000\ne 0 1\ne 2 3\n",
+                     # co-forest-sized, so the text of K_n is not built
+                     "p 100000 4999850001\ne 0 1\n"):
             assert_same(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -275,6 +278,7 @@ def test_parsed_co_tree_comes_linked_to_its_forest():
     rng = random.Random(8)
     for n in (1, 2, 3, 30, 700):
         g = parse_edgelist(format_edgelist(relabel(complement(random_labeled_tree(n, rng)), rng)))
+        assert "_complement" in vars(g)
         co = complement(g)
         assert co == complement(Graph(g.n, g.adj))
         assert is_forest(co)
@@ -303,6 +307,58 @@ def test_shuffled_order_parses_to_the_canonical_graph():
 def random_forest(n: int, rng: random.Random) -> Graph:
     tree = relabel(random_labeled_tree(n, rng), rng)
     return Graph.from_edges(n, [e for e in tree.edges if rng.random() < 0.8])
+
+
+def canonical_variants(g: Graph, rng: random.Random) -> list[str]:
+    """The canonical edge list of g, and copies of it with one change
+    each: random mutations; a row deleted, duplicated, swapped with
+    another or inserted; a digit changed or an id spelled with a leading
+    zero; CRLF line ends or a comment; no final newline; the header's
+    count one off."""
+    header, *rows = format_edgelist(g).splitlines(keepends=True)
+    body = "".join(rows)
+    out = [header + body, mutate(header + body, rng), (header + body).replace("\n", "\r\n"),
+           header + body[:-1], f"p {g.n} {g.m + 1}\n" + body]
+    if rows:
+        i, k = rng.randrange(len(rows)), rng.randrange(len(rows))
+        swapped = list(rows)
+        swapped[i], swapped[k] = swapped[k], swapped[i]
+        digit = rng.choice([j for j, c in enumerate(body) if c.isdigit()])
+        out += [
+            f"p {g.n} {g.m - 1}\n" + body,
+            header + "".join(rows[:i] + rows[i + 1 :]),
+            f"p {g.n} {g.m - 1}\n" + "".join(rows[:i] + rows[i + 1 :]),
+            header + "".join(rows[: i + 1] + rows[i:]),
+            header + "".join(swapped),
+            header + body[:digit] + rng.choice("0123456789") + body[digit + 1 :],
+            header + body.replace("e 0 1\n", "e 0 01\n"),
+            header + "".join(rows[:i]) + "# a comment\n" + "".join(rows[i:]),
+        ]
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in g.adj[u]]
+    if non_edges:  # a missing pair, in canonical place and at a random row
+        u, v = rng.choice(non_edges)
+        for after in (bisect.bisect(g.edges, (u, v)), rng.randrange(len(rows) + 1)):
+            inserted = "".join(rows[:after]) + f"e {u} {v}\n" + "".join(rows[after:])
+            out += [header + inserted, f"p {g.n} {g.m + 1}\n" + inserted]
+    return out
+
+
+def test_co_forest_texts_and_their_changes_match_reference():
+    # canonical co-forest texts are read by comparison with the text of
+    # K_n, and come linked to their forest; every text the comparison
+    # refuses is read as before, with the same graph or the same error
+    rng = random.Random(17)
+    linked = 0
+    for trial in range(40):
+        g = complement(random_forest(rng.randint(2, 80) if trial % 3 else rng.randint(2, 8), rng))
+        for text in canonical_variants(g, rng):
+            got = outcome(parse_edgelist, text)
+            assert got == outcome(reference_parse_edgelist, text), repr(text)
+            if isinstance(got, Graph) and text == format_edgelist(got) and (
+                    got.n * (got.n - 1) // 2 - got.m < max(got.n, 1)):
+                assert "_complement" in vars(got), repr(text)
+                linked += 1
+    assert linked > 80
 
 
 def with_row(g: Graph, row: tuple[int, int], after: int) -> tuple[str, int]:

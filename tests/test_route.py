@@ -507,6 +507,24 @@ def test_b_continuity_of_coforests_beyond_the_oracle():
             _assert_b_continuous(route)
 
 
+def test_co_tree_answers_are_the_same_in_every_labelling_and_text():
+    # canonical texts are read by comparison with the text of K_n and come
+    # linked to their forest; shuffled and CRLF texts are read in pieces
+    rng = random.Random(19)
+    tree = random_labeled_tree(300, rng)
+    answers = set()
+    for _ in range(3):
+        text = format_edgelist(complement(_relabel(tree, rng)))
+        header, *rows = text.splitlines(keepends=True)
+        rng.shuffle(rows)
+        for form, body in (("canonical", text), ("shuffled", header + "".join(rows)),
+                           ("crlf", text.replace("\n", "\r\n"))):
+            g = parse_edgelist(body)
+            assert ("_complement" in vars(g)) == (form == "canonical")
+            answers.add((plan(g, "vector").vector, plan(g, "value").value))
+    assert len(answers) == 1
+
+
 def test_b_monotonicity_of_coforests_beyond_the_oracle():
     """Deleting vertices of a co-tree one after another leaves co-forests,
     whose b-chromatic numbers never increase along the chain."""
