@@ -145,13 +145,11 @@ def _piece_pairs(piece: str, ids: dict[str, int]) -> tuple[list[int], list[int]]
     """The endpoints ``(us, vs)`` of the rows of ``piece``, or None if a
     row is not ``e <u> <v>`` with integer endpoints.
 
-    The piece is checked with whole-list operations.  Its ``"\\r\\n"``
-    line ends become ``"\\n"``.  It is then plain when it is ASCII, ends
-    its lines with ``"\\n"`` alone and starts each line with ``e``; any
-    other piece is first stripped of blank lines, comments and
-    surrounding whitespace.
+    The piece is checked with whole-list operations.  It is plain when it
+    is ASCII, ends its lines with ``"\\n"`` alone and starts each line
+    with ``e``; any other piece is first stripped of blank lines, comments
+    and surrounding whitespace.
     """
-    piece = piece.replace("\r\n", "\n")
     k = piece.count("\n") + (not piece.endswith("\n"))
     if (not piece.isascii() or any(end in piece for end in _OTHER_LINE_ENDS)
             or piece.count("\ne") + piece.startswith("e") != k):

@@ -286,7 +286,8 @@ def test_parsed_co_tree_comes_linked_to_its_forest():
 
 
 def test_shuffled_order_parses_to_the_canonical_graph():
-    # canonical bodies are built by Graph.from_sorted_pairs, shuffled ones
+    # canonical co-forest bodies are read against the text of K_n, other
+    # canonical bodies built by Graph.from_sorted_pairs, and shuffled ones
     # by Graph.from_edges
     rng = random.Random(9)
     graphs = [relabel(complement(random_labeled_tree(700, rng)), rng),
