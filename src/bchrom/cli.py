@@ -4,9 +4,9 @@ Outputs are plain ``key: value`` text, deterministic for fixed inputs and
 seed.  Domain errors exit 1 with a one-line diagnostic; usage errors exit 2.
 
 ``bchromatic``, ``dominance`` and ``bcolor`` each ask ``route.plan`` once
-for the first route, of tree, co-forest, tree-cograph and exact search in
-that order, that applies and gives what the command needs; a refusal names
-why each route was rejected.  ``bcolor`` answers every k in [chi, n].
+for the first route, of tree, tree-cograph and stability two in that order,
+that applies and gives what the command needs; a refusal names why each
+route was rejected.  ``bcolor`` answers every k in [chi, n].
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _cmd_analyze(args) -> int:
     print(f"tree: {'yes' if is_tree(g) else 'no'}")
     print(f"triangle-free: {'yes' if is_triangle_free(g) else 'no'}")
     print(f"stability-at-most-two: {'yes' if stability_at_most_two(g) else 'no'}")
-    try:  # with no exact search allowed, a route exists exactly for tree-cographs
+    try:  # at max_n=0 the stability-two route admits only co-forests, all tree-cographs
         plan(source, "vector", max_n=0)
         print("tree-cograph: yes")
     except NoRoute:
@@ -200,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="b-chromatic numbers, b-colorings and dominance vectors",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    route_cap = "cap on each non-tree component of the complement"
 
-    def common(sp, max_n=False):
+    def common(sp, cap_help=None):
         sp.add_argument("file", help="input graph (edge list or .tcx expression)")
         sp.add_argument(
             "--format",
@@ -209,32 +210,32 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help="input format (default: by extension)",
         )
-        if max_n:
-            sp.add_argument("--max-n", type=int, default=16, help="exact-search cap")
+        if cap_help:
+            sp.add_argument("--max-n", type=int, default=16, help=cap_help)
 
     sp = sub.add_parser("analyze", help="structural report")
     common(sp)
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("bchromatic", help="b-chromatic number")
-    common(sp, max_n=True)
+    common(sp, cap_help=route_cap)
     sp.add_argument("--witness", metavar="FILE", help="write a witness coloring")
     sp.add_argument("--dump-tables", action="store_true", help="emit DP tables")
     sp.set_defaults(func=_cmd_bchromatic)
 
     sp = sub.add_parser("dominance", help="dominance vector, one 't dom' line each")
-    common(sp, max_n=True)
+    common(sp, cap_help=route_cap)
     sp.add_argument("--dump-tables", action="store_true", help="emit DP tables")
     sp.set_defaults(func=_cmd_dominance)
 
     sp = sub.add_parser("bcolor", help="coloring with k classes and dom[k] dominant ones")
-    common(sp, max_n=True)
+    common(sp, cap_help=route_cap)
     sp.add_argument("k", type=int)
     sp.add_argument("-o", "--output", metavar="FILE")
     sp.set_defaults(func=_cmd_bcolor)
 
     sp = sub.add_parser("chain", help="descending chain of b-colorings")
-    common(sp, max_n=True)
+    common(sp, cap_help=route_cap)
     sp.add_argument("--coloring", metavar="FILE", help="starting b-coloring")
     sp.set_defaults(func=_cmd_chain)
 
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "quantity", choices=("min-smm", "chi-b", "chromatic", "dominance", "f-t-k")
     )
-    common(sp, max_n=True)
+    common(sp, cap_help="cap on the vertex count the oracle searches")
     sp.add_argument("--k", type=int, help="matching size for f-t-k")
     sp.add_argument("--max-states", type=int, default=10**8)
     sp.add_argument("--witness", metavar="FILE", help="write a witness matching")

@@ -1,17 +1,17 @@
 """The route planner: which exact computation answers a question.
 
 ``ROUTES`` is the table, one row per route, in the order tried: tree (a tree
-on two or more vertices), co-forest (the complement is a forest), tree-cograph
-(a ``.tcx`` expression, or a graph that decomposes into one) and exact search
-(stability at most two and n <= ``max_n``).  A row's ``attempt`` tests the
-input; its ``gives`` names what it answers, of the value (b-chromatic number),
-the dominance vector, a witness b-coloring and a coloring with k classes and
-dom[k] dominant ones, at any k in [chi, n].  ``plan`` returns the first route
-that applies and gives what the command needs; cheap tests come first, and the
-decomposition runs only on what is neither a tree nor a co-forest.  An
-expression is routed without its graph when the tree-cograph route gives what
-is needed; otherwise its graph is built.  A lone leaf goes to the tree or the
-co-forest route on its stored tree, by ``TcLeaf.denotes_tree``.
+on two or more vertices), tree-cograph (a ``.tcx`` expression, or a graph
+that decomposes into one, but not a co-forest) and stability two (a
+triangle-free complement whose components are trees or have at most
+``max_n`` vertices).  A row's ``attempt`` tests the input; its ``gives``
+names what it answers, of the value (b-chromatic number), the dominance
+vector, a witness b-coloring and a coloring with k classes and dom[k]
+dominant ones, at any k in [chi, n].  ``plan`` returns the first route that
+applies and gives what the command needs; the decomposition runs only on
+what is neither a tree nor a co-forest.  An expression is routed without its
+graph when the tree-cograph route gives what is needed.  A lone leaf goes to
+the tree or the stability-two route, by ``TcLeaf.denotes_tree``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from .bcoloring import matching_to_coloring, verify_coloring
 from .dominance import b_chromatic_tree, b_coloring_tree, dominance_from_deficiency
 from .dominance import dominance_tc, dominance_vector_tree
 from .errors import InvariantViolation, KOutOfRange, NoRoute, NotTreeCograph
-from .graph import Graph, TcExpr, TcLeaf, complement, decompose_tree_cograph
-from .graph import evaluate_tc, is_coforest, is_tree, stability_at_most_two
+from .graph import Graph, TcExpr, TcLeaf, complement, connected_components, decompose_tree_cograph
+from .graph import evaluate_tc, induced_subgraph, is_coforest, is_tree, stability_at_most_two
 from .matching import least_deficiency_matchings
-from .oracle import OracleBudget, _Counter
-from .tree_dp import DeficiencyTables, SmmTables, combine_all, forest_deficiency
-from .tree_dp import forest_deficiency_matching, forest_parts, min_smm_forest, smm_tables
+from .oracle import DEFAULT_BUDGET, _Counter
+from .tree_dp import DeficiencyTables, SmmTables, combine_all, deficiency_tables, deficiency_vector
+from .tree_dp import lift, min_smm_tree, reconstruct_deficiency_matching, smm_tables, split_size
 
 NEEDS = ("value", "vector", "witness", "coloring")
 
@@ -69,14 +69,72 @@ class TreeRoute(Route):
         return "not a tree on two or more vertices"
 
 
-class _MatchingRoute(Route):
-    """A stability-2 graph ``graph``, colored from matchings of its complement
-    ``co`` (matched pairs share a class): a minimum strongly maximal ``_smm``,
-    and per size the least deficiency ``_f`` and a ``_matching`` attaining it."""
+class TreeCographRoute(Route):
+    name = "tree-cograph"
+    gives = frozenset(("value", "vector"))
+    value = cached_property(lambda self: self.vector.b_chromatic())
+    vector = cached_property(lambda self: dominance_tc(self.expr))
 
+    @classmethod
+    def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:
+        if (isinstance(source, TcLeaf) and not source.denotes_tree
+                or isinstance(source, Graph) and is_coforest(source)):
+            return "a co-forest, left to the stability-two route"
+        if not isinstance(source, Graph):
+            return cls(expr=source)
+        try:
+            return cls(expr=decompose_tree_cograph(source))
+        except NotTreeCograph as exc:
+            return f"not a tree-cograph ({exc})"
+
+
+class StabilityTwoRoute(Route):
+    """A graph colored from matchings of its triangle-free complement ``co``
+    (matched pairs share a class): a minimum strongly maximal ``_smm`` and,
+    per size, one of least deficiency.  Augmenting paths of length 1 and 3
+    stay in a component, so each of ``parts``, the graphs that the components
+    of ``co`` induce, is solved alone: a tree by the matching DPs, any other
+    part by exact search on its matchings, all from one budget."""
+
+    name = "stability-two"
+    budget = DEFAULT_BUDGET
+    graph = cached_property(lambda self: complement(self.co))
     value = cached_property(lambda self: self.graph.n - self._smm[0])
     witness = cached_property(lambda self: matching_to_coloring(self.graph, self._smm[1]))
-    vector = cached_property(lambda self: dominance_from_deficiency(self.co.n, self._f))
+    vector = cached_property(lambda self: dominance_from_deficiency(
+        self.co.n, combine_all(self._deficiency[1])))
+    _one_tree = property(lambda self: self.co.n > 1 and is_tree(self.co))
+    smm = cached_property(lambda self: smm_tables(self.co) if self._one_tree else None)
+    tables = cached_property(lambda self: self._deficiency[0][0] if self._one_tree else None)
+
+    @cached_property
+    def _searched(self) -> list:
+        """Per part: None for a tree, else its least deficiency and a matching per size."""
+        counter = _Counter(self.budget.max_states, "exact search")
+        return [None if is_tree(sub) else least_deficiency_matchings(sub, counter)
+                for sub in self.parts]
+
+    @cached_property
+    def _smm(self):
+        # the least size of deficiency 0 is that of a minimum strongly maximal matching
+        found = [min_smm_tree(sub, self.smm) if s is None else (k := s[0].index(0), s[1][k])
+                 for sub, s in zip(self.parts, self._searched)]
+        return sum(k for k, _ in found), lift(connected_components(self.co), [mm for _, mm in found])
+
+    @cached_property
+    def _deficiency(self) -> tuple[list, list]:
+        """Per part: the tables of a tree of two or more vertices, else None; and its F."""
+        tables = [deficiency_tables(sub) if s is None and sub.n > 1 else None
+                  for sub, s in zip(self.parts, self._searched)]
+        return tables, [deficiency_vector(sub, tab) if s is None else s[0]
+                        for sub, s, tab in zip(self.parts, self._searched, tables)]
+
+    def _matching(self, size: int):
+        """A matching of least deficiency of that size, made of one of each part's share."""
+        tables, fvecs = self._deficiency
+        return lift(connected_components(self.co), [
+            s[1][k] if s else reconstruct_deficiency_matching(tab, k) if k else ()
+            for s, tab, k in zip(self._searched, tables, split_size(fvecs, size))])
 
     def coloring(self, k: int):
         """Pairs of a size-(n - k) matching of least deficiency share a
@@ -91,78 +149,30 @@ class _MatchingRoute(Route):
                                      f"not dom[{k}] = {vec.value_at(k)}")
         return coloring
 
-
-class CoForestRoute(_MatchingRoute):
-    """The complement ``co`` is a forest, whose components feed the linear
-    scalar DP, for the value and the witness, and one set of deficiency
-    tables, for the vector and a coloring at every k in [chi, n]."""
-
-    name = "co-forest"
-    graph = cached_property(lambda self: complement(self.co))
-    parts = cached_property(lambda self: forest_parts(self.co))
-    _smm = cached_property(lambda self: min_smm_forest(self.co, self.parts, self.smm and [self.smm]))
-    _deficiency = cached_property(lambda self: forest_deficiency(self.parts))
-    _f = cached_property(lambda self: combine_all(self._deficiency[1]))
-    smm = cached_property(lambda self: smm_tables(self.co) if self._one_tree else None)
-    tables = cached_property(lambda self: self._deficiency[0][0] if self._one_tree else None)
-    _one_tree = property(lambda self: self.co.n > 1 and len(self.parts) == 1)
-
-    def _matching(self, size: int):
-        return forest_deficiency_matching(self.parts, *self._deficiency, size)
-
     @classmethod
-    def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:
-        if isinstance(source, TcLeaf) and not source.denotes_tree:
-            return cls(co=source.tree)
-        if isinstance(source, Graph) and is_coforest(source):
-            return cls(co=complement(source))
-        return "the complement is not a forest"
-
-
-class TreeCographRoute(Route):
-    name = "tree-cograph"
-    gives = frozenset(("value", "vector"))
-    value = cached_property(lambda self: self.vector.b_chromatic())
-    vector = cached_property(lambda self: dominance_tc(self.expr))
-
-    @classmethod
-    def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:
-        if not isinstance(source, Graph):
-            return cls(expr=source)
-        try:
-            return cls(expr=decompose_tree_cograph(source))
-        except NotTreeCograph as exc:
-            return f"not a tree-cograph ({exc})"
-
-
-class ExactSearchRoute(_MatchingRoute):
-    name = "exact-search"
-    co = cached_property(lambda self: complement(self.graph))
-    _table = cached_property(lambda self: least_deficiency_matchings(
-        self.co, _Counter(self.budget.max_states, "exact search")))
-    _f = property(lambda self: self._table[0])
-    # the least size of deficiency 0 is that of a minimum strongly maximal matching
-    _smm = cached_property(lambda self: (k := self._f.index(0), self._matching(k)))
-
-    def _matching(self, size: int):
-        return self._table[1][size]
-
-    @classmethod
-    def attempt(cls, source: Graph, max_n: int) -> Route | str:
-        if source.n > max_n:
-            return f"n={source.n} exceeds the exact-search cap {max_n}"
-        if not stability_at_most_two(source):
+    def attempt(cls, source: Graph | TcLeaf, max_n: int) -> Route | str:
+        if isinstance(source, TcLeaf):  # a co-forest leaf: the tree route takes the others
+            co = source.tree
+        elif is_coforest(source) or stability_at_most_two(source):  # a forest is triangle-free
+            co = complement(source)
+        else:
             return "stability above two"
-        return cls(graph=source, budget=OracleBudget(max_n=max_n))
+        comps = connected_components(co)
+        for comp in comps:  # a component is a tree iff it has one edge fewer than vertices
+            if (c := len(comp)) > max_n and sum(co.degrees[v] for v in comp) != 2 * c - 2:
+                return (f"a non-tree component of the complement has {c} vertices, "
+                        f"over the cap {max_n}")
+        return cls(co=co, parts=[co if len(comps) == 1 else induced_subgraph(co, comp)
+                                 for comp in comps])
 
 
-ROUTES = (TreeRoute, CoForestRoute, TreeCographRoute, ExactSearchRoute)
+ROUTES = (TreeRoute, TreeCographRoute, StabilityTwoRoute)
 
 
 def plan(source: Graph | TcExpr, need: str, max_n: int = 16) -> Route:
     """The first route of ``ROUTES`` that applies to ``source`` and gives
-    ``need``, one of ``NEEDS``; ``max_n`` caps the exact search.  Raises
-    ``NoRoute``, naming why each route was rejected, when none does."""
+    ``need``, one of ``NEEDS``; ``max_n`` caps each non-tree component of the
+    complement.  Raises ``NoRoute``, naming why each route was rejected."""
     if isinstance(source, Graph):
         if source.n == 0:
             raise NoRoute("the graph has no vertices")

@@ -52,6 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
+from typing import Iterable
 
 from .errors import InvariantViolation, KOutOfRange, NotATree
 from .graph import Edge, Graph, connected_components, induced_subgraph, is_tree, norm_edge
@@ -264,28 +265,17 @@ def min_smm_tree(t: Graph, tables: SmmTables | None = None) -> tuple[int, Matchi
     return int(best), witness
 
 
-def forest_parts(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
-    """Each component of the forest g: its vertices, and the tree they induce."""
+def lift(comps: tuple[tuple[int, ...], ...], matchings: Iterable) -> Matching:
+    """A graph's matching made of one matching of each of its components
+    ``comps``, each given on the graph its component induces."""
+    return frozenset(norm_edge(c[u], c[v]) for c, mm in zip(comps, matchings) for u, v in mm)
+
+
+def min_smm_forest(g: Graph) -> tuple[int, Matching]:
+    """Per-component minimum; augmenting paths never cross components."""
     comps = connected_components(g)
-    if g.m != g.n - len(comps):
-        raise NotATree("input is not a forest")
-    return [(comp, g if len(comps) == 1 else induced_subgraph(g, comp)) for comp in comps]
-
-
-def _lift(parts: list[tuple[tuple[int, ...], Graph]], matchings: list) -> Matching:
-    """The forest's matching made of one matching of each of its ``parts``."""
-    return frozenset(
-        norm_edge(comp[u], comp[v]) for (comp, _), mm in zip(parts, matchings) for u, v in mm
-    )
-
-
-def min_smm_forest(g: Graph, parts: list | None = None, tables: list | None = None
-                   ) -> tuple[int, Matching]:
-    """Per-component minimum; augmenting paths never cross components.
-    ``parts`` are g's ``forest_parts`` and ``tables`` their scalar tables."""
-    parts = parts or forest_parts(g)
-    found = [min_smm_tree(sub, tab) for (_, sub), tab in zip(parts, tables or [None] * len(parts))]
-    return sum(size for size, _ in found), _lift(parts, [mm for _, mm in found])
+    found = [min_smm_tree(g if len(comps) == 1 else induced_subgraph(g, comp)) for comp in comps]
+    return sum(size for size, _ in found), lift(comps, [mm for _, mm in found])
 
 
 # ---------------------------------------------------------------------------
@@ -555,34 +545,25 @@ def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matchin
     return matching
 
 
-def forest_deficiency(parts: list[tuple[tuple[int, ...], Graph]]
-                      ) -> tuple[list, list[list[float]]]:
-    """Each tree's deficiency tables (None for a single vertex), built once,
-    and its F vector.  F adds up over components, since augmenting paths of
-    length 1 and 3 stay inside one: the forest's F is ``combine_all`` of theirs."""
-    tables = [deficiency_tables(sub) if sub.n > 1 else None for _, sub in parts]
-    return tables, [deficiency_vector(sub, tab) for (_, sub), tab in zip(parts, tables)]
-
-
-def forest_deficiency_matching(parts: list, tables: list, fvecs: list, k: int) -> Matching:
-    """A size-k matching of the forest whose deficiency is its F[k], from
-    ``forest_deficiency``: ``_split`` splits k over the components."""
+def split_size(fvecs: list[list[float]], k: int) -> list[int]:
+    """Per component, with F vectors ``fvecs``, its share of the matching
+    size k in a split of least total deficiency, ``combine_all(fvecs, k)[k]``:
+    F adds up over components, since augmenting paths of length 1 and 3 stay
+    inside one, and ``_split`` walks the components for the shares."""
     picks = _split([(f,) for f in fvecs], None, (0,), k, combine_all(fvecs, k)[k])
-    return _lift(parts, [reconstruct_deficiency_matching(tab, share) if share else ()
-                         for tab, (_, share) in zip(tables, picks)])
+    return [share for _, share in picks]
 
 
 def deficiency_matching(t: Graph, k: int) -> tuple[float, Matching]:
-    """DP value at k plus a witness matching attaining it: the one-component
-    case of ``forest_deficiency_matching``."""
+    """DP value at k plus a witness matching attaining it."""
     if not is_tree(t):
         raise NotATree("deficiency DP requires a tree")
     if not (0 <= k <= t.n // 2):
         raise KOutOfRange(f"k={k} outside 0..{t.n // 2}")
-    parts = forest_parts(t)
-    tables, fvecs = forest_deficiency(parts)
-    matching = forest_deficiency_matching(parts, tables, fvecs, k)
-    return int(fvecs[0][k]), matching
+    if t.n == 1:
+        return 0, frozenset()
+    matching = reconstruct_deficiency_matching(tables := deficiency_tables(t), k)
+    return int(_root_minimum(tables, k)), matching
 
 
 # ---------------------------------------------------------------------------

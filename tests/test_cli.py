@@ -172,7 +172,8 @@ def test_error_exit_codes(files, tmp_path):
 
 
 def test_bchromatic_c5_via_oracle_route(files):
-    # C5 has stability two, so the exact-search route applies
+    # C5's complement is a C5, triangle-free and within the cap on a component
+    # that is not a tree, so the stability-two route searches its matchings
     code, out = run(["bchromatic", files["c5"]])
     assert code == 0 and out == "3\n"
 

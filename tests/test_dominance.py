@@ -36,7 +36,7 @@ from bchrom.graph import (
     tc_postorder,
 )
 from bchrom.oracle import oracle_dominance
-from bchrom.route import CoForestRoute, plan
+from bchrom.route import StabilityTwoRoute, TreeCographRoute, plan
 
 from conftest import random_expression, random_stability2, tree_catalog
 
@@ -140,7 +140,9 @@ def test_cotree_dominance_examples():
     co_p5 = complement(path_graph(5))
     dv = plan(co_p5, "vector").vector
     assert dv.chi == 3 and dv.value_at(5) == 0
-    assert CoForestRoute.attempt(complement(cycle_graph(5)), 16) == "the complement is not a forest"
+    assert TreeCographRoute.attempt(co_p6, 16) == "a co-forest, left to the stability-two route"
+    assert StabilityTwoRoute.attempt(complement(cycle_graph(5)), 4) == (
+        "a non-tree component of the complement has 5 vertices, over the cap 4")
 
 
 def test_cotree_dominance_against_oracle():

@@ -8,12 +8,14 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 
 import pytest
 
 from bchrom import dominance, graph, tree_dp
 from bchrom.bcoloring import coloring_to_matching, matching_to_coloring, verify_coloring
 from bchrom.cli import main
+from bchrom.dominance import dominance_from_deficiency
 from bchrom.errors import BudgetExceeded, NoRoute
 from bchrom.fileio import (
     format_edgelist,
@@ -26,6 +28,7 @@ from bchrom.generators import random_labeled_tree, random_triangle_free
 from bchrom.graph import (
     Graph,
     complement,
+    complete_bipartite,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -42,7 +45,8 @@ from bchrom.graph import (
 from bchrom.matching import least_deficiency_matchings, s1_s2
 from bchrom.oracle import OracleBudget, _Counter, oracle_chi_b, oracle_dominance, oracle_f_t_k
 from bchrom.oracle import oracle_min_smm, oracle_nu
-from bchrom.route import ExactSearchRoute, plan
+from bchrom.route import StabilityTwoRoute, plan
+from bchrom.tree_dp import INF, combine_all, deficiency_vector, min_smm_tree
 
 from conftest import random_expression, random_stability2
 
@@ -111,33 +115,37 @@ def test_route_names_per_family():
     for family, g in _families(random.Random(12)):
         name = plan(g, "value").name
         if family in ("c5", "wheel"):
-            assert name == "exact-search"
+            assert name == "stability-two"
         elif g.n >= 2 and is_tree(g):  # some co-trees and co-forests are trees too
             assert name == "tree"
         elif is_forest(complement(g)):
-            assert name == "co-forest"
+            assert name == "stability-two"
         else:
             assert family == "tree-cograph" and name == "tree-cograph"
         seen.add(name)
-    assert seen == {"tree", "co-forest", "tree-cograph", "exact-search"}
-    assert plan(path_graph(1), "value").name == "co-forest"  # a vertex is a co-forest
+    assert seen == {"tree", "tree-cograph", "stability-two"}
+    assert plan(path_graph(1), "value").name == "stability-two"  # a vertex is a co-forest
 
 
 def test_expressions_are_routed_without_their_graph_for_values():
     t = random_labeled_tree(7, random.Random(3))
     assert plan(decompose_tree_cograph(t), "vector").name == "tree"
-    assert plan(decompose_tree_cograph(complement(t)), "vector").name == "co-forest"
+    assert plan(decompose_tree_cograph(complement(t)), "vector").name == "stability-two"
     e = decompose_tree_cograph(graph_union(complete_graph(3), complete_graph(3)))
     assert plan(e, "value").name == "tree-cograph"
     witness = plan(e, "witness")  # the tree-cograph route gives no witness
-    assert witness.name == "exact-search"
-    assert witness.rejected[2] == "tree-cograph: gives no witness"
-    # one leaf rule: a plain leaf on two or more vertices is a tree, every other leaf a co-forest
-    for text, name in (("(tree 2 0 1)", "tree"), ("(tree 1)", "co-forest"),
-                       ("(cotree 1)", "co-forest"), ("(cotree 2 0 1)", "co-forest")):
+    assert witness.name == "stability-two"
+    assert witness.rejected[1] == "tree-cograph: gives no witness"
+    # one leaf rule: a plain leaf on two or more vertices is a tree, every other leaf a
+    # co-forest, which the tree-cograph route leaves to the stability-two route
+    for text, name in (("(tree 2 0 1)", "tree"), ("(tree 1)", "stability-two"),
+                       ("(cotree 1)", "stability-two"), ("(cotree 2 0 1)", "stability-two")):
         for need in ("value", "vector"):
-            assert plan(parse_tc_expression(text), need).name == name, (text, need)
-    assert plan(parse_edgelist("p 1 0\n"), "vector").name == "co-forest"
+            route = plan(parse_tc_expression(text), need)
+            assert route.name == name, (text, need)
+            if name == "stability-two":
+                assert route.rejected[1] == "tree-cograph: a co-forest, left to the stability-two route"
+    assert plan(parse_edgelist("p 1 0\n"), "vector").name == "stability-two"
 
 
 def test_rejection_reasons_on_c5_plus_vertex():
@@ -147,14 +155,13 @@ def test_rejection_reasons_on_c5_plus_vertex():
     message = str(exc.value)
     for reason in (
         "tree: not a tree on two or more vertices",
-        "co-forest: the complement is not a forest",
         "tree-cograph: not a tree-cograph",
-        "exact-search: stability above two",
+        "stability-two: stability above two",
     ):
         assert reason in message
     assert "\n" not in message
     route = plan(cycle_graph(5), "value")
-    assert [line.split(":")[0] for line in route.rejected] == ["tree", "co-forest", "tree-cograph"]
+    assert [line.split(":")[0] for line in route.rejected] == ["tree", "tree-cograph"]
 
 
 def test_two_disjoint_k15_are_answered(tmp_path):
@@ -181,7 +188,7 @@ def test_bcolor_refuses_a_tree_cograph_above_stability_two(tmp_path):
     code, out, err = _run(["bcolor", str(path), "2"])
     assert code == 1 and out == ""
     assert "tree-cograph: gives no coloring" in err
-    assert "exact-search: stability above two" in err
+    assert "stability-two: stability above two" in err
 
 
 def test_zero_vertices_get_one_answer(tmp_path):
@@ -217,7 +224,7 @@ def test_coforest_and_tree_cograph_routes_agree_beyond_the_oracle():
     for _ in range(6):
         g = _relabel(_coforest(rng.randint(20, 60), rng), rng)
         expr = decompose_tree_cograph(g)
-        assert plan(g, "vector").name == "co-forest"
+        assert plan(g, "vector").name == "stability-two"
         assert plan(expr, "vector").vector == plan(g, "vector").vector
         assert plan(expr, "value").value == plan(g, "value").value
 
@@ -392,10 +399,11 @@ def test_bcolor_on_a_300_vertex_cotree_at_chi_needs_no_chain(tmp_path):
 
 
 def test_exact_search_bcolor_answers_its_b_spectrum_only(tmp_path):
-    """Exact search answers every k in [chi, n], not the b-spectrum only."""
+    """Exact search on a complement component that is not a tree answers
+    every k in [chi, n], not the b-spectrum only."""
     k3k3 = graph_union(complete_graph(3), complete_graph(3))
     for name, g in (("k3k3", k3k3), ("c5", cycle_graph(5)), ("wheel", WHEEL5)):
-        assert plan(g, "coloring").name == "exact-search"
+        assert plan(g, "coloring").name == "stability-two"
         _assert_bcolor_answers_every_k(tmp_path, name, g)
 
 
@@ -412,7 +420,7 @@ def test_exact_search_reads_every_answer_off_one_matching_table():
         nu = oracle_nu(co)
         assert least == [oracle_f_t_k(co, k) for k in range(g.n // 2 + 1)], g
         assert least[nu] == 0 and len(found[nu]) == nu  # a maximum matching is strongly maximal
-        route = ExactSearchRoute(graph=g, budget=OracleBudget())
+        route = StabilityTwoRoute.attempt(g, 16)
         vec = route.vector
         assert vec == oracle_dominance(g), g
         assert route.value == oracle_chi_b(g) == g.n - oracle_min_smm(co)[0], g
@@ -423,18 +431,20 @@ def test_exact_search_reads_every_answer_off_one_matching_table():
             assert len(pairs) == g.n - k and sum(s1_s2(co, pairs)) == k - vec.value_at(k), (g, k)
             assert matching_to_coloring(g, pairs) == coloring, (g, k)
     k3k3 = graph_union(complete_graph(3), complete_graph(3))  # K(3,3) has 34 matchings
+    route = StabilityTwoRoute.attempt(k3k3, 16)
+    route.budget = OracleBudget(max_states=10)
     with pytest.raises(BudgetExceeded, match="exact search"):
-        ExactSearchRoute(graph=k3k3, budget=OracleBudget(max_states=10)).vector
+        route.vector
 
 
 def test_every_route_answers_without_networkx_or_the_oracle_searches(tmp_path):
     rng = random.Random(2)
-    graphs = {"tree": random_labeled_tree(8, rng), "co-forest": complement(random_labeled_tree(12, rng)),
-              "exact-search": complement(random_triangle_free(12, 0.3, random.Random(2)))}
+    graphs = {"tree": random_labeled_tree(8, rng), "co-tree": complement(random_labeled_tree(12, rng)),
+              "co-triangle-free": complement(random_triangle_free(12, 0.3, random.Random(2)))}
     vectors = {name: oracle_dominance(g) for name, g in graphs.items()}
     argvs = []
     for name, g in graphs.items():
-        assert plan(g, "coloring").name == name
+        assert plan(g, "coloring").name == ("tree" if name == "tree" else "stability-two")
         path = tmp_path / f"{name}.g"
         path.write_text(format_edgelist(g))
         argvs += [["bchromatic", str(path), "--witness", f"{path}.w"], ["dominance", str(path)]]
@@ -503,7 +513,7 @@ def test_b_continuity_of_coforests_beyond_the_oracle():
     for n in (5, 40, 120, 300):
         for g in (complement(random_labeled_tree(n, rng)), _relabel(_coforest(n, rng), rng)):
             route = plan(g, "vector")
-            assert route.name in ("tree", "co-forest")
+            assert route.name in ("tree", "stability-two")
             _assert_b_continuous(route)
 
 
@@ -536,7 +546,7 @@ def test_b_monotonicity_of_coforests_beyond_the_oracle():
         for _ in range(deletions):
             g = induced_subgraph(g, rng.sample(range(g.n), g.n - 1))
             route = plan(g, "vector")
-            assert route.name in ("tree", "co-forest")
+            assert route.name in ("tree", "stability-two")
             value = route.vector.b_chromatic()
             assert value <= last, (n, g.n)
             last = value
@@ -547,3 +557,121 @@ def test_b_continuity_of_tree_cographs_beyond_the_oracle(family):
     rng = random.Random(f"continuity:{family}")
     for n in (12, 60, 200):
         _assert_b_continuous(plan(random_expression(family, n, rng), "vector"))
+
+
+def _mixed_complement(rng: random.Random) -> Graph:
+    """A randomly labelled graph on at most 10 vertices whose complement is
+    a forest plus small triangle-free pieces, at least one with a cycle."""
+    pieces = [rng.choice((cycle_graph(4), cycle_graph(5), complete_bipartite(2, 3)))]
+    target = rng.randint(pieces[0].n, 10)
+    while (left := target - sum(p.n for p in pieces)) > 0:
+        size = rng.randint(1, left)
+        pieces.append(random_labeled_tree(size, rng) if rng.random() < 0.7
+                      else random_triangle_free(size, 0.8, rng))
+    return complement(_relabel(reduce(graph_union, pieces), rng))
+
+
+def test_stability_two_answers_equal_the_oracle_on_mixed_complements():
+    rng = random.Random(31)
+    for _ in range(40):
+        g = _mixed_complement(rng)
+        vec = oracle_dominance(g)
+        assert plan(g, "value").value == oracle_chi_b(g) == vec.b_chromatic(), g
+        assert plan(g, "vector").vector == vec, g
+        witness = plan(g, "witness").witness
+        assert witness.t == vec.b_chromatic() and verify_coloring(g, witness).is_b_coloring, g
+        route = plan(g, "coloring")
+        assert route.name == "stability-two"
+        for k in range(vec.chi, g.n + 1):
+            coloring = route.coloring(k)
+            verdict = verify_coloring(g, coloring)
+            assert coloring.t == k and len(verdict.dominant_classes) == vec.value_at(k), (g, k)
+
+
+def _f_of(vec, size: int) -> list[float]:
+    """F[j] = t - dom[t] at t = n - j, infinite below chi, padded to ``size`` entries."""
+    return [t - vec.value_at(t) if t >= vec.chi else INF for t in range(vec.n, vec.n - size, -1)]
+
+
+def test_stability_two_f_adds_up_over_complement_components():
+    """Beyond the oracle: the F vector of a disjoint union of complements,
+    read off dom[t] = t - F[n - t], is combine_all of each part's F found
+    alone, and the minimum strongly maximal matchings add up."""
+    rng = random.Random(32)
+    pieces = [random_labeled_tree(40, rng), cycle_graph(7), complete_bipartite(3, 3),
+              random_labeled_tree(9, rng), empty_graph(1), random_triangle_free(8, 0.6, rng)]
+    g = complement(_relabel(reduce(graph_union, pieces), rng))
+    alone = [plan(complement(piece), "vector") for piece in pieces]
+    route = plan(g, "coloring")
+    assert route.name == "stability-two"
+    f = combine_all([_f_of(r.vector, r.vector.n // 2 + 1) for r in alone])
+    f += [INF] * (g.n // 2 + 1 - len(f))
+    assert _f_of(route.vector, g.n // 2 + 1) == f
+    assert route.vector == dominance_from_deficiency(g.n, f)
+    assert route.value == g.n - sum(r.vector.n - r.value for r in alone)
+    assert route.witness.t == route.value and verify_coloring(g, route.witness).is_b_coloring
+    for k in range(route.vector.chi, g.n + 1):
+        coloring = route.coloring(k)
+        verdict = verify_coloring(g, coloring)
+        assert coloring.t == k and len(verdict.dominant_classes) == route.vector.value_at(k), k
+
+
+def test_stability_two_spends_one_budget_over_its_components():
+    k33 = complete_bipartite(3, 3)  # 34 matchings, one state each
+    one, two = complement(k33), complement(graph_union(k33, k33))
+    for g, states, fails in ((two, 10, True), (one, 40, False), (two, 40, True)):
+        route = StabilityTwoRoute.attempt(g, 16)
+        route.budget = OracleBudget(max_states=states)
+        if fails:
+            with pytest.raises(BudgetExceeded, match="exact search"):
+                route.vector
+        else:
+            assert route.vector == oracle_dominance(g)
+
+
+def test_tree_plus_c5_complement_is_answered_for_every_need():
+    rng = random.Random(35)
+    tree = random_labeled_tree(30, rng)
+    g = complement(_relabel(graph_union(tree, cycle_graph(5)), rng))
+    for need in ("value", "vector", "witness", "coloring"):
+        assert plan(g, need).name == "stability-two", need
+    route = plan(g, "coloring")
+    assert route.value == 35 - min_smm_tree(tree)[0] - oracle_min_smm(cycle_graph(5))[0]
+    assert route.witness.t == route.value and verify_coloring(g, route.witness).is_b_coloring
+    vec = route.vector
+    nu = max(k for k, x in enumerate(deficiency_vector(tree)) if x != INF) + 2
+    assert vec.chi == 35 - nu and vec.b_chromatic() == route.value
+    for k in range(vec.chi, g.n + 1):
+        coloring = route.coloring(k)
+        verdict = verify_coloring(g, coloring)
+        assert coloring.t == k and len(verdict.dominant_classes) == vec.value_at(k), k
+
+
+def test_complement_of_a_large_tree_plus_cycles_is_answered_at_the_default_cap(tmp_path):
+    """The cap bounds each non-tree component of the complement, not n."""
+    rng = random.Random(33)
+    tree = random_labeled_tree(300, rng)
+    g = complement(_relabel(reduce(graph_union, (tree, cycle_graph(5), cycle_graph(7))), rng))
+    path, out = tmp_path / "mixed.g", tmp_path / "w.col"
+    path.write_text(format_edgelist(g))
+    smm = min_smm_tree(tree)[0] + oracle_min_smm(cycle_graph(5))[0] + oracle_min_smm(cycle_graph(7))[0]
+    assert _run(["bchromatic", str(path), "--witness", str(out)]) == (0, f"{312 - smm}\n", "")
+    code, text, _ = _run(["verify", str(path), str(out)])
+    assert code == 0 and text.startswith("B-COLORING yes\n")
+    nu = max(k for k, x in enumerate(deficiency_vector(tree)) if x != INF) + 2 + 3
+    vec = plan(g, "vector").vector
+    assert vec.chi == 312 - nu
+    assert _run(["bcolor", str(path), str(vec.chi), "-o", str(out)]) == (0, "", "")
+    coloring = parse_coloring(out.read_text(), g.n)
+    verdict = verify_coloring(g, coloring)
+    assert coloring.t == vec.chi and len(verdict.dominant_classes) == vec.value_at(vec.chi)
+
+
+def test_a_non_tree_component_over_the_cap_is_refused_by_its_size(tmp_path):
+    g = complement(graph_union(random_labeled_tree(20, random.Random(34)), cycle_graph(18)))
+    path = tmp_path / "tree20_c18.g"
+    path.write_text(format_edgelist(g))
+    code, out, err = _run(["bchromatic", str(path), "--witness", str(tmp_path / "w.col")])
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert ("stability-two: a non-tree component of the complement has 18 vertices, "
+            "over the cap 16") in err
