@@ -44,13 +44,32 @@ A matching is strongly maximal exactly when its deficiency is zero, so the
 scalar DP is the zero-deficiency part of the same table: states 0-4 and the
 rules with ``defects == 0`` that distinguish no pair-free child (a pair-free
 child always carries two defects).  Its cost is the number of edges.
+
+The vector DP runs on packed lanes (``_Lanes``).  A size-indexed vector is
+one int of fixed-width lanes, entry k in bits [k*w, (k+1)*w).  A lane's top
+bit is its guard bit, kept clear; the INF lane holds 2**(w-2), and finite
+entries stay below it, so a finite entry added to an INF lane stays below
+the guard bit.  Over the guard bits H of a vector, the lanewise minimum is
+``t = ((a|H) - b) & H; m = t - (t >> (w-1)); a ^ ((a ^ b) & m)``, and adding
+to the finite lanes, moving up by whole lanes and truncating take a few
+big-int operations each.  The lane width follows from a bound on the
+values: 16 bits while the bound is below 2**14, else 64.  For a tree's
+tables the bound is 2n + 2, since a vertex adds at most two defects; for
+list operands it is the most a sum of them can reach, once an offset has
+lifted negative entries to zero.  One min-plus loop, ``_Lanes.convolve``,
+serves the table build, the witness walk and the list functions
+``minplus_convolve``, ``combine_all`` and ``combine_one_distinguished``,
+which pack and unpack at their edges.  ``DeficiencyTables.values`` is the
+list view of the packed tables, unpacked on first read.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable
 
@@ -279,70 +298,170 @@ def min_smm_forest(g: Graph) -> tuple[int, Matching]:
 
 
 # ---------------------------------------------------------------------------
-# Min-plus vector combination (the knapsack-style child merge)
+# Packed lanes and the min-plus kernel (the knapsack-style child merge)
 # ---------------------------------------------------------------------------
 
 
-def _span(v: list[float]) -> tuple[int, int]:
-    """The finite span [lo, hi) of v: from its first finite entry to just
-    past its last; lo == hi when every entry is INF.  Table rows often end
-    in a long run of INF, which the INF count and one slice comparison find
-    at C level; a Python-level scan runs only over leading INF entries, and
-    over the tail when INF entries are interior."""
-    n = len(v)
-    infs = v.count(INF)
-    if infs == n:
-        return 0, 0
-    lo = 0
-    while v[lo] == INF:
-        lo += 1
-    hi = n - infs + lo
-    if hi < n and v[hi:] != [INF] * (n - hi):
-        hi = n
-        while v[hi - 1] == INF:
-            hi -= 1
-    return lo, hi
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+class _Lanes:
+    """Lanes for vectors of at most ``most`` entries, finite ones below
+    ``bound`` (see the module docstring); made per call, never at import."""
+
+    __slots__ = ("code", "width", "inf", "most", "high")
+
+    def __init__(self, bound: int, most: int) -> None:
+        self.code = "H" if bound < 1 << 14 else "Q"
+        guard = array(self.code, [0])
+        self.width = 8 * guard.itemsize
+        self.inf = 1 << (self.width - 2)
+        if bound >= self.inf:
+            raise OverflowError(f"values up to {bound} do not fit a {self.width}-bit lane")
+        guard[0] = 2 * self.inf
+        self.most = most
+        self.high = int.from_bytes(guard.tobytes() * most, sys.byteorder)
+
+    # Items go through int.from_bytes and int.to_bytes in sys.byteorder; on
+    # a big-endian host the first item is the most significant, so the items
+    # are reversed to keep lane 0 least significant.
+
+    def pack(self, lanes: list[int]) -> int:
+        items = array(self.code, lanes)
+        if _BIG_ENDIAN:
+            items.reverse()
+        return int.from_bytes(items, sys.byteorder)
+
+    def unpack(self, x: int, n: int) -> array:
+        """Lanes 0..n-1 of x."""
+        raw = (x & ((1 << n * self.width) - 1)).to_bytes(n * self.width // 8, sys.byteorder)
+        items = array(self.code, raw)
+        if _BIG_ENDIAN:
+            items.reverse()
+        return items
+
+    def to_list(self, x: int, n: int, off: int = 0) -> list[float]:
+        """Lanes 0..n-1 of x, INF or less ``off``."""
+        infs = self.guards(n) >> 1
+        at_inf = x & infs  # the INF lanes' bits; a finite lane lacks it
+        m = ((infs ^ at_inf).bit_length() + self.width - 1) // self.width  # to the last finite
+        lanes, inf = self.unpack(x, m), self.inf
+        if not at_inf:
+            return [y - off for y in lanes]
+        return [INF if y == inf else y - off for y in lanes] + [INF] * (n - m)
+
+    def lane(self, x: int, k: int) -> int:
+        return (x >> k * self.width) & ((1 << self.width) - 1)
+
+    def guards(self, n: int) -> int:
+        """Guard bits of n lanes; >> 1 gives n INF lanes, >> (width - 1) n ones."""
+        return self.high >> (self.most - n) * self.width
+
+    def vmin(self, a: int, b: int, high: int) -> int:
+        """Lanewise minimum under guard bits ``high``: a lane of (a | high) - b
+        keeps its guard bit exactly where a >= b."""
+        t = ((a | high) - b) & high
+        return a ^ ((a ^ b) & (t - (t >> self.width - 1)))
+
+    def truncated(self, x: int, n: int, cap: int) -> tuple[int, int]:
+        """Lanes 0..cap of x, which has n lanes, and their count."""
+        if n <= cap + 1:
+            return x, n
+        n = max(cap + 1, 0)
+        return x & ((1 << n * self.width) - 1), n
+
+    def convolve(self, a: int, la: int, b: int, lb: int, cap: int) -> tuple[int, int]:
+        """Lanes 0..cap of the min-plus convolution of a and b (la and lb
+        lanes), and their count.  Each finite lane x at i of the operand with
+        fewer lanes costs one shifted add (the other moved up i lanes, plus x)
+        and one lanewise minimum."""
+        n = min(la + lb - 2, cap) + 1
+        if n <= 0:
+            return 0, 0
+        if la > lb:
+            a, la, b, lb = b, lb, a, la
+        w, inf = self.width, self.inf
+        high = self.guards(n)
+        infs = high >> 1
+        lanes = self.unpack(a, min(la, n))
+        if lanes.count(inf) == len(lanes):
+            return infs, n
+        ones, mask = high >> w - 1, (1 << n * w) - 1
+        # b, INF-padded to n lanes, above n INF lanes: shifted right by n - i
+        # lanes, it is b moved up i lanes
+        wide = ((b & mask) | (infs >> lb * w << lb * w)) << n * w | infs
+        out = infs
+        for i, x in enumerate(lanes):
+            if x != inf:
+                s = (wide >> (n - i) * w) & mask
+                if x:
+                    s += x * ones
+                elif out is infs:  # the first finite lane, at zero: nothing to clamp
+                    out = s
+                    continue
+                t = ((out | high) - s) & high  # self.vmin(out, s, high), inlined
+                out ^= (out ^ s) & (t - (t >> w - 1))
+        return out, n
+
+    def combine(self, vecs: list[int], lens: list[int], cap: int) -> tuple[int, int]:
+        """Lanes 0..cap of the min-plus convolution of all ``vecs``; of none, [0]."""
+        if not vecs:
+            return 0, 1
+        acc = self.truncated(vecs[0], lens[0], cap)
+        for vec, n in zip(vecs[1:], lens[1:]):
+            acc = self.convolve(*acc, vec, n, cap)
+        return acc
+
+    def fold_one(self, dists: list[int], rests: list[int], lens: list[int], cap: int):
+        """``combine_one_distinguished`` and, as its every-child-at-rest
+        accumulator, ``combine_all(rests, cap)``; child i's vectors have lens[i] lanes."""
+        if not rests:
+            return (self.inf, 1), (0, 1)
+        done = self.truncated(dists[0], lens[0], cap)
+        none_yet = self.truncated(rests[0], lens[0], cap)
+        for dv, rv, n in zip(dists[1:], rests[1:], lens[1:]):
+            (x, m), (y, _) = self.convolve(*done, rv, n, cap), self.convolve(*none_yet, dv, n, cap)
+            done = self.vmin(x, y, self.guards(m)), m
+            none_yet = self.convolve(*none_yet, rv, n, cap)
+        return done, none_yet
+
+    def place(self, vec: int, n: int, shift: int, add: int, width: int, infs: int) -> int:
+        """``width`` lanes (``infs`` when all INF) holding vec's n lanes from
+        lane ``shift`` on, ``add`` added to the finite ones, and INF elsewhere."""
+        w = self.width
+        mine = infs >> (width - n) * w
+        if add:  # a finite lane lacks the INF bit
+            vec += ((mine ^ (vec & mine)) >> w - 2) * add
+        if not shift and n == width:
+            return vec
+        return (infs ^ (mine << shift * w)) | (vec << shift * w)
+
+
+def _packed(vectors: list[list[float]], lens: list[int]) -> tuple[_Lanes, int, list[int]]:
+    """Lanes for list operands, their shared offset and their packed forms,
+    INF-padded to ``lens``.  The offset lifts negative entries (from
+    ``dominance_join``) to zero, so a sum of c operands carries it c times;
+    no such sum passes c times the largest lifted entry."""
+    finite = set().union(*vectors) - {INF}
+    off = max(0, -min(finite, default=0))
+    kern = _Lanes(len(vectors) * (max(finite, default=0) + off), sum(lens))
+    inf = kern.inf
+    return kern, off, [kern.pack([inf if x == INF else x + off for x in v] + [inf] * (n - len(v)))
+                       for v, n in zip(vectors, lens)]
 
 
 def minplus_convolve(a: list[float], b: list[float], cap: int | None = None) -> list[float]:
     """h[k] = min over i+j=k of a[i]+b[j], for k up to len(a)+len(b)-2 and
-    at most cap.  Only the operands' finite spans are read: an all-INF
-    operand, or spans whose first sum lies above the top, give all INF; an
-    operand with one finite entry gives a shifted copy of the other; else
-    the shorter span drives the outer loop over the longer one."""
-    top = len(a) + len(b) - 2
-    if cap is not None and cap < top:
-        top = cap
-    la, ha = _span(a)
-    lb, hb = _span(b)
-    if la == ha or lb == hb or la + lb > top:
-        return [INF] * (top + 1)
-    if ha - la > hb - lb:
-        a, la, ha, b, lb, hb = b, lb, hb, a, la, ha
-    if ha - la == 1:
-        x, end = a[la], min(hb, top - la + 1)
-        row = b[lb:end] if x == 0 else [x + y for y in b[lb:end]]
-        return [INF] * (la + lb) + row + [INF] * (top + 1 - la - end)
-    out = [INF] * (top + 1)
-    for i in range(la, min(ha, top - lb + 1)):
-        x = a[i]
-        if x != INF:
-            end = min(hb, top - i + 1)
-            out[i + lb:i + end] = [z if z <= s else s for z, y in zip(out[i + lb:i + end], b[lb:end])
-                                   for s in (x + y,)]
-    return out
-
-
-def _vmin(a: list[float], b: list[float]) -> list[float]:
-    """Pointwise minimum; past the shorter vector, the longer one's entries."""
-    if len(a) < len(b):
+    at most cap; INF where no split has two finite entries."""
+    top = len(a) + len(b) - 2 if cap is None else min(cap, len(a) + len(b) - 2)
+    if top < 0:
+        return []
+    if len(a) > len(b):
         a, b = b, a
-    return [x if x <= y else y for x, y in zip(a, b)] + a[len(b):]
-
-
-def _truncated(v: list[float], cap: int | None) -> list[float]:
-    """A copy of v up to index cap: its min-plus convolution with [0]."""
-    return v[:None if cap is None else max(cap + 1, 0)]
+    if len(a) == 1:  # one entry shifts the other; INF plus it stays INF
+        return [INF] * (top + 1) if a[0] == INF else [y + a[0] for y in b[:top + 1]]
+    kern, off, (pa, pb) = _packed([a, b], [len(a), len(b)])
+    return kern.to_list(*kern.convolve(pa, len(a), pb, len(b), top), 2 * off)
 
 
 def combine_all(children: list[list[float]], cap: int | None = None) -> list[float]:
@@ -350,26 +469,12 @@ def combine_all(children: list[list[float]], cap: int | None = None) -> list[flo
     combines to cost zero at k=0."""
     if not children:
         return [0]
-    acc = _truncated(children[0], cap)
-    for vec in children[1:]:
-        acc = minplus_convolve(acc, vec, cap)
-    return acc
-
-
-def _fold_one(dists: list[list[float]], rests: list[list[float]], cap: int | None
-              ) -> tuple[list[float], list[float]]:
-    """``combine_one_distinguished`` and ``combine_all(rests, cap)``, from one
-    fold: the second is the fold's every-child-at-rest accumulator.  The
-    first child's convolutions with [0] and [INF] are a truncated copy and
-    INF, so the fold starts from it."""
-    if not (dists and rests):
-        return [INF], [0]
-    none_yet, done = _truncated(rests[0], cap), _truncated(dists[0], cap)
-    done += [INF] * (len(none_yet) - len(done))
-    for dv, rv in zip(dists[1:], rests[1:]):
-        done = _vmin(minplus_convolve(done, rv, cap), minplus_convolve(none_yet, dv, cap))
-        none_yet = minplus_convolve(none_yet, rv, cap)
-    return done, none_yet
+    if len(children) == 1 or cap is not None and cap < 0:
+        return children[0][:None if cap is None else max(cap + 1, 0)]
+    lens = [len(v) for v in children]
+    kern, off, packed = _packed(children, lens)
+    acc = kern.combine(packed, lens, sum(lens) if cap is None else cap)
+    return kern.to_list(*acc, len(children) * off)
 
 
 def combine_one_distinguished(
@@ -377,10 +482,19 @@ def combine_one_distinguished(
 ) -> list[float]:
     """Like combine_all over ``rests``, except exactly one child (any one)
     contributes its ``dists`` vector instead.  One left-to-right fold keeps
-    the combinations with none and with one child at ``dists`` so far; the
-    first of them ends as ``combine_all(rests, cap)``, which the vector DP
-    reads from the same fold (``_fold_one``)."""
-    return _fold_one(dists, rests, cap)[0]
+    the combinations with none and with one child at ``dists`` so far
+    (``_Lanes.fold_one``); a child's two vectors are read at the longer one's
+    length."""
+    if not (dists and rests):
+        return [INF]
+    if cap is not None and cap < 0:
+        return []
+    pairs = list(zip(dists, rests))
+    lens = [max(len(d), len(r)) for d, r in pairs]
+    kern, off, packed = _packed([d for d, _ in pairs] + [r for _, r in pairs], lens * 2)
+    c = len(pairs)
+    done, _ = kern.fold_one(packed[:c], packed[c:], lens, sum(lens) if cap is None else cap)
+    return kern.to_list(*done, c * off)
 
 
 # ---------------------------------------------------------------------------
@@ -388,58 +502,83 @@ def combine_one_distinguished(
 # ---------------------------------------------------------------------------
 
 
+def _lanes(rt: RootedTree, v: int) -> int:
+    """Lanes on the edge into v: sizes up to what its subtree and parent hold, and n // 2."""
+    return min(rt.graph.n // 2, (rt.subtree_size[v] + 1) // 2) + 1
+
+
 @dataclass(frozen=True)
 class DeficiencyTables:
+    """Per vertex, the seven packed state vectors of the edge into it;
+    ``values`` is their list view, unpacked on first read."""
+
     tree: RootedTree
-    values: dict[int, tuple[list[float], ...]]
+    kernel: _Lanes
+    packed: dict[int, tuple[int, ...]]
+
+    @cached_property
+    def values(self) -> dict[int, tuple[list[float], ...]]:
+        kern, out = self.kernel, {}
+        cell = {kern.inf: INF}.get
+        for v, row in self.packed.items():  # one unpack per vertex
+            n = _lanes(self.tree, v)
+            whole = sum(x << i * n * kern.width for i, x in enumerate(row))
+            lanes = kern.unpack(whole, len(row) * n)
+            cells = list(map(cell, lanes, lanes))
+            out[v] = tuple(cells[i:i + n] for i in range(0, len(cells), n))
+        return out
 
 
-def _cheapest_vectors(fs: list, rest: tuple[int, ...]) -> list[list[float]]:
-    """Per child, the pointwise cheapest of its state vectors in ``rest``."""
+def _cheapest_vectors(kern: _Lanes, fs: list, highs: list[int], rest: tuple[int, ...]) -> list[int]:
+    """Per child (guard bits in ``highs``), the cheapest of its state vectors in ``rest``."""
     if len(rest) == 1:
         return [f[rest[0]] for f in fs]
-    return [reduce(_vmin, row) for row in map(itemgetter(*rest), fs)]
+    out = []
+    for f, high in zip(fs, highs):
+        vec = f[rest[0]]
+        for s in rest[1:]:
+            vec = kern.vmin(vec, f[s], high)
+        out.append(vec)
+    return out
 
 
-def _deficiency_row(fs: list, cap: int) -> tuple[list[float], ...]:
-    """The vector table, sizes 0..cap, of a vertex whose children have the tables ``fs``."""
+def _deficiency_row(kern: _Lanes, fs: list, lens: list[int], cap: int) -> tuple[int, ...]:
+    """The packed vector table, sizes 0..cap, of a vertex whose children
+    have the tables ``fs`` of ``lens`` lanes."""
     rests, combos, terms = _VEC_PLAN
-    cheapest = [_cheapest_vectors(fs, rest) for rest in rests]
-    folds = {ci: _fold_one([f[dist] for f in fs], cheapest[ri], cap - e)
+    highs = [kern.guards(n) for n in lens]
+    cheapest = [_cheapest_vectors(kern, fs, highs, rest) for rest in rests]
+    folds = {ci: kern.fold_one([f[dist] for f in fs], cheapest[ri], lens, cap - e)
              for ci, (dist, ri, e) in enumerate(combos) if dist is not None}
     costs = [
         folds[ci][0] if dist is not None
-        else combine_all(cheapest[ri], cap - e) if _VEC_SHARED[ci] is None
-        else folds[_VEC_SHARED[ci]][1][:cap - e + 1]
+        else kern.combine(cheapest[ri], lens, cap - e) if _VEC_SHARED[ci] is None
+        else kern.truncated(*folds[_VEC_SHARED[ci]][1], cap - e)
         for ci, (dist, ri, e) in enumerate(combos)
     ]
-    cands: list[list[list[float]]] = [[] for _ in RULES]
-    rows: dict[tuple[int, int, int], list[float]] = {}  # one per distinct term
+    high = kern.guards(cap + 1)
+    row: list[int | None] = [None] * len(RULES)
+    placed: dict[tuple[int, int, int], int] = {}  # one per distinct term
     for st, ci, edges, defects in terms:
-        row = rows.get((ci, edges, defects))
-        if row is None:
-            vec = costs[ci]  # at most cap - edges + 1 long
-            if defects:
-                vec = [x + defects for x in vec]
-            row = rows[ci, edges, defects] = (
-                [INF] * edges + vec + [INF] * (cap + 1 - edges - len(vec)))
-        cands[st].append(row)
-    return tuple([reduce(_vmin, c) for c in cands])
-
-
-_LEAF_ROW = tuple(map(tuple, _deficiency_row([], 1)))  # every childless vertex has cap 1
+        vec = placed.get((ci, edges, defects))
+        if vec is None:
+            vec = placed[ci, edges, defects] = kern.place(*costs[ci], edges, defects, cap + 1,
+                                                          high >> 1)
+        row[st] = vec if row[st] is None else kern.vmin(row[st], vec, high)
+    return tuple(row)
 
 
 def deficiency_tables(t: Graph) -> DeficiencyTables:
     rt = root_tree(t)
-    cap_all = t.n // 2
-    leaf = tuple(map(list, _LEAF_ROW))
-    vals: dict[int, tuple[list[float], ...]] = {}
+    # a vertex adds at most two defects, so no entry or partial sum passes 2n
+    kern = _Lanes(2 * t.n + 2, t.n // 2 + 1)
+    leaf = _deficiency_row(kern, [], [], 1)  # every childless vertex has cap 1
+    vals: dict[int, tuple[int, ...]] = {}
     for v in rt.order:
         cs = rt.children[v]
-        cap = min(cap_all, (rt.subtree_size[v] + 1) // 2)
-        vals[v] = _deficiency_row([vals[c] for c in cs], cap) if cs else leaf
-    return DeficiencyTables(rt, vals)
+        vals[v] = _deficiency_row(kern, [vals[c] for c in cs], [_lanes(rt, c) for c in cs],
+                                  _lanes(rt, v) - 1) if cs else leaf
+    return DeficiencyTables(rt, kern, vals)
 
 
 def deficiency_vector(t: Graph, tables: DeficiencyTables | None = None) -> list[float]:
@@ -451,13 +590,16 @@ def deficiency_vector(t: Graph, tables: DeficiencyTables | None = None) -> list[
     if t.n == 1:
         return [0]
     tables = tables or deficiency_tables(t)
-    return [_root_minimum(tables, k) for k in range(t.n // 2 + 1)]
+    kern, f, n = tables.kernel, tables.packed[tables.tree.anchor], t.n // 2 + 1
+    high = kern.guards(n)
+    return kern.to_list(kern.vmin(kern.vmin(f[0], f[1], high), f[5], high), n)
 
 
 def _root_minimum(tables: DeficiencyTables, k: int) -> float:
     """The F-value at matching size k: the best root state of the tables."""
-    f = tables.values[tables.tree.anchor]
-    return min(vec[k] if k < len(vec) else INF for vec in (f[0], f[1], f[5]))
+    kern, f = tables.kernel, tables.packed[tables.tree.anchor]
+    best = min(kern.lane(f[s], k) for s in (0, 1, 5))
+    return INF if best == kern.inf else best
 
 
 def f_tree_k(t: Graph, k: int) -> float:
@@ -476,69 +618,89 @@ def f_tree_k(t: Graph, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _share(vec: list[float], rest: list[float], k: int, target: float) -> int | None:
-    """Smallest share of k for ``vec`` that the ``rest`` combination completes to target."""
-    for share in range(min(k, len(vec) - 1) + 1):
-        if k - share < len(rest) and vec[share] + rest[k - share] == target:
-            return share
+def _share(kern: _Lanes, vec: int, n: int, other: tuple[int, int], k: int,
+           target: int) -> int | None:
+    """Smallest share of k for ``vec`` (n lanes) that the (packed, lanes)
+    combination ``other`` completes to target."""
+    rest, m = other
+    lo, hi = max(0, k - m + 1), min(k, n - 1)
+    if lo > hi:
+        return None
+    w = kern.width
+    xs = kern.unpack(vec >> lo * w, hi - lo + 1)
+    ys = kern.unpack(rest >> (k - hi) * w, hi - lo + 1)  # other at k - hi .. k - lo
+    for j, (x, y) in enumerate(zip(xs, reversed(ys))):
+        if x + y == target:
+            return lo + j
     return None
 
 
-def _split(fs: list, dist: int | None, rest: tuple[int, ...], k: int, target: float):
-    """Per child (state, share of k) for one rule costing ``target`` at size k,
-    else None.  Builds the suffix combinations once, then walks the children
-    left to right, giving each the smallest share that still reaches the
-    target; the first child that can take ``dist`` takes it."""
-    rests = _cheapest_vectors(fs, rest)
+def _split(kern: _Lanes, fs: list, lens: list[int], dist: int | None, rest: tuple[int, ...],
+           k: int, target: int):
+    """Per child (state, share of k) for one rule costing ``target`` at size
+    k, else None; child i's packed vectors have lens[i] lanes.  Walks the
+    children left to right, giving each the smallest share that the suffix
+    combination after it completes to the target; the first child that can
+    take ``dist`` takes it.  The every-child-at-rest suffixes are built first,
+    and those with one child at ``dist`` only if the first child cannot take
+    it.  When the first child finds no share, the rule does not reach the target."""
+    if not fs:  # a childless vertex: no edge or defect below it
+        return [] if dist is None and k == 0 and target == 0 else None
+    rests = _cheapest_vectors(kern, fs, [kern.guards(n) for n in lens], rest)
     dists = None if dist is None else [f[dist] for f in fs]
-    alls: list[list[float]] = [[0]] * (len(fs) + 1)  # every child at rest
-    ones: list[list[float]] = [[INF]] * (len(fs) + 1)  # one of them at dist
-    for i in range(len(fs) - 1, -1, -1):
-        if dists is None or i > 0:  # a rule with dist reads alls[1:] only
-            alls[i] = minplus_convolve(rests[i], alls[i + 1], k)
-        if dists is not None:
-            with_dist = minplus_convolve(dists[i], alls[i + 1], k)
-            ones[i] = _vmin(with_dist, minplus_convolve(rests[i], ones[i + 1], k))
-    top = alls[0] if dists is None else ones[0]
-    if not 0 <= k < len(top) or top[k] != target:
-        return None
+    alls = [(0, 1)] * (len(fs) + 1)  # children i.. at rest
+    for i in range(len(fs) - 1, 0, -1):
+        alls[i] = kern.convolve(rests[i], lens[i], *alls[i + 1], k)
+    ones = None  # children i.. with one of them at dist
     picks = []
     for i, f in enumerate(fs):
         if dists is not None:
-            share = _share(dists[i], alls[i + 1], k, target)
+            share = _share(kern, dists[i], lens[i], alls[i + 1], k, target)
             if share is not None:
                 picks.append((dist, share))
-                k, target, dists = k - share, target - dists[i][share], None
+                k, target, dists = k - share, target - kern.lane(dists[i], share), None
                 continue
-        share = _share(rests[i], alls[i + 1] if dists is None else ones[i + 1], k, target)
+            if ones is None:
+                ones = [(kern.inf, 1)] * (len(fs) + 1)
+                for j in range(len(fs) - 1, 0, -1):
+                    (x, n), (y, _) = (kern.convolve(dists[j], lens[j], *alls[j + 1], k),
+                                      kern.convolve(rests[j], lens[j], *ones[j + 1], k))
+                    ones[j] = kern.vmin(x, y, kern.guards(n)), n
+        share = _share(kern, rests[i], lens[i], alls[i + 1] if dists is None else ones[i + 1],
+                       k, target)
         if share is None:
-            raise InvariantViolation("a child share lost the split's target")
-        picks.append((next(s for s in rest if f[s][share] == rests[i][share]), share))
-        k, target = k - share, target - rests[i][share]
+            if i:
+                raise InvariantViolation("a child share lost the split's target")
+            return None
+        cost = kern.lane(rests[i], share)
+        picks.append((next(s for s in rest if kern.lane(f[s], share) == cost), share))
+        k, target = k - share, target - cost
     return picks
 
 
 def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matching:
     """Size-k matching whose deficiency equals the DP value at k."""
-    rt, vals = tables.tree, tables.values
+    rt, kern, vals = tables.tree, tables.kernel, tables.packed
     best = _root_minimum(tables, k)
     if best == INF:
         raise KOutOfRange(f"no matching of size {k} exists")
     s0 = rt.anchor
     out: list[Edge] = []
-    stack = [(s0, next(s for s in (0, 1, 5) if vals[s0][s][k] == best), k)]
+    stack = [(s0, next(s for s in (0, 1, 5) if kern.lane(vals[s0][s], k) == best), k)]
     while stack:
         v, st, kv = stack.pop()
-        fs = [vals[c] for c in rt.children[v]]
+        cs = rt.children[v]
+        fs, lens = [vals[c] for c in cs], [_lanes(rt, c) for c in cs]
+        cell = kern.lane(vals[v][st], kv)
         for dist, rest, edges, defects in RULES[st]:
-            picks = _split(fs, dist, rest, kv - edges, vals[v][st][kv] - defects)
+            picks = _split(kern, fs, lens, dist, rest, kv - edges, cell - defects)
             if picks is not None:
                 break
         else:
             raise InvariantViolation(f"no rule reaches {STATE_NAMES[st]} at vertex {v}, k={kv}")
         if edges:
             out.append(norm_edge(rt.parent[v], v))
-        stack.extend((c, s, kc) for c, (s, kc) in zip(rt.children[v], picks))
+        stack.extend((c, s, kc) for c, (s, kc) in zip(cs, picks))
     matching = frozenset(out)
     if len(matching) != k:
         raise InvariantViolation("reconstructed matching has the wrong size")
@@ -550,7 +712,12 @@ def split_size(fvecs: list[list[float]], k: int) -> list[int]:
     size k in a split of least total deficiency, ``combine_all(fvecs, k)[k]``:
     F adds up over components, since augmenting paths of length 1 and 3 stay
     inside one, and ``_split`` walks the components for the shares."""
-    picks = _split([(f,) for f in fvecs], None, (0,), k, combine_all(fvecs, k)[k])
+    lens = [len(f) for f in fvecs]
+    kern, _, packed = _packed(fvecs, lens)
+    total, n = kern.combine(packed, lens, k)
+    if not 0 <= k < n or kern.lane(total, k) == kern.inf:
+        raise KOutOfRange(f"no split of matching size {k} over the components")
+    picks = _split(kern, [(p,) for p in packed], lens, None, (0,), k, kern.lane(total, k))
     return [share for _, share in picks]
 
 

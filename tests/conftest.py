@@ -60,6 +60,13 @@ def tree_catalog(max_n: int, extra_random: int, seed: int = 2024) -> list[Graph]
     return out
 
 
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g under a random permutation of its vertices."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def random_stability2(n: int, rng: random.Random, p: float | None = None) -> Graph:
     tri_free = random_triangle_free(n, rng.uniform(0.2, 0.9) if p is None else p, rng)
     return complement(tri_free)

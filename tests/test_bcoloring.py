@@ -15,6 +15,7 @@ from bchrom.errors import (
     NotABColoring,
     StabilityTooLarge,
 )
+from bchrom.generators import random_labeled_tree
 from bchrom.graph import (
     complement,
     complete_graph,
@@ -128,6 +129,24 @@ def test_continuity_chain_levels_all_verified():
         assert [c.t for c in chain] == list(range(value, chi - 1, -1))
         for c in chain:
             assert verify_coloring(g, c).is_b_coloring
+
+
+def test_chain_steps_are_strongly_maximal_matchings_of_the_complement():
+    """The stability-2 bijection on every step of the continuity chain of
+    co-trees up to 30 vertices: a step's two-vertex classes are a strongly
+    maximal matching of the complement, and that matching gives the step back."""
+    rng = random.Random(30)
+    sizes = (12, 18, 24, 30, 30)
+    steps = 0
+    for n in sizes:
+        tree = random_labeled_tree(n, rng)
+        g = complement(tree)
+        for c in continuity_chain(g, plan(g, "witness").witness):
+            m = coloring_to_matching(g, c)
+            assert is_strongly_maximal(tree, m)
+            assert matching_to_coloring(g, m) == c
+            steps += 1
+    assert steps > len(sizes)  # some chain goes past its first coloring
 
 
 def test_chain_rejects_non_b_coloring():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bchrom.errors import KOutOfRange, NotATree
+from bchrom.generators import random_labeled_tree
 from bchrom.graph import Graph, cycle_graph, path_graph, star_graph
 from bchrom.matching import is_strongly_maximal, s1_s2
 from bchrom.oracle import oracle_f_t_k, oracle_min_smm
@@ -23,7 +24,7 @@ from bchrom.tree_dp import (
     smm_tables,
 )
 
-from conftest import tree_catalog
+from conftest import relabelled, tree_catalog
 
 
 def test_min_smm_examples():
@@ -89,9 +90,12 @@ def _first_finite(v):
     return next((i for i, x in enumerate(v) if x != INF), None)
 
 
-# Operand shapes the span shortcuts treat apart: INF heads and tails, interior
-# INF (which tree tables never hold), one finite entry, all INF, and INF tails
-# longer than any fixed-size buffer, also of INF objects other than ``INF``.
+# Operand shapes the packed kernel must read alike: INF heads and tails,
+# interior INF (which tree tables never hold), one finite entry, all INF, INF
+# tails longer than any fixed-size buffer, also of INF objects other than
+# ``INF``; negative entries, as ``dominance_join`` sends, which the kernel
+# offsets into its lanes; and finite entries of 2**14 and above, which do not
+# fit the 16-bit lane and force the wide one.
 KERNEL_OPERANDS = [
     [0],
     [3],
@@ -109,6 +113,12 @@ KERNEL_OPERANDS = [
     [INF, 3] + [INF + 1] * 4100,
     [2] + [INF] * 4100 + [1] + [INF] * 4200,
     [INF] * 4097 + [5, 0],
+    [-3, -1, 0],
+    [INF, -7, INF, -2],
+    [-5, INF, INF, -1],
+    [2 ** 14, 3, INF],
+    [INF, 2 ** 14 - 1, 2 ** 20],
+    [-(2 ** 15), 0, INF, 2 ** 14],
 ]
 
 
@@ -211,6 +221,22 @@ def test_deficiency_witness_matches_value():
             val, m = deficiency_matching(t, k)
             assert len(m) == k
             assert sum(s1_s2(t, m)) == val == vec[k]
+
+
+def test_deficiency_unchanged_under_relabelling_at_workload_size():
+    """A random 700-vertex tree, the size of the largest benchmark co-tree,
+    and two random relabellings of it have one F vector; in each labelling
+    the witness at three sizes k has k edges and its deficiency as value."""
+    rng = random.Random(700)
+    t = random_labeled_tree(700, rng)
+    vec = deficiency_vector(t)
+    ks = rng.sample([k for k, x in enumerate(vec) if x != INF], 3)
+    for g in (t, relabelled(t, rng), relabelled(t, rng)):
+        assert deficiency_vector(g) == vec
+        for k in ks:
+            value, m = deficiency_matching(g, k)
+            assert len(m) == k
+            assert sum(s1_s2(g, m)) == value == vec[k]
 
 
 def test_two_dps_agree_on_zero_set():
