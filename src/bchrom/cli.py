@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import fileio
 from .bcoloring import Coloring, continuity_chain, verify_coloring
@@ -194,7 +195,10 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` leaves
+    it unchanged and gives each call a namespace of its own."""
     p = argparse.ArgumentParser(
         prog="bchrom",
         description="b-chromatic numbers, b-colorings and dominance vectors",

@@ -56,11 +56,27 @@ big-int operations each.  The lane width follows from a bound on the
 values: 16 bits while the bound is below 2**14, else 64.  For a tree's
 tables the bound is 2n + 2, since a vertex adds at most two defects; for
 list operands it is the most a sum of them can reach, once an offset has
-lifted negative entries to zero.  One min-plus loop, ``_Lanes.convolve``,
-serves the table build, the witness walk and the list functions
-``minplus_convolve``, ``combine_all`` and ``combine_one_distinguished``,
-which pack and unpack at their edges.  ``DeficiencyTables.values`` is the
-list view of the packed tables, unpacked on first read.
+lifted negative entries to zero.  ``_Lanes.convolve`` is the min-plus loop
+of the witness walk and of the list functions ``minplus_convolve``,
+``combine_all`` and ``combine_one_distinguished``, which pack each operand
+up to its INF tail and pad the tail back as they unpack.
+``DeficiencyTables.values`` is the list view of the packed tables, unpacked
+on first read.
+
+Neither table build walks the rule table per vertex.  ``rows.compile_rows``
+writes each pass's row as straight-line Python source from ``RULES`` (and
+from its zero-deficiency part), once per process on first use: per child,
+the rest minima and the dist states; per pair of children, the min-plus
+products of the one-distinguished folds and the all-rest combines, all in
+one loop over the lanes of the shorter operand; per state, the least of its
+rules' terms, each an accumulator moved up by ``edges`` and raised by
+``defects``.  A row is a product over the children that may be taken in any
+grouping (see ``rows.compile_rows``).  So a vertex with one child reads its
+row off that child's vectors by truncation alone, and the leaf children of a
+vertex, which all share the one leaf row, enter as a single block: the
+leaf's product raised to the power j by repeated squaring, made once per
+distinct j in a build.  Only the children with children of their own are
+multiplied in one by one.
 """
 
 from __future__ import annotations
@@ -158,30 +174,6 @@ _SMM_RULES = tuple(  # the zero-deficiency part, as the module docstring says
 )
 
 
-def _plan(rules: tuple):
-    """Read a rule table once: its distinct rest sets, its distinct (dist, rest
-    set, edges) combinations, and its rules as (state, combination, edges, defects)."""
-    rests = tuple(dict.fromkeys(r[1] for rs in rules for r in rs))
-    combos = tuple(dict.fromkeys(r[:3] for rs in rules for r in rs))
-    terms = tuple((s, combos.index(r[:3]), r[2], r[3]) for s, rs in enumerate(rules) for r in rs)
-    return rests, tuple((d, rests.index(r), e) for d, r, e in combos), terms
-
-
-_SMM_PLAN = _plan(_SMM_RULES)
-_VEC_PLAN = _plan(RULES)
-# For each combination with every child at rest: the index of a combination
-# with one distinguished child over the same rest set and no more edges, else
-# None.  That fold runs at the same or a larger cap, and its all-rest
-# accumulator holds the wanted combination as a prefix, since a cap only
-# truncates.
-_VEC_SHARED = tuple(
-    None if dist is not None else next(
-        (ci for ci, (d, r, e) in enumerate(_VEC_PLAN[1]) if d is not None and r == ri
-         and e <= edges), None)
-    for dist, ri, edges in _VEC_PLAN[1]
-)
-
-
 # ---------------------------------------------------------------------------
 # Minimum strongly maximal matching (scalar tables)
 # ---------------------------------------------------------------------------
@@ -213,23 +205,13 @@ def _smm_value(fs: list, dist: int | None, rests: list[float]) -> tuple[float, i
     return one, at
 
 
-def _smm_row(fs: list) -> tuple[float, float, float, float, float]:
-    """The scalar table of a vertex whose children have the tables ``fs``."""
-    rests, combos, terms = _SMM_PLAN
-    cheapest = [_cheapest_values(fs, rest) for rest in rests]
-    costs = [_smm_value(fs, dist, cheapest[ri])[0] for dist, ri, _ in combos]
-    row = [INF] * len(_SMM_RULES)
-    for st, ci, edges, _ in terms:
-        if costs[ci] + edges < row[st]:
-            row[st] = costs[ci] + edges
-    return tuple(row)
-
-
 def smm_tables(t: Graph) -> SmmTables:
-    rt = root_tree(t)
+    from .rows import compile_rows  # on first use: importing bchrom compiles none of it
+
+    rt, row = root_tree(t), compile_rows(_SMM_RULES, vector=False)
     vals: dict[int, tuple[float, float, float, float, float]] = {}
     for v in rt.order:
-        vals[v] = _smm_row([vals[c] for c in rt.children[v]])
+        vals[v] = row([vals[c] for c in rt.children[v]])
     return SmmTables(rt, vals)
 
 
@@ -340,15 +322,15 @@ class _Lanes:
             items.reverse()
         return items
 
-    def to_list(self, x: int, n: int, off: int = 0) -> list[float]:
-        """Lanes 0..n-1 of x, INF or less ``off``."""
-        infs = self.guards(n) >> 1
+    def to_list(self, x: int, m: int, n: int, off: int = 0) -> list[float]:
+        """n entries: lanes 0..m-1 of x, INF or less ``off``, and INF past them."""
+        infs = self.guards(min(m, n)) >> 1
         at_inf = x & infs  # the INF lanes' bits; a finite lane lacks it
-        m = ((infs ^ at_inf).bit_length() + self.width - 1) // self.width  # to the last finite
-        lanes, inf = self.unpack(x, m), self.inf
+        k = ((infs ^ at_inf).bit_length() + self.width - 1) // self.width  # to the last finite
+        lanes, inf = self.unpack(x, k), self.inf
         if not at_inf:
-            return [y - off for y in lanes]
-        return [INF if y == inf else y - off for y in lanes] + [INF] * (n - m)
+            return [y - off for y in lanes] + [INF] * (n - k)
+        return [INF if y == inf else y - off for y in lanes] + [INF] * (n - k)
 
     def lane(self, x: int, k: int) -> int:
         return (x >> k * self.width) & ((1 << self.width) - 1)
@@ -425,29 +407,27 @@ class _Lanes:
             none_yet = self.convolve(*none_yet, rv, n, cap)
         return done, none_yet
 
-    def place(self, vec: int, n: int, shift: int, add: int, width: int, infs: int) -> int:
-        """``width`` lanes (``infs`` when all INF) holding vec's n lanes from
-        lane ``shift`` on, ``add`` added to the finite ones, and INF elsewhere."""
-        w = self.width
-        mine = infs >> (width - n) * w
-        if add:  # a finite lane lacks the INF bit
-            vec += ((mine ^ (vec & mine)) >> w - 2) * add
-        if not shift and n == width:
-            return vec
-        return (infs ^ (mine << shift * w)) | (vec << shift * w)
+
+def _finite(v: list[float]) -> int:
+    """The lanes a list operand is packed in: its length less its INF tail,
+    and at least one, since an INF tail adds nothing to a min-plus product
+    and ``_Lanes.to_list`` pads it back.  Two passes in C find the tail when
+    every INF lies in it, as in F vectors; else the whole length is kept."""
+    n, tail = len(v), v.count(INF)
+    return max(n - tail, 1) if v[n - tail:].count(INF) == tail else n
 
 
 def _packed(vectors: list[list[float]], lens: list[int]) -> tuple[_Lanes, int, list[int]]:
     """Lanes for list operands, their shared offset and their packed forms,
-    INF-padded to ``lens``.  The offset lifts negative entries (from
+    cut or INF-padded to ``lens``.  The offset lifts negative entries (from
     ``dominance_join``) to zero, so a sum of c operands carries it c times;
     no such sum passes c times the largest lifted entry."""
-    finite = set().union(*vectors) - {INF}
+    finite = set().union(*(v[:n] for v, n in zip(vectors, lens))) - {INF}
     off = max(0, -min(finite, default=0))
     kern = _Lanes(len(vectors) * (max(finite, default=0) + off), sum(lens))
     inf = kern.inf
-    return kern, off, [kern.pack([inf if x == INF else x + off for x in v] + [inf] * (n - len(v)))
-                       for v, n in zip(vectors, lens)]
+    return kern, off, [kern.pack([inf if x == INF else x + off for x in v[:n]]
+                                 + [inf] * (n - len(v))) for v, n in zip(vectors, lens)]
 
 
 def minplus_convolve(a: list[float], b: list[float], cap: int | None = None) -> list[float]:
@@ -460,8 +440,9 @@ def minplus_convolve(a: list[float], b: list[float], cap: int | None = None) -> 
         a, b = b, a
     if len(a) == 1:  # one entry shifts the other; INF plus it stays INF
         return [INF] * (top + 1) if a[0] == INF else [y + a[0] for y in b[:top + 1]]
-    kern, off, (pa, pb) = _packed([a, b], [len(a), len(b)])
-    return kern.to_list(*kern.convolve(pa, len(a), pb, len(b), top), 2 * off)
+    la, lb = _finite(a), _finite(b)
+    kern, off, (pa, pb) = _packed([a, b], [la, lb])
+    return kern.to_list(*kern.convolve(pa, la, pb, lb, top), top + 1, 2 * off)
 
 
 def combine_all(children: list[list[float]], cap: int | None = None) -> list[float]:
@@ -471,10 +452,11 @@ def combine_all(children: list[list[float]], cap: int | None = None) -> list[flo
         return [0]
     if len(children) == 1 or cap is not None and cap < 0:
         return children[0][:None if cap is None else max(cap + 1, 0)]
-    lens = [len(v) for v in children]
+    lens = [_finite(v) for v in children]
     kern, off, packed = _packed(children, lens)
-    acc = kern.combine(packed, lens, sum(lens) if cap is None else cap)
-    return kern.to_list(*acc, len(children) * off)
+    top = sum(map(len, children)) - len(children)
+    top = top if cap is None else min(cap, top)
+    return kern.to_list(*kern.combine(packed, lens, top), top + 1, len(children) * off)
 
 
 def combine_one_distinguished(
@@ -490,11 +472,13 @@ def combine_one_distinguished(
     if cap is not None and cap < 0:
         return []
     pairs = list(zip(dists, rests))
-    lens = [max(len(d), len(r)) for d, r in pairs]
+    lens = [max(_finite(d), _finite(r)) for d, r in pairs]
     kern, off, packed = _packed([d for d, _ in pairs] + [r for _, r in pairs], lens * 2)
     c = len(pairs)
-    done, _ = kern.fold_one(packed[:c], packed[c:], lens, sum(lens) if cap is None else cap)
-    return kern.to_list(*done, c * off)
+    top = sum(max(len(d), len(r)) for d, r in pairs) - c
+    top = top if cap is None else min(cap, top)
+    done, _ = kern.fold_one(packed[:c], packed[c:], lens, top)
+    return kern.to_list(*done, top + 1, c * off)
 
 
 # ---------------------------------------------------------------------------
@@ -542,43 +526,48 @@ def _cheapest_vectors(kern: _Lanes, fs: list, highs: list[int], rest: tuple[int,
     return out
 
 
-def _deficiency_row(kern: _Lanes, fs: list, lens: list[int], cap: int) -> tuple[int, ...]:
-    """The packed vector table, sizes 0..cap, of a vertex whose children
-    have the tables ``fs`` of ``lens`` lanes."""
-    rests, combos, terms = _VEC_PLAN
-    highs = [kern.guards(n) for n in lens]
-    cheapest = [_cheapest_vectors(kern, fs, highs, rest) for rest in rests]
-    folds = {ci: kern.fold_one([f[dist] for f in fs], cheapest[ri], lens, cap - e)
-             for ci, (dist, ri, e) in enumerate(combos) if dist is not None}
-    costs = [
-        folds[ci][0] if dist is not None
-        else kern.combine(cheapest[ri], lens, cap - e) if _VEC_SHARED[ci] is None
-        else kern.truncated(*folds[_VEC_SHARED[ci]][1], cap - e)
-        for ci, (dist, ri, e) in enumerate(combos)
-    ]
-    high = kern.guards(cap + 1)
-    row: list[int | None] = [None] * len(RULES)
-    placed: dict[tuple[int, int, int], int] = {}  # one per distinct term
-    for st, ci, edges, defects in terms:
-        vec = placed.get((ci, edges, defects))
-        if vec is None:
-            vec = placed[ci, edges, defects] = kern.place(*costs[ci], edges, defects, cap + 1,
-                                                          high >> 1)
-        row[st] = vec if row[st] is None else kern.vmin(row[st], vec, high)
-    return tuple(row)
-
-
 def deficiency_tables(t: Graph) -> DeficiencyTables:
+    from .rows import compile_rows  # on first use: importing bchrom compiles none of it
+
     rt = root_tree(t)
+    half, children = t.n // 2, rt.children
     # a vertex adds at most two defects, so no entry or partial sum passes 2n
-    kern = _Lanes(2 * t.n + 2, t.n // 2 + 1)
-    leaf = _deficiency_row(kern, [], [], 1)  # every childless vertex has cap 1
+    kern = _Lanes(2 * t.n + 2, half + 1)
+    empty, contribution, merge, finish = compile_rows(RULES, vector=True)(kern)
+    lanes = [_lanes(rt, v) for v in range(t.n)]
+    leaf = finish(empty, 1)  # every childless vertex has this row, at cap 1
+    powers = [contribution(leaf, 2)]  # the product over 2**i leaf children
+    blocks: dict[int, tuple] = {}  # the product over j leaf children, by j
     vals: dict[int, tuple[int, ...]] = {}
     for v in rt.order:
-        cs = rt.children[v]
-        vals[v] = _deficiency_row(kern, [vals[c] for c in cs], [_lanes(rt, c) for c in cs],
-                                  _lanes(rt, v) - 1) if cs else leaf
+        cs = children[v]
+        if not cs:
+            vals[v] = leaf
+            continue
+        cap = lanes[v] - 1
+        inner = [c for c in cs if children[c]]
+        j = len(cs) - len(inner)
+        if j and j not in blocks:
+            blocks[j] = _power(j, powers, merge, half)
+        acc = blocks.get(j)  # None without leaf children
+        for c in inner:
+            x = contribution(vals[c], lanes[c])
+            acc = x if acc is None else merge(acc, x, cap)
+        vals[v] = finish(acc, cap)
     return DeficiencyTables(rt, kern, vals)
+
+
+def _power(j: int, powers: list, merge, cap: int):
+    """The product of j copies of powers[0], at sizes up to cap, by repeated
+    squaring; ``powers`` holds the squarings so far and gains the ones made."""
+    acc, i = None, 0
+    while j:
+        if i == len(powers):
+            powers.append(merge(powers[-1], powers[-1], cap))
+        if j & 1:
+            acc = powers[i] if acc is None else merge(acc, powers[i], cap)
+        j, i = j >> 1, i + 1
+    return acc
 
 
 def deficiency_vector(t: Graph, tables: DeficiencyTables | None = None) -> list[float]:
@@ -592,7 +581,7 @@ def deficiency_vector(t: Graph, tables: DeficiencyTables | None = None) -> list[
     tables = tables or deficiency_tables(t)
     kern, f, n = tables.kernel, tables.packed[tables.tree.anchor], t.n // 2 + 1
     high = kern.guards(n)
-    return kern.to_list(kern.vmin(kern.vmin(f[0], f[1], high), f[5], high), n)
+    return kern.to_list(kern.vmin(kern.vmin(f[0], f[1], high), f[5], high), n, n)
 
 
 def _root_minimum(tables: DeficiencyTables, k: int) -> float:
@@ -712,7 +701,7 @@ def split_size(fvecs: list[list[float]], k: int) -> list[int]:
     size k in a split of least total deficiency, ``combine_all(fvecs, k)[k]``:
     F adds up over components, since augmenting paths of length 1 and 3 stay
     inside one, and ``_split`` walks the components for the shares."""
-    lens = [len(f) for f in fvecs]
+    lens = [_finite(f) for f in fvecs]
     kern, _, packed = _packed(fvecs, lens)
     total, n = kern.combine(packed, lens, k)
     if not 0 <= k < n or kern.lane(total, k) == kern.inf:

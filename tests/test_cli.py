@@ -115,6 +115,25 @@ def test_bcolor_writes_verifiable_coloring(files, tmp_path):
     assert coloring.t == 2
 
 
+def test_back_to_back_calls_keep_no_options_of_the_last(files, tmp_path):
+    """``main`` parses every call with one parser; what one call was given
+    must not reach the next."""
+    witness, out_file = tmp_path / "w.col", tmp_path / "o.col"
+    assert run(["bchromatic", files["cop6"], "--witness", str(witness)]) == (0, "4\n")
+    witness.unlink()
+    assert run(["bchromatic", files["cop6"]]) == (0, "4\n")
+    assert not witness.exists()
+    assert run(["bcolor", files["p6"], "2", "-o", str(out_file)]) == (0, "")
+    out_file.unlink()
+    code, out = run(["bcolor", files["p6"], "2"])
+    assert code == 0 and parse_coloring(out, 6).t == 2 and not out_file.exists()
+    code, dumped = run(["dominance", files["cop6"], "--dump-tables"])
+    vector = "".join(line for line in dumped.splitlines(True) if len(line.split()) == 2)
+    assert code == 0 and vector != dumped and run(["dominance", files["cop6"]]) == (0, vector)
+    assert run(["analyze", files["tcx"], "--format", "tcx"])[0] == 0
+    assert run(["analyze", files["p6"]]) == run(["analyze", files["p6"], "--format", "edgelist"])
+
+
 def test_reduce_and_certify(files, tmp_path):
     out_file = tmp_path / "gadget.g"
     code, out = run(["reduce", files["k2"], "-o", str(out_file)])

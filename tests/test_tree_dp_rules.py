@@ -167,6 +167,32 @@ def _caterpillar(n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _spider(legs: list[int]) -> Graph:
+    """A center (vertex 0) with one path of each length in ``legs`` hanging
+    from it; a leg of length 1 is a leaf, so ``[1] * j + [h]`` is a broom."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return Graph.from_edges(n, edges)
+
+
+def _legged_caterpillar(spine: int, legs: int) -> Graph:
+    """A path of ``spine`` vertices, each with ``legs`` leaves."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return Graph.from_edges(spine * (legs + 1), edges)
+
+
+def _rooted_at(t: Graph, root: int, rng: random.Random) -> Graph:
+    """t under a random permutation that labels ``root`` 0, so that the DPs,
+    which root a tree at its lowest-indexed leaf, root it at ``root``."""
+    perm = list(range(1, t.n))
+    rng.shuffle(perm)
+    perm.insert(root, 0)
+    return Graph.from_edges(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+
+
 SMALL = _small_trees()
 RANDOM = _random_trees()
 LARGE = {
@@ -249,3 +275,49 @@ def test_cli_dumps_are_byte_identical(tmp_path):
         assert out.endswith("\n" + deficiency + "\n")
         head = out[: -len(deficiency) - 1].splitlines()
         assert all(len(line.split()) == 2 for line in head)
+
+
+# Brooms and spiders: many leaf children beside one or two deep ones, which
+# the table build folds as one block of leaves and one product per deep child.
+SHAPES = {
+    "broom": [_spider([1] * 30 + [12]), _spider([1] * 3 + [40]), _spider([1] * 97 + [3])],
+    "spider": [_spider([1] * 25 + [9, 14]), _spider([1] * 64 + [2, 2]), _spider([2] * 20),
+               _spider([1] * 8 + [3] * 8 + [7])],
+    "caterpillar": [_legged_caterpillar(spine, legs) for legs in range(1, 7)
+                    for spine in (1, 2, 9, 31)],
+    "star": [star_graph(k) for k in (1, 2, 3, 4, 7, 8, 31, 64, 100)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_tables_equal_reference_on_leafy_shapes(shape):
+    rng = random.Random(shape)
+    for t in SHAPES[shape]:
+        for _ in range(3):
+            _same_tables(_relabel(t, rng))
+
+
+@pytest.mark.parametrize("inner", [0, 1, 2])
+@pytest.mark.parametrize("leaves", [0, 1, 2, 7, 40])
+def test_tables_equal_reference_at_each_mix_of_leaf_and_inner_children(leaves, inner):
+    """A vertex with ``leaves`` leaf children and ``inner`` children that have
+    children of their own, below a parent and in random labellings."""
+    rng = random.Random(f"{leaves}/{inner}")
+    for sizes in ([2, 3], [5, 1], [9, 12]) if inner else ([],):
+        # 0 is the root leaf, 1 its neighbor, 2 the vertex, then its leaves,
+        # then each inner child with its own subtree (a broom or a path)
+        edges = [(0, 1), (1, 2)] + [(2, 3 + i) for i in range(leaves)]
+        n = 3 + leaves
+        for size in sizes[:inner]:
+            # size // 2 leaves and a path of the rest hang from the child n
+            edges += [(2, n)] + [(n, n + 1 + j) for j in range(size // 2)]
+            edges += [(n if j == size // 2 else n + j, n + j + 1) for j in range(size // 2, size)]
+            n += size + 1
+        t = Graph.from_edges(n, edges)
+        for _ in range(3):
+            g = _rooted_at(t, 0, rng)
+            rt = root_tree(g)
+            kids = [rt.children[v] for v in range(g.n)]
+            assert any(sum(not kids[c] for c in cs) == leaves
+                       and sum(bool(kids[c]) for c in cs) == inner for cs in kids)
+            _same_tables(g)
