@@ -1,10 +1,12 @@
 """Row functions of the tree DPs, compiled from their rule table.
 
 ``tree_dp`` writes each DP's recurrence once, as a rule table, and imports
-this module when it first builds a table, so that importing the package
+this module when it first needs a row, so that importing the package
 compiles none of it.  ``compile_rows`` reads a table and writes the row of
 a vertex as straight-line Python source: the rest minima of each child, the
 products that fold the children together, and each state's least rule.
+Every min-plus product of the package runs in the merge written here, also
+those of a single rule read as a one-state table.
 """
 
 from __future__ import annotations
@@ -29,14 +31,24 @@ def compile_rows(rules: tuple, vector: bool):
     state is then the least of its rules, a rule's accumulator moved up by
     ``edges`` and raised by ``defects``.
 
+    A table need not describe its children's rows: a child contributes only
+    the states its rules name, read by index.  So a single rule r is the
+    one-state table ``((r,),)`` over rows of any length, and its row is one
+    min-plus product.  Over one-vector rows, r = ``(None, (0,), 0, 0)``
+    combines them all; over (dist, rest) pairs, r = ``(0, (1,), 0, 0)`` lets
+    exactly one take dist; over 7-state rows, a rule of ``RULES`` gives the
+    suffix products of the deficiency witness walk.
+
     Scalar tables (``vector`` false) give ``row(fs)``, the row of a vertex
-    whose children have the rows ``fs``.  Packed lanes give ``make(kern)``,
-    which returns the empty product and the functions ``contribution(f, n)``
-    of a child's row of n lanes, ``merge(x, y, cap)`` of two products and
-    ``finish(x, cap)``, the row at sizes 0..cap.  A product is (lanes,
-    *accumulators).  ``merge`` runs every min-plus product of the two in one
-    loop over the lanes of the one with fewer, each step as in
-    ``tree_dp._Lanes.convolve``."""
+    whose children have the rows ``fs`` of the same table.  Packed lanes
+    give ``make(kern)``, which returns the empty product and the functions
+    ``contribution(f, n)`` of a child's row of n lanes, ``merge(x, y, cap)``
+    of two products and ``finish(x, cap)``, the row at sizes 0..cap, with
+    cap + 1 at most ``kern.most``.  A product is (lanes, *accumulators).
+    ``merge`` runs every min-plus product of the two in one loop over the
+    lanes of the one with fewer: each finite lane l at i costs one shifted
+    add (the other factor moved up i lanes, plus l) and one lanewise minimum
+    into the result.  It is the package's only min-plus loop."""
     rests = tuple(dict.fromkeys(r[1] for rs in rules for r in rs))
     folds = tuple(dict.fromkeys(r[:2] for rs in rules for r in rs if r[0] is not None))
     accs = [f"r{i}" for i in range(len(rests))] + [f"d{j}" for j in range(len(folds))]
@@ -56,10 +68,12 @@ def compile_rows(rules: tuple, vector: bool):
                 lines.append(f"{out} = {out} if {out} < {b} else {b}")
         return lines
 
+    named = sorted({d for d, _ in folds}.union(*rests))  # the child states the rules read
+    read = f"{', '.join(f's{s}' for s in named)} = {', '.join(f'f[{s}]' for s in named)}"
     contribution = [line for i, rest in enumerate(rests)
                     for line in least(f"yr{i}", [f"s{s}" for s in rest], "H")]
     contribution += [f"yd{j} = s{d}" for j, (d, _) in enumerate(folds)]
-    if vector:  # each product's lanes fold into z, as in tree_dp._Lanes.convolve
+    if vector:  # each product's lanes fold into z (see the docstring)
         merge = [line for a, b, z in products for line in (
             f"if l{a} != inf:", f"    s = (Y{b} >> sh) & mask", f"    if l{a}:",
             f"        s += l{a} * ones", f"    t = ((z{z} | H) - s) & H",
@@ -82,7 +96,6 @@ def compile_rows(rules: tuple, vector: bool):
                     f"{p} = x{acc}" + (f" + {edges + defects}" if edges + defects else "")]
             names.append(p)
         finish += least(f"o{s}", names, "W")
-    states = ", ".join(f"s{s}" for s in range(len(rules)))
     row = f"return ({', '.join(f'o{s}' for s in range(len(rules)))},)"
 
     def body(lines: list[str], depth: int) -> str:
@@ -90,15 +103,15 @@ def compile_rows(rules: tuple, vector: bool):
 
     if vector:
         x, y, z = (", ".join(p + a for a in accs) for p in "xyz")
+        # a child's guard bits, which only a rest minimum over two states reads
+        guards = ["H = high >> (most - n) * w"] if any(len(r) > 1 for r in rests) else []
         source = (
             "def make(kern):\n"
             "    unpack, inf, w = kern.unpack, kern.inf, kern.width\n"
             "    most, high = kern.most, kern.high\n"
             "    w1, w2 = w - 1, w - 2\n"
             "    def contribution(f, n):\n"
-            f"        {states} = f\n"
-            "        H = high >> (most - n) * w\n"
-            + body(contribution, 8) +
+            + body([read] + guards + contribution, 8) +
             f"        return (n, {y})\n"
             "    def merge(x, y, cap):\n"
             "        if x[0] > y[0]:\n"
@@ -132,7 +145,7 @@ def compile_rows(rules: tuple, vector: bool):
         source = (
             "def row(fs):\n"
             + body([f"x{a} = {'0' if a[0] == 'r' else 'INF'}" for a in accs], 4) +
-            f"    for {states} in fs:\n"
+            f"    for {', '.join(f's{s}' for s in range(len(rules)))} in fs:\n"
             + body(contribution + merge, 8)
             + body(finish, 4) +
             f"    {row}\n"

@@ -56,27 +56,35 @@ big-int operations each.  The lane width follows from a bound on the
 values: 16 bits while the bound is below 2**14, else 64.  For a tree's
 tables the bound is 2n + 2, since a vertex adds at most two defects; for
 list operands it is the most a sum of them can reach, once an offset has
-lifted negative entries to zero.  ``_Lanes.convolve`` is the min-plus loop
-of the witness walk and of the list functions ``minplus_convolve``,
-``combine_all`` and ``combine_one_distinguished``, which pack each operand
-up to its INF tail and pad the tail back as they unpack.
-``DeficiencyTables.values`` is the list view of the packed tables, unpacked
-on first read.
+lifted negative entries to zero.  ``DeficiencyTables.values`` is the list
+view of the packed tables, unpacked on first read.
 
-Neither table build walks the rule table per vertex.  ``rows.compile_rows``
-writes each pass's row as straight-line Python source from ``RULES`` (and
-from its zero-deficiency part), once per process on first use: per child,
-the rest minima and the dist states; per pair of children, the min-plus
+Nothing here walks a rule table per vertex, and no loop here is a min-plus
+product.  ``rows.compile_rows`` writes the row of a rule table as
+straight-line Python source, once per process on first use: per child, the
+rest minima and the dist states; per pair of children, the min-plus
 products of the one-distinguished folds and the all-rest combines, all in
 one loop over the lanes of the shorter operand; per state, the least of its
 rules' terms, each an accumulator moved up by ``edges`` and raised by
 ``defects``.  A row is a product over the children that may be taken in any
-grouping (see ``rows.compile_rows``).  So a vertex with one child reads its
-row off that child's vectors by truncation alone, and the leaf children of a
-vertex, which all share the one leaf row, enter as a single block: the
+grouping (see ``rows.compile_rows``).  The table builds run the rows of
+``RULES`` and of its zero-deficiency part.  A vertex with one child reads
+its row off that child's vectors by truncation alone, and the leaf children
+of a vertex, which all share the one leaf row, enter as a single block: the
 leaf's product raised to the power j by repeated squaring, made once per
 distinct j in a build.  Only the children with children of their own are
 multiplied in one by one.
+
+Everything else runs one rule read as a one-state table, whose row is a
+single product.  The list functions ``combine_all`` (and through it
+``minplus_convolve``) and ``combine_one_distinguished`` are the rows of
+``_ALL`` and ``_ONE`` over their operands, packed up to their INF tails,
+with the tails padded back as they unpack.  ``deficiency_vector`` reads the
+root minimum as the contribution of ``_ROOT``.  The witness walk
+(``_split``) takes, per rule of ``RULES``, the suffix products over a
+vertex's children from that rule's row, and ``split_size`` reads its total
+off the product of ``_ALL`` over the components' F vectors and runs the
+same walk over them.
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Iterable
 
@@ -280,7 +288,7 @@ def min_smm_forest(g: Graph) -> tuple[int, Matching]:
 
 
 # ---------------------------------------------------------------------------
-# Packed lanes and the min-plus kernel (the knapsack-style child merge)
+# Packed lanes, and the list functions as rows of one rule
 # ---------------------------------------------------------------------------
 
 
@@ -291,7 +299,7 @@ class _Lanes:
     """Lanes for vectors of at most ``most`` entries, finite ones below
     ``bound`` (see the module docstring); made per call, never at import."""
 
-    __slots__ = ("code", "width", "inf", "most", "high")
+    __slots__ = ("code", "width", "inf", "most", "high", "made")
 
     def __init__(self, bound: int, most: int) -> None:
         self.code = "H" if bound < 1 << 14 else "Q"
@@ -303,6 +311,7 @@ class _Lanes:
         guard[0] = 2 * self.inf
         self.most = most
         self.high = int.from_bytes(guard.tobytes() * most, sys.byteorder)
+        self.made: dict[tuple, tuple] = {}
 
     # Items go through int.from_bytes and int.to_bytes in sys.byteorder; on
     # a big-endian host the first item is the most significant, so the items
@@ -324,7 +333,7 @@ class _Lanes:
 
     def to_list(self, x: int, m: int, n: int, off: int = 0) -> list[float]:
         """n entries: lanes 0..m-1 of x, INF or less ``off``, and INF past them."""
-        infs = self.guards(min(m, n)) >> 1
+        infs = self.high >> (self.most - min(m, n)) * self.width >> 1
         at_inf = x & infs  # the INF lanes' bits; a finite lane lacks it
         k = ((infs ^ at_inf).bit_length() + self.width - 1) // self.width  # to the last finite
         lanes, inf = self.unpack(x, k), self.inf
@@ -335,77 +344,22 @@ class _Lanes:
     def lane(self, x: int, k: int) -> int:
         return (x >> k * self.width) & ((1 << self.width) - 1)
 
-    def guards(self, n: int) -> int:
-        """Guard bits of n lanes; >> 1 gives n INF lanes, >> (width - 1) n ones."""
-        return self.high >> (self.most - n) * self.width
+    def rows(self, table: tuple):
+        """The packed row functions of a rule table on these lanes, made
+        once per kernel and table."""
+        made = self.made.get(table)
+        if made is None:
+            made = self.made[table] = _compiled(table)(self)
+        return made
 
-    def vmin(self, a: int, b: int, high: int) -> int:
-        """Lanewise minimum under guard bits ``high``: a lane of (a | high) - b
-        keeps its guard bit exactly where a >= b."""
-        t = ((a | high) - b) & high
-        return a ^ ((a ^ b) & (t - (t >> self.width - 1)))
 
-    def truncated(self, x: int, n: int, cap: int) -> tuple[int, int]:
-        """Lanes 0..cap of x, which has n lanes, and their count."""
-        if n <= cap + 1:
-            return x, n
-        n = max(cap + 1, 0)
-        return x & ((1 << n * self.width) - 1), n
+@cache
+def _compiled(table: tuple):
+    """``rows.compile_rows`` of a rule table on packed lanes, imported on
+    first use, so that importing bchrom compiles none of it."""
+    from .rows import compile_rows
 
-    def convolve(self, a: int, la: int, b: int, lb: int, cap: int) -> tuple[int, int]:
-        """Lanes 0..cap of the min-plus convolution of a and b (la and lb
-        lanes), and their count.  Each finite lane x at i of the operand with
-        fewer lanes costs one shifted add (the other moved up i lanes, plus x)
-        and one lanewise minimum."""
-        n = min(la + lb - 2, cap) + 1
-        if n <= 0:
-            return 0, 0
-        if la > lb:
-            a, la, b, lb = b, lb, a, la
-        w, inf = self.width, self.inf
-        high = self.guards(n)
-        infs = high >> 1
-        lanes = self.unpack(a, min(la, n))
-        if lanes.count(inf) == len(lanes):
-            return infs, n
-        ones, mask = high >> w - 1, (1 << n * w) - 1
-        # b, INF-padded to n lanes, above n INF lanes: shifted right by n - i
-        # lanes, it is b moved up i lanes
-        wide = ((b & mask) | (infs >> lb * w << lb * w)) << n * w | infs
-        out = infs
-        for i, x in enumerate(lanes):
-            if x != inf:
-                s = (wide >> (n - i) * w) & mask
-                if x:
-                    s += x * ones
-                elif out is infs:  # the first finite lane, at zero: nothing to clamp
-                    out = s
-                    continue
-                t = ((out | high) - s) & high  # self.vmin(out, s, high), inlined
-                out ^= (out ^ s) & (t - (t >> w - 1))
-        return out, n
-
-    def combine(self, vecs: list[int], lens: list[int], cap: int) -> tuple[int, int]:
-        """Lanes 0..cap of the min-plus convolution of all ``vecs``; of none, [0]."""
-        if not vecs:
-            return 0, 1
-        acc = self.truncated(vecs[0], lens[0], cap)
-        for vec, n in zip(vecs[1:], lens[1:]):
-            acc = self.convolve(*acc, vec, n, cap)
-        return acc
-
-    def fold_one(self, dists: list[int], rests: list[int], lens: list[int], cap: int):
-        """``combine_one_distinguished`` and, as its every-child-at-rest
-        accumulator, ``combine_all(rests, cap)``; child i's vectors have lens[i] lanes."""
-        if not rests:
-            return (self.inf, 1), (0, 1)
-        done = self.truncated(dists[0], lens[0], cap)
-        none_yet = self.truncated(rests[0], lens[0], cap)
-        for dv, rv, n in zip(dists[1:], rests[1:], lens[1:]):
-            (x, m), (y, _) = self.convolve(*done, rv, n, cap), self.convolve(*none_yet, dv, n, cap)
-            done = self.vmin(x, y, self.guards(m)), m
-            none_yet = self.convolve(*none_yet, rv, n, cap)
-        return done, none_yet
+    return compile_rows(table, vector=True)
 
 
 def _finite(v: list[float]) -> int:
@@ -417,17 +371,51 @@ def _finite(v: list[float]) -> int:
     return max(n - tail, 1) if v[n - tail:].count(INF) == tail else n
 
 
-def _packed(vectors: list[list[float]], lens: list[int]) -> tuple[_Lanes, int, list[int]]:
-    """Lanes for list operands, their shared offset and their packed forms,
-    cut or INF-padded to ``lens``.  The offset lifts negative entries (from
-    ``dominance_join``) to zero, so a sum of c operands carries it c times;
-    no such sum passes c times the largest lifted entry."""
-    finite = set().union(*(v[:n] for v, n in zip(vectors, lens))) - {INF}
+def _packed(rows: list[tuple], lens: list[int]) -> tuple[_Lanes, int, list[list[int]]]:
+    """Lanes for rows of list vectors, their shared offset and the rows
+    packed, each vector cut or INF-padded to its row's entry of ``lens``.
+    The offset lifts negative entries (from ``dominance_join``) to zero, so a
+    product over c rows carries it c times; no such product passes c times
+    the largest lifted entry."""
+    finite = set().union(*[v[:n] for row, n in zip(rows, lens) for v in row]) - {INF}
     off = max(0, -min(finite, default=0))
-    kern = _Lanes(len(vectors) * (max(finite, default=0) + off), sum(lens))
-    inf = kern.inf
-    return kern, off, [kern.pack([inf if x == INF else x + off for x in v[:n]]
-                                 + [inf] * (n - len(v))) for v, n in zip(vectors, lens)]
+    kern = _Lanes(len(rows) * (max(finite, default=0) + off), sum(lens))
+    inf, pack = kern.inf, kern.pack
+    return kern, off, [[pack([inf if x == INF else x + off for x in v[:n]] + [inf] * (n - len(v)))
+                        for v in row] for row, n in zip(rows, lens)]
+
+
+# Rules read as one-state tables ``((rule,),)`` (see ``rows.compile_rows``):
+# every one-vector row at its vector; exactly one (dist, rest) row at dist,
+# the others at rest; and the root minimum of a deficiency table.
+_ALL = (None, (0,), 0, 0)
+_ONE = (0, (1,), 0, 0)
+_ROOT = (None, (0, 1, 5), 0, 0)
+
+
+def _product(kern: _Lanes, rule: tuple, packed: list, lens: list[int], cap: int) -> tuple:
+    """The product of ``rule``'s contributions of the packed rows (row i has
+    lens[i] lanes), at sizes up to cap: (lanes, *accumulators).  The rule's
+    row has one state, its accumulator, which neither moves nor rises, so it
+    is read off the product without ``finish``."""
+    empty, contribution, merge, _ = kern.rows(((rule,),))
+    acc = None
+    for row, n in zip(packed, lens):
+        x = contribution(row, n)
+        acc = x if acc is None else merge(acc, x, cap)
+    return empty if acc is None else acc
+
+
+def _list_product(rule: tuple, rows: list[tuple], cap: int | None) -> list[float]:
+    """The row of ``rule`` over children with the (non-empty) list ``rows``,
+    at sizes up to cap and to the sum of the children's largest sizes.  A
+    row is packed up to the longest finite part of its vectors."""
+    lens = [max(map(_finite, row)) for row in rows]
+    kern, off, packed = _packed(rows, lens)
+    top = sum([max(map(len, row)) for row in rows]) - len(rows)
+    top = top if cap is None else min(cap, top)
+    acc = _product(kern, rule, packed, lens, top)
+    return kern.to_list(acc[-1], acc[0], top + 1, len(rows) * off)
 
 
 def minplus_convolve(a: list[float], b: list[float], cap: int | None = None) -> list[float]:
@@ -440,9 +428,7 @@ def minplus_convolve(a: list[float], b: list[float], cap: int | None = None) -> 
         a, b = b, a
     if len(a) == 1:  # one entry shifts the other; INF plus it stays INF
         return [INF] * (top + 1) if a[0] == INF else [y + a[0] for y in b[:top + 1]]
-    la, lb = _finite(a), _finite(b)
-    kern, off, (pa, pb) = _packed([a, b], [la, lb])
-    return kern.to_list(*kern.convolve(pa, la, pb, lb, top), top + 1, 2 * off)
+    return combine_all([a, b], top)
 
 
 def combine_all(children: list[list[float]], cap: int | None = None) -> list[float]:
@@ -452,33 +438,20 @@ def combine_all(children: list[list[float]], cap: int | None = None) -> list[flo
         return [0]
     if len(children) == 1 or cap is not None and cap < 0:
         return children[0][:None if cap is None else max(cap + 1, 0)]
-    lens = [_finite(v) for v in children]
-    kern, off, packed = _packed(children, lens)
-    top = sum(map(len, children)) - len(children)
-    top = top if cap is None else min(cap, top)
-    return kern.to_list(*kern.combine(packed, lens, top), top + 1, len(children) * off)
+    return _list_product(_ALL, [(v,) for v in children], cap)
 
 
 def combine_one_distinguished(
     dists: list[list[float]], rests: list[list[float]], cap: int | None = None
 ) -> list[float]:
     """Like combine_all over ``rests``, except exactly one child (any one)
-    contributes its ``dists`` vector instead.  One left-to-right fold keeps
-    the combinations with none and with one child at ``dists`` so far
-    (``_Lanes.fold_one``); a child's two vectors are read at the longer one's
-    length."""
+    contributes its ``dists`` vector instead; a child's two vectors are read
+    at the longer one's length."""
     if not (dists and rests):
         return [INF]
     if cap is not None and cap < 0:
         return []
-    pairs = list(zip(dists, rests))
-    lens = [max(_finite(d), _finite(r)) for d, r in pairs]
-    kern, off, packed = _packed([d for d, _ in pairs] + [r for _, r in pairs], lens * 2)
-    c = len(pairs)
-    top = sum(max(len(d), len(r)) for d, r in pairs) - c
-    top = top if cap is None else min(cap, top)
-    done, _ = kern.fold_one(packed[:c], packed[c:], lens, top)
-    return kern.to_list(*done, top + 1, c * off)
+    return _list_product(_ONE, list(zip(dists, rests)), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -513,27 +486,12 @@ class DeficiencyTables:
         return out
 
 
-def _cheapest_vectors(kern: _Lanes, fs: list, highs: list[int], rest: tuple[int, ...]) -> list[int]:
-    """Per child (guard bits in ``highs``), the cheapest of its state vectors in ``rest``."""
-    if len(rest) == 1:
-        return [f[rest[0]] for f in fs]
-    out = []
-    for f, high in zip(fs, highs):
-        vec = f[rest[0]]
-        for s in rest[1:]:
-            vec = kern.vmin(vec, f[s], high)
-        out.append(vec)
-    return out
-
-
 def deficiency_tables(t: Graph) -> DeficiencyTables:
-    from .rows import compile_rows  # on first use: importing bchrom compiles none of it
-
     rt = root_tree(t)
     half, children = t.n // 2, rt.children
     # a vertex adds at most two defects, so no entry or partial sum passes 2n
     kern = _Lanes(2 * t.n + 2, half + 1)
-    empty, contribution, merge, finish = compile_rows(RULES, vector=True)(kern)
+    empty, contribution, merge, finish = kern.rows(RULES)
     lanes = [_lanes(rt, v) for v in range(t.n)]
     leaf = finish(empty, 1)  # every childless vertex has this row, at cap 1
     powers = [contribution(leaf, 2)]  # the product over 2**i leaf children
@@ -579,9 +537,9 @@ def deficiency_vector(t: Graph, tables: DeficiencyTables | None = None) -> list[
     if t.n == 1:
         return [0]
     tables = tables or deficiency_tables(t)
-    kern, f, n = tables.kernel, tables.packed[tables.tree.anchor], t.n // 2 + 1
-    high = kern.guards(n)
-    return kern.to_list(kern.vmin(kern.vmin(f[0], f[1], high), f[5], high), n, n)
+    kern, n = tables.kernel, t.n // 2 + 1
+    _, best = kern.rows(((_ROOT,),))[1](tables.packed[tables.tree.anchor], n)
+    return kern.to_list(best, n, n)
 
 
 def _root_minimum(tables: DeficiencyTables, k: int) -> float:
@@ -609,9 +567,9 @@ def f_tree_k(t: Graph, k: int) -> float:
 
 def _share(kern: _Lanes, vec: int, n: int, other: tuple[int, int], k: int,
            target: int) -> int | None:
-    """Smallest share of k for ``vec`` (n lanes) that the (packed, lanes)
-    combination ``other`` completes to target."""
-    rest, m = other
+    """Smallest share of k for ``vec`` (n lanes) that the product ``other``,
+    (lanes, packed), completes to target."""
+    m, rest = other
     lo, hi = max(0, k - m + 1), min(k, n - 1)
     if lo > hi:
         return None
@@ -624,45 +582,67 @@ def _share(kern: _Lanes, vec: int, n: int, other: tuple[int, int], k: int,
     return None
 
 
-def _split(kern: _Lanes, fs: list, lens: list[int], dist: int | None, rest: tuple[int, ...],
-           k: int, target: int):
-    """Per child (state, share of k) for one rule costing ``target`` at size
-    k, else None; child i's packed vectors have lens[i] lanes.  Walks the
-    children left to right, giving each the smallest share that the suffix
-    combination after it completes to the target; the first child that can
-    take ``dist`` takes it.  The every-child-at-rest suffixes are built first,
-    and those with one child at ``dist`` only if the first child cannot take
-    it.  When the first child finds no share, the rule does not reach the target."""
+def _rule_rows(kern: _Lanes, dist: int | None, rest: tuple[int, ...]) -> tuple:
+    """The row functions ``_split`` reads for a rule: the empty product,
+    contribution and merge of the rule as a one-rule table, and the merge of
+    the table of its rest alone."""
+    empty, contribution, merge, _ = kern.rows((((dist, rest, 0, 0),),))
+    merge_all = merge if dist is None else kern.rows((((None, rest, 0, 0),),))[2]
+    return empty, contribution, merge, merge_all
+
+
+def _split(kern: _Lanes, made: tuple, dist: int | None, rest: tuple[int, ...], fs: list,
+           lens: list[int], k: int, target: int):
+    """Per child (state, share of k) for the rule (dist, rest) costing
+    ``target`` at size k, else None; child i's packed row has lens[i] lanes,
+    and ``made`` holds ``_rule_rows(kern, dist, rest)``.  Walks the children
+    left to right, giving each the smallest share that the product of the
+    children after it completes to the target; the first child that can take
+    dist takes it.  Those suffix products are the rule's one-rule rows, with
+    one contribution per distinct child row (every leaf child shares one).
+    The every-child-at-rest suffixes are built first, and those with one
+    child at dist only if the first child cannot take it.  When the first
+    child finds no share, the rule does not reach the target."""
     if not fs:  # a childless vertex: no edge or defect below it
         return [] if dist is None and k == 0 and target == 0 else None
-    rests = _cheapest_vectors(kern, fs, [kern.guards(n) for n in lens], rest)
-    dists = None if dist is None else [f[dist] for f in fs]
-    alls = [(0, 1)] * (len(fs) + 1)  # children i.. at rest
-    for i in range(len(fs) - 1, 0, -1):
-        alls[i] = kern.convolve(rests[i], lens[i], *alls[i + 1], k)
-    ones = None  # children i.. with one of them at dist
+    empty, contribution, merge, merge_all = made
+    seen: dict[int, tuple] = {}
+    xs = []  # per child (lanes, rest minimum[, dist state])
+    for f, n in zip(fs, lens):
+        x = seen.get(id(f))
+        if x is None:
+            x = seen[id(f)] = contribution(f, n)
+        xs.append(x)
+    last = len(xs) - 1
+    alls = [(1, 0)] * (last + 2)  # children i.. at rest: (lanes, product)
+    if last:
+        alls[last] = xs[last][:2]
+        for i in range(last - 1, 0, -1):
+            alls[i] = merge_all(xs[i][:2], alls[i + 1], k)
+    ones = None  # children i.. with one of them at dist: (lanes, at rest, one at dist)
     picks = []
+    lane = kern.lane
     for i, f in enumerate(fs):
-        if dists is not None:
-            share = _share(kern, dists[i], lens[i], alls[i + 1], k, target)
+        x = xs[i]
+        if dist is not None:
+            share = _share(kern, x[2], x[0], alls[i + 1], k, target)
             if share is not None:
                 picks.append((dist, share))
-                k, target, dists = k - share, target - kern.lane(dists[i], share), None
+                k, target, dist = k - share, target - lane(x[2], share), None
                 continue
             if ones is None:
-                ones = [(kern.inf, 1)] * (len(fs) + 1)
-                for j in range(len(fs) - 1, 0, -1):
-                    (x, n), (y, _) = (kern.convolve(dists[j], lens[j], *alls[j + 1], k),
-                                      kern.convolve(rests[j], lens[j], *ones[j + 1], k))
-                    ones[j] = kern.vmin(x, y, kern.guards(n)), n
-        share = _share(kern, rests[i], lens[i], alls[i + 1] if dists is None else ones[i + 1],
+                ones = [empty] * (last + 2)
+                ones[last] = xs[last]
+                for j in range(last - 1, 0, -1):
+                    ones[j] = merge(xs[j], ones[j + 1], k)
+        share = _share(kern, x[1], x[0], alls[i + 1] if dist is None else ones[i + 1][::2],
                        k, target)
         if share is None:
             if i:
                 raise InvariantViolation("a child share lost the split's target")
             return None
-        cost = kern.lane(rests[i], share)
-        picks.append((next(s for s in rest if kern.lane(f[s], share) == cost), share))
+        cost = lane(x[1], share)
+        picks.append((next(s for s in rest if lane(f[s], share) == cost), share))
         k, target = k - share, target - cost
     return picks
 
@@ -670,6 +650,7 @@ def _split(kern: _Lanes, fs: list, lens: list[int], dist: int | None, rest: tupl
 def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matching:
     """Size-k matching whose deficiency equals the DP value at k."""
     rt, kern, vals = tables.tree, tables.kernel, tables.packed
+    walk = [[(*rule, _rule_rows(kern, *rule[:2])) for rule in rules] for rules in RULES]
     best = _root_minimum(tables, k)
     if best == INF:
         raise KOutOfRange(f"no matching of size {k} exists")
@@ -681,8 +662,8 @@ def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matchin
         cs = rt.children[v]
         fs, lens = [vals[c] for c in cs], [_lanes(rt, c) for c in cs]
         cell = kern.lane(vals[v][st], kv)
-        for dist, rest, edges, defects in RULES[st]:
-            picks = _split(kern, fs, lens, dist, rest, kv - edges, cell - defects)
+        for dist, rest, edges, defects, made in walk[st]:
+            picks = _split(kern, made, dist, rest, fs, lens, kv - edges, cell - defects)
             if picks is not None:
                 break
         else:
@@ -700,13 +681,15 @@ def split_size(fvecs: list[list[float]], k: int) -> list[int]:
     """Per component, with F vectors ``fvecs``, its share of the matching
     size k in a split of least total deficiency, ``combine_all(fvecs, k)[k]``:
     F adds up over components, since augmenting paths of length 1 and 3 stay
-    inside one, and ``_split`` walks the components for the shares."""
+    inside one, and ``_split`` walks the components for the shares.  The
+    total is read off the packed product, as ``combine_all`` would make it."""
     lens = [_finite(f) for f in fvecs]
-    kern, _, packed = _packed(fvecs, lens)
-    total, n = kern.combine(packed, lens, k)
+    kern, _, packed = _packed([(f,) for f in fvecs], lens)
+    n, total = _product(kern, _ALL, packed, lens, max(k, 0))  # k < 0 fails the check below
     if not 0 <= k < n or kern.lane(total, k) == kern.inf:
         raise KOutOfRange(f"no split of matching size {k} over the components")
-    picks = _split(kern, [(p,) for p in packed], lens, None, (0,), k, kern.lane(total, k))
+    dist, rest = _ALL[:2]
+    picks = _split(kern, _rule_rows(kern, dist, rest), dist, rest, packed, lens, k, kern.lane(total, k))
     return [share for _, share in picks]
 
 

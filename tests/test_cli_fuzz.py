@@ -1,8 +1,9 @@
 """Seeded fuzz of the command line: mutated edge lists, ``.tcx``
 expressions and coloring files go through every subcommand, and nothing but
 ``BchromError`` or ``OSError`` may leave ``cli.main`` (both become exit
-status 1).  Graphs stay small and every search is capped, so a run takes a
-few seconds."""
+status 1).  Numeric options at their edges go through the subcommands that
+take them, where argparse's own exit status 2 is allowed too.  Graphs stay
+small and every search is capped, so a run takes a few seconds."""
 
 import io
 import random
@@ -12,7 +13,9 @@ import pytest
 
 from bchrom.cli import main
 from bchrom.fileio import format_edgelist
-from bchrom.graph import complement, complete_graph, cycle_graph, graph_union, path_graph, star_graph
+from bchrom.graph import (
+    complement, complete_bipartite, complete_graph, cycle_graph, graph_union, path_graph, star_graph,
+)
 
 EDGE_LISTS = [
     format_edgelist(g)
@@ -96,3 +99,54 @@ def fuzz(tmp_path, seed: int, files: int) -> None:
 
 def test_fuzzed_files_leave_only_domain_errors(tmp_path):
     fuzz(tmp_path, seed=1, files=1000)
+
+
+# Numeric options at and past their edges: negative, zero, one, small, and
+# far beyond any graph here.
+NUMBERS = ["-5", "-1", "0", "1", "3", str(10 ** 20)]
+OPTION_INPUTS = {
+    "tree.g": format_edgelist(star_graph(3)),
+    "cotree.g": format_edgelist(complement(path_graph(6))),
+    "c5.g": format_edgelist(cycle_graph(5)),
+    "k23.g": format_edgelist(complete_bipartite(2, 3)),
+    "one.g": format_edgelist(path_graph(1)),
+    "join.tcx": "(join (tree 3 0 1 1 2) (cotree 4 0 1 1 2 2 3))\n",
+}
+
+
+def _option_argvs(path: str, out: str, rng: random.Random) -> list[list[str]]:
+    def num() -> str:
+        return rng.choice(NUMBERS)
+
+    return [
+        ["bchromatic", path, "--max-n", num(), "--witness", out],
+        ["dominance", path, "--max-n", num()],
+        ["bcolor", path, num(), "--max-n", num(), "-o", out],
+        ["chain", path, "--max-n", num()],
+        ["certify", path, "--budget", num()],
+    ] + [
+        ["oracle", q, path, "--max-n", num(), "--max-states", num(), "--k", num()]
+        for q in ("min-smm", "chi-b", "chromatic", "dominance", "f-t-k")
+    ]
+
+
+def test_numeric_options_leave_only_domain_errors(tmp_path):
+    """``--max-n``, ``--budget``, ``--max-states``, ``--k`` and the k of
+    ``bcolor`` drawn from ``NUMBERS`` on small graphs: a call returns 0 or 1,
+    or argparse rejects it with exit status 2; nothing else leaves ``main``."""
+    rng = random.Random(19)
+    out = str(tmp_path / "out")
+    for name, text in OPTION_INPUTS.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for _ in range(8):
+            for argv in _option_argvs(str(path), out, rng):
+                try:
+                    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                        code = main(argv)
+                except SystemExit as exc:  # argparse rejects the call
+                    assert exc.code == 2, argv
+                    continue
+                except Exception as exc:
+                    pytest.fail(f"{type(exc).__name__}: {exc} escaped {argv}")
+                assert code in (0, 1), argv

@@ -22,6 +22,7 @@ from bchrom.tree_dp import (
     minplus_convolve,
     reconstruct_deficiency_matching,
     smm_tables,
+    split_size,
 )
 
 from conftest import relabelled, tree_catalog
@@ -193,6 +194,28 @@ def test_combine_one_distinguished_matches_exhaustive():
                 if k < len(ref):
                     best = min(best, ref[k])
             assert got[k] == best
+
+
+def test_split_size_shares_reach_the_combined_value():
+    """For the F vectors of 2-4 random trees, at every feasible total k the
+    shares sum to k, each falls on a finite entry of its vector, and those
+    entries sum to ``combine_all``'s value at k; past the total matching
+    number, and below zero, there is no split."""
+    rng = random.Random(21)
+    for _ in range(25):
+        trees = [random_labeled_tree(rng.randint(1, 30), rng) for _ in range(rng.randint(2, 4))]
+        fvecs = [deficiency_vector(t) for t in trees]
+        total = combine_all(fvecs)
+        nu = sum(max(k for k, x in enumerate(f) if x != INF) for f in fvecs)
+        assert [k for k, x in enumerate(total) if x != INF] == list(range(nu + 1))
+        for k in range(nu + 1):
+            shares = split_size(fvecs, k)
+            assert len(shares) == len(fvecs) and sum(shares) == k, (k, shares)
+            assert all(f[s] != INF for f, s in zip(fvecs, shares)), (k, shares)
+            assert sum(f[s] for f, s in zip(fvecs, shares)) == total[k], (k, shares)
+        for k in (-5, -1, nu + 1, len(total), len(total) + 3):
+            with pytest.raises(KOutOfRange):
+                split_size(fvecs, k)
 
 
 def test_min_smm_against_oracle_catalog():

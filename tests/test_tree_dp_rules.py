@@ -19,8 +19,10 @@ from bchrom.fileio import format_edgelist
 from bchrom.generators import random_labeled_tree
 from bchrom.graph import Graph, complement, path_graph, star_graph
 from bchrom.matching import is_strongly_maximal, s1_s2
+from bchrom.rows import compile_rows
 from bchrom.tree_dp import (
     INF,
+    RULES,
     STATE_NAMES,
     combine_all,
     combine_one_distinguished,
@@ -30,6 +32,7 @@ from bchrom.tree_dp import (
     reconstruct_deficiency_matching,
     root_tree,
     smm_tables,
+    _Lanes,
 )
 
 
@@ -321,3 +324,40 @@ def test_tables_equal_reference_at_each_mix_of_leaf_and_inner_children(leaves, i
             assert any(sum(not kids[c] for c in cs) == leaves
                        and sum(bool(kids[c]) for c in cs) == inner for cs in kids)
             _same_tables(g)
+
+
+ONE_RULES = sorted({(dist, rest) for rules in RULES for dist, rest, _, _ in rules}, key=repr)
+
+
+@pytest.mark.parametrize("dist, rest", ONE_RULES,
+                         ids=[f"dist{d}-rest{''.join(map(str, r))}" for d, r in ONE_RULES])
+def test_each_rule_read_as_a_one_rule_table_is_its_list_product(dist, rest):
+    """A rule of ``RULES`` compiled as a one-state table, over random packed
+    7-state child rows folded in either order, gives the product of the list
+    functions: ``combine_all``, or ``combine_one_distinguished`` with dist,
+    of each child's lanewise minimum over rest, at caps below and above the
+    total."""
+    rng = random.Random(f"{dist}/{rest}")
+    for trial in range(40):
+        values = [INF, INF, 0, 1, 2, 5, 9] + ([2 ** 14 + 3] if trial % 5 == 4 else [])
+        lens = [rng.randint(1, 8) for _ in range(rng.randint(1, 4))]
+        rows = [[[rng.choice(values) for _ in range(n)] for _ in range(7)] for n in lens]
+        total = sum(lens) - len(lens)
+        kern = _Lanes(len(lens) * max(values[2:]), total + 4)  # 64-bit lanes past 2**14
+        packed = [tuple(kern.pack([kern.inf if x == INF else x for x in v]) for v in row)
+                  for row in rows]
+        _, contribution, merge, finish = compile_rows((((dist, rest, 0, 0),),), vector=True)(kern)
+        rests = [[min(column) for column in zip(*(row[s] for s in rest))] for row in rows]
+        for cap in sorted({max(total - 2, 0), total, total + 3}):
+            if dist is None:
+                want = combine_all(rests, cap)
+            else:
+                want = combine_one_distinguished([row[dist] for row in rows], rests, cap)
+            want += [INF] * (cap + 1 - len(want))
+            for order in (range(len(lens)), reversed(range(len(lens)))):
+                acc = None
+                for i in order:
+                    x = contribution(packed[i], lens[i])
+                    acc = x if acc is None else merge(acc, x, cap)
+                (row,) = finish(acc, cap)
+                assert kern.to_list(row, cap + 1, cap + 1) == want, (trial, cap, lens)
