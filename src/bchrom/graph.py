@@ -5,12 +5,16 @@ Vertices are dense integers ``0..n-1``.  Graphs are immutable; adjacency is
 stored as sorted tuples, so equality is structural and instances are
 hashable.  All operations here are pure functions of their inputs.
 
-Derived views of a graph are computed once and kept on it: its edge list,
-degrees, bitmasks, neighbor sets, connected components and its complement.
+Derived views of a graph are computed once and kept on it, with no lock
+taken on the first read: its edge list, degrees, bitmasks, neighbor sets,
+connected components and its complement.
 A complement remembers the graph it came from as its own complement, so
 complementing twice builds nothing, and a co-forest read from its
 canonical text (``fileio.parse_edgelist``) is built as the complement of
-its sparse forest, so its complement costs nothing.
+its sparse forest, so its complement costs nothing.  The triangle and
+stability tests of a dense graph read rows one at a time and stop at the
+first triangle or independent triple; a stability test that finds none
+keeps the complement rows it made as g's complement.
 ``Graph.from_sorted_pairs`` builds a graph from pairs in canonical (u, v)
 order with no set or sort per vertex.  The components are a tuple of
 tuples, so no caller can change what the next one reads, and the tests
@@ -18,18 +22,20 @@ for trees, forests and co-forests search a graph at most once.
 
 A tree-cograph expression is built from ``TcLeaf`` leaves by ``TcUnion``
 and ``TcJoin``.  A leaf stores a tree and denotes that tree or, with
-``co``, its complement.  The tree-cograph decomposition works on sorted
-vertex subsets of the input graph with set operations on its neighbor
-sets, and walks expressions on an explicit stack, so neither its time nor
-Python's recursion limit grows with the depth of the expression.
+``co``, its complement.  An expression is evaluated by writing the rows
+of its graph directly.  The tree-cograph decomposition works on sorted
+vertex subsets of the input graph: it splits off isolated and universal
+vertices by their degrees and searches the rest with set operations on
+its neighbor sets.  Both walk expressions on an explicit stack, so
+neither their time nor Python's recursion limit grows with the depth of
+the expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import islice
-from operator import lt
+from itertools import chain, compress, islice
+from operator import lt, not_
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NotATree, NotTreeCograph, RangeError
@@ -40,6 +46,27 @@ Edge = tuple[int, int]
 def norm_edge(u: int, v: int) -> Edge:
     """Order an edge's endpoints ascending."""
     return (u, v) if u < v else (v, u)
+
+
+class _cached:
+    """A view computed on its first read and kept in the instance's
+    ``__dict__``, where later reads find it before this descriptor.
+
+    This is ``functools.cached_property`` without the lock it takes on each
+    first read in Python 3.10 and 3.11, which costs more than the views of
+    the many one-vertex trees that expression leaves store.  Two threads
+    reading a view at once may both compute it; they compute equal values.
+    """
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.func.__name__] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -102,30 +129,24 @@ class Graph:
             nbrs[v].append(u)
         return Graph(n, tuple(map(tuple, nbrs)))
 
-    @cached_property
+    @_cached
     def edges(self) -> tuple[Edge, ...]:
         return tuple((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
 
-    @cached_property
+    @_cached
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.adj))
 
-    @cached_property
+    @_cached
     def m(self) -> int:
         return sum(self.degrees) // 2
 
-    @cached_property
+    @_cached
     def bits(self) -> tuple[int, ...]:
         """Adjacency as bitmasks, one integer per vertex."""
-        out = []
-        for nbrs in self.adj:
-            b = 0
-            for w in nbrs:
-                b |= 1 << w
-            out.append(b)
-        return tuple(out)
+        return tuple(map(_mask, self.adj))
 
-    @cached_property
+    @_cached
     def nbr_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(a) for a in self.adj)
 
@@ -163,7 +184,21 @@ def complement(g: Graph) -> Graph:
 
 
 def _complement_of(g: Graph) -> Graph:
-    """Build g's complement and link the two, each as the other's.
+    """Build g's complement and link the two, each as the other's."""
+    return _link(g, tuple(_co_rows(g)))
+
+
+def _link(g: Graph, rows: tuple[tuple[int, ...], ...]) -> Graph:
+    """The graph of g's complement rows ``rows``, kept on g as its
+    complement, with g kept on it as its own."""
+    co = Graph(g.n, rows)
+    vars(g)["_complement"] = co
+    vars(co)["_complement"] = g
+    return co
+
+
+def _co_rows(g: Graph) -> Iterator[tuple[int, ...]]:
+    """The rows of g's complement in vertex order, each made as it is read.
 
     A graph with fewer edges than vertices, as a forest has, has a dense
     complement: each row is a copy of the list of all vertices with the
@@ -171,7 +206,6 @@ def _complement_of(g: Graph) -> Graph:
     n + m.  Otherwise each row is a set difference.
     """
     n = g.n
-    rows = []
     if g.m < n:
         everyone = list(range(n))
         for v, nbrs in enumerate(g.adj):
@@ -179,31 +213,57 @@ def _complement_of(g: Graph) -> Graph:
             del row[v]
             for w in reversed(nbrs):  # from the top, so no deletion moves the next
                 del row[w - (w > v)]
-            rows.append(tuple(row))
+            yield tuple(row)
     else:
         everyone_set = set(range(n))
         for v, nbrs in enumerate(g.adj):
             row_set = everyone_set.difference(nbrs)
             row_set.discard(v)
-            rows.append(tuple(sorted(row_set)))
-    co = Graph(n, tuple(rows))
-    vars(g)["_complement"] = co
-    vars(co)["_complement"] = g
-    return co
+            yield tuple(sorted(row_set))
+
+
+def _mask(row: Iterable[int]) -> int:
+    """The bitmask of a row: bit w is set for each vertex w in it."""
+    b = 0
+    for w in row:
+        b |= 1 << w
+    return b
+
+
+def _rows_if_triangle_free(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
+    """The rows that ``rows`` yields, each sorted, in vertex order, or None
+    as soon as an edge's ends share a neighbor.
+
+    Row u's bitmask is made when row u arrives and is tested against the
+    masks of its lower neighbors, so a graph with a triangle among its low
+    vertices is answered after a few rows.
+    """
+    seen: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    for u, row in enumerate(rows):
+        mask = _mask(row)
+        for v in row:
+            if v > u:
+                break
+            if mask & masks[v]:
+                return None
+        seen.append(row)
+        masks.append(mask)
+    return seen
 
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff no edge's endpoints share a neighbor.
 
     A graph with fewer edges than vertices, as a forest has, is tested
-    with its neighbor sets, whose size grows with n + m; the n-bit masks
-    of a denser graph would take memory quadratic in n.
+    with its neighbor sets, whose size grows with n + m.  A denser graph is
+    tested row by row on bitmasks made as the rows are reached, and the
+    test stops at the first edge that closes a triangle.
     """
     if g.m < g.n:
         sets, adj = g.nbr_sets, g.adj
         return all(sets[u].isdisjoint(adj[v]) for u, v in g.edges)
-    bits = g.bits
-    return not any(bits[u] & bits[v] for u, v in g.edges)
+    return _rows_if_triangle_free(g.adj) is not None
 
 
 def _non_edges(g: Graph) -> int:
@@ -222,11 +282,23 @@ def stability_at_most_two(g: Graph) -> bool:
 
     By Mantel's theorem a triangle-free graph on n vertices has at most
     floor(n^2/4) edges, so a graph with more non-edges than that answers no
-    without being complemented.
+    without being complemented.  A complement that g already keeps, as a
+    co-forest read from its edge list does, is tested for triangles.
+    Otherwise the complement's rows are made one at a time and the search
+    stops at the first triangle among them; when there is none, the rows
+    are kept on g as its complement, so the stability-two route that
+    follows builds nothing again.
     """
     if _non_edges(g) > g.n * g.n // 4:
         return False
-    return is_triangle_free(complement(g))
+    co = vars(g).get("_complement")
+    if co is not None:
+        return is_triangle_free(co)
+    rows = _rows_if_triangle_free(_co_rows(g))
+    if rows is None:
+        return False
+    _link(g, tuple(rows))
+    return True
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -524,31 +596,47 @@ def _leaf_vertex_sets(e: TcExpr) -> list[int]:
 
 
 def evaluate_tc(e: TcExpr) -> Graph:
-    """Build the graph an expression denotes, honoring the leaf vertex maps."""
+    """Build the graph an expression denotes, honoring the leaf vertex maps.
+
+    The graph's rows are written directly, with no edge list: a leaf adds
+    its tree's (or its complement's) rows, a join extends the row of each
+    vertex of a child with the other children's vertex lists, and each row
+    is sorted once at the end.  Every edge is added at one node only, so
+    the rows have no repeats.
+    """
     verts = _leaf_vertex_sets(e)
     n = len(verts)
     if sorted(verts) != list(range(n)):
         raise ValueError("leaf vertex maps must partition 0..n-1")
-    edges: list[Edge] = []
+    rows: list[list[int]] = [[] for _ in range(n)]
 
     def leaf(node: TcLeaf) -> list[int]:
         tree = complement(node.tree) if node.co else node.tree
         ids = node.vertices
-        edges.extend(norm_edge(ids[u], ids[v]) for u, v in tree.edges)
+        for v, nbrs in zip(ids, tree.adj):
+            rows[v].extend(map(ids.__getitem__, nbrs))
         return list(ids)
 
     def operation(node: TcUnion | TcJoin, spans: list[list[int]]) -> list[int]:
+        if isinstance(node, TcJoin):
+            out = list(chain.from_iterable(spans))
+            start = 0
+            for span in spans:
+                end = start + len(span)
+                others = out[:start] + out[end:]
+                for v in span:
+                    rows[v].extend(others)
+                start = end
+            return out
         # grow the largest child's list, so each vertex is copied O(log n) times
         spans.sort(key=len, reverse=True)
         out = spans[0]
         for span in spans[1:]:
-            if isinstance(node, TcJoin):
-                edges.extend(norm_edge(a, b) for a in out for b in span)
             out.extend(span)
         return out
 
     _fold(e, leaf, operation)
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(tuple(sorted(row)) for row in rows))
 
 
 def _leaf_tree(nbr: tuple[frozenset[int], ...], verts: list[int], co: bool) -> Graph:
@@ -579,10 +667,17 @@ def decompose_tree_cograph(g: Graph) -> TcExpr:
     degree of each vertex inside its current list is kept too: a component
     keeps it, and a co-component loses the vertices outside it, to which
     each of its vertices is adjacent.  So a node's edge count is a sum, and
-    the tree and co-tree tests run a search only when the edge count
-    allows.  A node then costs O(|S| + m(S)) for a list S with m(S) edges,
-    and no node builds an induced subgraph or a complement; only a leaf
-    builds its tree, which has |S| - 1 edges.
+    its isolated and universal vertices are read off the degrees.  A node
+    with an isolated vertex is disconnected, and each such vertex is a
+    component alone; the rest is connected when it holds a vertex adjacent
+    to all of it.  A node with a universal vertex is connected, each such
+    vertex is a co-component alone, and the rest is one co-component when
+    it holds a vertex adjacent to none of it.  Only a node with neither,
+    or a rest with neither, is searched, and the tree and co-tree tests
+    search only when the edge count allows.  A searched list S with m(S)
+    edges costs O(|S| + m(S)), any other node O(|S|) in whole-list
+    operations, and no node builds an induced subgraph or a complement;
+    only a leaf builds its tree, which has |S| - 1 edges.
     """
     nbr = g.nbr_sets
     degree = list(g.degrees)
@@ -600,37 +695,55 @@ def decompose_tree_cograph(g: Graph) -> TcExpr:
             continue
         verts = item
         s = len(verts)
-        m = sum(degree[v] for v in verts) // 2
+        top = s - 1
+        degs = list(map(degree.__getitem__, verts))
+        m = sum(degs) // 2
+        # an isolated vertex disconnects a list of two or more (a list of
+        # one is a tree leaf); a universal vertex connects the list and
+        # disconnects its complement
+        lone, full = 0 in degs, top in degs
         comps = cocomps = None
-        if m == s - 1:
-            comps = _components(nbr, verts)
-            if len(comps) == 1:
+        if m == top:  # a tree iff connected
+            if not (lone or full):
+                comps = _components(nbr, verts)
+            if full or comps and len(comps) == 1:
                 done.append(TcLeaf(_leaf_tree(nbr, verts, False), tuple(verts)))
                 continue
-        if s * (s - 1) // 2 - m == s - 1:
-            cocomps = _co_components(nbr, verts)
-            if len(cocomps) == 1:
+        if s * top // 2 - m == top:  # a co-tree iff its complement is connected
+            if not (lone or full):
+                cocomps = _co_components(nbr, verts)
+            if lone or cocomps and len(cocomps) == 1:
                 done.append(TcLeaf(_leaf_tree(nbr, verts, True), tuple(verts), co=True))
                 continue
-        if comps is None:
-            comps = _components(nbr, verts)
-        if len(comps) > 1:
-            todo.append((TcUnion, len(comps)))
-            todo.extend(reversed(comps))
-            continue
-        if cocomps is None:
-            cocomps = _co_components(nbr, verts)
-        if len(cocomps) < 2:
+        if lone:
+            kind = TcUnion
+            parts = [[v] for v in compress(verts, map(not_, degs))]
+            rest = list(compress(verts, degs))
+            parts += [rest] if len(rest) - 1 in degs else _components(nbr, rest)
+            parts.sort()  # by first vertex, as the parts are disjoint
+        elif full:
+            kind = TcJoin
+            parts = [[v] for v in compress(verts, map(top.__eq__, degs))]
+            rest = list(compress(verts, map(top.__ne__, degs)))
+            # a vertex of the rest with degree len(parts) is adjacent to none of it
+            parts += [rest] if len(parts) in degs else _co_components(nbr, rest)
+            parts.sort()
+        elif len(comps := comps or _components(nbr, verts)) > 1:
+            kind, parts = TcUnion, comps
+        elif len(cocomps := cocomps or _co_components(nbr, verts)) > 1:
+            kind, parts = TcJoin, cocomps
+        else:
             raise NotTreeCograph(
                 "connected graph with connected complement that is neither a "
                 "tree nor a co-tree"
             )
-        for part in cocomps:
-            outside = s - len(part)
-            for v in part:
-                degree[v] -= outside
-        todo.append((TcJoin, len(cocomps)))
-        todo.extend(reversed(cocomps))
+        if kind is TcJoin:
+            for part in parts:
+                outside = s - len(part)
+                for v in part:
+                    degree[v] -= outside
+        todo.append((kind, len(parts)))
+        todo.extend(reversed(parts))
     return done[0]
 
 

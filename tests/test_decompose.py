@@ -9,7 +9,7 @@ can be checked against it on randomly labelled expressions.
 import io
 import random
 from contextlib import redirect_stdout
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -22,8 +22,12 @@ from bchrom.generators import random_graph, random_labeled_tree
 from bchrom.graph import (
     Graph,
     TcJoin,
+    TcExpr,
     TcLeaf,
     TcUnion,
+    _co_components,
+    _components,
+    _leaf_tree,
     complement,
     complete_bipartite,
     connected_components,
@@ -110,6 +114,189 @@ def test_non_tree_cographs_fail_in_both():
         else:
             assert decompose_tree_cograph(g) == expected
     assert failures > 50
+
+
+# ---------------------------------------------------------------------------
+# Second reference: the stack-based decomposition that searches every node
+# ---------------------------------------------------------------------------
+
+# The decomposition before nodes were split on their isolated and universal
+# vertices, kept verbatim: it runs ``_components`` or ``_co_components`` on
+# every node that is not a leaf, so its output is the canonical one to match.
+def search_decompose(g: Graph) -> TcExpr:
+    """Four-case decomposition: a leaf for a tree, a ``co`` leaf for a
+    co-tree, a union over components, a join over co-components; fails
+    with NotTreeCograph otherwise.
+
+    A plain leaf wins over a ``co`` leaf when both apply, and children are
+    ordered by their smallest contained vertex, so the result is canonical.
+
+    Nodes are sorted vertex lists of g, kept on an explicit stack.  The
+    degree of each vertex inside its current list is kept too: a component
+    keeps it, and a co-component loses the vertices outside it, to which
+    each of its vertices is adjacent.  So a node's edge count is a sum, and
+    the tree and co-tree tests run a search only when the edge count
+    allows.  A node then costs O(|S| + m(S)) for a list S with m(S) edges,
+    and no node builds an induced subgraph or a complement; only a leaf
+    builds its tree, which has |S| - 1 edges.
+    """
+    nbr = g.nbr_sets
+    degree = list(g.degrees)
+    done: list[TcExpr] = []
+    # a vertex list to decompose, or (operation, child count) once its
+    # children, pushed above it, are done
+    todo: list = [list(range(g.n))]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            kind, k = item
+            children = tuple(done[-k:])
+            del done[-k:]
+            done.append(kind(children))
+            continue
+        verts = item
+        s = len(verts)
+        m = sum(degree[v] for v in verts) // 2
+        comps = cocomps = None
+        if m == s - 1:
+            comps = _components(nbr, verts)
+            if len(comps) == 1:
+                done.append(TcLeaf(_leaf_tree(nbr, verts, False), tuple(verts)))
+                continue
+        if s * (s - 1) // 2 - m == s - 1:
+            cocomps = _co_components(nbr, verts)
+            if len(cocomps) == 1:
+                done.append(TcLeaf(_leaf_tree(nbr, verts, True), tuple(verts), co=True))
+                continue
+        if comps is None:
+            comps = _components(nbr, verts)
+        if len(comps) > 1:
+            todo.append((TcUnion, len(comps)))
+            todo.extend(reversed(comps))
+            continue
+        if cocomps is None:
+            cocomps = _co_components(nbr, verts)
+        if len(cocomps) < 2:
+            raise NotTreeCograph(
+                "connected graph with connected complement that is neither a "
+                "tree nor a co-tree"
+            )
+        for part in cocomps:
+            outside = s - len(part)
+            for v in part:
+                degree[v] -= outside
+        todo.append((TcJoin, len(cocomps)))
+        todo.extend(reversed(cocomps))
+    return done[0]
+
+
+def _leaf_chain(levels: int, sizes: tuple[int, ...], rng: random.Random) -> TcExpr:
+    """Alternating unions and joins, each level adding a leaf of a size
+    drawn from ``sizes`` on a random side, with random vertex ids; a leaf
+    of three or more vertices is a ``co`` leaf half of the time."""
+    drawn = [rng.choice(sizes) for _ in range(levels + 1)]
+    labels = list(range(sum(drawn)))
+    rng.shuffle(labels)
+    leaves = []
+    for size in drawn:
+        ids = tuple(labels.pop() for _ in range(size))
+        leaves.append(TcLeaf(random_labeled_tree(size, rng), ids, co=size > 2 and rng.random() < 0.5))
+    ops = (TcUnion, TcJoin) if rng.random() < 0.5 else (TcJoin, TcUnion)
+    expr = leaves[0]
+    for level, leaf in enumerate(leaves[1:]):
+        pair = [leaf, expr]
+        rng.shuffle(pair)
+        expr = ops[level % 2](tuple(pair))
+    return expr
+
+
+def test_decompose_matches_the_search_at_every_node():
+    rng = random.Random("search")
+    graphs = [evaluate_tc(random_expression(family, rng.randint(2, 60), rng))
+              for family in FAMILIES for _ in range(20)]
+    # two-vertex levels have no isolated or universal vertex at a union
+    graphs += [evaluate_tc(_leaf_chain(rng.randint(1, 40), sizes, rng))
+               for sizes in ((2,), (1, 2, 3), (3, 4)) for _ in range(15)]
+    graphs += [random_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng) for _ in range(150)]
+    failures = 0
+    for g in graphs:
+        try:
+            expected = search_decompose(g)
+        except NotTreeCograph:
+            failures += 1
+            with pytest.raises(NotTreeCograph):
+                decompose_tree_cograph(g)
+        else:
+            assert decompose_tree_cograph(g) == expected
+    assert 30 < failures < 150
+
+
+def _counted(searches: list[int], search):
+    def counted(nbr, verts):
+        searches.append(len(verts))
+        return search(nbr, verts)
+
+    return counted
+
+
+def test_chain_decomposition_searches_a_linear_number_of_vertices(monkeypatch):
+    from bchrom import graph
+
+    n = 400
+    g = evaluate_tc(random_expression("chain", n, random.Random(400)))
+    searched, before = [], []
+    for name in ("_components", "_co_components"):
+        monkeypatch.setattr(graph, name, _counted(searched, getattr(graph, name)))
+        monkeypatch.setitem(globals(), name, _counted(before, globals()[name]))
+    expr = decompose_tree_cograph(g)
+    assert sum(searched) <= 2 * n
+    assert search_decompose(g) == expr
+    assert sum(before) >= n * n // 4  # the search at every node visits about n^2 / 2
+
+
+def _explicit_graph(e: TcExpr) -> Graph:
+    """The graph an expression denotes, from explicit edges: a leaf's tree
+    edges, or its non-edges for a ``co`` leaf, and at a join every pair of
+    vertices from two different children."""
+    edges, spans = [], []
+    for node in tc_postorder(e):
+        if isinstance(node, TcLeaf):
+            ids, tree = node.vertices, node.tree
+            edges += [(ids[a], ids[b]) for a, b in combinations(range(tree.n), 2)
+                      if tree.has_edge(a, b) != node.co]
+            spans.append(list(ids))
+        else:
+            k = len(node.children)
+            parts = spans[-k:]
+            del spans[-k:]
+            if isinstance(node, TcJoin):
+                for x, y in combinations(parts, 2):
+                    edges += product(x, y)
+            spans.append([v for part in parts for v in part])
+    return Graph.from_edges(len(spans[0]), edges)
+
+
+def test_evaluate_matches_explicit_edges():
+    rng = random.Random("evaluate")
+    wide_joins = co_leaves = 0
+    for family in FAMILIES:
+        for _ in range(30):
+            e = random_expression(family, rng.randint(2, 50), rng)
+            assert evaluate_tc(e) == _explicit_graph(e)
+            for node in tc_postorder(e):
+                wide_joins += isinstance(node, TcJoin) and len(node.children) >= 3
+                co_leaves += isinstance(node, TcLeaf) and node.co
+    for sizes in ((2,), (1, 2, 3), (3, 4)):
+        e = _leaf_chain(rng.randint(1, 30), sizes, rng)
+        assert evaluate_tc(e) == _explicit_graph(e)
+    assert wide_joins > 20 and co_leaves > 50
+
+
+def test_evaluate_refuses_leaf_maps_that_do_not_partition():
+    one = Graph(1, ((),))
+    for ids in (((0,), (0,)), ((0,), (2,)), ((1,), (2,)), ((-1,), (0,))):
+        with pytest.raises(ValueError, match="partition"):
+            evaluate_tc(TcJoin((TcLeaf(one, ids[0]), TcLeaf(one, ids[1]))))
 
 
 def test_decompose_empty_graph_fails():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from bchrom.graph import (
     TcJoin,
     TcLeaf,
     TcUnion,
+    _complement_of,
     complement,
     complete_bipartite,
     complete_graph,
@@ -29,7 +31,7 @@ from bchrom.graph import (
 )
 from bchrom.oracle import oracle_chi_b, oracle_chromatic
 
-from conftest import all_graphs, random_graph_corpus
+from conftest import all_graphs, random_graph_corpus, random_stability2
 
 
 def test_complement_examples():
@@ -132,6 +134,57 @@ def test_stability_examples():
     assert stability_at_most_two(complete_graph(4))
     assert stability_at_most_two(complement(path_graph(6)))
     assert not stability_at_most_two(empty_graph(3))
+
+
+def _triples(g: Graph, edge: bool):
+    """The triples of vertices that are pairwise adjacent (``edge``) or
+    pairwise non-adjacent in g, found by scanning all of them."""
+    return [t for t in combinations(range(g.n), 3)
+            if all(g.has_edge(a, b) == edge for a, b in combinations(t, 2))]
+
+
+def _triangle_test_corpus(rng: random.Random) -> list[Graph]:
+    """Random graphs whose edge counts fall below, near and above the
+    Mantel bound floor(n^2/4), for the graph and for its complement, and
+    complements of triangle-free graphs, where both tests answer yes."""
+    graphs = []
+    for _ in range(120):
+        n = rng.randint(3, 16)
+        pairs = list(combinations(range(n), 2))
+        rng.shuffle(pairs)
+        bound = n * n // 4
+        for m in (rng.randint(0, n), bound + rng.randint(-2, 2),
+                  len(pairs) - bound + rng.randint(-2, 2), len(pairs) - rng.randint(0, n)):
+            graphs.append(Graph.from_edges(n, pairs[:max(0, m)]))
+        graphs.append(random_stability2(n, rng))
+        graphs.append(complement(random_stability2(n, rng)))
+    return graphs
+
+
+@pytest.mark.parametrize("kept", ["nothing", "bits", "complement"])
+def test_triangle_and_stability_tests_match_a_scan_of_all_triples(kept):
+    rng = random.Random(f"triples:{kept}")
+    answers = set()
+    for g in _triangle_test_corpus(rng):
+        g = Graph(g.n, g.adj)  # a fresh graph, keeping no view
+        if kept == "bits":
+            assert len(g.bits) == g.n
+        elif kept == "complement":
+            co = complement(g)
+        triangle_free = not _triples(g, True)
+        stable = not _triples(g, False)
+        assert is_triangle_free(g) is triangle_free, g.adj
+        assert stability_at_most_two(g) is stable, g.adj
+        answers.add((g.m < g.n, triangle_free, stable))
+        if kept == "complement":
+            assert vars(g)["_complement"] is co
+        elif stable:  # the rows the search built are kept as the complement
+            co = vars(g)["_complement"]
+            assert co == _complement_of(Graph(g.n, g.adj)) and vars(co)["_complement"] is g
+        else:
+            assert "_complement" not in vars(g)
+    assert {(False, True, True), (False, False, True), (False, True, False),
+            (False, False, False), (True, True, False)} <= answers
 
 
 def test_m_degree_bound_examples():
