@@ -4,12 +4,14 @@ of a stability-2 graph and matchings of its complement.
 A proper coloring of a graph without three pairwise non-adjacent vertices
 has classes of size at most two; the size-two classes form a matching of
 the complement, and the coloring is a b-coloring exactly when that matching
-is strongly maximal.
+is strongly maximal.  ``verify_on_complement`` checks such a coloring on
+the complement alone, in time linear in the complement's size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, filterfalse, islice
 
 from .errors import ClassTooLarge, EmptyClass, ImproperColoring, NotABColoring, StabilityTooLarge
 from .graph import Graph, complement, norm_edge, stability_at_most_two
@@ -35,8 +37,10 @@ class BVerdict:
     witnesses: tuple[tuple[int, int], ...]  # (class, lowest dominating vertex)
 
 
-def validate_coloring(g: Graph, c: Coloring) -> list[list[int]]:
-    if len(c.assignment) != g.n:
+def _classes(n: int, c: Coloring) -> list[list[int]]:
+    """The classes of c, each sorted, once c colors n vertices with no
+    class empty."""
+    if len(c.assignment) != n:
         raise ImproperColoring("assignment length differs from vertex count")
     if any(not 0 <= x < c.t for x in c.assignment):
         raise ImproperColoring("color index out of range")
@@ -44,6 +48,11 @@ def validate_coloring(g: Graph, c: Coloring) -> list[list[int]]:
     for idx, members in enumerate(classes):
         if not members:
             raise EmptyClass(f"class {idx} is empty")
+    return classes
+
+
+def validate_coloring(g: Graph, c: Coloring) -> list[list[int]]:
+    classes = _classes(g.n, c)
     for u, v in g.edges:
         if c.assignment[u] == c.assignment[v]:
             raise ImproperColoring(f"adjacent vertices {u},{v} share a class")
@@ -68,6 +77,48 @@ def verify_coloring(g: Graph, c: Coloring) -> BVerdict:
                 witnesses.append((idx, v))
                 break
     return BVerdict(len(dominant) == c.t, frozenset(dominant), tuple(witnesses))
+
+
+def verify_on_complement(co: Graph, c: Coloring) -> BVerdict:
+    """``verify_coloring`` of the graph whose complement is ``co``, a
+    triangle-free graph, read on co alone in O(n + m(co)).
+
+    A proper coloring of a graph of stability two has classes of one
+    vertex or of one edge of co.  A vertex v misses another class only when
+    the whole class lies among v's co-neighbours: a single vertex, or an
+    edge of co, which with v would close a triangle of co.  So v is
+    dominant iff none of its co-neighbours is alone in its class.
+
+    Errors are those of ``verify_coloring``, with the same messages: an
+    improper coloring names the least pair (u, v) of one class that is not
+    an edge of co.  A class of three or more vertices pairwise adjacent in
+    co, a triangle of co, raises ``ClassTooLarge``.
+    """
+    classes = _classes(co.n, c)
+    nbrs = co.nbr_sets
+    # per class, its least pair that is not an edge of co: the scan from u
+    # passes only co-neighbours of u before it stops, so it costs O(n + m(co))
+    bad = []
+    for members in classes:
+        if len(members) == 2:
+            if members[1] not in nbrs[members[0]]:
+                bad.append(tuple(members))
+            continue
+        for i, u in enumerate(members[:-1]):
+            v = next(filterfalse(nbrs[u].__contains__, islice(members, i + 1, None)), None)
+            if v is not None:
+                bad.append((u, v))
+                break
+    if bad:
+        u, v = min(bad)
+        raise ImproperColoring(f"adjacent vertices {u},{v} share a class")
+    if any(len(members) > 2 for members in classes):
+        raise ClassTooLarge("color class of size three or more")
+    alone = {members[0] for members in classes if len(members) == 1}
+    lowest: dict[int, int] = {}  # class: its lowest dominating vertex
+    for v in compress(range(co.n), map(alone.isdisjoint, nbrs)):
+        lowest.setdefault(c.assignment[v], v)
+    return BVerdict(len(lowest) == c.t, frozenset(lowest), tuple(sorted(lowest.items())))
 
 
 def coloring_to_matching(g: Graph, c: Coloring) -> Matching:

@@ -16,7 +16,7 @@ import sys
 from functools import cache
 
 from . import fileio
-from .bcoloring import Coloring, continuity_chain, verify_coloring
+from .bcoloring import Coloring, continuity_chain, verify_coloring, verify_on_complement
 from .dominance import DominanceVector
 from .errors import BchromError, NoRoute, StabilityTooLarge
 from .graph import (
@@ -132,7 +132,12 @@ def _cmd_verify(args) -> int:
     g = _graph(_read(args))
     with open(args.coloring, encoding="utf-8") as fh:
         coloring = fileio.parse_coloring(fh.read(), g.n)
-    verdict = verify_coloring(g, coloring)
+    # a co-forest read from its canonical text keeps its forest: check there
+    co = vars(g).get("_complement")
+    if co is not None and is_triangle_free(co):
+        verdict = verify_on_complement(co, coloring)
+    else:
+        verdict = verify_coloring(g, coloring)
     print(f"B-COLORING {'yes' if verdict.is_b_coloring else 'no'}")
     for cls, vertex in verdict.witnesses:
         print(f"dominant {cls} witness {vertex}")

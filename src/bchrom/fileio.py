@@ -23,7 +23,9 @@ the body: the body is compared with the canonical text of K_n, built one
 vertex's row of lines at a time, and the lines it lacks are the missing
 pairs.  When the body is exactly that text less n(n-1)/2 - m lines, the
 graph is the complement of the missing pairs, so it comes linked to that
-sparse complement and is never complemented again.  Any other body
+sparse complement and is never complemented again.  Its dense rows are
+not written here: they are made from the forest on their first read, and
+the routes that answer from the forest never read them.  Any other body
 (comments, CRLF line ends, another order, a bad line) is refused and read
 as below, so every error names the same line.
 
@@ -231,7 +233,8 @@ def _read_coforest(text: str, body: int, n: int, m: int) -> Graph | None:
     whole is passed over with one comparison; elsewhere the first
     mismatch is found by ``_common_prefix``, and the row's line that
     holds it is taken to be missing.  The graph is the complement of the
-    missing pairs, and comes linked to that sparse complement.
+    missing pairs, and comes linked to that sparse complement, with its
+    rows left to be made on first read (``graph._complement_of``).
     """
     budget = n * (n - 1) // 2 - m
     # each line takes six characters at least, so the header alone does

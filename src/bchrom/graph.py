@@ -9,9 +9,14 @@ Derived views of a graph are computed once and kept on it, with no lock
 taken on the first read: its edge list, degrees, bitmasks, neighbor sets,
 connected components and its complement.
 A complement remembers the graph it came from as its own complement, so
-complementing twice builds nothing, and a co-forest read from its
-canonical text (``fileio.parse_edgelist``) is built as the complement of
-its sparse forest, so its complement costs nothing.  The triangle and
+complementing twice builds nothing.  The complement of a graph with fewer
+edges than vertices, as a forest has, is dense, and its rows are made from
+the sparse graph only when something first reads them: its degrees and
+edge count follow from the sparse graph's in O(n), and its bitmasks and
+neighbor sets are made from the sparse rows too.  So a co-forest read from
+its canonical text (``fileio.parse_edgelist``), the complement of its
+sparse forest, holds no dense row until one is read, and the routes that
+answer from the forest never read one.  The triangle and
 stability tests of a dense graph read rows one at a time and stop at the
 first triangle or independent triple; a stability test that finds none
 keeps the complement rows it made as g's complement.
@@ -77,6 +82,14 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
+
+    def __getattr__(self, name: str):
+        # reached only for a name the instance and the class lack: the rows
+        # of a complement that ``_complement_of`` left to its sparse graph
+        if name != "adj" or "_complement" not in vars(self):
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        adj = vars(self)["adj"] = tuple(_co_rows(vars(self)["_complement"]))
+        return adj
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -144,10 +157,18 @@ class Graph:
     @_cached
     def bits(self) -> tuple[int, ...]:
         """Adjacency as bitmasks, one integer per vertex."""
+        if "adj" not in vars(self):  # rows left to the sparse complement
+            everyone = (1 << self.n) - 1
+            return tuple(everyone ^ (1 << v) ^ b
+                         for v, b in enumerate(vars(self)["_complement"].bits))
         return tuple(map(_mask, self.adj))
 
     @_cached
     def nbr_sets(self) -> tuple[frozenset[int], ...]:
+        if "adj" not in vars(self):
+            everyone = frozenset(range(self.n))
+            return tuple(everyone.difference(row, (v,))
+                         for v, row in enumerate(vars(self)["_complement"].adj))
         return tuple(frozenset(a) for a in self.adj)
 
     def degree(self, v: int) -> int:
@@ -184,14 +205,24 @@ def complement(g: Graph) -> Graph:
 
 
 def _complement_of(g: Graph) -> Graph:
-    """Build g's complement and link the two, each as the other's."""
-    return _link(g, tuple(_co_rows(g)))
+    """Build g's complement and link the two, each as the other's.
+
+    When g has fewer edges than vertices, as a forest has, the complement
+    is dense and its rows are not made here: they are made from g on the
+    first read of its ``adj`` (``Graph.__getattr__``), and its degrees and
+    edge count are set from g's now.
+    """
+    n = g.n
+    if g.m < n:
+        co = object.__new__(Graph)
+        vars(co).update(n=n, degrees=tuple(n - 1 - d for d in g.degrees),
+                        m=n * (n - 1) // 2 - g.m)
+        return _link(g, co)
+    return _link(g, Graph(n, tuple(_co_rows(g))))
 
 
-def _link(g: Graph, rows: tuple[tuple[int, ...], ...]) -> Graph:
-    """The graph of g's complement rows ``rows``, kept on g as its
-    complement, with g kept on it as its own."""
-    co = Graph(g.n, rows)
+def _link(g: Graph, co: Graph) -> Graph:
+    """``co``, kept on g as its complement, with g kept on it as its own."""
     vars(g)["_complement"] = co
     vars(co)["_complement"] = g
     return co
@@ -297,7 +328,7 @@ def stability_at_most_two(g: Graph) -> bool:
     rows = _rows_if_triangle_free(_co_rows(g))
     if rows is None:
         return False
-    _link(g, tuple(rows))
+    _link(g, Graph(g.n, tuple(rows)))
     return True
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import ClassVar
 
-from .bcoloring import matching_to_coloring, verify_coloring
+from .bcoloring import Coloring, matching_to_coloring, verify_on_complement
 from .dominance import b_chromatic_tree, b_coloring_tree, dominance_from_deficiency
 from .dominance import dominance_tc, dominance_vector_tree
 from .errors import InvariantViolation, KOutOfRange, NoRoute, NotTreeCograph
@@ -94,13 +94,19 @@ class StabilityTwoRoute(Route):
     per size, one of least deficiency.  Augmenting paths of length 1 and 3
     stay in a component, so each of ``parts``, the graphs that the components
     of ``co`` induce, is solved alone: a tree by the matching DPs, any other
-    part by exact search on its matchings, all from one budget."""
+    part by exact search on its matchings, all from one budget.
+
+    Every coloring returned, the witness included, is checked on ``co`` by
+    ``verify_on_complement`` before it is returned, so a co-forest read
+    from its canonical text is answered without its dense rows."""
 
     name = "stability-two"
     budget = DEFAULT_BUDGET
     graph = cached_property(lambda self: complement(self.co))
     value = cached_property(lambda self: self.graph.n - self._smm[0])
-    witness = cached_property(lambda self: matching_to_coloring(self.graph, self._smm[1]))
+    # dom[chi_b] = chi_b: every class of the witness is dominant
+    witness = cached_property(lambda self: self._checked(
+        matching_to_coloring(self.graph, self._smm[1]), self.value, self.value))
     vector = cached_property(lambda self: dominance_from_deficiency(
         self.co.n, combine_all(self._deficiency[1])))
     _one_tree = property(lambda self: self.co.n > 1 and is_tree(self.co))
@@ -142,11 +148,15 @@ class StabilityTwoRoute(Route):
         vec = self.vector
         if not vec.chi <= k <= vec.n:
             raise KOutOfRange(f"k={k} outside [{vec.chi}, {vec.n}]")
-        coloring = matching_to_coloring(self.graph, self._matching(vec.n - k))
-        found = len(verify_coloring(self.graph, coloring).dominant_classes)
-        if found != vec.value_at(k):
-            raise InvariantViolation(f"{self.name} coloring has {found} dominant classes, "
-                                     f"not dom[{k}] = {vec.value_at(k)}")
+        return self._checked(matching_to_coloring(self.graph, self._matching(vec.n - k)),
+                             k, vec.value_at(k))
+
+    def _checked(self, coloring: Coloring, k: int, dom: int) -> Coloring:
+        """``coloring``, once it is checked to have k classes, dom of them dominant."""
+        found = len(verify_on_complement(self.co, coloring).dominant_classes)
+        if coloring.t != k or found != dom:
+            raise InvariantViolation(f"{self.name} coloring has {coloring.t} classes, {found} "
+                                     f"dominant, not {k} classes with dom[{k}] = {dom}")
         return coloring
 
     @classmethod

@@ -8,8 +8,11 @@ from bchrom.bcoloring import (
     continuity_chain,
     matching_to_coloring,
     verify_coloring,
+    verify_on_complement,
 )
 from bchrom.errors import (
+    BchromError,
+    ClassTooLarge,
     EmptyClass,
     ImproperColoring,
     NotABColoring,
@@ -17,9 +20,12 @@ from bchrom.errors import (
 )
 from bchrom.generators import random_labeled_tree
 from bchrom.graph import (
+    Graph,
     complement,
     complete_graph,
+    cycle_graph,
     empty_graph,
+    graph_union,
     path_graph,
 )
 from bchrom.matching import is_strongly_maximal
@@ -168,3 +174,108 @@ def test_monotonicity_under_deletion_sampled():
             if h.n == 0:
                 continue
             assert oracle_chi_b(h) <= chib
+
+
+def _relabel(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _union(pieces: list[Graph]) -> Graph:
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out = graph_union(out, piece)
+    return out
+
+
+def _triangle_free_complements(rng: random.Random):
+    """Randomly labelled triangle-free graphs: forests, bipartite graphs,
+    and C5/C7 beside trees, each the complement of a stability-2 graph."""
+    for _ in range(10):
+        n = rng.randint(1, 14)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+        yield _relabel(_union([random_labeled_tree(b - a, rng)
+                               for a, b in zip([0] + cuts, cuts + [n])]), rng)
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        p = rng.uniform(0.2, 0.9)
+        yield _relabel(Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)
+                                                if rng.random() < p]), rng)
+        pieces = [cycle_graph(rng.choice((5, 7))) for _ in range(rng.randint(1, 2))]
+        pieces += [random_labeled_tree(rng.randint(1, 6), rng) for _ in range(rng.randint(0, 2))]
+        yield _relabel(_union(pieces), rng)
+
+
+def _random_proper(co: Graph, rng: random.Random) -> Coloring:
+    """A random matching of co as a coloring, its classes numbered at random."""
+    edges = list(co.edges)
+    rng.shuffle(edges)
+    used: set[int] = set()
+    color = [-1] * co.n
+    t = 0
+    for u, v in edges[: rng.randint(0, len(edges))]:
+        if u not in used and v not in used:
+            used |= {u, v}
+            color[u] = color[v] = t
+            t += 1
+    for v in range(co.n):
+        if color[v] < 0:
+            color[v] = t
+            t += 1
+    names = list(range(t))
+    rng.shuffle(names)
+    return Coloring(tuple(names[x] for x in color), t)
+
+
+def _mutations(c: Coloring, rng: random.Random):
+    """c with two classes merged, a pair split, two vertices swapped, and
+    an empty class added."""
+    n, t = len(c.assignment), c.t
+    if t >= 2:
+        a, b = rng.sample(range(t), 2)  # b joins a, and class t - 1 takes b's number
+        yield Coloring(tuple(a if x == b else b if x == t - 1 else x for x in c.assignment), t - 1)
+    pairs = [v for v in range(n) if c.assignment.count(c.assignment[v]) == 2]
+    if pairs:
+        v = rng.choice(pairs)
+        yield Coloring(tuple(t if w == v else x for w, x in enumerate(c.assignment)), t + 1)
+    if t >= 2:
+        u, v = rng.sample(range(n), 2)
+        swapped = list(c.assignment)
+        swapped[u], swapped[v] = swapped[v], swapped[u]
+        yield Coloring(tuple(swapped), t)
+    yield Coloring(c.assignment, t + 1)
+
+
+def _outcome(verify, graph: Graph, c: Coloring):
+    try:
+        return verify(graph, c)
+    except BchromError as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_on_complement_equals_verify_coloring():
+    """On the complement alone, the same verdict, witnesses and error as
+    on the dense graph: for route answers, random proper colorings and
+    their mutations."""
+    rng = random.Random(2113)
+    kinds = set()
+    for co in _triangle_free_complements(rng):
+        g = Graph(co.n, complement(co).adj)  # a fresh graph, keeping no complement
+        colorings = [_random_proper(co, rng) for _ in range(4)]
+        colorings.append(plan(g, "witness").witness)
+        route = plan(g, "coloring")
+        vec = plan(g, "vector").vector
+        colorings += [route.coloring(k) for k in {vec.chi, (vec.chi + g.n) // 2, g.n}]
+        colorings += [m for c in list(colorings) for m in _mutations(c, rng)]
+        for c in colorings:
+            want = _outcome(verify_coloring, g, c)
+            assert _outcome(verify_on_complement, co, c) == want, (co, c)
+            kinds.add(want[0] if isinstance(want, tuple) else want.is_b_coloring)
+    assert kinds == {True, False, ImproperColoring, EmptyClass}
+
+
+def test_verify_on_complement_refuses_an_independent_class():
+    with pytest.raises(ClassTooLarge):
+        verify_on_complement(complete_graph(3), Coloring((0, 0, 0), 1))
+    with pytest.raises(ImproperColoring, match="adjacent vertices 0,2 share a class"):
+        verify_on_complement(path_graph(3), Coloring((0, 0, 0), 1))

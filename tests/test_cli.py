@@ -87,6 +87,54 @@ def test_verify_yes_and_no(files, tmp_path):
     assert code == 0 and out.splitlines()[0] == "B-COLORING no"
 
 
+def test_verify_of_a_co_tree_reads_alike_on_its_forest_and_dense(tmp_path, monkeypatch):
+    """``verify`` on a canonical co-tree file, checked on the forest the
+    reader keeps, prints what it prints on a shuffled copy, which is read
+    dense: for a b-coloring, a coloring that is not one, an improper one
+    and one with an empty class."""
+    from bchrom import fileio
+    from bchrom.bcoloring import Coloring
+    from bchrom.generators import random_labeled_tree
+    from bchrom.route import plan
+
+    rng = random.Random(23)
+    n = 200
+    text = format_edgelist(complement(_relabelled(random_labeled_tree(n, rng), rng)))
+    header, *rows = text.splitlines(keepends=True)
+    rng.shuffle(rows)
+    canonical, shuffled = tmp_path / "co.g", tmp_path / "co-shuffled.g"
+    canonical.write_text(text)
+    shuffled.write_text(header + "".join(rows))
+    route = plan(parse_edgelist(text), "coloring")
+    witness = route.witness
+    g = parse_edgelist(header + "".join(rows))
+    a = witness.assignment
+    u = next(u for u in range(n) if a.count(a[u]) == 2)  # its class keeps its partner
+    v = next(v for v in g.adj[u] if a[v] != a[u])
+    moved = tuple(a[v] if w == u else x for w, x in enumerate(a))
+    gap = tuple(x + (x == witness.t - 1) for x in a)  # class t - 1 left empty
+    colorings = [witness, route.coloring((route.vector.chi + n) // 2),
+                 Coloring(moved, witness.t), Coloring(gap, witness.t + 1)]
+    parsed = []
+    read = fileio.read_edgelist
+    monkeypatch.setattr(fileio, "read_edgelist", lambda path: parsed.append(read(path)) or parsed[-1])
+    firsts = set()
+    for i, c in enumerate(colorings):
+        col = tmp_path / f"{i}.col"
+        col.write_text(fileio.format_coloring(c))
+        answers = []
+        for f in (canonical, shuffled):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["verify", str(f), str(col)])
+            answers.append((code, out.getvalue(), err.getvalue()))
+        assert answers[0] == answers[1]
+        firsts.add((answers[0][1] or answers[0][2]).split("\n")[0])
+        assert "_complement" in vars(parsed[-2]) and "adj" not in vars(parsed[-2])
+        assert "_complement" not in vars(parsed[-1])
+    assert {"B-COLORING yes", "B-COLORING no"} <= firsts and len(firsts) == 4
+
+
 def test_dominance_output(files):
     code, out = run(["dominance", files["cop6"]])
     assert code == 0

@@ -64,6 +64,33 @@ def test_complement_rows_of_sparse_and_dense_graphs():
     assert complement(star).adj[0] == ()
 
 
+@pytest.mark.parametrize("first", ["adj", "degrees", "bits", "nbr_sets", "edges"])
+def test_complement_of_a_sparse_graph_makes_its_rows_on_first_read(first):
+    """Every view of a sparse graph's complement, whichever is read first,
+    equals that of the same rows built at once; the rows are made on the
+    first read of ``adj``, ``edges`` or ``==``, and never before."""
+    rng = random.Random(f"lazy:{first}")
+    for n in (1, 2, 3, 7, 40):
+        for p in (0.0, 0.5 / n, 1.5 / n):
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            if g.m >= n:
+                continue
+            co = complement(g)
+            ref = Graph(n, tuple(tuple(w for w in range(n) if w != v and w not in g.adj[v])
+                                 for v in range(n)))
+            assert "adj" not in vars(co)
+            assert getattr(co, first) == getattr(ref, first)
+            assert ("adj" in vars(co)) is (first in ("adj", "edges"))
+            assert (co.n, co.m, co.degrees) == (ref.n, ref.m, ref.degrees)
+            assert co.bits == ref.bits and co.nbr_sets == ref.nbr_sets
+            assert hash(co) == hash(ref) and co == ref and co.adj == ref.adj
+            assert complement(co) is g and vars(co)["_complement"] is g
+    with pytest.raises(AttributeError):
+        complement(path_graph(3)).missing
+
+
 def _pairs_with_defect(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
     """Pairs 0 <= u < v < n in (u, v) order, sometimes with one defect: a
     duplicate, two pairs swapped, a pair reversed or an endpoint out of

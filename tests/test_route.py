@@ -3,6 +3,7 @@ the brute-force oracle on randomly labelled inputs, and refusals that name
 why every route was rejected."""
 
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -12,11 +13,11 @@ from functools import reduce
 
 import pytest
 
-from bchrom import dominance, graph, tree_dp
+from bchrom import dominance, fileio, graph, tree_dp
 from bchrom.bcoloring import coloring_to_matching, matching_to_coloring, verify_coloring
 from bchrom.cli import main
 from bchrom.dominance import dominance_from_deficiency
-from bchrom.errors import BudgetExceeded, NoRoute
+from bchrom.errors import BudgetExceeded, InvariantViolation, NoRoute
 from bchrom.fileio import (
     format_edgelist,
     format_tc_expression,
@@ -534,6 +535,92 @@ def test_co_tree_answers_are_the_same_in_every_labelling_and_text():
                 assert "_complement" in vars(g)
             answers.add((plan(g, "vector").vector, plan(g, "value").value))
     assert len(answers) == 1
+
+
+def _recorded_parses(monkeypatch) -> list[Graph]:
+    """The graphs that ``fileio.read_edgelist`` returns from now on."""
+    parsed = []
+    read = fileio.read_edgelist
+
+    def recording(path):
+        parsed.append(read(path))
+        return parsed[-1]
+
+    monkeypatch.setattr(fileio, "read_edgelist", recording)
+    return parsed
+
+
+def test_canonical_co_forests_are_answered_without_dense_rows(tmp_path, monkeypatch):
+    """Value, witness, vector and colorings of a co-tree and a co-forest
+    read from their canonical text are found and checked on the forest:
+    the parsed graph holds no row, edge list, bitmask or neighbor set, and
+    its rows, once read, are the complement of the forest."""
+    rng = random.Random(21)
+    n = 300
+    tree = random_labeled_tree(n, rng)
+    parsed = _recorded_parses(monkeypatch)
+    for forest in (_relabel(tree, rng), _relabel(graph_union(tree, path_graph(2)), rng)):
+        path, witness = tmp_path / "co.g", tmp_path / "w.col"
+        path.write_text(format_edgelist(complement(forest)))
+        del parsed[:]
+        code, out, _ = _run(["dominance", str(path)])
+        assert code == 0
+        vec = {int(t): int(d) for t, d in (line.split() for line in out.splitlines())}
+        chi = min(vec)
+        assert _run(["bchromatic", str(path), "--witness", str(witness)])[0] == 0
+        colorings = [parse_coloring(witness.read_text(), forest.n)]
+        for k in (chi, (chi + forest.n) // 2, forest.n):
+            code, out, _ = _run(["bcolor", str(path), str(k)])
+            assert code == 0
+            colorings.append(parse_coloring(out, forest.n))
+        assert len(parsed) == 5
+        for g in parsed:
+            assert not {"adj", "edges", "bits", "nbr_sets"} & vars(g).keys()
+            assert vars(g)["_complement"] == forest and complement(vars(g)["_complement"]) is g
+        g = parsed[0]
+        dense = Graph.from_edges(forest.n, [(u, v) for u in range(forest.n)
+                                            for v in range(u + 1, forest.n)
+                                            if not forest.has_edge(u, v)])
+        assert g.adj == graph._complement_of(Graph(forest.n, forest.adj)).adj == dense.adj
+        for c in colorings:  # dom[k] dominant classes, checked on the dense graph
+            assert len(verify_coloring(dense, c).dominant_classes) == vec[c.t]
+
+
+def _bad_matching(co: Graph, size: int, dom: int):
+    """A matching of co of that size whose coloring of the complement has
+    other than dom dominant classes, or None."""
+    g = complement(co)
+    for pairs in itertools.combinations(co.edges, size):
+        if len({v for e in pairs for v in e}) == 2 * size:
+            c = matching_to_coloring(g, frozenset(pairs))
+            if len(verify_coloring(g, c).dominant_classes) != dom:
+                return frozenset(pairs)
+    return None
+
+
+def test_stability_two_colorings_are_checked(monkeypatch):
+    """A witness or a coloring made from a matching that is not of least
+    deficiency raises InvariantViolation rather than being returned."""
+    co = path_graph(6)
+    g = complement(co)
+    assert plan(g, "witness").witness.t == 4
+    bad = _bad_matching(co, 2, 4)
+    assert bad is not None
+    monkeypatch.setattr(StabilityTwoRoute, "_smm", (2, bad))
+    with pytest.raises(InvariantViolation):
+        plan(g, "witness").witness
+    monkeypatch.undo()
+    vec = plan(g, "vector").vector
+    wrong = 0
+    for k in range(vec.chi, g.n + 1):
+        bad = _bad_matching(co, g.n - k, vec.value_at(k))
+        if bad is not None:
+            wrong += 1
+            monkeypatch.setattr(StabilityTwoRoute, "_matching", lambda self, size: bad)
+            with pytest.raises(InvariantViolation):
+                plan(g, "coloring").coloring(k)
+            monkeypatch.undo()
+    assert wrong
 
 
 def test_b_monotonicity_of_coforests_beyond_the_oracle():
