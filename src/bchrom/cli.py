@@ -7,6 +7,10 @@ seed.  Domain errors exit 1 with a one-line diagnostic; usage errors exit 2.
 for the first route, of tree, tree-cograph and stability two in that order,
 that applies and gives what the command needs; a refusal names why each
 route was rejected.  ``bcolor`` answers every k in [chi, n].
+
+Importing this module loads only what the answering commands run: ``reduce``
+and ``certify`` import the hardness gadget (``reduction``), and ``oracle``
+the exhaustive reference (``oracle``), when they are run.
 """
 
 from __future__ import annotations
@@ -22,21 +26,13 @@ from .errors import BchromError, NoRoute, StabilityTooLarge
 from .graph import (
     Graph,
     TcExpr,
+    complement,
     evaluate_tc,
     is_tree,
     is_triangle_free,
     m_degree_bound,
     stability_at_most_two,
 )
-from .oracle import (
-    OracleBudget,
-    oracle_chi_b,
-    oracle_chromatic,
-    oracle_dominance,
-    oracle_f_t_k,
-    oracle_min_smm,
-)
-from .reduction import build_gadget, certify_reduction
 from .route import plan
 from .tree_dp import deficiency_tables, dump_deficiency_tables, dump_smm_tables, smm_tables
 
@@ -132,10 +128,9 @@ def _cmd_verify(args) -> int:
     g = _graph(_read(args))
     with open(args.coloring, encoding="utf-8") as fh:
         coloring = fileio.parse_coloring(fh.read(), g.n)
-    # a co-forest read from its canonical text keeps its forest: check there
-    co = vars(g).get("_complement")
-    if co is not None and is_triangle_free(co):
-        verdict = verify_on_complement(co, coloring)
+    # on the complement, a co-forest read from its canonical text is never dense
+    if stability_at_most_two(g):
+        verdict = verify_on_complement(complement(g), coloring)
     else:
         verdict = verify_coloring(g, coloring)
     print(f"B-COLORING {'yes' if verdict.is_b_coloring else 'no'}")
@@ -145,6 +140,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduction import build_gadget
+
     g = _graph(_read(args))
     gadget = build_gadget(g)
     fileio.write_edgelist(args.output, gadget.host)
@@ -158,6 +155,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .reduction import certify_reduction
+
     g = _graph(_read(args))
     report = certify_reduction(g, search_budget=args.budget)
     print(f"min-maximal-matching: {report.min_maximal}")
@@ -168,6 +167,15 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import (
+        OracleBudget,
+        oracle_chi_b,
+        oracle_chromatic,
+        oracle_dominance,
+        oracle_f_t_k,
+        oracle_min_smm,
+    )
+
     g = _graph(_read(args))
     budget = OracleBudget(max_n=args.max_n, max_states=args.max_states)
     q = args.quantity

@@ -59,7 +59,7 @@ from .graph import (
     TcLeaf,
     TcUnion,
     _coforest_sized,
-    _complement_of,
+    complement,
     norm_edge,
 )
 from .matching import Matching
@@ -234,7 +234,7 @@ def _read_coforest(text: str, body: int, n: int, m: int) -> Graph | None:
     mismatch is found by ``_common_prefix``, and the row's line that
     holds it is taken to be missing.  The graph is the complement of the
     missing pairs, and comes linked to that sparse complement, with its
-    rows left to be made on first read (``graph._complement_of``).
+    rows left to be made on first read (``graph.complement``).
     """
     budget = n * (n - 1) // 2 - m
     # each line takes six characters at least, so the header alone does
@@ -259,7 +259,7 @@ def _read_coforest(text: str, body: int, n: int, m: int) -> Graph | None:
         pos += len(row) - j
     if pos != len(text) or len(missing) != budget:
         return None
-    return _complement_of(Graph.from_edges(n, missing))
+    return complement(Graph.from_edges(n, missing))
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -8,12 +8,19 @@ Shortest augmenting paths of length five or more are found exactly by a
 reduction to maximum-weight perfect matching: among matchings of size
 ``|M|+1``, one maximizing ``|M' & M|`` differs from M in a single shortest
 augmenting path (any balanced or negative component of the symmetric
-difference could be flipped to increase the overlap).
+difference could be flipped to increase the overlap).  That search needs
+networkx, imported on first use; without it the call raises ``BchromError``.
+
+``_Counter`` is the package's one search budget.  It lives here, beside
+``least_deficiency_matchings``, the exact search that the stability-two route
+runs, so that answering a request imports no reference code; the gadget
+certifier in ``reduction`` and the test reference in ``oracle`` spend from it
+too.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidMatching, InvariantViolation, NotAugmenting
+from .errors import BchromError, BudgetExceeded, InvalidMatching, InvariantViolation, NotAugmenting
 from .graph import Edge, Graph, norm_edge
 
 Matching = frozenset[Edge]
@@ -93,11 +100,26 @@ def find_short_augmenting(g: Graph, m: Matching) -> AltPath | None:
     return best
 
 
-def least_deficiency_matchings(g: Graph, counter) -> tuple[list[float], list[Matching]]:
+class _Counter:
+    """A search budget: ``tick`` spends from it and raises once it is gone."""
+
+    __slots__ = ("left", "what")
+
+    def __init__(self, limit: int, what: str = "enumeration state") -> None:
+        self.left = limit
+        self.what = what
+
+    def tick(self, amount: int = 1) -> None:
+        self.left -= amount
+        if self.left < 0:
+            raise BudgetExceeded(f"{self.what} budget exhausted")
+
+
+def least_deficiency_matchings(g: Graph, counter: _Counter) -> tuple[list[float], list[Matching]]:
     """Per size k, the least deficiency F[k] (``inf`` past the maximum) over
     size-k matchings of g, and one matching that attains it.  Each vertex in
     turn, lowest first, stays free or is matched to a higher undecided
-    neighbor; ``counter`` (an ``oracle._Counter``) is ticked once a matching."""
+    neighbor; ``counter`` is ticked once a matching."""
     n, bits, full = g.n, g.bits, (1 << g.n) - 1
     least: list[float] = [float("inf")] * (n // 2 + 1)
     found: list[Matching] = [frozenset()] * (n // 2 + 1)
@@ -129,7 +151,11 @@ def min_length_augmenting_path(g: Graph, m: Matching) -> AltPath | None:
     if 2 * k > g.n:
         return None
     dummies = g.n - 2 * k
-    import networkx as nx
+    try:
+        import networkx as nx
+    except ImportError as exc:
+        raise BchromError("augmenting paths of length five or more need networkx, "
+                          "which cannot be imported") from exc
 
     G = nx.Graph()
     G.add_nodes_from(range(g.n + dummies))

@@ -5,6 +5,10 @@ enumerations here at desk scale.  The code favors being obviously correct
 over being clever: matchings are enumerated edge by edge, colorings are
 enumerated canonically (first occurrence of each class fixes its index,
 killing the t! symmetry).
+
+This module is the test reference only: the request path never imports it.
+The ``oracle`` subcommand loads it when run, and the searches spend from
+``matching._Counter``, the package's one search budget.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, GraphTooLarge, InvariantViolation, KOutOfRange, RangeError
+from .errors import GraphTooLarge, InvariantViolation, KOutOfRange, RangeError
 from .graph import Edge, Graph
-from .matching import _defects
+from .matching import _Counter, _defects
 
 INF = float("inf")
 
@@ -30,21 +34,6 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
-
-
-class _Counter:
-    """A search budget: ``tick`` spends from it and raises once it is gone."""
-
-    __slots__ = ("left", "what")
-
-    def __init__(self, limit: int, what: str = "enumeration state") -> None:
-        self.left = limit
-        self.what = what
-
-    def tick(self, amount: int = 1) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise BudgetExceeded(f"{self.what} budget exhausted")
 
 
 def _admit(g: Graph, budget: OracleBudget, levels: int) -> _Counter:

@@ -29,12 +29,12 @@ from .errors import (
 from .graph import Edge, Graph, is_forest, norm_edge
 from .matching import (
     Matching,
+    _Counter,
     _defects,
     find_short_augmenting,
     is_strongly_maximal,
     validate_matching,
 )
-from .oracle import _Counter
 from .tree_dp import min_smm_forest
 
 

@@ -25,8 +25,7 @@ from .dominance import dominance_tc, dominance_vector_tree
 from .errors import InvariantViolation, KOutOfRange, NoRoute, NotTreeCograph
 from .graph import Graph, TcExpr, TcLeaf, complement, connected_components, decompose_tree_cograph
 from .graph import evaluate_tc, induced_subgraph, is_coforest, is_tree, stability_at_most_two
-from .matching import least_deficiency_matchings
-from .oracle import DEFAULT_BUDGET, _Counter
+from .matching import _Counter, least_deficiency_matchings
 from .tree_dp import DeficiencyTables, SmmTables, combine_all, deficiency_tables, deficiency_vector
 from .tree_dp import lift, min_smm_tree, reconstruct_deficiency_matching, smm_tables, split_size
 
@@ -94,14 +93,15 @@ class StabilityTwoRoute(Route):
     per size, one of least deficiency.  Augmenting paths of length 1 and 3
     stay in a component, so each of ``parts``, the graphs that the components
     of ``co`` induce, is solved alone: a tree by the matching DPs, any other
-    part by exact search on its matchings, all from one budget.
+    part by exact search on its matchings, all from one ``_Counter`` of
+    ``max_states`` states.
 
     Every coloring returned, the witness included, is checked on ``co`` by
     ``verify_on_complement`` before it is returned, so a co-forest read
     from its canonical text is answered without its dense rows."""
 
     name = "stability-two"
-    budget = DEFAULT_BUDGET
+    max_states = 10**8
     graph = cached_property(lambda self: complement(self.co))
     value = cached_property(lambda self: self.graph.n - self._smm[0])
     # dom[chi_b] = chi_b: every class of the witness is dominant
@@ -116,7 +116,7 @@ class StabilityTwoRoute(Route):
     @cached_property
     def _searched(self) -> list:
         """Per part: None for a tree, else its least deficiency and a matching per size."""
-        counter = _Counter(self.budget.max_states, "exact search")
+        counter = _Counter(self.max_states, "exact search")
         return [None if is_tree(sub) else least_deficiency_matchings(sub, counter)
                 for sub in self.parts]
 

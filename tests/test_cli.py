@@ -11,6 +11,7 @@ import pytest
 
 from bchrom.cli import main
 from bchrom.fileio import format_edgelist, parse_edgelist, parse_coloring
+from bchrom.generators import random_labeled_tree
 from bchrom.graph import (
     Graph,
     complement,
@@ -90,11 +91,12 @@ def test_verify_yes_and_no(files, tmp_path):
 def test_verify_of_a_co_tree_reads_alike_on_its_forest_and_dense(tmp_path, monkeypatch):
     """``verify`` on a canonical co-tree file, checked on the forest the
     reader keeps, prints what it prints on a shuffled copy, which is read
-    dense: for a b-coloring, a coloring that is not one, an improper one
-    and one with an empty class."""
+    dense, and what ``verify_coloring`` finds on the dense graph: for a
+    b-coloring, a coloring that is not one, an improper one and one with an
+    empty class."""
     from bchrom import fileio
-    from bchrom.bcoloring import Coloring
-    from bchrom.generators import random_labeled_tree
+    from bchrom.bcoloring import Coloring, verify_coloring
+    from bchrom.errors import BchromError
     from bchrom.route import plan
 
     rng = random.Random(23)
@@ -122,16 +124,23 @@ def test_verify_of_a_co_tree_reads_alike_on_its_forest_and_dense(tmp_path, monke
     for i, c in enumerate(colorings):
         col = tmp_path / f"{i}.col"
         col.write_text(fileio.format_coloring(c))
+        try:
+            verdict = verify_coloring(g, c)
+            lines = [f"B-COLORING {'yes' if verdict.is_b_coloring else 'no'}"]
+            lines += [f"dominant {cls} witness {v}" for cls, v in verdict.witnesses]
+            expected = (0, "".join(line + "\n" for line in lines), "")
+        except BchromError as exc:
+            expected = (1, "", f"error: {exc}\n")
         answers = []
         for f in (canonical, shuffled):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(["verify", str(f), str(col)])
             answers.append((code, out.getvalue(), err.getvalue()))
-        assert answers[0] == answers[1]
-        firsts.add((answers[0][1] or answers[0][2]).split("\n")[0])
+        assert answers == [expected, expected]
+        firsts.add((expected[1] or expected[2]).split("\n")[0])
         assert "_complement" in vars(parsed[-2]) and "adj" not in vars(parsed[-2])
-        assert "_complement" not in vars(parsed[-1])
+        assert "adj" in vars(parsed[-1])
     assert {"B-COLORING yes", "B-COLORING no"} <= firsts and len(firsts) == 4
 
 
@@ -245,12 +254,49 @@ def test_bchromatic_c5_via_oracle_route(files):
     assert code == 0 and out == "3\n"
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    code = "import sys, bchrom.cli; bchrom.cli.build_parser(); print('networkx' in sys.modules)"
+def _python(script: str) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter that imports bchrom from src."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_requests_import_no_reference_code(files, tmp_path):
+    """Importing the CLI loads neither the exhaustive reference, the hardness
+    gadget, the compiled DP rows nor networkx; answering a tree, a co-tree
+    and a .tcx expression loads no reference, gadget or networkx."""
+    tcx = tmp_path / "join.tcx"  # K1 joined to co-P4: a tree-cograph of stability two
+    tcx.write_text("(join (tree 1) (cotree 4 0 1 1 3 2 3))\n")
+    argvs = [argv for path in (files["p6"], files["cop6"], str(tcx))
+             for argv in (["bchromatic", path, "--witness", str(tmp_path / "w.col")],
+                          ["dominance", path], ["bcolor", path, "3", "-o", str(tmp_path / "c.col")])]
+    done = _python(
+        "import sys, bchrom.cli\n"
+        "bchrom.cli.build_parser()\n"
+        "reference = {'bchrom.oracle', 'bchrom.reduction', 'networkx'}\n"
+        "print(sorted((reference | {'bchrom.rows'}) & sys.modules.keys()))\n"
+        f"print([bchrom.cli.main(argv) for argv in {argvs!r}])\n"
+        "print(sorted(reference & sys.modules.keys()))\n"
+    )
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()  # the answers come between the reports
+    assert [lines[0], *lines[-2:]] == ["[]", str([0] * len(argvs)), "[]"]
+
+
+def test_chain_without_networkx_ends_in_one_error_line(tmp_path):
+    # the chain down from this co-tree's witness needs an augmenting path of length five
+    path = tmp_path / "co20.g"
+    path.write_text(format_edgelist(complement(random_labeled_tree(20, random.Random(3)))))
+    done = _python(
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from bchrom.cli import main\n"
+        f"sys.exit(main(['chain', {str(path)!r}]))\n"
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and "networkx" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_searches_deeper_than_the_recursion_limit_end_in_one_error_line(tmp_path):

@@ -44,7 +44,7 @@ from bchrom.graph import (
     stability_at_most_two,
 )
 from bchrom.matching import least_deficiency_matchings, s1_s2
-from bchrom.oracle import OracleBudget, _Counter, oracle_chi_b, oracle_dominance, oracle_f_t_k
+from bchrom.oracle import _Counter, oracle_chi_b, oracle_dominance, oracle_f_t_k
 from bchrom.oracle import oracle_min_smm, oracle_nu
 from bchrom.route import StabilityTwoRoute, plan
 from bchrom.tree_dp import INF, combine_all, deficiency_vector, min_smm_tree
@@ -433,7 +433,7 @@ def test_exact_search_reads_every_answer_off_one_matching_table():
             assert matching_to_coloring(g, pairs) == coloring, (g, k)
     k3k3 = graph_union(complete_graph(3), complete_graph(3))  # K(3,3) has 34 matchings
     route = StabilityTwoRoute.attempt(k3k3, 16)
-    route.budget = OracleBudget(max_states=10)
+    route.max_states = 10
     with pytest.raises(BudgetExceeded, match="exact search"):
         route.vector
 
@@ -708,7 +708,7 @@ def test_stability_two_spends_one_budget_over_its_components():
     one, two = complement(k33), complement(graph_union(k33, k33))
     for g, states, fails in ((two, 10, True), (one, 40, False), (two, 40, True)):
         route = StabilityTwoRoute.attempt(g, 16)
-        route.budget = OracleBudget(max_states=states)
+        route.max_states = states
         if fails:
             with pytest.raises(BudgetExceeded, match="exact search"):
                 route.vector
