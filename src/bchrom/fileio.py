@@ -25,9 +25,10 @@ pairs.  When the body is exactly that text less n(n-1)/2 - m lines, the
 graph is the complement of the missing pairs, so it comes linked to that
 sparse complement and is never complemented again.  Its dense rows are
 not written here: they are made from the forest on their first read, and
-the routes that answer from the forest never read them.  Any other body
-(comments, CRLF line ends, another order, a bad line) is refused and read
-as below, so every error names the same line.
+the routes that answer from the forest never read them.  A last line with
+no final ``"\n"``, or empty lines after it, are read as that text too.
+Any other body (comments, CRLF line ends, another order, a bad line) is
+refused and read as below, so every error names the same line.
 
 Pairs in canonical order, strictly increasing in (u, v) as
 ``format_edgelist`` writes them, are built by ``Graph.from_sorted_pairs``,
@@ -68,6 +69,9 @@ from .matching import Matching
 PIECE_CHARS = 1 << 18
 # line boundaries of str.splitlines other than "\n", in ASCII
 _OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e"
+# the graph of every one-vertex leaf: graphs are immutable, and their views
+# are values, so one leaf's views serve all
+_POINT = Graph(1, ((),))
 
 
 def _read_header(text: str) -> tuple[int, int, int, int]:
@@ -234,8 +238,12 @@ def _read_coforest(text: str, body: int, n: int, m: int) -> Graph | None:
     mismatch is found by ``_common_prefix``, and the row's line that
     holds it is taken to be missing.  The graph is the complement of the
     missing pairs, and comes linked to that sparse complement, with its
-    rows left to be made on first read (``graph.complement``).
+    rows left to be made on first read (``graph.complement``).  A text
+    that lacks its final ``"\n"`` or ends in empty lines is compared as
+    if it ended in one ``"\n"``.
     """
+    if not text.endswith("\n") or text.endswith("\n\n"):
+        text = text.rstrip("\n") + "\n"
     budget = n * (n - 1) // 2 - m
     # each line takes six characters at least, so the header alone does
     # not size the rows
@@ -340,7 +348,7 @@ def _leaf_graph(tokens: list[str], i: int, base_dir: str) -> tuple[Graph, int]:
     except ValueError:
         raise ParseError(f"bad leaf size {tok!r}") from None
     if tokens[i] == ")" and n >= 0:  # no edges, as at every one-vertex leaf
-        return Graph(n, ((),) * n), i
+        return (_POINT if n == 1 else Graph(n, ((),) * n)), i
     try:
         end = tokens.index(")", i)
     except ValueError:

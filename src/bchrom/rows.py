@@ -40,7 +40,12 @@ def compile_rows(rules: tuple, vector: bool):
     suffix products of the deficiency witness walk.
 
     Scalar tables (``vector`` false) give ``row(fs)``, the row of a vertex
-    whose children have the rows ``fs`` of the same table.  Packed lanes
+    whose children have the rows ``fs`` of the same table, and beside it
+    what the row chose per state: ``len(rules[s]) * (i + 1) + r`` when the
+    value took rule r of ``rules[s]``, with the one-distinguished fold of
+    that rule at child i (fs[i]), or ``r`` for a rule with no such fold.
+    Each choice takes the later candidate only if it is strictly less, so
+    the first rule and the first child win ties.  Packed lanes
     give ``make(kern)``, which returns the empty product and the functions
     ``contribution(f, n)`` of a child's row of n lanes, ``merge(x, y, cap)``
     of two products and ``finish(x, cap)``, the row at sizes 0..cap, with
@@ -81,7 +86,7 @@ def compile_rows(rules: tuple, vector: bool):
     else:
         merge = [line for j, (_, rest) in enumerate(folds) for line in (
             f"a = xd{j} + yr{rests.index(rest)}", f"b = xr{rests.index(rest)} + yd{j}",
-            f"xd{j} = a if a < b else b")]
+            f"if b < a: xd{j}, c{j} = b, i", f"else: xd{j} = a")]
         merge += [f"x{a} += y{a}" for a in accs[:len(rests)]]
     terms: dict[tuple, str] = {}  # (accumulator, edges, defects) -> its local
     finish: list[str] = []
@@ -95,7 +100,13 @@ def compile_rows(rules: tuple, vector: bool):
                 finish += _place(p, acc, edges, defects, finish) if vector else [
                     f"{p} = x{acc}" + (f" + {edges + defects}" if edges + defects else "")]
             names.append(p)
-        finish += least(f"o{s}", names, "W")
+        if vector:
+            finish += least(f"o{s}", names, "W")
+            continue
+        picks = [str(r) if d is None else f"{len(rs)} * c{folds.index((d, rest))} + {len(rs) + r}"
+                 for r, (d, rest, _, _) in enumerate(rs)]
+        finish.append(f"o{s}, e{s} = {names[0]}, {picks[0]}")
+        finish += [f"if {p} < o{s}: o{s}, e{s} = {p}, {pick}" for p, pick in zip(names[1:], picks[1:])]
     row = f"return ({', '.join(f'o{s}' for s in range(len(rules)))},)"
 
     def body(lines: list[str], depth: int) -> str:
@@ -144,11 +155,12 @@ def compile_rows(rules: tuple, vector: bool):
     else:
         source = (
             "def row(fs):\n"
-            + body([f"x{a} = {'0' if a[0] == 'r' else 'INF'}" for a in accs], 4) +
-            f"    for {', '.join(f's{s}' for s in range(len(rules)))} in fs:\n"
+            + body([f"x{a} = {'0' if a[0] == 'r' else 'INF'}" for a in accs], 4)
+            + body([f"c{j} = -1" for j in range(len(folds))], 4) +
+            f"    for i, ({', '.join(f's{s}' for s in range(len(rules)))}) in enumerate(fs):\n"
             + body(contribution + merge, 8)
             + body(finish, 4) +
-            f"    {row}\n"
+            f"    {row}, ({', '.join(f'e{s}' for s in range(len(rules)))},)\n"
         )
     space = {"INF": float("inf"), "__name__": __name__}
     exec(compile(source, f"<rows of a {len(rules)}-state rule table>", "exec"), space)

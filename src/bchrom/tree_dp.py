@@ -59,8 +59,8 @@ list operands it is the most a sum of them can reach, once an offset has
 lifted negative entries to zero.  ``DeficiencyTables.values`` is the list
 view of the packed tables, unpacked on first read.
 
-Nothing here walks a rule table per vertex, and no loop here is a min-plus
-product.  ``rows.compile_rows`` writes the row of a rule table as
+No table build walks a rule table per vertex, and no loop here is a
+min-plus product.  ``rows.compile_rows`` writes the row of a rule table as
 straight-line Python source, once per process on first use: per child, the
 rest minima and the dist states; per pair of children, the min-plus
 products of the one-distinguished folds and the all-rest combines, all in
@@ -68,20 +68,25 @@ one loop over the lanes of the shorter operand; per state, the least of its
 rules' terms, each an accumulator moved up by ``edges`` and raised by
 ``defects``.  A row is a product over the children that may be taken in any
 grouping (see ``rows.compile_rows``).  The table builds run the rows of
-``RULES`` and of its zero-deficiency part.  A vertex with one child reads
-its row off that child's vectors by truncation alone, and the leaf children
-of a vertex, which all share the one leaf row, enter as a single block: the
-leaf's product raised to the power j by repeated squaring, made once per
-distinct j in a build.  Only the children with children of their own are
-multiplied in one by one.
+``RULES`` and of its zero-deficiency part, and every childless vertex
+shares the one leaf row.  The scalar row also records, per state, the rule
+its value took and the child that rule's one-distinguished fold picked.
+``SmmTables`` keeps those records, and the scalar witness walk
+(``reconstruct_smm``) follows them down the tree, with every other child at
+its first cheapest state in the rule's rest, so it tries no rule.  In the
+vector build, a vertex with one child reads its row off that child's
+vectors by truncation alone, and the leaf children of a vertex enter as a
+single block: the leaf's product raised to the power j by repeated
+squaring, made once per distinct j in a build.  Only the children with
+children of their own are multiplied in one by one.
 
 Everything else runs one rule read as a one-state table, whose row is a
 single product.  The list functions ``combine_all`` (and through it
 ``minplus_convolve``) and ``combine_one_distinguished`` are the rows of
 ``_ALL`` and ``_ONE`` over their operands, packed up to their INF tails,
 with the tails padded back as they unpack.  ``deficiency_vector`` reads the
-root minimum as the contribution of ``_ROOT``.  The witness walk
-(``_split``) takes, per rule of ``RULES``, the suffix products over a
+root minimum as the contribution of ``_ROOT``.  The deficiency witness
+walk (``_split``) takes, per rule of ``RULES``, the suffix products over a
 vertex's children from that rule's row, and ``split_size`` reads its total
 off the product of ``_ALL`` over the components' F vectors and runs the
 same walk over them.
@@ -94,7 +99,6 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import itemgetter
 from typing import Iterable
 
 from .errors import InvariantViolation, KOutOfRange, NotATree
@@ -189,28 +193,14 @@ _SMM_RULES = tuple(  # the zero-deficiency part, as the module docstring says
 
 @dataclass(frozen=True)
 class SmmTables:
+    """Per vertex, the five state values of the edge into it, and what its
+    row chose for each (see ``rows.compile_rows``): ``records[v][s]`` is
+    ``len(_SMM_RULES[s]) * (i + 1) + r`` when state s took rule r with child
+    i at the rule's dist, or r for a rule with no distinguished child."""
+
     tree: RootedTree
     values: dict[int, tuple[float, float, float, float, float]]
-
-
-def _cheapest_values(fs: list, rest: tuple[int, ...]) -> list[float]:
-    """Per child, the cheapest of its states in ``rest``."""
-    if len(rest) == 1:
-        return list(map(itemgetter(rest[0]), fs))
-    return list(map(min, map(itemgetter(*rest), fs)))
-
-
-def _smm_value(fs: list, dist: int | None, rests: list[float]) -> tuple[float, int]:
-    """Cost of every child at its rest minimum, or of exactly one at ``dist``
-    instead; and the first child that can take ``dist`` at that cost, or -1."""
-    if dist is None:
-        return sum(rests), -1
-    none, one, at = 0, INF, -1
-    for i, f in enumerate(fs):
-        a, b = one + rests[i], none + f[dist]
-        one, at = (b, i) if b < a else (a, at)
-        none += rests[i]
-    return one, at
+    records: dict[int, tuple[int, int, int, int, int]]
 
 
 def smm_tables(t: Graph) -> SmmTables:
@@ -218,44 +208,33 @@ def smm_tables(t: Graph) -> SmmTables:
 
     rt, row = root_tree(t), compile_rows(_SMM_RULES, vector=False)
     vals: dict[int, tuple[float, float, float, float, float]] = {}
+    recs: dict[int, tuple[int, int, int, int, int]] = {}
+    leaf = row([])  # every childless vertex shares this row
     for v in rt.order:
-        vals[v] = row([vals[c] for c in rt.children[v]])
-    return SmmTables(rt, vals)
-
-
-def _smm_split(fs: list, dist: int | None, rest: tuple[int, ...], target: float):
-    """Child states for one rule whose combination costs ``target``, else None."""
-    rests = _cheapest_values(fs, rest)
-    cost, at = _smm_value(fs, dist, rests)
-    if cost != target:
-        return None
-    if len(rest) == 1:
-        picks = [rest[0]] * len(fs)
-    else:
-        picks = [rest[g.index(r)] for g, r in zip(map(itemgetter(*rest), fs), rests)]
-    if at >= 0:
-        picks[at] = dist
-    return picks
+        cs = rt.children[v]
+        vals[v], recs[v] = row([vals[c] for c in cs]) if cs else leaf
+    return SmmTables(rt, vals, recs)
 
 
 def reconstruct_smm(tables: SmmTables) -> Matching:
-    """Witness matching achieving min over the root states 0 and 1."""
-    rt, vals = tables.tree, tables.values
+    """Witness matching achieving min over the root states 0 and 1: each
+    vertex's recorded rule and distinguished child, and every other child at
+    its first cheapest state in the rule's rest."""
+    rt, vals, recs = tables.tree, tables.values, tables.records
     s0 = rt.anchor
     out: list[Edge] = []
     stack = [(s0, 0 if vals[s0][0] <= vals[s0][1] else 1)]
     while stack:
         v, st = stack.pop()
-        fs = [vals[c] for c in rt.children[v]]
-        for dist, rest, edges, _ in _SMM_RULES[st]:
-            picks = _smm_split(fs, dist, rest, vals[v][st] - edges)
-            if picks is not None:
-                break
-        else:
-            raise InvariantViolation(f"no rule reaches {STATE_NAMES[st]} at vertex {v}")
+        at, r = divmod(recs[v][st], len(_SMM_RULES[st]))
+        dist, rest, edges, _ = _SMM_RULES[st][r]
         if edges:
             out.append(norm_edge(rt.parent[v], v))
-        stack.extend(zip(rt.children[v], picks))
+        cs, a, b = rt.children[v], rest[0], rest[-1]  # a rest here holds one or two states
+        picks = [b if vals[c][b] < vals[c][a] else a for c in cs]
+        if at:
+            picks[at - 1] = dist
+        stack.extend(zip(cs, picks))
     return frozenset(out)
 
 

@@ -285,6 +285,17 @@ def test_parsed_co_tree_comes_linked_to_its_forest():
         assert complement(co) is g
 
 
+def test_co_tree_text_without_final_newline_or_with_empty_lines_after_comes_linked():
+    rng = random.Random(10)
+    for n in (3, 30, 700):  # from 3 vertices on, the body has a line
+        text = format_edgelist(relabel(complement(random_labeled_tree(n, rng)), rng))
+        for changed in (text[:-1], text + "\n", text + "\n\n\n"):
+            g = parse_edgelist(changed)
+            assert "_complement" in vars(g) and "adj" not in vars(g)
+            assert g == reference_parse_edgelist(changed)
+            assert is_forest(complement(g))
+
+
 def test_shuffled_order_parses_to_the_canonical_graph():
     # canonical co-forest bodies are read against the text of K_n, other
     # canonical bodies built by Graph.from_sorted_pairs, and shuffled ones

@@ -13,7 +13,7 @@ from bchrom.fileio import (
     parse_tc_expression,
     _tokenize,
 )
-from bchrom.graph import complement, evaluate_tc, path_graph
+from bchrom.graph import Graph, TcJoin, TcLeaf, TcUnion, complement, evaluate_tc, path_graph
 
 
 def test_edgelist_round_trip():
@@ -46,6 +46,17 @@ def test_tc_expression_inline():
     assert format_tc_expression(expr).startswith("(union")
     again = parse_tc_expression(format_tc_expression(expr))
     assert evaluate_tc(again) == g
+
+
+def test_one_vertex_leaves_share_their_graph():
+    expr = parse_tc_expression("(join (tree 1) (union (cotree 1) (tree 1) (tree 2 0 1)))")
+    a, (b, c, _) = expr.children[0], expr.children[1].children
+    assert a.tree is b.tree is c.tree
+    fresh = TcJoin((TcLeaf(Graph(1, ((),)), (0,)), TcUnion((
+        TcLeaf(Graph(1, ((),)), (1,), co=True), TcLeaf(Graph(1, ((),)), (2,)),
+        TcLeaf(path_graph(2), (3, 4))))))
+    assert expr == fresh and hash(expr) == hash(fresh)
+    assert evaluate_tc(expr) == evaluate_tc(fresh)
 
 
 def test_tc_expression_file_ref(tmp_path):

@@ -4,7 +4,9 @@ The reference below writes both recurrences out by hand, state by state: a
 fused five-state scalar pass for the minimum strongly maximal matching and a
 seven-state vector pass for the deficiency at each matching size, each with
 a leaf case of its own.  The tables that ``tree_dp`` reads off ``RULES``
-must equal it cell for cell on randomly labelled trees.
+must equal it cell for cell on randomly labelled trees.  Beside them, the
+witness walk that tries the scalar rules one by one at each vertex is the
+reference for the walk that follows the choices the compiled row recorded.
 """
 
 import io
@@ -17,7 +19,7 @@ import pytest
 from bchrom.cli import main
 from bchrom.fileio import format_edgelist
 from bchrom.generators import random_labeled_tree
-from bchrom.graph import Graph, complement, path_graph, star_graph
+from bchrom.graph import Graph, complement, norm_edge, path_graph, star_graph
 from bchrom.matching import is_strongly_maximal, s1_s2
 from bchrom.rows import compile_rows
 from bchrom.tree_dp import (
@@ -33,6 +35,7 @@ from bchrom.tree_dp import (
     root_tree,
     smm_tables,
     _Lanes,
+    _SMM_RULES,
 )
 
 
@@ -64,6 +67,38 @@ def _reference_smm(t: Graph) -> dict:
             a4 += f[3]
         vals[v] = (b_strict, 1 + s45, 1 + s4, min(b_loose, b_strict), sum(f[0] for f in fs))
     return vals
+
+
+def _reference_smm_walk(t: Graph) -> frozenset:
+    """The matching the rule-by-rule walk returns from the reference values:
+    from the cheaper of the anchor's states 0 and 1 down, each vertex takes
+    the first rule of ``_SMM_RULES`` whose children reach its value, every
+    child at its first cheapest state in rest, except the first child that
+    gives the least cost at dist when the rule has one."""
+    rt, vals = root_tree(t), _reference_smm(t)
+    out = set()
+    stack = [(rt.anchor, 0 if vals[rt.anchor][0] <= vals[rt.anchor][1] else 1)]
+    while stack:
+        v, st = stack.pop()
+        cs = rt.children[v]
+        for dist, rest, edges, _ in _SMM_RULES[st]:
+            picks = [min(rest, key=vals[c].__getitem__) for c in cs]
+            none, one, at = 0, INF, -1
+            for i, (c, pick) in enumerate(zip(cs, picks)):
+                if dist is not None:
+                    a, b = one + vals[c][pick], none + vals[c][dist]
+                    one, at = (b, i) if b < a else (a, at)
+                none += vals[c][pick]
+            if (none if dist is None else one) + edges == vals[v][st]:
+                break
+        else:
+            raise AssertionError(f"no rule reaches state {st} at vertex {v}")
+        if at >= 0:
+            picks[at] = dist
+        if edges:
+            out.add(norm_edge(rt.parent[v], v))
+        stack.extend(zip(cs, picks))
+    return frozenset(out)
 
 
 def _vec_min(a: list, b: list) -> list:
@@ -249,11 +284,17 @@ def test_witness_at_every_feasible_size():
 
 
 def test_min_smm_witness_is_minimum_and_strongly_maximal():
-    for t in SMALL + RANDOM + [_relabel(g, random.Random(3)) for g in LARGE.values()]:
+    """The witness is also the matching of the rule-by-rule reference walk,
+    which pins every ``--witness`` file of a co-tree."""
+    rng = random.Random(24)
+    trees = SMALL + RANDOM + [_relabel(g, random.Random(3)) for g in LARGE.values()]
+    trees += [_relabel(g, rng) for shape in sorted(SHAPES) for g in SHAPES[shape]]
+    for t in trees:
         f = _reference_smm(t)[root_tree(t).anchor]
         size, m = min_smm_tree(t)
         assert size == min(f[0], f[1]) == len(m)
         assert is_strongly_maximal(t, m)
+        assert m == _reference_smm_walk(t)
 
 
 def _run(argv: list[str]) -> str:
