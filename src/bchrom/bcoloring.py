@@ -10,18 +10,21 @@ the complement alone, in time linear in the complement's size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, filterfalse, islice
 
 from .errors import ClassTooLarge, EmptyClass, ImproperColoring, NotABColoring, StabilityTooLarge
-from .graph import Graph, complement, norm_edge, stability_at_most_two
+from .graph import Graph, _Record, complement, norm_edge, stability_at_most_two
 from .matching import Matching, augment, min_length_augmenting_path, validate_matching
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
+    _fields = ("assignment", "t")
     assignment: tuple[int, ...]
     t: int
+
+    def __init__(self, assignment: tuple[int, ...], t: int) -> None:
+        d = self.__dict__
+        d["assignment"], d["t"] = assignment, t
 
     def classes(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.t)]
@@ -30,11 +33,17 @@ class Coloring:
         return out
 
 
-@dataclass(frozen=True)
-class BVerdict:
+class BVerdict(_Record):
+    _fields = ("is_b_coloring", "dominant_classes", "witnesses")
     is_b_coloring: bool
     dominant_classes: frozenset[int]
     witnesses: tuple[tuple[int, int], ...]  # (class, lowest dominating vertex)
+
+    def __init__(self, is_b_coloring: bool, dominant_classes: frozenset[int],
+                 witnesses: tuple[tuple[int, int], ...]) -> None:
+        d = self.__dict__
+        d["is_b_coloring"], d["dominant_classes"] = is_b_coloring, dominant_classes
+        d["witnesses"] = witnesses
 
 
 def _classes(n: int, c: Coloring) -> list[list[int]]:

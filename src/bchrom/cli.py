@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
+from operator import truth
 
 from . import fileio
 from .bcoloring import Coloring, continuity_chain, verify_coloring, verify_on_complement
@@ -77,8 +78,14 @@ def _write(path: str | None, coloring: Coloring) -> None:
 
 
 def _write_vector(vec: DominanceVector) -> None:
-    """One 't dom' line per t from chi to n, in one write."""
-    sys.stdout.write("".join(f"{t} {d}\n" for t, d in enumerate(vec.values, vec.chi)))
+    """One 't dom' line per t from chi to n, in one write.  The zero tail,
+    every t above max degree + 1 on a tree, is joined with no formatting."""
+    values, chi = vec.values, vec.chi
+    head = len(bytes(map(truth, values)).rstrip(b"\0"))  # up to the last nonzero entry
+    lines = [f"{t} {d}\n" for t, d in enumerate(values[:head], chi)]
+    if head < len(values):
+        lines.append(" 0\n".join(map(str, range(chi + head, vec.n + 1))) + " 0\n")
+    sys.stdout.write("".join(lines))
 
 
 def _cmd_bchromatic(args) -> int:

@@ -10,25 +10,27 @@ is one pointwise pass, and a join runs on ``tree_dp.minplus_convolve``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, compress, count, repeat
+from operator import le
 
 from .errors import InvariantViolation, KOutOfRange, NotATree, RangeError
-from .graph import Graph, TcExpr, TcLeaf, TcUnion, _fold, is_tree, m_degree_bound
+from .graph import Graph, TcExpr, TcLeaf, TcUnion, _fold, _Record, is_tree, m_degree_bound
 from .tree_dp import INF, RootedTree, deficiency_vector, minplus_convolve, root_tree
 
 
-@dataclass(frozen=True)
-class DominanceVector:
+class DominanceVector(_Record):
+    _fields = ("chi", "values")
     chi: int
     values: tuple[int, ...]  # values[j] = dom[chi + j], up to t = n
 
-    def __post_init__(self) -> None:
-        if not self.values or self.values[0] != self.chi:
+    def __init__(self, chi: int, values: tuple[int, ...]) -> None:
+        if not values or values[0] != chi:
             raise ValueError("dominance at the chromatic number must equal it")
-        if not all(0 <= v <= t for t, v in enumerate(self.values, self.chi)):
+        if not (min(values) >= 0 and all(map(le, values, count(chi)))):
             raise ValueError("dominance entries lie between 0 and t")
+        d = self.__dict__
+        d["chi"], d["values"] = chi, values
 
     @property
     def n(self) -> int:
@@ -48,11 +50,15 @@ class DominanceVector:
         return max(self.fixed_points())
 
 
-@dataclass(frozen=True)
-class PivotReport:
+class PivotReport(_Record):
+    _fields = ("m_value", "dense", "pivot")
     m_value: int
     dense: frozenset[int]
     pivot: int | None
+
+    def __init__(self, m_value: int, dense: frozenset[int], pivot: int | None) -> None:
+        d = self.__dict__
+        d["m_value"], d["dense"], d["pivot"] = m_value, dense, pivot
 
     @property
     def b_chromatic(self) -> int:
@@ -66,7 +72,7 @@ def find_pivot(t: Graph) -> PivotReport:
         raise NotATree("pivot search requires a tree")
     m = m_degree_bound(t)
     deg = t.degrees
-    dense = frozenset(v for v, d in enumerate(deg) if d >= m - 1)
+    dense = frozenset(compress(count(), map(le, repeat(m - 1), deg)))
     pivot = None
     if len(dense) == m:
         for v in range(t.n):

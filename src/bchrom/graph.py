@@ -1,9 +1,12 @@
 """Simple undirected graphs, structural predicates and tree-cograph
 decomposition.
 
-Vertices are dense integers ``0..n-1``.  Graphs are immutable; adjacency is
-stored as sorted tuples, so equality is structural and instances are
-hashable.  All operations here are pure functions of their inputs.
+Vertices are dense integers ``0..n-1``.  Adjacency is stored as sorted
+tuples.  Graphs and expression nodes are records: their immutability,
+structural equality and hashing come from the record base ``_Record``,
+which the package's other records share, and which, unlike a dataclass,
+generates no class code at import.  All operations here are pure
+functions of their inputs.
 
 Derived views of a graph are computed once and kept on it, with no lock
 taken on the first read: its edge list, degrees, bitmasks, neighbor sets,
@@ -38,7 +41,6 @@ the expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import lt, not_
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
@@ -55,33 +57,78 @@ def norm_edge(u: int, v: int) -> Edge:
 
 class _cached:
     """A view computed on its first read and kept in the instance's
-    ``__dict__``, where later reads find it before this descriptor.
+    ``__dict__``, where later reads find it before this descriptor.  It
+    takes the name it is assigned to, so a lambda serves as well as a
+    decorated function.
 
-    This is ``functools.cached_property`` without the lock it takes on each
-    first read in Python 3.10 and 3.11, which costs more than the views of
-    the many one-vertex trees that expression leaves store.  Two threads
-    reading a view at once may both compute it; they compute equal values.
+    This is the standard library's cached property without the lock it
+    takes on each first read in Python 3.10 and 3.11, which costs more than
+    the views of the many one-vertex trees that expression leaves store.
+    Two threads reading a view at once may both compute it; they compute
+    equal values.
     """
 
     def __init__(self, func: Callable) -> None:
-        self.func = func
+        self.func, self.name = func, func.__name__
         self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = vars(obj)[self.func.__name__] = self.func(obj)
+        value = vars(obj)[self.name] = self.func(obj)
         return value
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """An immutable record with a frozen dataclass's behavior and none of
+    its class generation at import.
+
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__``, straight into the instance's ``__dict__``.  Assigning or
+    deleting an attribute raises ``AttributeError``.  Two records are equal
+    when they have the same class and equal fields; the hash is that of the
+    fields' tuple, and the repr is ``Cls(f=v, ...)`` in field order.  Views
+    that ``_cached`` keeps in the ``__dict__`` stay out of all three.
+    """
+
+    __slots__ = ()
+    _fields: ClassVar[tuple[str, ...]] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Graph(_Record):
+    _fields = ("n", "adj")
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
+        if n < 0 or len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
+        d = self.__dict__
+        d["n"], d["adj"] = n, adj
 
     def __getattr__(self, name: str):
         # reached only for a name the instance and the class lack: the rows
@@ -342,18 +389,21 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def _search_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * g.n
+    n, adj = g.n, g.adj
+    seen = [False] * n
     comps = []
-    for s in range(g.n):
+    for s in range(n):
         if seen[s]:
             continue
         seen[s] = True
         comp = [s]
         for v in comp:  # breadth first: the list is the queue, walked as it grows
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
+        if len(comp) == n:  # the first search reached everything: no sort
+            return (tuple(range(n)),)
         comps.append(tuple(sorted(comp)))
     return tuple(comps)
 
@@ -477,12 +527,13 @@ def m_i_count(t: Graph, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _TcNode:
+class _TcNode(_Record):
     """Equality, hashing and repr of expression nodes, on an explicit stack.
 
-    The dataclass-generated methods recurse once per level of nesting and
-    fail on deep expressions.  As with them, nodes are equal when they have
-    the same class and equal fields; ``span`` is left out, being derived.
+    These replace the record's methods, which would recurse once per level
+    of nesting and fail on deep expressions.  As with them, nodes are equal
+    when they have the same class and equal fields; ``span`` is left out,
+    being derived.
     """
 
     __slots__ = ()
@@ -533,21 +584,23 @@ class _TcNode:
         return "".join(parts)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TcLeaf(_TcNode):
     """A leaf over a stored tree, denoting the tree itself or, with ``co``,
     its complement.  ``vertices[i]`` is the id, in the denoted graph, of
     local vertex i."""
 
+    _fields = ("tree", "vertices", "co")
     tree: Graph
     vertices: tuple[int, ...]
-    co: bool = False
+    co: bool
 
-    def __post_init__(self) -> None:
-        if not is_tree(self.tree):
+    def __init__(self, tree: Graph, vertices: tuple[int, ...], co: bool = False) -> None:
+        if not is_tree(tree):
             raise NotATree("leaf graph must be a tree")
-        if len(self.vertices) != self.tree.n:
+        if len(vertices) != tree.n:
             raise ValueError("vertex map length mismatch")
+        d = self.__dict__
+        d["tree"], d["vertices"], d["co"] = tree, vertices, co
 
     @property
     def span(self) -> int:
@@ -561,27 +614,26 @@ class TcLeaf(_TcNode):
         return not self.co and self.tree.n >= 2
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _TcOperation(_TcNode):
     """A union or join of at least two subexpressions.  ``span``, the
     number of vertices denoted, is set once from the children's spans."""
 
+    _fields = ("children",)
     head: ClassVar[str]
     children: tuple["TcExpr", ...]
-    span: int = field(init=False, repr=False, compare=False)
+    span: int
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple["TcExpr", ...]) -> None:
+        if len(children) < 2:
             raise ValueError(f"{self.head} needs at least two children")
-        object.__setattr__(self, "span", sum(c.span for c in self.children))
+        d = self.__dict__
+        d["children"], d["span"] = children, sum(c.span for c in children)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TcUnion(_TcOperation):
     head = "union"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TcJoin(_TcOperation):
     head = "join"
 

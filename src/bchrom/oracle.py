@@ -14,23 +14,24 @@ The ``oracle`` subcommand loads it when run, and the searches spend from
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .errors import GraphTooLarge, InvariantViolation, KOutOfRange, RangeError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, _Record
 from .matching import _Counter, _defects
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_n: int = 16
-    max_states: int = 10**8
+class OracleBudget(_Record):
+    _fields = ("max_n", "max_states")
+    max_n: int
+    max_states: int
 
-    def __post_init__(self) -> None:
-        if self.max_n <= 0 or self.max_states <= 0:
+    def __init__(self, max_n: int = 16, max_states: int = 10**8) -> None:
+        if max_n <= 0 or max_states <= 0:
             raise RangeError("budget caps must be positive")
+        d = self.__dict__
+        d["max_n"], d["max_states"] = max_n, max_states
 
 
 DEFAULT_BUDGET = OracleBudget()

@@ -14,9 +14,6 @@ matchings of the original by exactly three per original edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .errors import (
     CardinalityChanged,
     InvariantViolation,
@@ -26,7 +23,7 @@ from .errors import (
     NotStronglyMaximal,
     UnknownEdge,
 )
-from .graph import Edge, Graph, is_forest, norm_edge
+from .graph import Edge, Graph, _cached, _Record, is_forest, norm_edge
 from .matching import (
     Matching,
     _Counter,
@@ -38,14 +35,20 @@ from .matching import (
 from .tree_dp import min_smm_forest
 
 
-@dataclass(frozen=True)
-class Gadget:
+class Gadget(_Record):
+    _fields = ("host", "origin_n", "origin_edges", "block_ids")
     host: Graph
     origin_n: int
     origin_edges: tuple[Edge, ...]
     block_ids: tuple[tuple[int, ...], ...]  # 8 ids per original edge
 
-    @cached_property
+    def __init__(self, host: Graph, origin_n: int, origin_edges: tuple[Edge, ...],
+                 block_ids: tuple[tuple[int, ...], ...]) -> None:
+        d = self.__dict__
+        d["host"], d["origin_n"], d["origin_edges"] = host, origin_n, origin_edges
+        d["block_ids"] = block_ids
+
+    @_cached
     def blocks(self) -> dict[Edge, tuple[int, ...]]:
         return dict(zip(self.origin_edges, self.block_ids))
 
@@ -247,12 +250,18 @@ def normalize_smm(gadget: Gadget, m: Matching) -> Matching:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(_Record):
+    _fields = ("min_maximal", "min_smm_host", "origin_edges", "identity_holds")
     min_maximal: int
     min_smm_host: int
     origin_edges: int
     identity_holds: bool
+
+    def __init__(self, min_maximal: int, min_smm_host: int, origin_edges: int,
+                 identity_holds: bool) -> None:
+        d = self.__dict__
+        d["min_maximal"], d["min_smm_host"] = min_maximal, min_smm_host
+        d["origin_edges"], d["identity_holds"] = origin_edges, identity_holds
 
 
 def _min_maximal_matching(g: Graph, budget: _Counter) -> tuple[int, Matching]:
@@ -303,8 +312,7 @@ _TEMPLATE_INTERNAL = tuple(
 )
 
 
-@dataclass(frozen=True)
-class _BlockConfig:
+class _BlockConfig(_Record):
     """One admissible way a strongly maximal matching can meet a block.
 
     Internal vertices never touch other blocks, so every property except the
@@ -312,6 +320,8 @@ class _BlockConfig:
     cross-block augmenting paths this configuration can take part in.
     """
 
+    _fields = ("edge_idx", "size", "cov_u", "cov_v", "head_u_free", "head_v_free",
+               "dang_u", "dang_v", "sec_u", "sec_v", "bridge_matched")
     edge_idx: tuple[int, ...]
     size: int
     cov_u: bool
@@ -323,6 +333,15 @@ class _BlockConfig:
     sec_u: bool  # u matched here with a free second step behind a1
     sec_v: bool
     bridge_matched: bool
+
+    def __init__(self, edge_idx: tuple[int, ...], size: int, cov_u: bool, cov_v: bool,
+                 head_u_free: bool, head_v_free: bool, dang_u: bool, dang_v: bool,
+                 sec_u: bool, sec_v: bool, bridge_matched: bool) -> None:
+        d = self.__dict__
+        d["edge_idx"], d["size"], d["cov_u"], d["cov_v"] = edge_idx, size, cov_u, cov_v
+        d["head_u_free"], d["head_v_free"], d["dang_u"] = head_u_free, head_v_free, dang_u
+        d["dang_v"], d["sec_u"], d["sec_v"] = dang_v, sec_u, sec_v
+        d["bridge_matched"] = bridge_matched
 
 
 def _block_configs() -> tuple[_BlockConfig, ...]:

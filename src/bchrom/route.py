@@ -16,15 +16,15 @@ the tree or the stability-two route, by ``TcLeaf.denotes_tree``.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import ClassVar
 
 from .bcoloring import Coloring, matching_to_coloring, verify_on_complement
 from .dominance import b_chromatic_tree, b_coloring_tree, dominance_from_deficiency
 from .dominance import dominance_tc, dominance_vector_tree
 from .errors import InvariantViolation, KOutOfRange, NoRoute, NotTreeCograph
-from .graph import Graph, TcExpr, TcLeaf, complement, connected_components, decompose_tree_cograph
-from .graph import evaluate_tc, induced_subgraph, is_coforest, is_tree, stability_at_most_two
+from .graph import Graph, TcExpr, TcLeaf, _cached, complement, connected_components
+from .graph import decompose_tree_cograph, evaluate_tc, induced_subgraph, is_coforest, is_tree
+from .graph import stability_at_most_two
 from .matching import _Counter, least_deficiency_matchings
 from .tree_dp import DeficiencyTables, SmmTables, combine_all, deficiency_tables, deficiency_vector
 from .tree_dp import lift, min_smm_tree, reconstruct_deficiency_matching, smm_tables, split_size
@@ -50,11 +50,11 @@ class Route:
 
 class TreeRoute(Route):
     name = "tree"
-    value = cached_property(lambda self: b_chromatic_tree(self.tree))
-    vector = cached_property(lambda self: dominance_vector_tree(self.tree))
+    value = _cached(lambda self: b_chromatic_tree(self.tree))
+    vector = _cached(lambda self: dominance_vector_tree(self.tree))
     # dom[chi_b] = chi_b, so the witness needs no vector
-    witness = cached_property(lambda self: b_coloring_tree(self.tree, self.value, self.value))
-    smm = cached_property(lambda self: smm_tables(self.tree))
+    witness = _cached(lambda self: b_coloring_tree(self.tree, self.value, self.value))
+    smm = _cached(lambda self: smm_tables(self.tree))
 
     def coloring(self, k: int):
         return b_coloring_tree(self.tree, k)
@@ -71,8 +71,8 @@ class TreeRoute(Route):
 class TreeCographRoute(Route):
     name = "tree-cograph"
     gives = frozenset(("value", "vector"))
-    value = cached_property(lambda self: self.vector.b_chromatic())
-    vector = cached_property(lambda self: dominance_tc(self.expr))
+    value = _cached(lambda self: self.vector.b_chromatic())
+    vector = _cached(lambda self: dominance_tc(self.expr))
 
     @classmethod
     def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:
@@ -102,32 +102,32 @@ class StabilityTwoRoute(Route):
 
     name = "stability-two"
     max_states = 10**8
-    graph = cached_property(lambda self: complement(self.co))
-    value = cached_property(lambda self: self.graph.n - self._smm[0])
+    graph = _cached(lambda self: complement(self.co))
+    value = _cached(lambda self: self.graph.n - self._smm[0])
     # dom[chi_b] = chi_b: every class of the witness is dominant
-    witness = cached_property(lambda self: self._checked(
+    witness = _cached(lambda self: self._checked(
         matching_to_coloring(self.graph, self._smm[1]), self.value, self.value))
-    vector = cached_property(lambda self: dominance_from_deficiency(
+    vector = _cached(lambda self: dominance_from_deficiency(
         self.co.n, combine_all(self._deficiency[1])))
     _one_tree = property(lambda self: self.co.n > 1 and is_tree(self.co))
-    smm = cached_property(lambda self: smm_tables(self.co) if self._one_tree else None)
-    tables = cached_property(lambda self: self._deficiency[0][0] if self._one_tree else None)
+    smm = _cached(lambda self: smm_tables(self.co) if self._one_tree else None)
+    tables = _cached(lambda self: self._deficiency[0][0] if self._one_tree else None)
 
-    @cached_property
+    @_cached
     def _searched(self) -> list:
         """Per part: None for a tree, else its least deficiency and a matching per size."""
         counter = _Counter(self.max_states, "exact search")
         return [None if is_tree(sub) else least_deficiency_matchings(sub, counter)
                 for sub in self.parts]
 
-    @cached_property
+    @_cached
     def _smm(self):
         # the least size of deficiency 0 is that of a minimum strongly maximal matching
         found = [min_smm_tree(sub, self.smm) if s is None else (k := s[0].index(0), s[1][k])
                  for sub, s in zip(self.parts, self._searched)]
         return sum(k for k, _ in found), lift(connected_components(self.co), [mm for _, mm in found])
 
-    @cached_property
+    @_cached
     def _deficiency(self) -> tuple[list, list]:
         """Per part: the tables of a tree of two or more vertices, else None; and its F."""
         tables = [deficiency_tables(sub) if s is None and sub.n > 1 else None

@@ -97,12 +97,12 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable
 
 from .errors import InvariantViolation, KOutOfRange, NotATree
-from .graph import Edge, Graph, connected_components, induced_subgraph, is_tree, norm_edge
+from .graph import Edge, Graph, _cached, _Record, connected_components, induced_subgraph, is_tree
+from .graph import norm_edge
 from .matching import Matching
 
 INF = float("inf")
@@ -118,8 +118,8 @@ STATE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(_Record):
+    _fields = ("graph", "root", "anchor", "parent", "children", "order", "subtree_size")
     graph: Graph
     root: int
     anchor: int
@@ -127,6 +127,13 @@ class RootedTree:
     children: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]  # children before parents; excludes the root
     subtree_size: tuple[int, ...]
+
+    def __init__(self, graph: Graph, root: int, anchor: int, parent: tuple[int, ...],
+                 children: tuple[tuple[int, ...], ...], order: tuple[int, ...],
+                 subtree_size: tuple[int, ...]) -> None:
+        d = self.__dict__
+        d["graph"], d["root"], d["anchor"], d["parent"] = graph, root, anchor, parent
+        d["children"], d["order"], d["subtree_size"] = children, order, subtree_size
 
 
 def root_tree(t: Graph) -> RootedTree:
@@ -191,16 +198,21 @@ _SMM_RULES = tuple(  # the zero-deficiency part, as the module docstring says
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmmTables:
+class SmmTables(_Record):
     """Per vertex, the five state values of the edge into it, and what its
     row chose for each (see ``rows.compile_rows``): ``records[v][s]`` is
     ``len(_SMM_RULES[s]) * (i + 1) + r`` when state s took rule r with child
     i at the rule's dist, or r for a rule with no distinguished child."""
 
+    _fields = ("tree", "values", "records")
     tree: RootedTree
     values: dict[int, tuple[float, float, float, float, float]]
     records: dict[int, tuple[int, int, int, int, int]]
+
+    def __init__(self, tree: RootedTree, values: dict[int, tuple[float, float, float, float, float]],
+                 records: dict[int, tuple[int, int, int, int, int]]) -> None:
+        d = self.__dict__
+        d["tree"], d["values"], d["records"] = tree, values, records
 
 
 def smm_tables(t: Graph) -> SmmTables:
@@ -443,16 +455,20 @@ def _lanes(rt: RootedTree, v: int) -> int:
     return min(rt.graph.n // 2, (rt.subtree_size[v] + 1) // 2) + 1
 
 
-@dataclass(frozen=True)
-class DeficiencyTables:
+class DeficiencyTables(_Record):
     """Per vertex, the seven packed state vectors of the edge into it;
     ``values`` is their list view, unpacked on first read."""
 
+    _fields = ("tree", "kernel", "packed")
     tree: RootedTree
     kernel: _Lanes
     packed: dict[int, tuple[int, ...]]
 
-    @cached_property
+    def __init__(self, tree: RootedTree, kernel: _Lanes, packed: dict[int, tuple[int, ...]]) -> None:
+        d = self.__dict__
+        d["tree"], d["kernel"], d["packed"] = tree, kernel, packed
+
+    @_cached
     def values(self) -> dict[int, tuple[list[float], ...]]:
         kern, out = self.kernel, {}
         cell = {kern.inf: INF}.get

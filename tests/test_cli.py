@@ -9,7 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bchrom.cli import main
+from bchrom.cli import _write_vector, main
+from bchrom.dominance import DominanceVector
 from bchrom.fileio import format_edgelist, parse_edgelist, parse_coloring
 from bchrom.generators import random_labeled_tree
 from bchrom.graph import (
@@ -264,8 +265,9 @@ def _python(script: str) -> subprocess.CompletedProcess:
 
 def test_requests_import_no_reference_code(files, tmp_path):
     """Importing the CLI loads neither the exhaustive reference, the hardness
-    gadget, the compiled DP rows nor networkx; answering a tree, a co-tree
-    and a .tcx expression loads no reference, gadget or networkx."""
+    gadget, the compiled DP rows, networkx nor the class machinery of
+    ``dataclasses`` and ``inspect``; answering a tree, a co-tree and a .tcx
+    expression loads no reference, gadget, networkx or class machinery."""
     tcx = tmp_path / "join.tcx"  # K1 joined to co-P4: a tree-cograph of stability two
     tcx.write_text("(join (tree 1) (cotree 4 0 1 1 3 2 3))\n")
     argvs = [argv for path in (files["p6"], files["cop6"], str(tcx))
@@ -274,14 +276,23 @@ def test_requests_import_no_reference_code(files, tmp_path):
     done = _python(
         "import sys, bchrom.cli\n"
         "bchrom.cli.build_parser()\n"
-        "reference = {'bchrom.oracle', 'bchrom.reduction', 'networkx'}\n"
-        "print(sorted((reference | {'bchrom.rows'}) & sys.modules.keys()))\n"
+        "absent = {'bchrom.oracle', 'bchrom.reduction', 'networkx', 'dataclasses', 'inspect'}\n"
+        "print(sorted((absent | {'bchrom.rows'}) & sys.modules.keys()))\n"
         f"print([bchrom.cli.main(argv) for argv in {argvs!r}])\n"
-        "print(sorted(reference & sys.modules.keys()))\n"
+        "print(sorted(absent & sys.modules.keys()))\n"
     )
     assert done.stderr == ""
     lines = done.stdout.splitlines()  # the answers come between the reports
     assert [lines[0], *lines[-2:]] == ["[]", str([0] * len(argvs)), "[]"]
+
+
+def test_vector_lines_keep_inner_zeros_and_join_the_zero_tail():
+    for vec in (DominanceVector(2, (2, 2, 1, 0, 0, 0)), DominanceVector(3, (3, 4, 5, 0, 6)),
+                DominanceVector(3, (3, 0, 0)), DominanceVector(1, (1,))):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            _write_vector(vec)
+        assert buf.getvalue() == "".join(f"{t} {d}\n" for t, d in enumerate(vec.values, vec.chi))
 
 
 def test_chain_without_networkx_ends_in_one_error_line(tmp_path):
