@@ -1,11 +1,15 @@
 """Colorings, b-coloring verification, and the bijection between colorings
-of a stability-2 graph and matchings of its complement.
+of a stability-2 graph G and matchings of its complement co.
 
 A proper coloring of a graph without three pairwise non-adjacent vertices
-has classes of size at most two; the size-two classes form a matching of
-the complement, and the coloring is a b-coloring exactly when that matching
-is strongly maximal.  ``verify_on_complement`` checks such a coloring on
-the complement alone, in time linear in the complement's size.
+has classes of one vertex or of one edge of co; the size-two classes form a
+matching of co, and the coloring is a b-coloring exactly when that matching
+is strongly maximal.  The bijection (``coloring_to_matching`` and
+``matching_to_coloring``), ``continuity_chain`` and ``verify_on_complement``
+take co alone and never read G, so a co-forest read from its canonical text
+keeps no dense row; the class check they share (``_pair_classes``) and the
+verdict cost O(n + m(co)).  ``verify_coloring`` checks a coloring of any
+graph on that graph's own rows.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from itertools import compress, filterfalse, islice
 
 from .errors import ClassTooLarge, EmptyClass, ImproperColoring, NotABColoring, StabilityTooLarge
-from .graph import Graph, _Record, complement, norm_edge, stability_at_most_two
+from .graph import Graph, _Record, is_triangle_free
 from .matching import Matching, augment, min_length_augmenting_path, validate_matching
 
 
@@ -60,17 +64,12 @@ def _classes(n: int, c: Coloring) -> list[list[int]]:
     return classes
 
 
-def validate_coloring(g: Graph, c: Coloring) -> list[list[int]]:
+def verify_coloring(g: Graph, c: Coloring) -> BVerdict:
+    """Dominant classes with their lowest dominating vertices."""
     classes = _classes(g.n, c)
     for u, v in g.edges:
         if c.assignment[u] == c.assignment[v]:
             raise ImproperColoring(f"adjacent vertices {u},{v} share a class")
-    return classes
-
-
-def verify_coloring(g: Graph, c: Coloring) -> BVerdict:
-    """Dominant classes with their lowest dominating vertices."""
-    classes = validate_coloring(g, c)
     masks = [0] * c.t
     for v, col in enumerate(c.assignment):
         masks[col] |= 1 << v
@@ -88,20 +87,16 @@ def verify_coloring(g: Graph, c: Coloring) -> BVerdict:
     return BVerdict(len(dominant) == c.t, frozenset(dominant), tuple(witnesses))
 
 
-def verify_on_complement(co: Graph, c: Coloring) -> BVerdict:
-    """``verify_coloring`` of the graph whose complement is ``co``, a
-    triangle-free graph, read on co alone in O(n + m(co)).
+def _pair_classes(co: Graph, c: Coloring) -> list[list[int]]:
+    """The classes of c, once each is checked to be one vertex or one edge
+    of co, as every class of a proper coloring of the complement of a
+    triangle-free co is; in O(n + m(co)).
 
-    A proper coloring of a graph of stability two has classes of one
-    vertex or of one edge of co.  A vertex v misses another class only when
-    the whole class lies among v's co-neighbours: a single vertex, or an
-    edge of co, which with v would close a triangle of co.  So v is
-    dominant iff none of its co-neighbours is alone in its class.
-
-    Errors are those of ``verify_coloring``, with the same messages: an
-    improper coloring names the least pair (u, v) of one class that is not
-    an edge of co.  A class of three or more vertices pairwise adjacent in
-    co, a triangle of co, raises ``ClassTooLarge``.
+    An improper coloring names the least pair (u, v) of one class that is
+    not an edge of co: the first edge within a class that
+    ``verify_coloring`` of the complement finds.  A class of three or more
+    vertices pairwise adjacent in co, a triangle of co, raises
+    ``ClassTooLarge``.
     """
     classes = _classes(co.n, c)
     nbrs = co.nbr_sets
@@ -123,41 +118,43 @@ def verify_on_complement(co: Graph, c: Coloring) -> BVerdict:
         raise ImproperColoring(f"adjacent vertices {u},{v} share a class")
     if any(len(members) > 2 for members in classes):
         raise ClassTooLarge("color class of size three or more")
+    return classes
+
+
+def verify_on_complement(co: Graph, c: Coloring) -> BVerdict:
+    """``verify_coloring`` of the graph whose complement is ``co``, a
+    triangle-free graph, read on co alone in O(n + m(co)), with the same
+    errors and messages (``_pair_classes``).
+
+    A vertex v misses another class only when the whole class lies among
+    v's co-neighbours: a single vertex, or an edge of co, which with v would
+    close a triangle of co.  So v is dominant iff none of its co-neighbours
+    is alone in its class.
+    """
+    classes = _pair_classes(co, c)
     alone = {members[0] for members in classes if len(members) == 1}
     lowest: dict[int, int] = {}  # class: its lowest dominating vertex
-    for v in compress(range(co.n), map(alone.isdisjoint, nbrs)):
+    for v in compress(range(co.n), map(alone.isdisjoint, co.nbr_sets)):
         lowest.setdefault(c.assignment[v], v)
     return BVerdict(len(lowest) == c.t, frozenset(lowest), tuple(sorted(lowest.items())))
 
 
-def coloring_to_matching(g: Graph, c: Coloring) -> Matching:
-    """The size-two classes of c, read as edges of the complement."""
-    if not stability_at_most_two(g):
-        raise StabilityTooLarge("bijection requires stability <= 2")
-    classes = validate_coloring(g, c)
-    edges = []
-    for members in classes:
-        if len(members) > 2:
-            raise ClassTooLarge("color class of size three or more")
-        if len(members) == 2:
-            edges.append(norm_edge(members[0], members[1]))
-    return frozenset(edges)
+def coloring_to_matching(co: Graph, c: Coloring) -> Matching:
+    """The size-two classes of c, edges of the complement ``co``."""
+    return frozenset(tuple(members) for members in _pair_classes(co, c) if len(members) == 2)
 
 
-def matching_to_coloring(g: Graph, m: Matching) -> Coloring:
-    """Matched pairs share a class, everything else is a singleton; classes
-    are numbered by their smallest vertex."""
-    if not stability_at_most_two(g):
-        raise StabilityTooLarge("bijection requires stability <= 2")
-    co = complement(g)
+def matching_to_coloring(co: Graph, m: Matching) -> Coloring:
+    """Pairs of m, a matching of ``co``, share a class, and every other
+    vertex is alone; classes are numbered by their smallest vertex."""
     validate_matching(co, m)
     partner = {}
     for u, v in m:
         partner[u] = v
         partner[v] = u
-    color = [-1] * g.n
+    color = [-1] * co.n
     nxt = 0
-    for v in range(g.n):
+    for v in range(co.n):
         if color[v] != -1:
             continue
         color[v] = nxt
@@ -167,18 +164,17 @@ def matching_to_coloring(g: Graph, m: Matching) -> Coloring:
     return Coloring(tuple(color), nxt)
 
 
-def continuity_chain(g: Graph, c: Coloring) -> list[Coloring]:
-    """b-colorings with t, t-1, ..., chi classes, obtained by repeatedly
-    augmenting the complement matching along a minimum-length path."""
-    verdict = verify_coloring(g, c)
-    if not verdict.is_b_coloring:
+def continuity_chain(co: Graph, c: Coloring) -> list[Coloring]:
+    """b-colorings with t, t-1, ..., chi classes of the graph whose
+    complement is ``co``, from the b-coloring c down, obtained by repeatedly
+    augmenting the matching of co along a minimum-length path."""
+    if not is_triangle_free(co):
+        raise StabilityTooLarge("bijection requires stability <= 2")
+    if not verify_on_complement(co, c).is_b_coloring:
         raise NotABColoring("chain must start from a b-coloring")
-    co = complement(g)
-    m = coloring_to_matching(g, c)
+    m = coloring_to_matching(co, c)
     chain = [c]
-    while True:
-        path = min_length_augmenting_path(co, m)
-        if path is None:
-            return chain
+    while (path := min_length_augmenting_path(co, m)) is not None:
         m = augment(m, path)
-        chain.append(matching_to_coloring(g, m))
+        chain.append(matching_to_coloring(co, m))
+    return chain

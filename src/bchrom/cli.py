@@ -117,15 +117,14 @@ def _cmd_bcolor(args) -> int:
 
 def _cmd_chain(args) -> int:
     g = _graph(_read(args))
-    if args.coloring:
-        with open(args.coloring, encoding="utf-8") as fh:
-            start = fileio.parse_coloring(fh.read(), g.n)
-    elif not stability_at_most_two(g):
+    if not stability_at_most_two(g):
         raise StabilityTooLarge("b-chromatic shortcut requires stability <= 2")
+    if args.coloring:
+        start = fileio.read_coloring(args.coloring, g.n)
     else:
         start = plan(g, "witness", args.max_n).witness
-    chain = continuity_chain(g, start)
-    for c in chain:
+    # on the complement, a co-forest read from its canonical text is never dense
+    for c in continuity_chain(complement(g), start):
         assignment = ",".join(str(x) for x in c.assignment)
         print(f"colors: {c.t} assignment: {assignment}")
     return 0
@@ -133,8 +132,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _graph(_read(args))
-    with open(args.coloring, encoding="utf-8") as fh:
-        coloring = fileio.parse_coloring(fh.read(), g.n)
+    coloring = fileio.read_coloring(args.coloring, g.n)
     # on the complement, a co-forest read from its canonical text is never dense
     if stability_at_most_two(g):
         verdict = verify_on_complement(complement(g), coloring)

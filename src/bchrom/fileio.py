@@ -1,5 +1,8 @@
 """Text formats: edge lists, decomposition expressions, matchings, colorings.
 
+Every file is read as UTF-8 (``_read_text``), and one that does not decode
+is a ``ParseError`` naming the file and its first bad byte.
+
 Edge-list format (bit-exact): UTF-8; lines starting ``#`` are comments; the
 first non-comment line is ``p <n> <m>``; exactly m lines ``e <u> <v>`` with
 ``0 <= u < v < n`` follow.  Duplicate or out-of-range edges are parse errors.
@@ -293,9 +296,18 @@ def format_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_edgelist(path: str) -> Graph:
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; a file that does not decode
+    is a ``ParseError`` that names it."""
     with open(path, encoding="utf-8") as fh:
-        return parse_edgelist(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_edgelist(path: str) -> Graph:
+    return parse_edgelist(_read_text(path))
 
 
 def write_edgelist(path: str, g: Graph) -> None:
@@ -422,8 +434,7 @@ def parse_tc_expression(text: str, base_dir: str = ".") -> TcExpr:
 
 
 def read_tc_expression(path: str) -> TcExpr:
-    with open(path, encoding="utf-8") as fh:
-        return parse_tc_expression(fh.read(), base_dir=os.path.dirname(path) or ".")
+    return parse_tc_expression(_read_text(path), base_dir=os.path.dirname(path) or ".")
 
 
 def format_tc_expression(e: TcExpr) -> str:
@@ -496,3 +507,8 @@ def parse_coloring(text: str, n: int):
     if any(x == -1 for x in assign):
         raise ParseError("some vertex has no color")
     return Coloring(tuple(assign), max(assign, default=-1) + 1)
+
+
+def read_coloring(path: str, n: int):
+    """``parse_coloring`` of the file at ``path``."""
+    return parse_coloring(_read_text(path), n)

@@ -18,11 +18,13 @@ the sparse graph only when something first reads them: its degrees and
 edge count follow from the sparse graph's in O(n), and its bitmasks and
 neighbor sets are made from the sparse rows too.  So a co-forest read from
 its canonical text (``fileio.parse_edgelist``), the complement of its
-sparse forest, holds no dense row until one is read, and the routes that
-answer from the forest never read one.  The triangle and
-stability tests of a dense graph read rows one at a time and stop at the
-first triangle or independent triple; a stability test that finds none
-keeps the complement rows it made as g's complement.
+sparse forest, holds no dense row until one is read, and neither the
+routes that answer from the forest nor the structural tests of
+``analyze`` read one.  The triangle and stability tests answer no by
+Mantel's bound, from the edge count alone, when the graph or its
+complement has more than n^2/4 edges; otherwise they read rows one at a
+time and stop at the first triangle or independent triple.  A stability
+test that finds none keeps the complement rows it made as g's complement.
 ``Graph.from_sorted_pairs`` builds a graph from pairs in canonical (u, v)
 order with no set or sort per vertex.  The components are a tuple of
 tuples, so no caller can change what the next one reads, and the tests
@@ -333,11 +335,16 @@ def _rows_if_triangle_free(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, .
 def is_triangle_free(g: Graph) -> bool:
     """True iff no edge's endpoints share a neighbor.
 
-    A graph with fewer edges than vertices, as a forest has, is tested
-    with its neighbor sets, whose size grows with n + m.  A denser graph is
-    tested row by row on bitmasks made as the rows are reached, and the
-    test stops at the first edge that closes a triangle.
+    By Mantel's theorem a triangle-free graph on n vertices has at most
+    floor(n^2/4) edges, so a denser graph, such as a co-forest read from
+    its canonical text, answers no without reading a row.  A graph with
+    fewer edges than vertices, as a forest has, is tested with its neighbor
+    sets, whose size grows with n + m.  Any other graph is tested row by
+    row on bitmasks made as the rows are reached, and the test stops at the
+    first edge that closes a triangle.
     """
+    if g.m > g.n * g.n // 4:
+        return False
     if g.m < g.n:
         sets, adj = g.nbr_sets, g.adj
         return all(sets[u].isdisjoint(adj[v]) for u, v in g.edges)
@@ -490,10 +497,6 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
         if u < v and v in index
     ]
     return Graph.from_edges(len(verts), edges)
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    return induced_subgraph(g, (u for u in range(g.n) if u != v))
 
 
 def m_degree_bound(g: Graph) -> int:

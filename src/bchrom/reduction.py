@@ -14,6 +14,8 @@ matchings of the original by exactly three per original edge.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .errors import (
     CardinalityChanged,
     InvariantViolation,
@@ -71,31 +73,42 @@ def _two_color(g: Graph) -> bool:
     return True
 
 
-def _block_edges(u: int, v: int, ids: tuple[int, ...]) -> list[Edge]:
-    a1, a2, a3, a4, b1, b2, b3, b4 = ids
-    return [
-        norm_edge(u, a1),
-        norm_edge(a1, a2),
-        norm_edge(a2, a3),
-        norm_edge(a3, a4),
-        norm_edge(a1, b1),
-        norm_edge(b1, b2),
-        norm_edge(b2, b3),
-        norm_edge(b3, b4),
-        norm_edge(v, b1),
-    ]
+_TEMPLATE_U, _TEMPLATE_V = 8, 9
+_A1, _A2, _A3, _A4, _B1, _B2, _B3, _B4 = range(8)
+# a block's edges, on its eight ids and the template ids of its ends u and v
+_TEMPLATE_EDGES = (
+    (_TEMPLATE_U, _A1),
+    (_A1, _A2),
+    (_A2, _A3),
+    (_A3, _A4),
+    (_A1, _B1),  # bridge
+    (_B1, _B2),
+    (_B2, _B3),
+    (_B3, _B4),
+    (_TEMPLATE_V, _B1),
+)
+_TEMPLATE_INTERNAL = tuple(
+    (a, b) for a, b in _TEMPLATE_EDGES if a < 8 and b < 8
+)
+# the two shapes, as indices into _TEMPLATE_EDGES: u-a1, a2-a3, b2-b3, v-b1
+# and a1-b1, a2-a3, b2-b3
+_IN_SHAPE, _OUT_SHAPE = (0, 2, 6, 8), (4, 2, 6)
 
 
-def _in_shape(u: int, v: int, ids: tuple[int, ...]) -> frozenset[Edge]:
-    a1, a2, a3, _, b1, b2, b3, _ = ids
-    return frozenset(
-        {norm_edge(u, a1), norm_edge(a2, a3), norm_edge(b2, b3), norm_edge(v, b1)}
-    )
+def _block_edges(ids: tuple[int, ...], u: int, v: int,
+                 which: Iterable[int] = range(len(_TEMPLATE_EDGES))) -> list[Edge]:
+    """The edges ``which`` indexes in ``_TEMPLATE_EDGES``, by default all
+    of them in that order, in the block of (u, v) on ``ids``."""
+    names = (*ids, u, v)
+    return [norm_edge(names[a], names[b]) for a, b in map(_TEMPLATE_EDGES.__getitem__, which)]
 
 
-def _out_shape(ids: tuple[int, ...]) -> frozenset[Edge]:
-    a1, a2, a3, _, b1, b2, b3, _ = ids
-    return frozenset({norm_edge(a1, b1), norm_edge(a2, a3), norm_edge(b2, b3)})
+def _in_shape(ids: tuple[int, ...], u: int, v: int) -> frozenset[Edge]:
+    return frozenset(_block_edges(ids, u, v, _IN_SHAPE))
+
+
+def _out_shape(ids: tuple[int, ...], u: int, v: int) -> frozenset[Edge]:
+    return frozenset(_block_edges(ids, u, v, _OUT_SHAPE))
 
 
 def build_gadget(g: Graph) -> Gadget:
@@ -110,7 +123,7 @@ def build_gadget(g: Graph) -> Gadget:
         ids = tuple(range(nid, nid + 8))
         nid += 8
         blocks.append(ids)
-        edges.extend(_block_edges(u, v, ids))
+        edges.extend(_block_edges(ids, u, v))
     host = Graph.from_edges(nid, edges)
     return Gadget(host, g.n, g.edges, tuple(blocks))
 
@@ -121,7 +134,7 @@ def f_sets(gadget: Gadget, edge: Edge) -> tuple[frozenset[Edge], frozenset[Edge]
     ids = gadget.blocks.get(e)
     if ids is None:
         raise UnknownEdge(f"({e[0]},{e[1]}) is not an original edge")
-    return _in_shape(e[0], e[1], ids), _out_shape(ids)
+    return _in_shape(ids, *e), _out_shape(ids, *e)
 
 
 def lift_matching(g: Graph, m: Matching) -> Matching:
@@ -135,9 +148,9 @@ def lift_matching(g: Graph, m: Matching) -> Matching:
     out: set[Edge] = set()
     for e, ids in gadget.blocks.items():
         if e in m:
-            out |= _in_shape(e[0], e[1], ids)
+            out |= _in_shape(ids, *e)
         else:
-            out |= _out_shape(ids)
+            out |= _out_shape(ids, *e)
     return frozenset(out)
 
 
@@ -145,11 +158,11 @@ def project_matching(gadget: Gadget, m: Matching) -> Matching:
     """Read the taken original edges off a canonical host matching."""
     result = []
     for e, ids in gadget.blocks.items():
-        block_all = set(_block_edges(e[0], e[1], ids))
+        block_all = set(_block_edges(ids, *e))
         inside = frozenset(x for x in m if x in block_all)
-        if inside == _in_shape(e[0], e[1], ids):
+        if inside == _in_shape(ids, *e):
             result.append(e)
-        elif inside != _out_shape(ids):
+        elif inside != _out_shape(ids, *e):
             raise NotCanonical(f"block of ({e[0]},{e[1]}) is in neither shape")
     expected = len(m) - 3 * len(gadget.origin_edges)
     if len(result) != expected:
@@ -210,10 +223,10 @@ def normalize_smm(gadget: Gadget, m: Matching) -> Matching:
             continue
         # no local swap applies; force the first offending block out-shape
         for e, ids in gadget.blocks.items():
-            block = set(_block_edges(e[0], e[1], ids))
+            block = set(_block_edges(ids, *e))
             if norm_edge(ids[2], ids[3]) in work or norm_edge(ids[6], ids[7]) in work:
                 work.difference_update(block)
-                work.update(_out_shape(ids))
+                work.update(_out_shape(ids, *e))
                 guard = 0
                 while not is_strongly_maximal(host, frozenset(work)):
                     guard += 1
@@ -227,8 +240,8 @@ def normalize_smm(gadget: Gadget, m: Matching) -> Matching:
                     if e2 is None:
                         raise InvariantViolation("repair path is not centered on a bridge")
                     ids2 = gadget.blocks[e2]
-                    work.difference_update(_out_shape(ids2))
-                    work.update(_in_shape(e2[0], e2[1], ids2))
+                    work.difference_update(_out_shape(ids2, *e2))
+                    work.update(_in_shape(ids2, *e2))
                 progress = True
                 break
 
@@ -238,9 +251,9 @@ def normalize_smm(gadget: Gadget, m: Matching) -> Matching:
     if not is_strongly_maximal(host, out):
         raise NotStronglyMaximal("normalization destroyed strong maximality")
     for e, ids in gadget.blocks.items():
-        block_all = set(_block_edges(e[0], e[1], ids))
+        block_all = set(_block_edges(ids, *e))
         inside = frozenset(x for x in out if x in block_all)
-        if inside not in (_in_shape(e[0], e[1], ids), _out_shape(ids)):
+        if inside not in (_in_shape(ids, *e), _out_shape(ids, *e)):
             raise NotCanonical(f"block of ({e[0]},{e[1]}) failed to normalize")
     return out
 
@@ -292,24 +305,6 @@ def _min_maximal_matching(g: Graph, budget: _Counter) -> tuple[int, Matching]:
             chosen.append((u, v))
             stack += (None, (i + 1, mask | bit))
     return best_size, best
-
-
-_TEMPLATE_U, _TEMPLATE_V = 8, 9
-_A1, _A2, _A3, _A4, _B1, _B2, _B3, _B4 = range(8)
-_TEMPLATE_EDGES = (
-    (_TEMPLATE_U, _A1),
-    (_A1, _A2),
-    (_A2, _A3),
-    (_A3, _A4),
-    (_A1, _B1),  # bridge
-    (_B1, _B2),
-    (_B2, _B3),
-    (_B3, _B4),
-    (_TEMPLATE_V, _B1),
-)
-_TEMPLATE_INTERNAL = tuple(
-    (a, b) for a, b in _TEMPLATE_EDGES if a < 8 and b < 8
-)
 
 
 class _BlockConfig(_Record):
@@ -431,10 +426,7 @@ def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Counter) -> int:
     host = gadget.host
     items = list(gadget.blocks.items())
     nblocks = len(items)
-    block_host_edges = [
-        [norm_edge(*pair) for pair in _block_edges(e[0], e[1], ids)]
-        for e, ids in items
-    ]
+    block_host_edges = [_block_edges(ids, *e) for e, ids in items]
     last_block: dict[int, int] = {}
     for bi, ((u, v), _ids) in enumerate(items):
         last_block[u] = bi

@@ -96,17 +96,18 @@ class StabilityTwoRoute(Route):
     part by exact search on its matchings, all from one ``_Counter`` of
     ``max_states`` states.
 
-    Every coloring returned, the witness included, is checked on ``co`` by
+    The route keeps co alone, never the graph: colorings are read off
+    matchings of co by ``matching_to_coloring``, and every coloring
+    returned, the witness included, is checked on co by
     ``verify_on_complement`` before it is returned, so a co-forest read
     from its canonical text is answered without its dense rows."""
 
     name = "stability-two"
     max_states = 10**8
-    graph = _cached(lambda self: complement(self.co))
-    value = _cached(lambda self: self.graph.n - self._smm[0])
+    value = _cached(lambda self: self.co.n - self._smm[0])
     # dom[chi_b] = chi_b: every class of the witness is dominant
     witness = _cached(lambda self: self._checked(
-        matching_to_coloring(self.graph, self._smm[1]), self.value, self.value))
+        matching_to_coloring(self.co, self._smm[1]), self.value, self.value))
     vector = _cached(lambda self: dominance_from_deficiency(
         self.co.n, combine_all(self._deficiency[1])))
     _one_tree = property(lambda self: self.co.n > 1 and is_tree(self.co))
@@ -148,7 +149,7 @@ class StabilityTwoRoute(Route):
         vec = self.vector
         if not vec.chi <= k <= vec.n:
             raise KOutOfRange(f"k={k} outside [{vec.chi}, {vec.n}]")
-        return self._checked(matching_to_coloring(self.graph, self._matching(vec.n - k)),
+        return self._checked(matching_to_coloring(self.co, self._matching(vec.n - k)),
                              k, vec.value_at(k))
 
     def _checked(self, coloring: Coloring, k: int, dom: int) -> Coloring:

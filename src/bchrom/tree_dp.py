@@ -544,17 +544,6 @@ def _root_minimum(tables: DeficiencyTables, k: int) -> float:
     return INF if best == kern.inf else best
 
 
-def f_tree_k(t: Graph, k: int) -> float:
-    """Minimum deficiency over matchings of size exactly k (infinity when no
-    size-k matching exists)."""
-    if not is_tree(t):
-        raise NotATree("deficiency DP requires a tree")
-    if not (0 <= k <= t.n // 2):
-        raise KOutOfRange(f"k={k} outside 0..{t.n // 2}")
-    val = deficiency_vector(t)[k]
-    return val if val == INF else int(val)
-
-
 # ---------------------------------------------------------------------------
 # Witness reconstruction for the deficiency DP
 # ---------------------------------------------------------------------------

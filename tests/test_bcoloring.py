@@ -26,6 +26,7 @@ from bchrom.graph import (
     cycle_graph,
     empty_graph,
     graph_union,
+    induced_subgraph,
     path_graph,
 )
 from bchrom.matching import is_strongly_maximal
@@ -55,30 +56,34 @@ def test_verify_coloring_errors():
 
 
 def test_bijection_examples():
-    co_p6 = complement(path_graph(6))
+    p6 = path_graph(6)  # the complement of the colored graph
     # classes {1,2},{3,4},{0},{5}
     c = Coloring((2, 0, 0, 1, 1, 3), 4)
-    m = coloring_to_matching(co_p6, c)
+    m = coloring_to_matching(p6, c)
     assert m == frozenset({(1, 2), (3, 4)})
-    assert is_strongly_maximal(path_graph(6), m)
-    assert coloring_to_matching(complete_graph(4), Coloring((0, 1, 2, 3), 4)) == frozenset()
+    assert is_strongly_maximal(p6, m)
+    assert coloring_to_matching(empty_graph(4), Coloring((0, 1, 2, 3), 4)) == frozenset()
     perfect = Coloring((0, 0, 1, 1, 2, 2), 3)
-    assert len(coloring_to_matching(co_p6, perfect)) == 3
-    with pytest.raises(StabilityTooLarge):
-        coloring_to_matching(empty_graph(3), Coloring((0, 1, 2), 3))
+    assert len(coloring_to_matching(p6, perfect)) == 3
+    # defined on any complement: a triangle's vertices are three classes, or one too large
+    assert coloring_to_matching(complete_graph(3), Coloring((0, 1, 2), 3)) == frozenset()
+    with pytest.raises(ClassTooLarge):
+        coloring_to_matching(complete_graph(3), Coloring((0, 0, 0), 1))
+    with pytest.raises(ImproperColoring, match="adjacent vertices 0,2 share a class"):
+        coloring_to_matching(p6, Coloring((0, 1, 0, 2, 3, 4), 5))
 
 
 def test_matching_to_coloring_round_trip():
-    co_p6 = complement(path_graph(6))
+    p6 = path_graph(6)
     m = frozenset({(1, 2), (3, 4)})
-    c = matching_to_coloring(co_p6, m)
+    c = matching_to_coloring(p6, m)
     assert c.t == 4
-    assert coloring_to_matching(co_p6, c) == m
-    c0 = matching_to_coloring(co_p6, frozenset())
+    assert coloring_to_matching(p6, c) == m
+    c0 = matching_to_coloring(p6, frozenset())
     assert c0.t == 6
-    cp = matching_to_coloring(co_p6, frozenset({(0, 1), (2, 3), (4, 5)}))
+    cp = matching_to_coloring(p6, frozenset({(0, 1), (2, 3), (4, 5)}))
     assert cp.t == 3
-    verify_coloring(co_p6, cp)
+    verify_coloring(complement(p6), cp)
 
 
 def test_bijection_equivalence_small_exhaustive():
@@ -104,7 +109,7 @@ def test_bijection_equivalence_small_exhaustive():
                     if (mask >> v) & 1:
                         color[v] = ci
             c = Coloring(tuple(color), len(masks))
-            m = coloring_to_matching(g, c)
+            m = coloring_to_matching(co, c)
             assert verify_coloring(g, c).is_b_coloring == is_strongly_maximal(co, m)
 
 
@@ -115,14 +120,13 @@ def _stability2(g):
 
 
 def test_continuity_chain_examples():
-    co_p6 = complement(path_graph(6))
-    chain = continuity_chain(co_p6, plan(co_p6, "witness").witness)
+    p6 = path_graph(6)
+    chain = continuity_chain(p6, plan(complement(p6), "witness").witness)
     assert [c.t for c in chain] == [4, 3]
-    k4 = complete_graph(4)
-    chain = continuity_chain(k4, Coloring((0, 1, 2, 3), 4))
+    chain = continuity_chain(empty_graph(4), Coloring((0, 1, 2, 3), 4))  # K4 colored
     assert [c.t for c in chain] == [4]
-    co_p5 = complement(path_graph(5))
-    assert [c.t for c in continuity_chain(co_p5, plan(co_p5, "witness").witness)] == [3]
+    p5 = path_graph(5)
+    assert [c.t for c in continuity_chain(p5, plan(complement(p5), "witness").witness)] == [3]
 
 
 def test_continuity_chain_levels_all_verified():
@@ -130,7 +134,7 @@ def test_continuity_chain_levels_all_verified():
     for _ in range(50):
         g = random_stability2(rng.randint(2, 9), rng)
         route = plan(g, "witness")
-        value, chain = route.value, continuity_chain(g, route.witness)
+        value, chain = route.value, continuity_chain(complement(g), route.witness)
         chi = oracle_chromatic(g)
         assert [c.t for c in chain] == list(range(value, chi - 1, -1))
         for c in chain:
@@ -147,30 +151,38 @@ def test_chain_steps_are_strongly_maximal_matchings_of_the_complement():
     for n in sizes:
         tree = random_labeled_tree(n, rng)
         g = complement(tree)
-        for c in continuity_chain(g, plan(g, "witness").witness):
-            m = coloring_to_matching(g, c)
+        for c in continuity_chain(tree, plan(g, "witness").witness):
+            m = coloring_to_matching(tree, c)
             assert is_strongly_maximal(tree, m)
-            assert matching_to_coloring(g, m) == c
+            assert matching_to_coloring(tree, m) == c
             steps += 1
     assert steps > len(sizes)  # some chain goes past its first coloring
 
 
 def test_chain_rejects_non_b_coloring():
-    co_p6 = complement(path_graph(6))
-    c = matching_to_coloring(co_p6, frozenset({(2, 3)}))
+    p6 = path_graph(6)
+    c = matching_to_coloring(p6, frozenset({(2, 3)}))
     with pytest.raises(NotABColoring):
-        continuity_chain(co_p6, c)
+        continuity_chain(p6, c)
+
+
+def test_chain_refuses_a_complement_with_a_triangle():
+    """Three pairwise non-adjacent vertices leave the bijection: refused
+    before the start is checked, whatever it is."""
+    with pytest.raises(StabilityTooLarge, match="bijection requires stability <= 2"):
+        continuity_chain(complete_graph(3), Coloring((0, 1, 2), 3))
+    co = graph_union(cycle_graph(5), complete_graph(3))
+    with pytest.raises(StabilityTooLarge):
+        continuity_chain(co, Coloring((0,) * 8, 1))
 
 
 def test_monotonicity_under_deletion_sampled():
-    from bchrom.graph import delete_vertex
-
     rng = random.Random(9)
     for _ in range(40):
         g = random_stability2(rng.randint(2, 8), rng)
         chib = oracle_chi_b(g)
         for v in range(g.n):
-            h = delete_vertex(g, v)
+            h = induced_subgraph(g, [u for u in range(g.n) if u != v])
             if h.n == 0:
                 continue
             assert oracle_chi_b(h) <= chib

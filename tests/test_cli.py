@@ -165,6 +165,49 @@ def test_chain_output(files):
     assert lines[-1].startswith("colors: 3")
 
 
+def test_chain_and_analyze_of_a_co_tree_keep_it_sparse(tmp_path, monkeypatch):
+    """``chain``, with and without ``--coloring``, and ``analyze`` on a
+    canonical co-tree file answer from the forest the reader keeps, and
+    print what they print on a shuffled copy, which is read dense."""
+    from bchrom import fileio
+    from bchrom.route import plan
+
+    rng = random.Random(5)
+    text = format_edgelist(complement(random_labeled_tree(30, rng)))
+    header, *rows = text.splitlines(keepends=True)
+    rng.shuffle(rows)
+    canonical, shuffled = tmp_path / "co.g", tmp_path / "co-shuffled.g"
+    canonical.write_text(text)
+    shuffled.write_text(header + "".join(rows))
+    witness = tmp_path / "w.col"
+    witness.write_text(fileio.format_coloring(plan(parse_edgelist(text), "witness").witness))
+    parsed = []
+    read = fileio.read_edgelist
+    monkeypatch.setattr(fileio, "read_edgelist", lambda path: parsed.append(read(path)) or parsed[-1])
+    for argv in (["chain"], ["chain", "--coloring", str(witness)], ["analyze"]):
+        answers = []
+        for f in (canonical, shuffled):
+            code, out = run([argv[0], str(f), *argv[1:]])
+            answers.append((code, out))
+        assert answers[0] == answers[1] and answers[0][0] == 0, argv
+        assert "_complement" in vars(parsed[-2]) and "adj" not in vars(parsed[-2]), argv
+        assert "adj" in vars(parsed[-1])
+    assert [line.split()[1] for line in answers[0][1].splitlines()[:2]] == ["30", "406"]
+    chain = run(["chain", str(canonical)])[1].splitlines()
+    assert [line.split()[1] for line in chain] == ["18", "17", "16"]
+
+
+def test_chain_refuses_stability_above_two_with_and_without_a_coloring(files, tmp_path):
+    col = tmp_path / "c.col"
+    col.write_text("".join(f"{v} {v}\n" for v in range(6)))
+    for argv in (["chain", files["p6"]], ["chain", files["p6"], "--coloring", str(col)]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.getvalue() == "error: b-chromatic shortcut requires stability <= 2\n", argv
+
+
 def test_bcolor_writes_verifiable_coloring(files, tmp_path):
     out_file = tmp_path / "w.col"
     code, _ = run(["bcolor", files["p6"], "2", "-o", str(out_file)])

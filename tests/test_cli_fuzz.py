@@ -1,7 +1,7 @@
 """Seeded fuzz of the command line: mutated edge lists, ``.tcx``
-expressions and coloring files go through every subcommand, and nothing but
-``BchromError`` or ``OSError`` may leave ``cli.main`` (both become exit
-status 1).  Numeric options at their edges go through the subcommands that
+expressions and coloring files, some holding bytes that are not UTF-8, go
+through every subcommand, and nothing but ``BchromError`` or ``OSError``
+may leave ``cli.main`` (both become exit status 1, with one error line).  Numeric options at their edges go through the subcommands that
 take them, where argparse's own exit status 2 is allowed too.  Graphs stay
 small and every search is capped, so a run takes a few seconds."""
 
@@ -32,6 +32,10 @@ EXPRESSIONS = [
     "(join (union (tree 1) (tree 1)) (cotree 5 0 1 1 2 1 3 3 4))\n",
 ]
 COLORINGS = ["0 0\n1 1\n2 0\n3 1\n4 2\n", "0 0\n", "", "# none\n1 0\n0 1\n"]
+# byte sequences that no UTF-8 text holds: stray and overlong lead bytes, a
+# lone continuation byte, an unfinished sequence, a surrogate, past U+10FFFF
+BAD_BYTES = [b"\xff", b"\xfe", b"\xc0\xaf", b"\x80", b"\xc3", b"\xed\xa0\x80",
+             b"\xf4\x90\x80\x80"]
 PIECES = [" ", "\n", "(", ")", "-", "#", "p", "e", "tree", "cotree", "join", "union", "0", "1",
           "2", "3", "7", "-1", "12", "x"]
 
@@ -57,6 +61,16 @@ def _mutate(text: str, rng: random.Random) -> str:
     return text
 
 
+def _spoil(text: str, rng: random.Random) -> bytes:
+    """The UTF-8 bytes of text, one time in five with a ``BAD_BYTES``
+    sequence put in at a random place."""
+    data = text.encode()
+    if rng.random() < 0.2:
+        i = rng.randint(0, len(data))
+        data = data[:i] + rng.choice(BAD_BYTES) + data[i:]
+    return data
+
+
 def _argvs(path: str, coloring: str, out: str, rng: random.Random) -> list[list[str]]:
     k = str(rng.randint(0, 5))
     return [
@@ -80,21 +94,25 @@ def _argvs(path: str, coloring: str, out: str, rng: random.Random) -> list[list[
 
 def fuzz(tmp_path, seed: int, files: int) -> None:
     rng = random.Random(seed)
+    spoil = random.Random(seed + 1)  # a second stream, so rng draws the same texts
     coloring = tmp_path / "c.col"
     out = str(tmp_path / "out")
     for i in range(files):
         tcx = rng.random() < 0.4
         text = _mutate(rng.choice(EXPRESSIONS if tcx else EDGE_LISTS), rng)
         path = tmp_path / (f"g{i}.tcx" if tcx else f"g{i}.g")
-        path.write_text(text)
-        coloring.write_text(_mutate(rng.choice(COLORINGS), rng))
+        data = _spoil(text, spoil)
+        path.write_bytes(data)
+        coloring.write_bytes(_spoil(_mutate(rng.choice(COLORINGS), rng), spoil))
         argv = rng.choice(_argvs(str(path), str(coloring), out, rng))
+        err = io.StringIO()
         try:
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 code = main(argv)
         except Exception as exc:
-            pytest.fail(f"{type(exc).__name__}: {exc} escaped {argv} on {text!r}")
-        assert code in (0, 1), (argv, text)
+            pytest.fail(f"{type(exc).__name__}: {exc} escaped {argv} on {data!r}")
+        assert code in (0, 1), (argv, data)
+        assert code == 0 or err.getvalue().count("\n") == 1, (argv, data, err.getvalue())
 
 
 def test_fuzzed_files_leave_only_domain_errors(tmp_path):

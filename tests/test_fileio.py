@@ -11,6 +11,9 @@ from bchrom.fileio import (
     parse_edgelist,
     parse_matching,
     parse_tc_expression,
+    read_coloring,
+    read_edgelist,
+    read_tc_expression,
     _tokenize,
 )
 from bchrom.graph import Graph, TcJoin, TcLeaf, TcUnion, complement, evaluate_tc, path_graph
@@ -141,3 +144,26 @@ def test_coloring_classes_are_numbered_below_n():
     with pytest.raises(ParseError, match="class -1 out of range"):
         parse_coloring("0 -1\n", 1)
     assert parse_coloring("", 0) == Coloring((), 0)
+
+
+def test_readers_name_a_file_that_is_not_utf8(tmp_path):
+    """Each reader reads what it reads as UTF-8, and a file that does not
+    decode is a ``ParseError`` naming the file and the first bad byte."""
+    bad = tmp_path / "bad.g"
+    bad.write_bytes(b"p 2 1\ne 0 \xff1\n")
+    with pytest.raises(ParseError, match=r"bad\.g: not UTF-8 text \(invalid start byte at byte 10\)"):
+        read_edgelist(str(bad))
+    tcx = tmp_path / "bad.tcx"
+    tcx.write_bytes(b"(tree 2 0 1)\n; \xc3(\n")
+    with pytest.raises(ParseError, match=r"bad\.tcx: not UTF-8 text \(.* at byte 15\)"):
+        read_tc_expression(str(tcx))
+    leaf = tmp_path / "leaf.tcx"
+    leaf.write_text('(join (tree 1) (tree "bad.g"))\n')
+    with pytest.raises(ParseError, match=r"bad\.g: not UTF-8 text"):
+        read_tc_expression(str(leaf))
+    col = tmp_path / "bad.col"
+    col.write_bytes(b"0 0\n1 \xed\xa0\x80\n")
+    with pytest.raises(ParseError, match=r"bad\.col: not UTF-8 text \(.* at byte 6\)"):
+        read_coloring(str(col), 2)
+    col.write_bytes(b"0 0\n1 1\n")
+    assert read_coloring(str(col), 2) == Coloring((0, 1), 2)

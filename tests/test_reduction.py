@@ -242,17 +242,13 @@ def _reference_branch_bound(gadget, upper, budget):
     """The recursive search, one frame per original edge, kept as the
     reference for the stack-based ``_min_smm_branch_bound``."""
     from bchrom.errors import InvariantViolation
-    from bchrom.graph import norm_edge
     from bchrom.matching import _defects
     from bchrom.reduction import _BLOCK_CONFIGS, _block_edges
 
     host = gadget.host
     items = list(gadget.blocks.items())
     nblocks = len(items)
-    block_host_edges = [
-        [norm_edge(*pair) for pair in _block_edges(e[0], e[1], ids)]
-        for e, ids in items
-    ]
+    block_host_edges = [_block_edges(ids, *e) for e, ids in items]
     last_block = {}
     for bi, ((u, v), _ids) in enumerate(items):
         last_block[u] = bi

@@ -428,9 +428,9 @@ def test_exact_search_reads_every_answer_off_one_matching_table():
         assert route.witness.t == route.value and verify_coloring(g, route.witness).is_b_coloring
         for k in range(vec.chi, g.n + 1):
             coloring = route.coloring(k)
-            pairs = coloring_to_matching(g, coloring)
+            pairs = coloring_to_matching(co, coloring)
             assert len(pairs) == g.n - k and sum(s1_s2(co, pairs)) == k - vec.value_at(k), (g, k)
-            assert matching_to_coloring(g, pairs) == coloring, (g, k)
+            assert matching_to_coloring(co, pairs) == coloring, (g, k)
     k3k3 = graph_union(complete_graph(3), complete_graph(3))  # K(3,3) has 34 matchings
     route = StabilityTwoRoute.attempt(k3k3, 16)
     route.max_states = 10
@@ -592,7 +592,7 @@ def _bad_matching(co: Graph, size: int, dom: int):
     g = complement(co)
     for pairs in itertools.combinations(co.edges, size):
         if len({v for e in pairs for v in e}) == 2 * size:
-            c = matching_to_coloring(g, frozenset(pairs))
+            c = matching_to_coloring(co, frozenset(pairs))
             if len(verify_coloring(g, c).dominant_classes) != dom:
                 return frozenset(pairs)
     return None

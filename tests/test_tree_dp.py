@@ -16,7 +16,6 @@ from bchrom.tree_dp import (
     deficiency_vector,
     dump_deficiency_tables,
     dump_smm_tables,
-    f_tree_k,
     min_smm_forest,
     min_smm_tree,
     minplus_convolve,
@@ -52,18 +51,13 @@ def test_min_smm_rejects_non_trees():
 
 
 def test_f_tree_k_examples():
-    p6 = path_graph(6)
-    assert f_tree_k(p6, 2) == 0
-    assert f_tree_k(p6, 1) == 4
-    assert f_tree_k(p6, 0) == 6
-    assert f_tree_k(p6, 3) == 0
-    with pytest.raises(KOutOfRange):
-        f_tree_k(p6, 4)
+    # F(P6, k) for k = 0..3, each size up to n/2 = 3
+    assert deficiency_vector(path_graph(6)) == [6, 4, 0, 0]
 
 
 def test_f_tree_k_infinity_beyond_nu():
     star = star_graph(4)  # 5 vertices, maximum matching 1
-    assert f_tree_k(star, 2) == INF
+    assert deficiency_vector(star)[2] == INF
 
 
 def test_minplus_combine_examples():
