@@ -1,9 +1,12 @@
 """Seeded fuzz of the command line: mutated edge lists, ``.tcx``
-expressions and coloring files, some holding bytes that are not UTF-8, go
-through every subcommand, and nothing but ``BchromError`` or ``OSError``
-may leave ``cli.main`` (both become exit status 1, with one error line).  Numeric options at their edges go through the subcommands that
-take them, where argparse's own exit status 2 is allowed too.  Graphs stay
-small and every search is capped, so a run takes a few seconds."""
+expressions and coloring files go through every subcommand, and nothing but
+``BchromError`` or ``OSError`` may leave ``cli.main`` (both become exit
+status 1, with one error line).  Some calls are made again on a copy of
+their files that holds bytes that are not UTF-8, and must end in exit
+status 1 with one error line.  Numeric options at their edges go through
+the subcommands that take them, where argparse's own exit status 2 is
+allowed too.  Graphs stay small and every search is capped, so a run takes
+a few seconds."""
 
 import io
 import random
@@ -61,14 +64,10 @@ def _mutate(text: str, rng: random.Random) -> str:
     return text
 
 
-def _spoil(text: str, rng: random.Random) -> bytes:
-    """The UTF-8 bytes of text, one time in five with a ``BAD_BYTES``
-    sequence put in at a random place."""
-    data = text.encode()
-    if rng.random() < 0.2:
-        i = rng.randint(0, len(data))
-        data = data[:i] + rng.choice(BAD_BYTES) + data[i:]
-    return data
+def _spoil(data: bytes, rng: random.Random) -> bytes:
+    """data with a ``BAD_BYTES`` sequence put in at a random place."""
+    i = rng.randint(0, len(data))
+    return data[:i] + rng.choice(BAD_BYTES) + data[i:]
 
 
 def _argvs(path: str, coloring: str, out: str, rng: random.Random) -> list[list[str]]:
@@ -92,27 +91,50 @@ def _argvs(path: str, coloring: str, out: str, rng: random.Random) -> list[list[
     ]
 
 
+def _run(argv: list[str], files) -> tuple[int, str]:
+    """Exit status and stderr of ``main(argv)``; any other exception fails
+    the test, naming argv and the contents of its files."""
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:
+        pytest.fail(f"{type(exc).__name__}: {exc} escaped {argv} on {files!r}")
+    return code, err.getvalue()
+
+
 def fuzz(tmp_path, seed: int, files: int) -> None:
     rng = random.Random(seed)
     spoil = random.Random(seed + 1)  # a second stream, so rng draws the same texts
     coloring = tmp_path / "c.col"
+    bad_coloring = tmp_path / "bad.col"
     out = str(tmp_path / "out")
     for i in range(files):
         tcx = rng.random() < 0.4
         text = _mutate(rng.choice(EXPRESSIONS if tcx else EDGE_LISTS), rng)
         path = tmp_path / (f"g{i}.tcx" if tcx else f"g{i}.g")
-        data = _spoil(text, spoil)
-        path.write_bytes(data)
-        coloring.write_bytes(_spoil(_mutate(rng.choice(COLORINGS), rng), spoil))
+        path.write_text(text)
+        colors = _mutate(rng.choice(COLORINGS), rng)
+        coloring.write_text(colors)
         argv = rng.choice(_argvs(str(path), str(coloring), out, rng))
-        err = io.StringIO()
-        try:
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = main(argv)
-        except Exception as exc:
-            pytest.fail(f"{type(exc).__name__}: {exc} escaped {argv} on {data!r}")
-        assert code in (0, 1), (argv, data)
-        assert code == 0 or err.getvalue().count("\n") == 1, (argv, data, err.getvalue())
+        code, err = _run(argv, (text, colors))
+        assert code in (0, 1), (argv, text)
+        assert code == 0 or err.count("\n") == 1, (argv, text, err)
+        if spoil.random() < 0.2:  # the same call again on files that are not UTF-8
+            graph, color_bytes = text.encode(), colors.encode()
+            if str(coloring) in argv and spoil.random() < 0.5:
+                color_bytes = _spoil(color_bytes, spoil)
+            else:
+                graph = _spoil(graph, spoil)
+            bad_path = tmp_path / f"bad{i}{path.suffix}"
+            bad_path.write_bytes(graph)
+            bad_coloring.write_bytes(color_bytes)
+            swap = {str(path): str(bad_path), str(coloring): str(bad_coloring)}
+            bad_argv = [swap.get(a, a) for a in argv]
+            code, err = _run(bad_argv, (graph, color_bytes))
+            assert code == 1 and err.count("\n") == 1, (bad_argv, graph, color_bytes, err)
+            if graph != text.encode():  # every subcommand reads the graph first
+                assert err.startswith(f"error: {bad_path}: not UTF-8 text"), (bad_argv, err)
 
 
 def test_fuzzed_files_leave_only_domain_errors(tmp_path):
