@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="check the matching identity on a gadget")
     common(sp)
-    sp.add_argument("--budget", type=int, default=10**7)
+    sp.add_argument("--budget", type=int, default=10**7,
+                    help="cap on the table entries the certification DP makes (default: 10^7)")
     sp.set_defaults(func=_cmd_certify)
 
     sp = sub.add_parser("oracle", help="brute-force reference quantities")

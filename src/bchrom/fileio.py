@@ -54,7 +54,7 @@ import os
 import re
 from typing import Iterator
 
-from .errors import ParseError
+from .errors import NotATree, ParseError
 from .graph import (
     Edge,
     Graph,
@@ -412,7 +412,7 @@ def parse_tc_expression(text: str, base_dir: str = ".") -> TcExpr:
             counter += g.n
             try:
                 node: TcExpr = TcLeaf(g, ids, co=head == "cotree")
-            except Exception as exc:
+            except NotATree as exc:
                 raise ParseError(f"invalid {head} leaf: {exc}") from None
             # hand the finished node to its parent, closing every node that ends here
             while open_ops:

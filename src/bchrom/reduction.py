@@ -10,10 +10,27 @@ a1-b1.  A strongly maximal matching meets each block in one of two shapes:
 
 so minimum strongly maximal matchings of the host exceed minimum maximal
 matchings of the original by exactly three per original edge.
+
+Certification computes both sides of that identity with one dynamic
+program over a min-degree elimination tree decomposition,
+``_least_matching``.  Each vertex in a table has one of five codes: free,
+pending-shielded, pending-unshielded, matched-shielded or
+matched-unshielded.  A shielded vertex has no free neighbour, and every
+matched pair has a shielded end.  On a triangle-free graph that is exactly
+"no augmenting path of length 3": such a path f-a=b-g needs a free
+neighbour at both a and b, and f = g would close a triangle, so no
+partner is stored.  Every edge is placed once, in the table of its
+first-eliminated end, where a free end beside a free or shielded one is
+refused; a vertex left pending when it is forgotten is refused too.  The
+minimum maximal matching of the original drops the shielded codes and the
+pair rule.  Both inputs are bipartite, so triangle-free: ``build_gadget``
+checks the original, and the host is bipartite by construction.  The
+search budget counts table entries made.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .errors import (
@@ -23,18 +40,17 @@ from .errors import (
     NotCanonical,
     NotMaximal,
     NotStronglyMaximal,
+    RangeError,
     UnknownEdge,
 )
-from .graph import Edge, Graph, _cached, _Record, is_forest, norm_edge
+from .graph import Edge, Graph, _cached, _Record, norm_edge
 from .matching import (
     Matching,
     _Counter,
-    _defects,
     find_short_augmenting,
     is_strongly_maximal,
     validate_matching,
 )
-from .tree_dp import min_smm_forest
 
 
 class Gadget(_Record):
@@ -86,9 +102,6 @@ _TEMPLATE_EDGES = (
     (_B2, _B3),
     (_B3, _B4),
     (_TEMPLATE_V, _B1),
-)
-_TEMPLATE_INTERNAL = tuple(
-    (a, b) for a, b in _TEMPLATE_EDGES if a < 8 and b < 8
 )
 # the two shapes, as indices into _TEMPLATE_EDGES: u-a1, a2-a3, b2-b3, v-b1
 # and a1-b1, a2-a3, b2-b3
@@ -259,7 +272,7 @@ def normalize_smm(gadget: Gadget, m: Matching) -> Matching:
 
 
 # ---------------------------------------------------------------------------
-# Certification: both optima computed independently
+# Certification: both optima from one tree-decomposition DP
 # ---------------------------------------------------------------------------
 
 
@@ -277,259 +290,135 @@ class ReductionReport(_Record):
         d["origin_edges"], d["identity_holds"] = origin_edges, identity_holds
 
 
-def _min_maximal_matching(g: Graph, budget: _Counter) -> tuple[int, Matching]:
-    """Branch and bound over the edges in order, on an explicit stack, so
-    any number of edges is searched; ``None`` undoes the last edge taken."""
-    edges = g.edges
-    best_size, best = g.n + 1, frozenset()
-    chosen: list[Edge] = []
-    full = (1 << g.n) - 1
-    stack: list[tuple[int, int] | None] = [(0, 0)]
-    while stack:
-        top = stack.pop()
-        if top is None:
-            chosen.pop()
-            continue
-        i, mask = top
-        budget.tick()
-        if len(chosen) >= best_size:
-            continue
-        if i == len(edges):
-            if _defects(g, (), full & ~mask)[0] == 0:  # no edge left with both ends free
-                best_size, best = len(chosen), frozenset(chosen)
-            continue
-        u, v = edges[i]
-        bit = (1 << u) | (1 << v)
-        stack.append((i + 1, mask))
-        if not mask & bit and len(chosen) + 1 < best_size:
-            chosen.append((u, v))
-            stack += (None, (i + 1, mask | bit))
-    return best_size, best
+# A vertex's code in a table: its class, plus _MATCHED once its matching edge
+# is placed; a free vertex is never matched, so 0 < code < _MATCHED is pending.
+_FREE, _SHIELDED, _UNSHIELDED, _MATCHED = 0, 1, 2, 3
+_PENDING = (_SHIELDED, _UNSHIELDED)
+
+_Table = dict[tuple[int, ...], int]
 
 
-class _BlockConfig(_Record):
-    """One admissible way a strongly maximal matching can meet a block.
+def _elimination_order(g: Graph) -> list[int]:
+    """Min-degree elimination: take a vertex of least degree, make its
+    remaining neighbours a clique, repeat."""
+    nbrs = [set(row) for row in g.adj]
+    heap = [(len(s), v) for v, s in enumerate(nbrs)]
+    heapify(heap)
+    order: list[int] = []
+    gone = [False] * g.n
+    while heap:
+        d, v = heappop(heap)
+        if gone[v] or d != len(nbrs[v]):
+            continue
+        gone[v] = True
+        order.append(v)
+        for w in nbrs[v]:
+            s = nbrs[w]
+            s |= nbrs[v]
+            s -= {v, w}
+            heappush(heap, (len(s), w))
+    return order
 
-    Internal vertices never touch other blocks, so every property except the
-    coverage of the two original endpoints is final: the flags say which
-    cross-block augmenting paths this configuration can take part in.
+
+def _join(keys: list[int], table: _Table, okeys: list[int], other: _Table,
+          budget: _Counter) -> tuple[list[int], _Table]:
+    """Both tables at once: a shared vertex has one class on both sides and is
+    matched on one side at most; costs add."""
+    at = {w: i for i, w in enumerate(keys)}
+    shared = [(at[w], j) for j, w in enumerate(okeys) if w in at]
+    extra = [j for j, w in enumerate(okeys) if w not in at]
+    by_class: dict[tuple[int, ...], list] = {}
+    for codes, cost in other.items():
+        by_class.setdefault(tuple([codes[j] % _MATCHED for _, j in shared]), []).append((codes, cost))
+    out: _Table = {}
+    for codes, cost in table.items():
+        made = len(out)
+        for ocodes, ocost in by_class.get(tuple([codes[i] % _MATCHED for i, _ in shared]), ()):
+            merged = list(codes)
+            for i, j in shared:
+                if ocodes[j] >= _MATCHED:
+                    if codes[i] >= _MATCHED:
+                        break
+                    merged[i] = ocodes[j]
+            else:
+                merged += [ocodes[j] for j in extra]
+                key, c = tuple(merged), cost + ocost
+                if c < out.get(key, c + 1):
+                    out[key] = c
+        budget.tick(len(out) - made)
+    return keys + [okeys[j] for j in extra], out
+
+
+def _place_edge(table: _Table, j: int, strong: bool, budget: _Counter) -> _Table:
+    """Place the edge between keys 0 and j: a free end needs an unshielded
+    one beside it, and two pending ends may match at cost 1 unless both are
+    unshielded and ``strong``."""
+    out: _Table = {}
+    for codes, cost in table.items():
+        a, b = codes[0], codes[j]
+        if (a == _FREE and b % _MATCHED != _UNSHIELDED) or (b == _FREE and a % _MATCHED != _UNSHIELDED):
+            continue
+        if cost < out.get(codes, cost + 1):
+            out[codes] = cost
+        if a in _PENDING and b in _PENDING and not (strong and a == b == _UNSHIELDED):
+            both = list(codes)
+            both[0] += _MATCHED
+            both[j] += _MATCHED
+            key, c = tuple(both), cost + 1
+            if c < out.get(key, c + 1):
+                out[key] = c
+    budget.tick(len(out))
+    return out
+
+
+def _least_matching(g: Graph, strong: bool, budget: _Counter) -> int:
+    """The least size of a matching of the triangle-free g with no augmenting
+    path of length 1 and, with ``strong``, none of length 3.
+
+    Vertices are forgotten in min-degree elimination order.  A vertex's
+    table starts from its own fresh codes, joins the tables waiting at it and
+    places its edges to vertices eliminated later; forgetting it drops its
+    pending codes.  What is left waits at its earliest-eliminated key, which
+    the elimination made adjacent to every other key.
     """
-
-    _fields = ("edge_idx", "size", "cov_u", "cov_v", "head_u_free", "head_v_free",
-               "dang_u", "dang_v", "sec_u", "sec_v", "bridge_matched")
-    edge_idx: tuple[int, ...]
-    size: int
-    cov_u: bool
-    cov_v: bool
-    head_u_free: bool  # a1 free: endpoint u must end covered
-    head_v_free: bool
-    dang_u: bool  # 3-path from a free u into the block exists
-    dang_v: bool
-    sec_u: bool  # u matched here with a free second step behind a1
-    sec_v: bool
-    bridge_matched: bool
-
-    def __init__(self, edge_idx: tuple[int, ...], size: int, cov_u: bool, cov_v: bool,
-                 head_u_free: bool, head_v_free: bool, dang_u: bool, dang_v: bool,
-                 sec_u: bool, sec_v: bool, bridge_matched: bool) -> None:
-        d = self.__dict__
-        d["edge_idx"], d["size"], d["cov_u"], d["cov_v"] = edge_idx, size, cov_u, cov_v
-        d["head_u_free"], d["head_v_free"], d["dang_u"] = head_u_free, head_v_free, dang_u
-        d["dang_v"], d["sec_u"], d["sec_v"] = dang_v, sec_u, sec_v
-        d["bridge_matched"] = bridge_matched
-
-
-def _block_configs() -> tuple[_BlockConfig, ...]:
-    out = []
-    L = len(_TEMPLATE_EDGES)
-
-    def free(used: set[int], x: int) -> bool:
-        return x not in used
-
-    def rec(i: int, used: set[int], picked: list[int]) -> None:
-        if i < L:
-            a, b = _TEMPLATE_EDGES[i]
-            if a not in used and b not in used:
-                picked.append(i)
-                rec(i + 1, used | {a, b}, picked)
-                picked.pop()
-            rec(i + 1, used, picked)
-            return
-        # no internal edge may stay free-free (a length-1 path)
-        if any(free(used, a) and free(used, b) for a, b in _TEMPLATE_INTERNAL):
-            return
-        m = {tuple(sorted(_TEMPLATE_EDGES[j])) for j in picked}
-
-        def matched(x: int, y: int) -> bool:
-            return tuple(sorted((x, y))) in m
-
-        # no 3-path may exist entirely among internal vertices
-        for x, y in _TEMPLATE_INTERNAL:
-            if not matched(x, y):
-                continue
-            ends_x = [
-                z
-                for z in range(8)
-                if matched_adj(x, z) and z != y and free(used, z)
-            ]
-            ends_y = [
-                z
-                for z in range(8)
-                if matched_adj(y, z) and z != x and free(used, z)
-            ]
-            if ends_x and ends_y and (len(ends_x) > 1 or len(ends_y) > 1 or ends_x != ends_y):
-                return
-        out.append(
-            _BlockConfig(
-                tuple(picked),
-                len(picked),
-                not free(used, _TEMPLATE_U),
-                not free(used, _TEMPLATE_V),
-                free(used, _A1),
-                free(used, _B1),
-                (matched(_A1, _A2) and free(used, _A3))
-                or (matched(_A1, _B1) and free(used, _B2)),
-                (matched(_B1, _B2) and free(used, _B3))
-                or (matched(_A1, _B1) and free(used, _A2)),
-                matched(_TEMPLATE_U, _A1) and (free(used, _A2) or free(used, _B1)),
-                matched(_TEMPLATE_V, _B1) and (free(used, _B2) or free(used, _A1)),
-                matched(_A1, _B1),
-            )
-        )
-
-    adj: dict[int, list[int]] = {}
-    for a, b in _TEMPLATE_EDGES:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    def matched_adj(x: int, z: int) -> bool:
-        return z in adj[x] and z < 8
-
-    rec(0, set(), [])
-    out.sort(key=lambda cfg: (cfg.size, cfg.edge_idx))
-    return tuple(out)
-
-
-_BLOCK_CONFIGS = _block_configs()
-
-
-def _min_smm_branch_bound(gadget: Gadget, upper: int, budget: _Counter) -> int:
-    """Exact minimum strongly maximal matching of the host.
-
-    Searches block by block over the admissible block configurations.  All
-    cross-block augmenting paths run through original vertices, so they are
-    refuted from the per-configuration flags once a vertex's last incident
-    block is decided; a bitmask check at the surviving leaves guards the
-    flag analysis.  Every block holds at least three edges, which gives the
-    pruning bound.
-    """
-    host = gadget.host
-    items = list(gadget.blocks.items())
-    nblocks = len(items)
-    block_host_edges = [_block_edges(ids, *e) for e, ids in items]
-    last_block: dict[int, int] = {}
-    for bi, ((u, v), _ids) in enumerate(items):
-        last_block[u] = bi
-        last_block[v] = bi
-    chosen: list[_BlockConfig | None] = [None] * nblocks
-    covered: set[int] = set()
-    head_free: dict[int, int] = {}
-    dang: dict[int, int] = {}
-    sec: dict[int, int] = {}
-    full = (1 << host.n) - 1
-
-    def leaf_ok() -> bool:
-        flat = []
-        mask = 0
-        for bi, cfg in enumerate(chosen):
-            for j in cfg.edge_idx:
-                e = block_host_edges[bi][j]
-                flat.append(e)
-                mask |= (1 << e[0]) | (1 << e[1])
-        return _defects(host, flat, full & ~mask) == (0, 0)
-
-    def finalize_ok(w: int) -> bool:
-        if w in covered:
-            return not (head_free.get(w) and sec.get(w))
-        return not head_free.get(w) and not dang.get(w)
-
-    def place(bi: int, cfg: _BlockConfig, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) block bi's configuration."""
-        u, v = items[bi][0]
-        for w, cov, hf, dg, sc in (
-            (u, cfg.cov_u, cfg.head_u_free, cfg.dang_u, cfg.sec_u),
-            (v, cfg.cov_v, cfg.head_v_free, cfg.dang_v, cfg.sec_v),
-        ):
-            if cov:
-                if sign > 0:
-                    covered.add(w)
-                else:
-                    covered.discard(w)
-            head_free[w] = head_free.get(w, 0) + sign * hf
-            dang[w] = dang.get(w, 0) + sign * dg
-            sec[w] = sec.get(w, 0) + sign * sc
-        chosen[bi] = cfg if sign > 0 else None
-
-    def visit(bi: int, size: int) -> bool:
-        """Spend one node on blocks 0..bi-1 decided at total ``size``: a leaf
-        that passes its checks is the best so far.  True when block bi's
-        configurations are still to be searched."""
-        nonlocal best
-        budget.tick()
-        if size + 3 * (nblocks - bi) >= best:
-            return False
-        if bi < nblocks:
-            return True
-        for b2, cfg in enumerate(chosen):
-            if cfg.bridge_matched:
-                u2, v2 = items[b2][0]
-                if u2 not in covered and v2 not in covered:
-                    return False
-        if not leaf_ok():
-            raise InvariantViolation("flag analysis admitted a non-SMM leaf")
-        best = size
-        return False
-
-    # one frame [block, size, next configuration] per block being searched;
-    # a frame whose block holds a configuration is back from searching under it
-    best = upper + 1
-    stack = [[0, 0, 0]] if visit(0, 0) else []
-    while stack:
-        frame = stack[-1]
-        bi, size, ci = frame
-        if chosen[bi] is not None:
-            place(bi, chosen[bi], -1)
-        u, v = items[bi][0]
-        for ci in range(ci, len(_BLOCK_CONFIGS)):
-            cfg = _BLOCK_CONFIGS[ci]
-            if (cfg.cov_u and u in covered) or (cfg.cov_v and v in covered):
-                continue
-            place(bi, cfg, 1)
-            if (
-                (last_block[u] != bi or finalize_ok(u))
-                and (last_block[v] != bi or finalize_ok(v))
-                and visit(bi + 1, size + cfg.size)
-            ):
-                frame[2] = ci + 1
-                stack.append([bi + 1, size + cfg.size, 0])
-                break
-            place(bi, cfg, -1)
+    order = _elimination_order(g)
+    pos = [0] * g.n
+    for p, v in enumerate(order):
+        pos[v] = p
+    fresh = {(c,): 0 for c in ((_FREE, *_PENDING) if strong else (_FREE, _UNSHIELDED))}
+    waiting: list[list[tuple[list[int], _Table]]] = [[] for _ in range(g.n)]
+    total = 0
+    for v in order:
+        keys, table = [v], fresh
+        for okeys, other in waiting[v]:
+            keys, table = _join(keys, table, okeys, other, budget)
+        waiting[v] = []
+        for w in g.adj[v]:
+            if pos[w] > pos[v]:
+                if w not in keys:
+                    keys, table = _join(keys, table, [w], fresh, budget)
+                table = _place_edge(table, keys.index(w), strong, budget)
+        out: _Table = {}
+        for codes, cost in table.items():
+            if codes[0] not in _PENDING and cost < out.get(codes[1:], cost + 1):
+                out[codes[1:]] = cost
+        budget.tick(len(out))
+        if not out:
+            raise InvariantViolation("no matching meets the conditions: the graph has a triangle")
+        if len(keys) > 1:
+            waiting[min(keys[1:], key=pos.__getitem__)].append((keys[1:], out))
         else:
-            stack.pop()
-    return best
+            total += out[()]
+    return total
 
 
 def certify_reduction(g: Graph, search_budget: int = 10**7) -> ReductionReport:
     """Compute both optima independently and check the 3-per-edge identity."""
-    budget = _Counter(search_budget, "certification search")
+    if search_budget <= 0:
+        raise RangeError("certification search budget must be positive")
     gadget = build_gadget(g)
-    mmm, mmm_witness = _min_maximal_matching(g, budget)
-    if is_forest(gadget.host):
-        smm, _ = min_smm_forest(gadget.host)
-    elif gadget.origin_edges:
-        upper = len(lift_matching(g, mmm_witness))
-        smm = min(_min_smm_branch_bound(gadget, upper=upper, budget=budget), upper)
-    else:
-        smm = 0
+    budget = _Counter(search_budget, "certification search")
+    mmm = _least_matching(g, False, budget)
+    smm = _least_matching(gadget.host, True, budget)
     m_edges = len(gadget.origin_edges)
     return ReductionReport(mmm, smm, m_edges, mmm == smm - 3 * m_edges)

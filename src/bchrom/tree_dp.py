@@ -101,7 +101,7 @@ from functools import cache
 from typing import Iterable
 
 from .errors import InvariantViolation, KOutOfRange, NotATree
-from .graph import Edge, Graph, _cached, _Record, connected_components, induced_subgraph, is_tree
+from .graph import Edge, Graph, _cached, _Record, is_tree
 from .graph import norm_edge
 from .matching import Matching
 
@@ -269,13 +269,6 @@ def lift(comps: tuple[tuple[int, ...], ...], matchings: Iterable) -> Matching:
     """A graph's matching made of one matching of each of its components
     ``comps``, each given on the graph its component induces."""
     return frozenset(norm_edge(c[u], c[v]) for c, mm in zip(comps, matchings) for u, v in mm)
-
-
-def min_smm_forest(g: Graph) -> tuple[int, Matching]:
-    """Per-component minimum; augmenting paths never cross components."""
-    comps = connected_components(g)
-    found = [min_smm_tree(g if len(comps) == 1 else induced_subgraph(g, comp)) for comp in comps]
-    return sum(size for size, _ in found), lift(comps, [mm for _, mm in found])
 
 
 # ---------------------------------------------------------------------------

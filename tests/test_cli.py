@@ -248,6 +248,19 @@ def test_reduce_and_certify(files, tmp_path):
     assert "identity-holds: yes" in out
 
 
+def test_certify_refuses_a_budget_below_one_before_searching(files):
+    for budget in ("0", "-5"):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(["certify", files["k2"], "--budget", budget])
+        assert (code, out) == (1, "")
+        assert err.getvalue() == "error: certification search budget must be positive\n"
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit):
+        main(["certify", "--help"])
+    assert "--budget BUDGET cap on the table entries" in " ".join(buf.getvalue().split())
+
+
 def test_oracle_subcommand(files):
     code, out = run(["oracle", "min-smm", files["p6"]])
     assert code == 0 and "min-smm: 2" in out

@@ -100,10 +100,9 @@ def _admitted(oracle_tree) -> set[str]:
 
 def test_no_recursion_whose_depth_grows_without_a_guard():
     """Python stops at about 1000 frames, so a function that calls itself by
-    name must either be an oracle search whose depth ``_admit`` checks
-    against the recursion limit, or have a depth fixed by the code:
-    ``reduction._block_configs`` recurses once per template edge.  Mutual
-    recursion and calls through an attribute (``self.f``) are not scanned."""
+    name must be an oracle search whose depth ``_admit`` checks against the
+    recursion limit.  Mutual recursion and calls through an attribute
+    (``self.f``) are not scanned."""
     trees = dict(_package_trees())
     admitted = _admitted(trees["oracle.py"])
     found = []
@@ -111,8 +110,6 @@ def test_no_recursion_whose_depth_grows_without_a_guard():
         for outer, fn in _self_calls(tree):
             where = ".".join([f.name for f in outer] + [fn.name])
             if name == "oracle.py" and outer and outer[0].name in admitted:
-                continue
-            if (name, where) == ("reduction.py", "_block_configs.rec"):
                 continue
             found.append(f"{name}:{fn.lineno} {where}")
     assert not found, found

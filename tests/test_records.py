@@ -155,21 +155,6 @@ class ReductionReport:
     identity_holds: bool
 
 
-@dataclass(frozen=True)
-class _BlockConfig:
-    edge_idx: tuple
-    size: int
-    cov_u: bool
-    cov_v: bool
-    head_u_free: bool
-    head_v_free: bool
-    dang_u: bool
-    dang_v: bool
-    sec_u: bool
-    sec_v: bool
-    bridge_matched: bool
-
-
 RECORDS = {
     Graph: graph.Graph,
     TcLeaf: graph.TcLeaf,
@@ -185,7 +170,6 @@ RECORDS = {
     OracleBudget: oracle.OracleBudget,
     Gadget: reduction.Gadget,
     ReductionReport: reduction.ReductionReport,
-    _BlockConfig: reduction._BlockConfig,
 }
 EXPRESSIONS = (TcLeaf, TcUnion, TcJoin)
 
@@ -230,12 +214,6 @@ SAMPLES = {
              dict(host=P3, origin_n=2, origin_edges=(), block_ids=())],
     ReductionReport: [dict(min_maximal=1, min_smm_host=4, origin_edges=1, identity_holds=True),
                       dict(min_maximal=1, min_smm_host=5, origin_edges=1, identity_holds=False)],
-    _BlockConfig: [dict(edge_idx=(0, 2), size=2, cov_u=True, cov_v=False, head_u_free=False,
-                        head_v_free=True, dang_u=False, dang_v=True, sec_u=False, sec_v=False,
-                        bridge_matched=False),
-                   dict(edge_idx=(4,), size=1, cov_u=False, cov_v=False, head_u_free=False,
-                        head_v_free=False, dang_u=False, dang_v=False, sec_u=False, sec_v=False,
-                        bridge_matched=True)],
 }
 
 # arguments that every reference's check refuses, with the error it raises

@@ -16,7 +16,6 @@ from bchrom.tree_dp import (
     deficiency_vector,
     dump_deficiency_tables,
     dump_smm_tables,
-    min_smm_forest,
     min_smm_tree,
     minplus_convolve,
     reconstruct_deficiency_matching,
@@ -278,15 +277,6 @@ def test_rooting_invariance():
             g2 = Graph.from_edges(t.n, [(perm[u], perm[v]) for u, v in t.edges])
             size2, _ = min_smm_tree(g2)
             assert size2 == base
-
-
-def test_min_smm_forest_sums_components():
-    f = Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8)])
-    size, m = min_smm_forest(f)
-    assert size == 1 + 1 + 2  # P3, single edge, P4
-    assert is_strongly_maximal(f, m)
-    with pytest.raises(NotATree):
-        min_smm_forest(cycle_graph(3))
 
 
 def test_dumps_have_expected_shape():
