@@ -178,6 +178,12 @@ class Graph(_Record):
         their two rows in pair order, which needs no set and no sort: a
         vertex's lower neighbors arrive before its higher ones, and each
         group rises.
+
+        ``fileio.parse_edgelist`` calls it on the edge lists that its
+        co-forest and dense-row readers refuse: those with fewer than 12n
+        edges or a density below 1/4, and those whose text is not
+        canonical, as with a comment, a blank line or other whitespace.
+        Pairs in another order reach it too, and it returns None for them.
         """
         # in pairs rising in (u, v) every u >= us[0], so us[0] >= 0, u < v
         # in each pair and max(vs) < n give 0 <= u < v < n for all; the
@@ -228,6 +234,11 @@ class Graph(_Record):
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.nbr_sets[u]
+
+
+# the graph of every one-vertex leaf: graphs are immutable, and their views
+# are values, so one leaf's views serve all
+_POINT = Graph(1, ((),))
 
 
 def _bad_edge(n: int, edges: Iterable[tuple[int, int]]) -> ValueError:
@@ -727,7 +738,10 @@ def evaluate_tc(e: TcExpr) -> Graph:
 
 def _leaf_tree(nbr: tuple[frozenset[int], ...], verts: list[int], co: bool) -> Graph:
     """The subgraph induced by ``verts``, or with ``co`` its complement,
-    relabelled 0..k-1 in order."""
+    relabelled 0..k-1 in order; every one-vertex list gets the one shared
+    ``_POINT``."""
+    if len(verts) == 1:
+        return _POINT
     index = {v: i for i, v in enumerate(verts)}
     inside = set(verts)
     return Graph.from_edges(

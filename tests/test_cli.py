@@ -383,6 +383,12 @@ def test_searches_deeper_than_the_recursion_limit_end_in_one_error_line(tmp_path
             code, out = run(argv)
         assert (code, out) == (1, ""), argv
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    # certify no longer recurses: at the default budget it answers P1501
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["certify", path])
+    assert (code, err.getvalue()) == (0, "")
+    assert "identity-holds: yes" in out.splitlines()
 
 
 def test_dump_tables_without_tables_prints_nothing_before_the_error(files, tmp_path):

@@ -5,10 +5,11 @@ at a time.  It is kept here, small and obviously correct, so the parser
 that checks the body in pieces with whole-list operations can be checked
 against it: on valid files of random graphs and dense co-trees in random
 labellings, on files that span several pieces with defects placed at the
-cuts between them, on seeded random mutations of small files, and on
+cuts between them, on seeded random mutations of small files, on
 canonical co-forest files, which are read by comparison with the text of
-K_n, each with one change; both must return equal graphs or raise
-``ParseError`` with the same message.
+K_n, and on canonical dense files, which are read one row at a time, each
+with one change; both must return equal graphs or raise ``ParseError``
+with the same message.
 """
 
 import bisect
@@ -22,7 +23,9 @@ from bchrom.errors import ParseError
 import bchrom.fileio
 from bchrom.fileio import format_edgelist, parse_edgelist
 from bchrom.generators import random_graph, random_labeled_tree
-from bchrom.graph import Edge, Graph, complement, empty_graph, is_forest
+from bchrom.graph import Edge, Graph, complement, empty_graph, evaluate_tc, is_forest
+
+from conftest import random_expression
 
 
 def reference_parse_edgelist(text: str) -> Graph:
@@ -373,6 +376,71 @@ def test_co_forest_texts_and_their_changes_match_reference():
     assert linked > 80
 
 
+@pytest.fixture
+def rows_read(monkeypatch) -> list[Graph]:
+    """The graphs ``parse_edgelist`` takes from the dense-row reader."""
+    read = []
+    real = bchrom.fileio._read_rows
+
+    def spy(*args):
+        g = real(*args)
+        if g is not None:
+            read.append(g)
+        return g
+
+    monkeypatch.setattr(bchrom.fileio, "_read_rows", spy)
+    return read
+
+
+def read_rows(text: str) -> Graph | None:
+    """What the dense-row reader makes of ``text``, at any density."""
+    n, m, _, body = bchrom.fileio._read_header(text)
+    return bchrom.fileio._read_rows(text, body, n, m)
+
+
+def test_dense_texts_and_their_changes_match_reference(rows_read):
+    # canonical dense texts are read one row at a time; every text that
+    # reader refuses is read as before, with the same graph or the same error
+    rng = random.Random(28)
+    graphs = [relabel(random_graph(rng.randint(2, 150), rng.uniform(0.25, 0.9), rng), rng)
+              for _ in range(24)]
+    graphs += [evaluate_tc(random_expression(family, rng.randint(10, 150), rng))
+               for family in ("wide", "nested") for _ in range(6)]
+    for g in graphs:
+        for text in canonical_variants(g, rng):
+            assert_same(text)
+    assert len(rows_read) > 80
+    for g in rows_read:
+        assert g == Graph.from_edges(g.n, g.edges)
+
+
+def test_texts_the_row_reader_accepts_give_the_graph_of_their_pairs():
+    # at any density, and after random changes: a text the reader accepts
+    # gives the graph Graph.from_edges builds from its lines
+    rng = random.Random(29)
+    accepted = 0
+    for trial in range(3000):
+        n = rng.randint(0, 12)
+        g = random_graph(n, rng.random(), rng)
+        text = format_edgelist(g)
+        assert read_rows(text) == g
+        changed = mutate(text, rng)
+        got = outcome(read_rows, changed)
+        if isinstance(got, Graph):
+            assert got == reference_parse_edgelist(changed), repr(changed)
+            accepted += 1
+    assert accepted > 120
+    # an id left out, as in a row of empty ids; ids not in canonical
+    # decimal; a pair not rising, within a row or across rows; a pair
+    # (u, v) with v <= u; a last line with no line end; text after the body
+    for text in ("p 6 2\ne 4 \ne 4 \n", "p 6 1\ne 4 \n", "p 6 2\ne 4 5\ne 4 \n",
+                 "p 3 2\ne 0 1\ne 0 02\n", "p 3 2\ne 0 1\ne 0  2\n", "p 3 2\ne 0 2\ne 0 1\n",
+                 "p 3 2\ne 0 1\ne 0 1\n", "p 3 2\ne 0 1\ne 1 2\ne 0 2\n", "p 3 1\ne 1 0\n",
+                 "p 3 1\ne 1 1\n", "p 3 2\ne 0 1\ne 0 2", "p 3 2\ne 0 1\ne 0 2\n\n"):
+        assert read_rows(text) is None, repr(text)
+        assert_same(text)
+
+
 def with_row(g: Graph, row: tuple[int, int], after: int) -> tuple[str, int]:
     """The canonical edge list of g with the row ``e <row>`` placed after
     its ``after`` first rows, the header counting it, and the row's line
@@ -407,13 +475,17 @@ def test_defects_in_canonical_place_name_their_line():
 
 
 @pytest.mark.parametrize("spell", ["0{}".format, "00{}".format, "+{}".format])
-def test_ids_spelled_otherwise_parse_alike_with_and_without_the_id_table(spell):
-    # the table of vertex ids is built only at m >= 2n
+def test_ids_spelled_otherwise_parse_alike_with_and_without_the_id_table(spell, rows_read):
+    # the table of vertex ids is built only at m >= 2n, and at m = 400 a
+    # canonical body is read one row at a time
     rng = random.Random(16)
     n = 30
     everyone = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for m in (2 * n - 1, 2 * n):
+    for m in (2 * n - 1, 2 * n, 400):
         g = Graph.from_edges(n, sorted(rng.sample(everyone, m)))
+        assert parse_edgelist(format_edgelist(g)) == g
+        assert len(rows_read) == (m == 400)
+        rows_read.clear()
         rows = [f"e {u} {v}" for u, v in g.edges]
         u, v = g.edges[m // 2]
         rows[m // 2] = f"e {spell(u)} {spell(v)}"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bchrom.bcoloring import Coloring
@@ -16,7 +18,19 @@ from bchrom.fileio import (
     read_tc_expression,
     _tokenize,
 )
-from bchrom.graph import Graph, TcJoin, TcLeaf, TcUnion, complement, evaluate_tc, path_graph
+from bchrom.graph import (
+    Graph,
+    TcJoin,
+    TcLeaf,
+    TcUnion,
+    complement,
+    decompose_tree_cograph,
+    evaluate_tc,
+    path_graph,
+    tc_postorder,
+)
+
+from conftest import random_expression
 
 
 def test_edgelist_round_trip():
@@ -60,6 +74,17 @@ def test_one_vertex_leaves_share_their_graph():
         TcLeaf(path_graph(2), (3, 4))))))
     assert expr == fresh and hash(expr) == hash(fresh)
     assert evaluate_tc(expr) == evaluate_tc(fresh)
+
+
+def test_decomposed_one_vertex_leaves_share_the_graph_the_reader_gives():
+    # a 200-level chain decomposes to one-vertex leaves around one leaf of
+    # its deepest three vertices
+    g = evaluate_tc(random_expression("chain", 200, random.Random(200)))
+    points = [node.tree for node in tc_postorder(decompose_tree_cograph(g))
+              if isinstance(node, TcLeaf) and node.tree.n == 1]
+    assert len(points) == 197
+    shared = parse_tc_expression("(tree 1)").tree
+    assert all(tree is shared for tree in points)
 
 
 def test_tc_expression_file_ref(tmp_path):
