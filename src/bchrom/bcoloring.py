@@ -5,20 +5,21 @@ A proper coloring of a graph without three pairwise non-adjacent vertices
 has classes of one vertex or of one edge of co; the size-two classes form a
 matching of co, and the coloring is a b-coloring exactly when that matching
 is strongly maximal.  The bijection (``coloring_to_matching`` and
-``matching_to_coloring``), ``continuity_chain`` and ``verify_on_complement``
-take co alone and never read G, so a co-forest read from its canonical text
-keeps no dense row; the class check they share (``_pair_classes``) and the
-verdict cost O(n + m(co)).  ``verify_coloring`` checks a coloring of any
-graph on that graph's own rows.
+``matching_to_coloring``) and ``verify_on_complement`` take co alone and
+never read G, so a co-forest read from its canonical text keeps no dense
+row; the class check they share (``_pair_classes``) and the verdict cost
+O(n + m(co)).  ``verify_coloring`` checks a coloring of any graph on that
+graph's own rows.  The walk down augmenting paths of the paper's proof of
+b-continuity is the test reference ``oracle.continuity_chain``.
 """
 
 from __future__ import annotations
 
 from itertools import compress, filterfalse, islice
 
-from .errors import ClassTooLarge, EmptyClass, ImproperColoring, NotABColoring, StabilityTooLarge
-from .graph import Graph, _Record, is_triangle_free
-from .matching import Matching, augment, min_length_augmenting_path, validate_matching
+from .errors import ClassTooLarge, EmptyClass, ImproperColoring
+from .graph import Graph, _Record
+from .matching import Matching, validate_matching
 
 
 class Coloring(_Record):
@@ -162,19 +163,3 @@ def matching_to_coloring(co: Graph, m: Matching) -> Coloring:
             color[partner[v]] = nxt
         nxt += 1
     return Coloring(tuple(color), nxt)
-
-
-def continuity_chain(co: Graph, c: Coloring) -> list[Coloring]:
-    """b-colorings with t, t-1, ..., chi classes of the graph whose
-    complement is ``co``, from the b-coloring c down, obtained by repeatedly
-    augmenting the matching of co along a minimum-length path."""
-    if not is_triangle_free(co):
-        raise StabilityTooLarge("bijection requires stability <= 2")
-    if not verify_on_complement(co, c).is_b_coloring:
-        raise NotABColoring("chain must start from a b-coloring")
-    m = coloring_to_matching(co, c)
-    chain = [c]
-    while (path := min_length_augmenting_path(co, m)) is not None:
-        m = augment(m, path)
-        chain.append(matching_to_coloring(co, m))
-    return chain

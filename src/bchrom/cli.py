@@ -3,10 +3,14 @@
 Outputs are plain ``key: value`` text, deterministic for fixed inputs and
 seed.  Domain errors exit 1 with a one-line diagnostic; usage errors exit 2.
 
-``bchromatic``, ``dominance`` and ``bcolor`` each ask ``route.plan`` once
-for the first route, of tree, tree-cograph and stability two in that order,
-that applies and gives what the command needs; a refusal names why each
-route was rejected.  ``bcolor`` answers every k in [chi, n].
+``bchromatic``, ``dominance``, ``bcolor`` and ``chain`` each ask
+``route.plan`` once for the first route, of tree, tree-cograph and stability
+two in that order, that applies and gives what the command needs; a refusal
+names why each route was rejected.  ``bcolor`` answers every k in [chi, n].
+``chain`` prints the route's checked coloring at each t from chi_b down to
+chi, where dom[t] = t since trees and stability-two graphs are
+b-continuous; from a ``--coloring`` start, which it first checks with the
+verdict of ``verify``, it goes on from the start's t - 1.
 
 Importing this module loads only what the answering commands run: ``reduce``
 and ``certify`` import the hardness gadget (``reduction``), and ``oracle``
@@ -21,9 +25,9 @@ from functools import cache
 from operator import truth
 
 from . import fileio
-from .bcoloring import Coloring, continuity_chain, verify_coloring, verify_on_complement
+from .bcoloring import BVerdict, Coloring, verify_coloring, verify_on_complement
 from .dominance import DominanceVector
-from .errors import BchromError, NoRoute, StabilityTooLarge
+from .errors import BchromError, InvariantViolation, NoRoute, NotABColoring
 from .graph import (
     Graph,
     TcExpr,
@@ -115,29 +119,43 @@ def _cmd_bcolor(args) -> int:
     return 0
 
 
+def _verdict(g: Graph, coloring: Coloring) -> BVerdict:
+    """The verdict of ``verify`` on a coloring of g: on the complement when g
+    has stability two, so a co-forest read from its canonical text is never
+    dense, else on g."""
+    if stability_at_most_two(g):
+        return verify_on_complement(complement(g), coloring)
+    return verify_coloring(g, coloring)
+
+
+def _print_coloring(c: Coloring) -> None:
+    print(f"colors: {c.t} assignment: {','.join(map(str, c.assignment))}")
+
+
 def _cmd_chain(args) -> int:
     g = _graph(_read(args))
-    if not stability_at_most_two(g):
-        raise StabilityTooLarge("b-chromatic shortcut requires stability <= 2")
+    route = plan(g, "coloring", args.max_n)
+    vec = route.vector
+    top = vec.b_chromatic()
     if args.coloring:
         start = fileio.read_coloring(args.coloring, g.n)
-    else:
-        start = plan(g, "witness", args.max_n).witness
-    # on the complement, a co-forest read from its canonical text is never dense
-    for c in continuity_chain(complement(g), start):
-        assignment = ",".join(str(x) for x in c.assignment)
-        print(f"colors: {c.t} assignment: {assignment}")
+        if not _verdict(g, start).is_b_coloring:
+            raise NotABColoring("chain must start from a b-coloring")
+        _print_coloring(start)
+        top = start.t - 1
+    ts = range(top, vec.chi - 1, -1)
+    # the routes' graphs are b-continuous: dom[t] = t at every t from chi to chi_b
+    if (gap := next((t for t in ts if vec.value_at(t) != t), None)) is not None:
+        raise InvariantViolation(f"dom[{gap}] = {vec.value_at(gap)} on the {route.name} route: "
+                                 f"no b-coloring with {gap} classes")
+    for t in ts:
+        _print_coloring(route.coloring(t))
     return 0
 
 
 def _cmd_verify(args) -> int:
     g = _graph(_read(args))
-    coloring = fileio.read_coloring(args.coloring, g.n)
-    # on the complement, a co-forest read from its canonical text is never dense
-    if stability_at_most_two(g):
-        verdict = verify_on_complement(complement(g), coloring)
-    else:
-        verdict = verify_coloring(g, coloring)
+    verdict = _verdict(g, fileio.read_coloring(args.coloring, g.n))
     print(f"B-COLORING {'yes' if verdict.is_b_coloring else 'no'}")
     for cls, vertex in verdict.witnesses:
         print(f"dominant {cls} witness {vertex}")
@@ -256,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", metavar="FILE")
     sp.set_defaults(func=_cmd_bcolor)
 
-    sp = sub.add_parser("chain", help="descending chain of b-colorings")
+    sp = sub.add_parser("chain", help="a b-coloring at each t from chi_b down to chi")
     common(sp, cap_help=route_cap)
-    sp.add_argument("--coloring", metavar="FILE", help="starting b-coloring")
+    sp.add_argument("--coloring", metavar="FILE",
+                    help="a b-coloring to print first, checked; the chain goes on from its t - 1")
     sp.set_defaults(func=_cmd_chain)
 
     sp = sub.add_parser("verify", help="check a coloring file")

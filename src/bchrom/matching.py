@@ -4,13 +4,6 @@ A matching is a frozenset of normalized edges.  A matching is *strongly
 maximal* when it admits no augmenting path of length one or three; those two
 lengths are exactly what b-colorings of stability-2 graphs care about.
 
-Shortest augmenting paths of length five or more are found exactly by a
-reduction to maximum-weight perfect matching: among matchings of size
-``|M|+1``, one maximizing ``|M' & M|`` differs from M in a single shortest
-augmenting path (any balanced or negative component of the symmetric
-difference could be flipped to increase the overlap).  That search needs
-networkx, imported on first use; without it the call raises ``BchromError``.
-
 ``_Counter`` is the package's one search budget.  It lives here, beside
 ``least_deficiency_matchings``, the exact search that the stability-two route
 runs, so that answering a request imports no reference code; the gadget
@@ -20,7 +13,7 @@ too.
 
 from __future__ import annotations
 
-from .errors import BchromError, BudgetExceeded, InvalidMatching, InvariantViolation, NotAugmenting
+from .errors import BudgetExceeded, InvalidMatching, NotAugmenting
 from .graph import Edge, Graph, norm_edge
 
 Matching = frozenset[Edge]
@@ -140,57 +133,6 @@ def least_deficiency_matchings(g: Graph, counter: _Counter) -> tuple[list[float]
         if least[k] and (d := sum(_defects(g, pairs, full & ~mask))) < least[k]:
             least[k], found[k] = d, frozenset(pairs)
     return least, found
-
-
-def min_length_augmenting_path(g: Graph, m: Matching) -> AltPath | None:
-    """An augmenting path with the fewest edges, or None iff m is maximum."""
-    short = find_short_augmenting(g, m)
-    if short is not None:
-        return short
-    k = len(m) + 1
-    if 2 * k > g.n:
-        return None
-    dummies = g.n - 2 * k
-    try:
-        import networkx as nx
-    except ImportError as exc:
-        raise BchromError("augmenting paths of length five or more need networkx, "
-                          "which cannot be imported") from exc
-
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n + dummies))
-    for u, v in g.edges:
-        G.add_edge(u, v, weight=1 if (u, v) in m else 0)
-    for t in range(dummies):
-        d = g.n + t
-        for v in range(g.n):
-            G.add_edge(d, v, weight=0)
-    mate = nx.max_weight_matching(G, maxcardinality=True)
-    if 2 * len(mate) < g.n + dummies:
-        return None  # no matching of size |m|+1 exists at all
-    chosen = frozenset(
-        norm_edge(u, v) for u, v in mate if u < g.n and v < g.n
-    )
-    diff = m ^ chosen
-    # by the overlap argument the difference is one augmenting path
-    deg: dict[int, list[int]] = {}
-    for u, v in diff:
-        deg.setdefault(u, []).append(v)
-        deg.setdefault(v, []).append(u)
-    ends = sorted(v for v, nbrs in deg.items() if len(nbrs) == 1)
-    if len(ends) != 2 or any(len(nbrs) > 2 for nbrs in deg.values()):
-        raise InvariantViolation("symmetric difference is not a single path")
-    path = [ends[0]]
-    prev = -1
-    while path[-1] != ends[1]:
-        nxt = [w for w in deg[path[-1]] if w != prev]
-        prev = path[-1]
-        path.append(nxt[0])
-    if len(path) != len(deg):
-        raise InvariantViolation("symmetric difference is not a single path")
-    if path[0] > path[-1]:
-        path.reverse()
-    return tuple(path)
 
 
 def augment(m: Matching, p: AltPath) -> Matching:

@@ -6,6 +6,19 @@ over being clever: matchings are enumerated edge by edge, colorings are
 enumerated canonically (first occurrence of each class fixes its index,
 killing the t! symmetry).
 
+The continuity walk of the paper's proof that stability-two graphs are
+b-continuous is here too, as the reference that ``chain`` is checked
+against: ``continuity_chain`` augments the matching of the complement along a
+shortest augmenting path until it is maximum.  Shortest augmenting paths of
+length five or more are found exactly by a reduction to maximum-weight
+perfect matching: among matchings of size ``|M|+1``, one maximizing
+``|M' & M|`` differs from M in a single shortest augmenting path (any
+balanced or negative component of the symmetric difference could be flipped
+to increase the overlap).  That search takes its weighted blossom from a
+graph library that only the tests depend on, imported inside
+``min_length_augmenting_path`` on first use, so importing this module does
+not load it; without it the call raises ``BchromError``.
+
 This module is the test reference only: the request path never imports it.
 The ``oracle`` subcommand loads it when run, and the searches spend from
 ``matching._Counter``, the package's one search budget.
@@ -15,9 +28,11 @@ from __future__ import annotations
 
 import sys
 
-from .errors import GraphTooLarge, InvariantViolation, KOutOfRange, RangeError
-from .graph import Edge, Graph, _Record
-from .matching import _Counter, _defects
+from .bcoloring import Coloring, coloring_to_matching, matching_to_coloring, verify_on_complement
+from .errors import BchromError, GraphTooLarge, InvariantViolation, KOutOfRange, NotABColoring
+from .errors import RangeError, StabilityTooLarge
+from .graph import Edge, Graph, _Record, is_triangle_free, norm_edge
+from .matching import AltPath, Matching, _Counter, _defects, augment, find_short_augmenting
 
 INF = float("inf")
 
@@ -287,3 +302,75 @@ def oracle_chromatic(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
 
     rec(0)
     return best[0]
+
+
+# ---------------------------------------------------------------------------
+# The continuity walk of the stability-two proof
+# ---------------------------------------------------------------------------
+
+
+def min_length_augmenting_path(g: Graph, m: Matching) -> AltPath | None:
+    """An augmenting path with the fewest edges, or None iff m is maximum."""
+    short = find_short_augmenting(g, m)
+    if short is not None:
+        return short
+    k = len(m) + 1
+    if 2 * k > g.n:
+        return None
+    dummies = g.n - 2 * k
+    try:
+        import networkx as nx
+    except ImportError as exc:
+        raise BchromError("augmenting paths of length five or more need networkx, "
+                          "which cannot be imported") from exc
+
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n + dummies))
+    for u, v in g.edges:
+        G.add_edge(u, v, weight=1 if (u, v) in m else 0)
+    for t in range(dummies):
+        d = g.n + t
+        for v in range(g.n):
+            G.add_edge(d, v, weight=0)
+    mate = nx.max_weight_matching(G, maxcardinality=True)
+    if 2 * len(mate) < g.n + dummies:
+        return None  # no matching of size |m|+1 exists at all
+    chosen = frozenset(
+        norm_edge(u, v) for u, v in mate if u < g.n and v < g.n
+    )
+    diff = m ^ chosen
+    # by the overlap argument the difference is one augmenting path
+    deg: dict[int, list[int]] = {}
+    for u, v in diff:
+        deg.setdefault(u, []).append(v)
+        deg.setdefault(v, []).append(u)
+    ends = sorted(v for v, nbrs in deg.items() if len(nbrs) == 1)
+    if len(ends) != 2 or any(len(nbrs) > 2 for nbrs in deg.values()):
+        raise InvariantViolation("symmetric difference is not a single path")
+    path = [ends[0]]
+    prev = -1
+    while path[-1] != ends[1]:
+        nxt = [w for w in deg[path[-1]] if w != prev]
+        prev = path[-1]
+        path.append(nxt[0])
+    if len(path) != len(deg):
+        raise InvariantViolation("symmetric difference is not a single path")
+    if path[0] > path[-1]:
+        path.reverse()
+    return tuple(path)
+
+
+def continuity_chain(co: Graph, c: Coloring) -> list[Coloring]:
+    """b-colorings with t, t-1, ..., chi classes of the graph whose
+    complement is ``co``, from the b-coloring c down, obtained by repeatedly
+    augmenting the matching of co along a minimum-length path."""
+    if not is_triangle_free(co):
+        raise StabilityTooLarge("bijection requires stability <= 2")
+    if not verify_on_complement(co, c).is_b_coloring:
+        raise NotABColoring("chain must start from a b-coloring")
+    m = coloring_to_matching(co, c)
+    chain = [c]
+    while (path := min_length_augmenting_path(co, m)) is not None:
+        m = augment(m, path)
+        chain.append(matching_to_coloring(co, m))
+    return chain

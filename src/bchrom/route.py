@@ -47,6 +47,13 @@ class Route:
     def __init__(self, **state) -> None:
         vars(self).update(state)
 
+    def _dom(self, k: int) -> int:
+        """dom[k], once k lies in [chi, n]."""
+        vec = self.vector
+        if not vec.chi <= k <= vec.n:
+            raise KOutOfRange(f"k={k} outside [{vec.chi}, {vec.n}]")
+        return vec.value_at(k)
+
 
 class TreeRoute(Route):
     name = "tree"
@@ -57,7 +64,7 @@ class TreeRoute(Route):
     smm = _cached(lambda self: smm_tables(self.tree))
 
     def coloring(self, k: int):
-        return b_coloring_tree(self.tree, k)
+        return b_coloring_tree(self.tree, k, self._dom(k))
 
     @classmethod
     def attempt(cls, source: Graph | TcExpr, max_n: int) -> Route | str:
@@ -146,11 +153,8 @@ class StabilityTwoRoute(Route):
     def coloring(self, k: int):
         """Pairs of a size-(n - k) matching of least deficiency share a
         class; the deficiency counts the non-dominant classes."""
-        vec = self.vector
-        if not vec.chi <= k <= vec.n:
-            raise KOutOfRange(f"k={k} outside [{vec.chi}, {vec.n}]")
-        return self._checked(matching_to_coloring(self.co, self._matching(vec.n - k)),
-                             k, vec.value_at(k))
+        dom = self._dom(k)
+        return self._checked(matching_to_coloring(self.co, self._matching(self.co.n - k)), k, dom)
 
     def _checked(self, coloring: Coloring, k: int, dom: int) -> Coloring:
         """``coloring``, once it is checked to have k classes, dom of them dominant."""

@@ -5,7 +5,6 @@ import pytest
 from bchrom.bcoloring import (
     Coloring,
     coloring_to_matching,
-    continuity_chain,
     matching_to_coloring,
     verify_coloring,
     verify_on_complement,
@@ -30,7 +29,7 @@ from bchrom.graph import (
     path_graph,
 )
 from bchrom.matching import is_strongly_maximal
-from bchrom.oracle import oracle_chi_b, oracle_chromatic
+from bchrom.oracle import continuity_chain, oracle_chi_b, oracle_chromatic
 from bchrom.route import plan
 
 from conftest import all_graphs, random_stability2

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from bchrom.bcoloring import Coloring, verify_coloring
 from bchrom.cli import _write_vector, main
 from bchrom.dominance import DominanceVector
 from bchrom.fileio import format_edgelist, parse_edgelist, parse_coloring
@@ -17,6 +18,8 @@ from bchrom.graph import (
     Graph,
     complement,
     cycle_graph,
+    empty_graph,
+    graph_union,
     is_triangle_free,
     path_graph,
     star_graph,
@@ -198,14 +201,23 @@ def test_chain_and_analyze_of_a_co_tree_keep_it_sparse(tmp_path, monkeypatch):
 
 
 def test_chain_refuses_stability_above_two_with_and_without_a_coloring(files, tmp_path):
+    """P6 is a tree and answers; P6 with an isolated vertex is neither a tree
+    nor of stability two, and is refused before its coloring file is read."""
     col = tmp_path / "c.col"
-    col.write_text("".join(f"{v} {v}\n" for v in range(6)))
+    col.write_text("".join(f"{v} {v % 3}\n" for v in range(6)))
     for argv in (["chain", files["p6"]], ["chain", files["p6"], "--coloring", str(col)]):
+        code, out = run(argv)
+        assert code == 0 and [line.split()[1] for line in out.splitlines()] == ["3", "2"], argv
+    p6k1 = tmp_path / "p6k1.g"
+    p6k1.write_text(format_edgelist(graph_union(path_graph(6), empty_graph(1))))
+    for argv in (["chain", str(p6k1)], ["chain", str(p6k1), "--coloring", str(tmp_path / "none")]):
         err = io.StringIO()
         with redirect_stderr(err):
             code, out = run(argv)
         assert (code, out) == (1, ""), argv
-        assert err.getvalue() == "error: b-chromatic shortcut requires stability <= 2\n", argv
+        assert err.getvalue().startswith("error: no exact route gives the coloring: "), argv
+        assert err.getvalue().endswith("stability-two: stability above two\n"), argv
+        assert err.getvalue().count("\n") == 1, argv
 
 
 def test_bcolor_writes_verifiable_coloring(files, tmp_path):
@@ -323,12 +335,15 @@ def test_requests_import_no_reference_code(files, tmp_path):
     """Importing the CLI loads neither the exhaustive reference, the hardness
     gadget, the compiled DP rows, networkx nor the class machinery of
     ``dataclasses`` and ``inspect``; answering a tree, a co-tree and a .tcx
-    expression loads no reference, gadget, networkx or class machinery."""
+    expression, ``chain`` and ``chain --coloring`` included, loads no
+    reference, gadget, networkx or class machinery."""
     tcx = tmp_path / "join.tcx"  # K1 joined to co-P4: a tree-cograph of stability two
     tcx.write_text("(join (tree 1) (cotree 4 0 1 1 3 2 3))\n")
+    witness = str(tmp_path / "w.col")
     argvs = [argv for path in (files["p6"], files["cop6"], str(tcx))
-             for argv in (["bchromatic", path, "--witness", str(tmp_path / "w.col")],
-                          ["dominance", path], ["bcolor", path, "3", "-o", str(tmp_path / "c.col")])]
+             for argv in (["bchromatic", path, "--witness", witness],
+                          ["dominance", path], ["bcolor", path, "3", "-o", str(tmp_path / "c.col")],
+                          ["chain", path], ["chain", path, "--coloring", witness])]
     done = _python(
         "import sys, bchrom.cli\n"
         "bchrom.cli.build_parser()\n"
@@ -351,19 +366,28 @@ def test_vector_lines_keep_inner_zeros_and_join_the_zero_tail():
         assert buf.getvalue() == "".join(f"{t} {d}\n" for t, d in enumerate(vec.values, vec.chi))
 
 
-def test_chain_without_networkx_ends_in_one_error_line(tmp_path):
-    # the chain down from this co-tree's witness needs an augmenting path of length five
-    path = tmp_path / "co20.g"
-    path.write_text(format_edgelist(complement(random_labeled_tree(20, random.Random(3)))))
-    done = _python(
-        "import sys\n"
-        "sys.modules['networkx'] = None\n"
-        "from bchrom.cli import main\n"
-        f"sys.exit(main(['chain', {str(path)!r}]))\n"
-    )
-    assert done.returncode == 1 and done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1 and "networkx" in done.stderr
-    assert "Traceback" not in done.stderr
+def test_chain_without_networkx_answers_with_b_colorings(tmp_path):
+    # the reference walk down from this co-tree's witness needs an augmenting path of length five
+    g = complement(random_labeled_tree(20, random.Random(3)))
+    path, witness = tmp_path / "co20.g", tmp_path / "w.col"
+    path.write_text(format_edgelist(g))
+    assert run(["bchromatic", str(path), "--witness", str(witness)])[0] == 0
+    outs = []
+    for argv in (["chain", str(path)], ["chain", str(path), "--coloring", str(witness)]):
+        done = _python(
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from bchrom.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        outs.append(done.stdout.splitlines())
+    assert [line.split()[1] for line in outs[0]] == [line.split()[1] for line in outs[1]]
+    assert len(outs[0]) >= 2  # the walk past the start needs that length-five path
+    for line in outs[0] + outs[1]:
+        _, t, _, assignment = line.split()
+        coloring = Coloring(tuple(map(int, assignment.split(","))), int(t))
+        assert verify_coloring(g, coloring).is_b_coloring, line
 
 
 def test_searches_deeper_than_the_recursion_limit_end_in_one_error_line(tmp_path):

@@ -10,10 +10,9 @@ from bchrom.matching import (
     augment,
     find_short_augmenting,
     is_strongly_maximal,
-    min_length_augmenting_path,
     s1_s2,
 )
-from bchrom.oracle import oracle_shortest_augmenting
+from bchrom.oracle import min_length_augmenting_path, oracle_shortest_augmenting
 
 from conftest import random_graph_corpus
 

@@ -33,8 +33,12 @@ from bchrom.graph import (
     complete_graph,
     connected_components,
     cycle_graph,
+    TcJoin,
+    TcLeaf,
+    TcUnion,
     decompose_tree_cograph,
     empty_graph,
+    evaluate_tc,
     graph_join,
     graph_union,
     induced_subgraph,
@@ -45,7 +49,7 @@ from bchrom.graph import (
 )
 from bchrom.matching import least_deficiency_matchings, s1_s2
 from bchrom.oracle import _Counter, oracle_chi_b, oracle_dominance, oracle_f_t_k
-from bchrom.oracle import oracle_min_smm, oracle_nu
+from bchrom.oracle import continuity_chain, oracle_min_smm, oracle_nu
 from bchrom.route import StabilityTwoRoute, plan
 from bchrom.tree_dp import INF, combine_all, deficiency_vector, min_smm_tree
 
@@ -269,6 +273,7 @@ def test_tree_requests_search_the_tree_once(tmp_path, monkeypatch):
         ["bchromatic", str(path), "--witness", str(tmp_path / "w.col")],
         ["bcolor", str(path), str(chi_b)],
         ["bcolor", str(path), "1999"],
+        ["chain", str(path)],
     ):
         searched.clear()
         code, _, err = _run(argv)
@@ -277,7 +282,8 @@ def test_tree_requests_search_the_tree_once(tmp_path, monkeypatch):
 
 def test_tree_requests_scan_for_the_pivot_once(tmp_path, monkeypatch):
     """The tree route keeps one pivot report for its value, vector and
-    colorings; a witness is colored at dom[chi_b] = chi_b with no vector."""
+    colorings; a witness is colored at dom[chi_b] = chi_b with no vector, and
+    a chain colors every t from chi_b down to 2 off one vector."""
     calls = []
     for fn in (dominance.find_pivot, dominance.dominance_vector_tree):
 
@@ -298,6 +304,7 @@ def test_tree_requests_scan_for_the_pivot_once(tmp_path, monkeypatch):
         (["bchromatic", str(path), "--witness", str(tmp_path / "w.col")], 0),
         (["bcolor", str(path), str(chi_b)], 1),
         (["bcolor", str(path), "1999"], 1),
+        (["chain", str(path)], 1),
     ):
         calls.clear()
         code, _, err = _run(argv)
@@ -384,16 +391,15 @@ def test_bcolor_on_a_300_vertex_cotree_at_chi_needs_no_chain(tmp_path):
     path.write_text(format_edgelist(g))
     script = (
         "import sys\n"
-        "from bchrom import bcoloring, cli, route\n"
-        "route.continuity_chain = bcoloring.continuity_chain = None\n"
+        "from bchrom import cli\n"
         f"code = cli.main(['bcolor', {str(path)!r}, '{chi}', '-o', {str(tmp_path / 'c.col')!r}])\n"
-        "print(code, 'networkx' in sys.modules)\n"
+        "print(code, sorted({'networkx', 'bchrom.oracle'} & sys.modules.keys()))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=120)
-    assert (done.stdout, done.stderr) == ("0 False\n", "")
+    assert (done.stdout, done.stderr) == ("0 []\n", "")
     coloring = parse_coloring((tmp_path / "c.col").read_text(), g.n)
     verdict = verify_coloring(g, coloring)
     assert coloring.t == chi and verdict.is_b_coloring
@@ -459,10 +465,10 @@ def test_every_route_answers_without_networkx_or_the_oracle_searches(tmp_path):
     script = (
         "import sys\n"
         "sys.modules['networkx'] = None\n"
-        "from bchrom import bcoloring, cli, oracle, route\n"
+        "from bchrom import cli, oracle, route\n"
         "for module in (oracle, route):  # wherever the names are bound\n"
         "    module.oracle_dominance = module.oracle_min_smm = None\n"
-        "route.continuity_chain = bcoloring.continuity_chain = None\n"
+        "oracle.continuity_chain = oracle.min_length_augmenting_path = None\n"
         f"print([cli.main(argv) for argv in {argvs!r}])\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -762,3 +768,83 @@ def test_a_non_tree_component_over_the_cap_is_refused_by_its_size(tmp_path):
     assert (code, out) == (1, "") and err.count("\n") == 1
     assert ("stability-two: a non-tree component of the complement has 18 vertices, "
             "over the cap 16") in err
+
+
+def _stability2_expression(n: int, rng: random.Random):
+    """A join of co-tree leaves, randomly labelled, and unions of two cliques
+    on n vertices: a tree-cograph of stability at most two whose complement
+    is a forest plus complete bipartite pieces of at most 8 vertices.  Ids
+    run in leaf order, as in the text of the expression."""
+    ids = itertools.count()
+
+    def clique(size: int):
+        leaves = [TcLeaf(path_graph(1), (next(ids),)) for _ in range(size)]
+        return leaves[0] if size == 1 else TcJoin(tuple(leaves))
+
+    parts = []
+    while (left := n - sum(p.span for p in parts)) > 0:
+        size = rng.randint(1, left)
+        if 2 <= size <= 8 and rng.random() < 0.6:
+            a = rng.randint(1, size - 1)
+            parts.append(TcUnion((clique(a), clique(size - a))))
+        else:
+            tree = random_labeled_tree(size, rng)
+            parts.append(TcLeaf(tree, tuple(itertools.islice(ids, size)), co=True))
+    return parts[0] if len(parts) == 1 else TcJoin(tuple(parts))
+
+
+def _chain_inputs(rng: random.Random):
+    """(family, file text, suffix, dense graph) on every input ``chain`` answers."""
+    for _ in range(10):
+        for family, g in (
+            ("tree", random_labeled_tree(rng.randint(2, 60), rng)),
+            ("co-tree", complement(random_labeled_tree(rng.randint(1, 30), rng))),
+            ("co-forest", _relabel(_coforest(rng.randint(2, 30), rng), rng)),
+            ("tree + C5", complement(_relabel(
+                graph_union(random_labeled_tree(rng.randint(1, 25), rng), cycle_graph(5)), rng))),
+        ):
+            yield family, format_edgelist(g), ".g", g
+        text = format_tc_expression(_stability2_expression(rng.randint(1, 24), rng))
+        yield "tcx", text, ".tcx", evaluate_tc(parse_tc_expression(text))
+
+
+def _chain_colorings(out: str, n: int) -> list:
+    """The colorings of ``chain`` output lines, ``colors: t assignment: a,b,...``."""
+    found = []
+    for line in out.splitlines():
+        _, t, _, assignment = line.split()
+        found.append(parse_coloring("".join(f"{v} {c}\n" for v, c in
+                                            enumerate(assignment.split(","))), n))
+        assert found[-1].t == int(t), line
+    return found
+
+
+def test_chain_prints_a_b_coloring_at_every_t_from_chi_b_down_to_chi(tmp_path):
+    """On trees, co-trees, co-forests, tree + C5 complements and stability-two
+    expressions, ``chain`` prints a verified b-coloring at every t from chi_b
+    down to chi, and from the witness on with ``--coloring``; on stability
+    two, the t run is that of the reference walk down augmenting paths."""
+    rng = random.Random(36)
+    for i, (family, text, suffix, g) in enumerate(_chain_inputs(rng)):
+        path, witness = tmp_path / f"g{i}{suffix}", tmp_path / f"g{i}.col"
+        path.write_text(text)
+        code, value, _ = _run(["bchromatic", str(path), "--witness", str(witness)])
+        assert code == 0, (family, text)
+        runs = []
+        for argv in (["chain", str(path)], ["chain", str(path), "--coloring", str(witness)]):
+            code, out, err = _run(argv)
+            assert (code, err) == (0, ""), (argv, text)
+            colorings = _chain_colorings(out, g.n)
+            for c in colorings:
+                assert verify_coloring(g, c).is_b_coloring, (argv, text, c)
+            runs.append([c.t for c in colorings])
+        start = parse_coloring(witness.read_text(), g.n)
+        assert start.t == int(value) and colorings[0] == start, text  # from --coloring
+        if stability_at_most_two(g):
+            walk = [c.t for c in continuity_chain(complement(g), start)]
+            assert runs[1] == walk, (family, text)
+            chi = walk[-1]
+        else:
+            assert family == "tree", text
+            chi = 2
+        assert runs == [list(range(int(value), chi - 1, -1))] * 2, (family, text)
