@@ -66,22 +66,24 @@ def _classes(n: int, c: Coloring) -> list[list[int]]:
 
 
 def verify_coloring(g: Graph, c: Coloring) -> BVerdict:
-    """Dominant classes with their lowest dominating vertices."""
+    """Dominant classes with their lowest dominating vertices, on g's rows.
+
+    The rows are scanned in vertex order, so an improper coloring names its
+    least edge (u, v), u < v, within a class: an edge whose lower end u was
+    passed would have been found at u's row.  In a proper coloring v
+    dominates when the classes of its neighbours number t - 1."""
     classes = _classes(g.n, c)
-    for u, v in g.edges:
-        if c.assignment[u] == c.assignment[v]:
+    color = c.assignment.__getitem__
+    for u, row in enumerate(g.adj):
+        if color(u) in map(color, row):
+            v = next(v for v in row if color(v) == color(u))
             raise ImproperColoring(f"adjacent vertices {u},{v} share a class")
-    masks = [0] * c.t
-    for v, col in enumerate(c.assignment):
-        masks[col] |= 1 << v
     dominant = []
     witnesses = []
     for idx, members in enumerate(classes):
         for v in members:
-            if g.degree(v) < c.t - 1:
-                continue
-            bv = g.bits[v]
-            if all(bv & masks[j] for j in range(c.t) if j != idx):
+            row = g.adj[v]
+            if len(row) >= c.t - 1 and len(set(map(color, row))) == c.t - 1:
                 dominant.append(idx)
                 witnesses.append((idx, v))
                 break

@@ -14,6 +14,15 @@ from __future__ import annotations
 from functools import cache
 
 
+def accumulators(rules: tuple) -> tuple[tuple, tuple]:
+    """The accumulators of a rule table's products, in the order a product
+    (lanes, *accumulators) holds them: its distinct rest sets, then its
+    distinct (dist, rest) folds, each in the order the rules first name it."""
+    rests = tuple(dict.fromkeys(r[1] for rs in rules for r in rs))
+    folds = tuple(dict.fromkeys(r[:2] for rs in rules for r in rs if r[0] is not None))
+    return rests, folds
+
+
 @cache
 def compile_rows(rules: tuple, vector: bool):
     """The row function of a rule table (see ``tree_dp.RULES``), written as
@@ -36,8 +45,7 @@ def compile_rows(rules: tuple, vector: bool):
     one-state table ``((r,),)`` over rows of any length, and its row is one
     min-plus product.  Over one-vector rows, r = ``(None, (0,), 0, 0)``
     combines them all; over (dist, rest) pairs, r = ``(0, (1,), 0, 0)`` lets
-    exactly one take dist; over 7-state rows, a rule of ``RULES`` gives the
-    suffix products of the deficiency witness walk.
+    exactly one take dist.
 
     Scalar tables (``vector`` false) give ``row(fs)``, the row of a vertex
     whose children have the rows ``fs`` of the same table, and beside it
@@ -54,8 +62,7 @@ def compile_rows(rules: tuple, vector: bool):
     lanes of the one with fewer: each finite lane l at i costs one shifted
     add (the other factor moved up i lanes, plus l) and one lanewise minimum
     into the result.  It is the package's only min-plus loop."""
-    rests = tuple(dict.fromkeys(r[1] for rs in rules for r in rs))
-    folds = tuple(dict.fromkeys(r[:2] for rs in rules for r in rs if r[0] is not None))
+    rests, folds = accumulators(rules)
     accs = [f"r{i}" for i in range(len(rests))] + [f"d{j}" for j in range(len(folds))]
     # the min-plus products of a merge: (factor of x, factor of y, accumulator)
     products = [p for j, (_, rest) in enumerate(folds)

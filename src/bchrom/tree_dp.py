@@ -85,11 +85,32 @@ single product.  The list functions ``combine_all`` (and through it
 ``minplus_convolve``) and ``combine_one_distinguished`` are the rows of
 ``_ALL`` and ``_ONE`` over their operands, packed up to their INF tails,
 with the tails padded back as they unpack.  ``deficiency_vector`` reads the
-root minimum as the contribution of ``_ROOT``.  The deficiency witness
-walk (``_split``) takes, per rule of ``RULES``, the suffix products over a
-vertex's children from that rule's row, and ``split_size`` reads its total
-off the product of ``_ALL`` over the components' F vectors and runs the
-same walk over them.
+root minimum as the contribution of ``_ROOT``.
+
+The deficiency witness walk (``reconstruct_deficiency_matching``) reads the
+products the vector build made on its way to each row, which
+``DeficiencyTables.products`` keeps: per vertex, its leaf block and the
+product after each child with children of its own, the last being the one
+its row was finished from.  From the root down, a vertex's state, size and
+cost name its rule: the one whose accumulator in the last product has that
+cost, less the rule's defects, at that size less its edges (at most two
+lane reads).  Going back over the children with children of their own,
+each child's share is the least size at which its lane of a state in the
+rule's rest, added to the product before it, reaches the cost: both
+windows are unpacked and searched in C.  The product before the first
+such child is the leaf block, or the empty product when there is none;
+then that child takes what is left, read off one lane per state.  A
+one-distinguished accumulator keeps dist among the earlier factors when it
+can, else gives it to this child and goes on with its all-rest
+accumulator.  The leaf children split their block in closed form: a leaf
+takes size 1 exactly when its parent edge is matched, so the first q of
+them are matched, the first taking dist when the accumulator has one.  No
+leaf is pushed on the stack; each vertex emits the parent edge of every
+child it puts at edge-loose or edge-strict.  On random trees the kept
+products add about three quarters to the tables' memory (tracemalloc:
+25.7 MB to 44.5 MB at 8200 vertices).
+``split_size`` reads its total off the product of ``_ALL`` over the
+components' F vectors and goes back over its prefix products the same way.
 """
 
 from __future__ import annotations
@@ -98,6 +119,7 @@ import sys
 from array import array
 from collections import deque
 from functools import cache
+from operator import add
 from typing import Iterable
 
 from .errors import InvariantViolation, KOutOfRange, NotATree
@@ -157,7 +179,7 @@ def root_tree(t: Graph) -> RootedTree:
                 bfs.append(w)
                 queue.append(w)
     children: list[list[int]] = [[] for _ in range(t.n)]
-    for v in bfs[1:]:
+    for v in bfs[1:]:  # in ascending order per parent: its row is sorted, and the BFS follows it
         children[parent[v]].append(v)
     order = tuple(reversed(bfs[1:]))
     size = [1] * t.n
@@ -168,7 +190,7 @@ def root_tree(t: Graph) -> RootedTree:
         root,
         bfs[1],
         tuple(parent),
-        tuple(tuple(sorted(c)) for c in children),
+        tuple(map(tuple, children)),
         order,
         tuple(size),
     )
@@ -450,16 +472,31 @@ def _lanes(rt: RootedTree, v: int) -> int:
 
 class DeficiencyTables(_Record):
     """Per vertex, the seven packed state vectors of the edge into it;
-    ``values`` is their list view, unpacked on first read."""
+    ``values`` is their list view, unpacked on first read.
+
+    ``products`` keeps, per vertex with children, the products its row was
+    read off, for the witness walk: ``products[v][i]`` is the product over
+    v's leaf children and its first i children with children of their own
+    (the kernel's empty product at i = 0 when v has no leaf child), and the
+    last entry is the product v's row was finished from.  Leaf blocks are
+    shared between the vertices with as many leaf children, so the products
+    hold one product, of six packed vectors, per child with children of its
+    own: about three quarters more memory than the rows on random trees
+    (see the module docstring).  They stay out of equality and repr, which
+    read the three fields alone.  ``deficiency_tables`` always passes them;
+    tables made from the fields alone, as a record built by its fields is,
+    hold None and cannot be walked."""
 
     _fields = ("tree", "kernel", "packed")
     tree: RootedTree
     kernel: _Lanes
     packed: dict[int, tuple[int, ...]]
+    products: dict[int, tuple] | None
 
-    def __init__(self, tree: RootedTree, kernel: _Lanes, packed: dict[int, tuple[int, ...]]) -> None:
+    def __init__(self, tree: RootedTree, kernel: _Lanes, packed: dict[int, tuple[int, ...]],
+                 products: dict[int, tuple] | None = None) -> None:
         d = self.__dict__
-        d["tree"], d["kernel"], d["packed"] = tree, kernel, packed
+        d["tree"], d["kernel"], d["packed"], d["products"] = tree, kernel, packed, products
 
     @_cached
     def values(self) -> dict[int, tuple[list[float], ...]]:
@@ -485,6 +522,7 @@ def deficiency_tables(t: Graph) -> DeficiencyTables:
     powers = [contribution(leaf, 2)]  # the product over 2**i leaf children
     blocks: dict[int, tuple] = {}  # the product over j leaf children, by j
     vals: dict[int, tuple[int, ...]] = {}
+    prods: dict[int, tuple] = {}
     for v in rt.order:
         cs = children[v]
         if not cs:
@@ -496,11 +534,14 @@ def deficiency_tables(t: Graph) -> DeficiencyTables:
         if j and j not in blocks:
             blocks[j] = _power(j, powers, merge, half)
         acc = blocks.get(j)  # None without leaf children
+        kept = [acc or empty]
         for c in inner:
             x = contribution(vals[c], lanes[c])
             acc = x if acc is None else merge(acc, x, cap)
+            kept.append(acc)
         vals[v] = finish(acc, cap)
-    return DeficiencyTables(rt, kern, vals)
+        prods[v] = tuple(kept)
+    return DeficiencyTables(rt, kern, vals, prods)
 
 
 def _power(j: int, powers: list, merge, cap: int):
@@ -542,132 +583,154 @@ def _root_minimum(tables: DeficiencyTables, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _share(kern: _Lanes, vec: int, n: int, other: tuple[int, int], k: int,
-           target: int) -> int | None:
-    """Smallest share of k for ``vec`` (n lanes) that the product ``other``,
-    (lanes, packed), completes to target."""
-    m, rest = other
+@cache
+def _walk_rules() -> tuple:
+    """Per state, its rules as the witness walk reads them off a product of
+    ``RULES``'s row, (lanes, *accumulators): (the index of the rule's
+    accumulator, that of its rest's all-rest accumulator, dist, the states
+    a child alone in the rule's accumulator may take, rest, edges,
+    defects)."""
+    from .rows import accumulators
+
+    rests, folds = accumulators(RULES)
+    return tuple(tuple(
+        (1 + (rests.index(rest) if dist is None else len(rests) + folds.index((dist, rest))),
+         1 + rests.index(rest), dist, rest if dist is None else (dist,), rest, edges, defects)
+        for dist, rest, edges, defects in rules) for rules in RULES)
+
+
+def _search(kern: _Lanes, p: int, m: int, f: tuple[int, ...], states: tuple[int, ...], n: int,
+            k: int, target: int) -> tuple[int, int, int] | None:
+    """(i, s, x): the least share i of size k at which lane k - i of p (m
+    lanes) plus lane i of f[s] (n lanes), x, makes target, for the first such
+    s of ``states``; else None.  Each window is unpacked once and searched
+    in C."""
     lo, hi = max(0, k - m + 1), min(k, n - 1)
     if lo > hi:
         return None
-    w = kern.width
-    xs = kern.unpack(vec >> lo * w, hi - lo + 1)
-    ys = kern.unpack(rest >> (k - hi) * w, hi - lo + 1)  # other at k - hi .. k - lo
-    for j, (x, y) in enumerate(zip(xs, reversed(ys))):
-        if x + y == target:
-            return lo + j
-    return None
-
-
-def _rule_rows(kern: _Lanes, dist: int | None, rest: tuple[int, ...]) -> tuple:
-    """The row functions ``_split`` reads for a rule: the empty product,
-    contribution and merge of the rule as a one-rule table, and the merge of
-    the table of its rest alone."""
-    empty, contribution, merge, _ = kern.rows((((dist, rest, 0, 0),),))
-    merge_all = merge if dist is None else kern.rows((((None, rest, 0, 0),),))[2]
-    return empty, contribution, merge, merge_all
-
-
-def _split(kern: _Lanes, made: tuple, dist: int | None, rest: tuple[int, ...], fs: list,
-           lens: list[int], k: int, target: int):
-    """Per child (state, share of k) for the rule (dist, rest) costing
-    ``target`` at size k, else None; child i's packed row has lens[i] lanes,
-    and ``made`` holds ``_rule_rows(kern, dist, rest)``.  Walks the children
-    left to right, giving each the smallest share that the product of the
-    children after it completes to the target; the first child that can take
-    dist takes it.  Those suffix products are the rule's one-rule rows, with
-    one contribution per distinct child row (every leaf child shares one).
-    The every-child-at-rest suffixes are built first, and those with one
-    child at dist only if the first child cannot take it.  When the first
-    child finds no share, the rule does not reach the target."""
-    if not fs:  # a childless vertex: no edge or defect below it
-        return [] if dist is None and k == 0 and target == 0 else None
-    empty, contribution, merge, merge_all = made
-    seen: dict[int, tuple] = {}
-    xs = []  # per child (lanes, rest minimum[, dist state])
-    for f, n in zip(fs, lens):
-        x = seen.get(id(f))
-        if x is None:
-            x = seen[id(f)] = contribution(f, n)
-        xs.append(x)
-    last = len(xs) - 1
-    alls = [(1, 0)] * (last + 2)  # children i.. at rest: (lanes, product)
-    if last:
-        alls[last] = xs[last][:2]
-        for i in range(last - 1, 0, -1):
-            alls[i] = merge_all(xs[i][:2], alls[i + 1], k)
-    ones = None  # children i.. with one of them at dist: (lanes, at rest, one at dist)
-    picks = []
-    lane = kern.lane
-    for i, f in enumerate(fs):
-        x = xs[i]
-        if dist is not None:
-            share = _share(kern, x[2], x[0], alls[i + 1], k, target)
-            if share is not None:
-                picks.append((dist, share))
-                k, target, dist = k - share, target - lane(x[2], share), None
-                continue
-            if ones is None:
-                ones = [empty] * (last + 2)
-                ones[last] = xs[last]
-                for j in range(last - 1, 0, -1):
-                    ones[j] = merge(xs[j], ones[j + 1], k)
-        share = _share(kern, x[1], x[0], alls[i + 1] if dist is None else ones[i + 1][::2],
-                       k, target)
-        if share is None:
-            if i:
-                raise InvariantViolation("a child share lost the split's target")
-            return None
-        cost = lane(x[1], share)
-        picks.append((next(s for s in rest if lane(f[s], share) == cost), share))
-        k, target = k - share, target - cost
-    return picks
+    unpack, w, count = kern.unpack, kern.width, hi - lo + 1
+    ps = unpack(p >> (k - hi) * w, count)  # p at k - hi .. k - lo
+    ps.reverse()
+    hit = None
+    for s in states:
+        sums = list(map(add, unpack(f[s] >> lo * w, count), ps))
+        if target in sums:
+            i = sums.index(target)
+            if hit is None or i < hit[0]:
+                hit = i, s
+    if hit is None:
+        return None
+    i, s = hit
+    return lo + i, s, target - ps[i]
 
 
 def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matching:
-    """Size-k matching whose deficiency equals the DP value at k."""
-    rt, kern, vals = tables.tree, tables.kernel, tables.packed
-    walk = [[(*rule, _rule_rows(kern, *rule[:2])) for rule in rules] for rules in RULES]
+    """Size-k matching whose deficiency equals the DP value at k.
+
+    At each vertex the walk reads its rule off the kept product and goes
+    back over the children with children of their own, each taking its
+    share from one search of the product before it; the leaf children take
+    theirs from the leaf block in closed form (see the module docstring)."""
+    rt, kern, vals, prods = tables.tree, tables.kernel, tables.packed, tables.products
     best = _root_minimum(tables, k)
     if best == INF:
         raise KOutOfRange(f"no matching of size {k} exists")
+    children, rules = rt.children, _walk_rules()
+    empty, contribution, _, finish = kern.rows(RULES)
+    w, mask = kern.width, (1 << kern.width) - 1
+    one = contribution(finish(empty, 1), 2)  # a leaf's product: per accumulator, sizes 0 and 1
+    at_leaf = [(x & mask, x >> w & mask) for x in one]
     s0 = rt.anchor
-    out: list[Edge] = []
-    stack = [(s0, next(s for s in (0, 1, 5) if kern.lane(vals[s0][s], k) == best), k)]
-    while stack:
-        v, st, kv = stack.pop()
-        cs = rt.children[v]
-        fs, lens = [vals[c] for c in cs], [_lanes(rt, c) for c in cs]
-        cell = kern.lane(vals[v][st], kv)
-        for dist, rest, edges, defects, made in walk[st]:
-            picks = _split(kern, made, dist, rest, fs, lens, kv - edges, cell - defects)
-            if picks is not None:
+    st = next(s for s in (0, 1, 5) if kern.lane(vals[s0][s], k) == best)
+    out = [norm_edge(rt.parent[s0], s0)] if st in (1, 2) else []
+    stack = [(s0, st, k, best)] if children[s0] else []
+    while stack:  # a vertex, its state, its size and its cost there
+        v, st, kv, cell = stack.pop()
+        ps, cs = prods[v], children[v]
+        top = ps[-1]
+        for a, ra, dist, lone, rest, edges, defects in rules[st]:
+            size, target = kv - edges, cell - defects
+            if 0 <= size < top[0] and top[a] >> size * w & mask == target:
                 break
         else:
             raise InvariantViolation(f"no rule reaches {STATE_NAMES[st]} at vertex {v}, k={kv}")
-        if edges:
-            out.append(norm_edge(rt.parent[v], v))
-        stack.extend((c, s, kc) for c, (s, kc) in zip(cs, picks))
+        i, leaves = len(ps) - 1, len(cs) - len(ps) + 1  # the inner children, from the last
+        inner = [c for c in cs if children[c]] if leaves else cs
+        while i:
+            i -= 1
+            c, p = inner[i], ps[i]
+            f, n = vals[c], _lanes(rt, c)
+            if not (i or leaves):  # the first factor, after the empty product, takes what is left
+                hit = None
+                for s in lone:
+                    if size < n and f[s] >> size * w & mask == target:
+                        hit = size, s, target
+                        break
+            else:
+                hit = _search(kern, p[a], p[0], f, rest, n, size, target)
+                if hit is None and dist is not None:  # not among the earlier factors: here
+                    hit = _search(kern, p[ra], p[0], f, lone, n, size, target)
+                    a, dist, lone = ra, None, rest
+            if hit is None:
+                raise InvariantViolation(f"a child of vertex {v} lost its rule's target")
+            share, s, cost = hit
+            size, target = size - share, target - cost
+            if s == 1 or s == 2:
+                out.append(norm_edge(v, c))
+            stack.append((c, s, share, cost))
+        if leaves:
+            matched = _matched_leaves(leaves, at_leaf[a], at_leaf[ra], dist is not None, size, target)
+            if matched is None:
+                raise InvariantViolation(f"the leaf children of vertex {v} lost their rule's target")
+            if matched.stop:
+                out += [norm_edge(v, c) for c in [c for c in cs if not children[c]][matched]]
     matching = frozenset(out)
     if len(matching) != k:
         raise InvariantViolation("reconstructed matching has the wrong size")
     return matching
 
 
+def _matched_leaves(j: int, acc: tuple[int, int], rest: tuple[int, int], dist: bool,
+                    size: int, target: int) -> slice | None:
+    """The leaves matched to their parent, as a slice of its j leaf children,
+    when their block takes ``size`` at cost target; ``acc`` and ``rest`` are
+    a leaf's lanes at sizes 0 and 1 in the accumulator read and in its rest's
+    all-rest one.  A leaf takes size 1 exactly when its parent edge is
+    matched, and every split with the same number of such leaves costs the
+    same, so the first ``size`` leaves are matched.  With dist the first of
+    them takes it: the dist states of ``RULES`` match the parent edge."""
+    q, lead = size - dist, acc[1] if dist else 0  # the other leaves at size 1; the dist leaf
+    if 0 <= q <= j - dist and lead + (j - dist - q) * rest[0] + q * rest[1] == target:
+        return slice(size)
+    return None
+
+
 def split_size(fvecs: list[list[float]], k: int) -> list[int]:
     """Per component, with F vectors ``fvecs``, its share of the matching
     size k in a split of least total deficiency, ``combine_all(fvecs, k)[k]``:
     F adds up over components, since augmenting paths of length 1 and 3 stay
-    inside one, and ``_split`` walks the components for the shares.  The
-    total is read off the packed product, as ``combine_all`` would make it."""
+    inside one.  The total is read off the packed product, as ``combine_all``
+    would make it, and the shares come from going back over the prefix
+    products it was made from, as the deficiency witness walk does."""
     lens = [_finite(f) for f in fvecs]
     kern, _, packed = _packed([(f,) for f in fvecs], lens)
-    n, total = _product(kern, _ALL, packed, lens, max(k, 0))  # k < 0 fails the check below
+    empty, _, merge, _ = kern.rows(((_ALL,),))
+    xs = [(n, row[0]) for row, n in zip(packed, lens)]  # each F vector, a product of one
+    prefix = [empty]
+    for i, x in enumerate(xs):
+        prefix.append(merge(prefix[-1], x, max(k, 0)) if i else x)  # k < 0 fails below
+    n, total = prefix[-1]
     if not 0 <= k < n or kern.lane(total, k) == kern.inf:
         raise KOutOfRange(f"no split of matching size {k} over the components")
-    dist, rest = _ALL[:2]
-    picks = _split(kern, _rule_rows(kern, dist, rest), dist, rest, packed, lens, k, kern.lane(total, k))
-    return [share for _, share in picks]
+    target, shares = kern.lane(total, k), []
+    for i in range(len(xs) - 1, 0, -1):
+        (m, p), (n, x) = prefix[i], xs[i]
+        hit = _search(kern, p, m, (x,), (0,), n, k, target)
+        if hit is None:
+            raise InvariantViolation("a component's share lost the split's target")
+        shares.append(hit[0])
+        k, target = k - hit[0], target - hit[2]
+    return [k, *reversed(shares)] if xs else []
 
 
 def deficiency_matching(t: Graph, k: int) -> tuple[float, Matching]:

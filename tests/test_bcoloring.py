@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bchrom.bcoloring import (
+    BVerdict,
     Coloring,
     coloring_to_matching,
     matching_to_coloring,
@@ -17,7 +18,7 @@ from bchrom.errors import (
     NotABColoring,
     StabilityTooLarge,
 )
-from bchrom.generators import random_labeled_tree
+from bchrom.generators import random_graph, random_labeled_tree
 from bchrom.graph import (
     Graph,
     complement,
@@ -281,6 +282,68 @@ def test_verify_on_complement_equals_verify_coloring():
         for c in colorings:
             want = _outcome(verify_coloring, g, c)
             assert _outcome(verify_on_complement, co, c) == want, (co, c)
+            kinds.add(want[0] if isinstance(want, tuple) else want.is_b_coloring)
+    assert kinds == {True, False, ImproperColoring, EmptyClass}
+
+
+def _verify_coloring_reference(g: Graph, c: Coloring):
+    """``verify_coloring`` as it was written on ``g.edges`` and ``g.bits``:
+    the first edge within a class in (u, v) order, and a vertex dominant when
+    its neighbourhood mask meets every other class's mask."""
+    if len(c.assignment) != g.n:
+        raise ImproperColoring("assignment length differs from vertex count")
+    if any(not 0 <= x < c.t for x in c.assignment):
+        raise ImproperColoring("color index out of range")
+    classes = c.classes()
+    for idx, members in enumerate(classes):
+        if not members:
+            raise EmptyClass(f"class {idx} is empty")
+    for u, v in g.edges:
+        if c.assignment[u] == c.assignment[v]:
+            raise ImproperColoring(f"adjacent vertices {u},{v} share a class")
+    masks = [0] * c.t
+    for v, col in enumerate(c.assignment):
+        masks[col] |= 1 << v
+    dominant, witnesses = [], []
+    for idx, members in enumerate(classes):
+        for v in members:
+            if g.degree(v) < c.t - 1:
+                continue
+            if all(g.bits[v] & masks[j] for j in range(c.t) if j != idx):
+                dominant.append(idx)
+                witnesses.append((idx, v))
+                break
+    return BVerdict(len(dominant) == c.t, frozenset(dominant), tuple(witnesses))
+
+
+def _greedy(g: Graph, rng: random.Random) -> Coloring:
+    """A proper coloring: vertices in random order, each the least color
+    its colored neighbours lack, the colors then numbered at random."""
+    color = [-1] * g.n
+    for v in rng.sample(range(g.n), g.n):
+        taken = {color[w] for w in g.adj[v]}
+        color[v] = next(x for x in range(g.n) if x not in taken)
+    t = max(color, default=-1) + 1
+    names = rng.sample(range(t), t)
+    return Coloring(tuple(names[x] for x in color), t)
+
+
+def test_verify_coloring_equals_its_reference_on_random_graphs():
+    """The same verdict, witnesses and error line as the reference, on
+    random trees and random graphs with proper, mutated and random colorings."""
+    rng = random.Random(3108)
+    kinds = set()
+    graphs = [random_labeled_tree(rng.randint(1, 30), rng) for _ in range(40)]
+    graphs += [random_graph(rng.randint(1, 16), rng.uniform(0.1, 0.9), rng) for _ in range(40)]
+    for g in graphs:
+        colorings = [_greedy(g, rng) for _ in range(3)]
+        colorings += [m for c in list(colorings) for m in _mutations(c, rng) if len(c.assignment) > 1]
+        for _ in range(3):
+            t = rng.randint(1, g.n)
+            colorings.append(Coloring(tuple(rng.randrange(t) for _ in range(g.n)), t))
+        for c in colorings:
+            want = _outcome(_verify_coloring_reference, g, c)
+            assert _outcome(verify_coloring, g, c) == want, (g, c)
             kinds.add(want[0] if isinstance(want, tuple) else want.is_b_coloring)
     assert kinds == {True, False, ImproperColoring, EmptyClass}
 

@@ -30,6 +30,7 @@ from bchrom.tree_dp import (
     combine_one_distinguished,
     deficiency_matching,
     deficiency_tables,
+    deficiency_vector,
     min_smm_tree,
     reconstruct_deficiency_matching,
     root_tree,
@@ -270,7 +271,11 @@ def test_tables_equal_reference_at_200(shape):
 
 
 def test_witness_at_every_feasible_size():
-    for t in SMALL + RANDOM[:40]:
+    # leafy shapes, where a vertex's leaf children take their sizes from its
+    # leaf block: the stars, caterpillars and brooms below
+    rng = random.Random("leafy witnesses")
+    leafy = [_relabel(t, rng) for shape in ("broom", "caterpillar", "star") for t in SHAPES[shape]]
+    for t in SMALL + RANDOM[:40] + leafy:
         tables = deficiency_tables(t)
         ref = _reference_deficiency(t)[tables.tree.anchor]
         for k in range(t.n // 2 + 1):
@@ -281,6 +286,24 @@ def test_witness_at_every_feasible_size():
             assert len(m) == k and sum(s1_s2(t, m)) == value
             largest = k, value
         assert deficiency_matching(t, largest[0])[0] == largest[1]
+
+
+def test_witness_on_a_2000_leaf_star_at_size_one():
+    t = _relabel(star_graph(2000), random.Random(2000))
+    tables = deficiency_tables(t)
+    m = reconstruct_deficiency_matching(tables, 1)
+    assert len(m) == 1 and sum(s1_s2(t, m)) == deficiency_vector(t, tables)[1] == 0
+
+
+def test_children_rise_in_random_labellings():
+    """``root_tree`` keeps each parent's children in the order its BFS met
+    them, which is ascending, as its sorted row gives them."""
+    rng = random.Random(139)
+    trees = [random_labeled_tree(rng.randint(2, 300), rng) for _ in range(100)]
+    trees += [_relabel(t, rng) for shape in sorted(SHAPES) for t in SHAPES[shape]]
+    for t in trees:
+        for cs in root_tree(t).children:
+            assert list(cs) == sorted(cs)
 
 
 def test_min_smm_witness_is_minimum_and_strongly_maximal():
