@@ -74,18 +74,23 @@ its value took and the child that rule's one-distinguished fold picked.
 ``SmmTables`` keeps those records, and the scalar witness walk
 (``reconstruct_smm``) follows them down the tree, with every other child at
 its first cheapest state in the rule's rest, so it tries no rule.  In the
-vector build, a vertex with one child reads its row off that child's
-vectors by truncation alone, and the leaf children of a vertex enter as a
+vector build, a vertex with one child finishes its row off that child's
+contribution, with no merge, and the leaf children of a vertex enter as a
 single block: the leaf's product raised to the power j by repeated
-squaring, made once per distinct j in a build.  Only the children with
-children of their own are multiplied in one by one.
+squaring, made once per distinct j in a build.  A block is made at sizes 0
+and 1 alone.  A leaf has a size-1 matching only at edge-loose and
+edge-strict, the dist states, which every rest leaves out, and a rule has
+at most one dist child, so no product of leaves is finite above size 1.
+Only the children with children of their own are multiplied in one by one.
 
 Everything else runs one rule read as a one-state table, whose row is a
-single product.  The list functions ``combine_all`` (and through it
-``minplus_convolve``) and ``combine_one_distinguished`` are the rows of
-``_ALL`` and ``_ONE`` over their operands, packed up to their INF tails,
-with the tails padded back as they unpack.  ``deficiency_vector`` reads the
-root minimum as the contribution of ``_ROOT``.
+single product.  ``combine_all`` (and through it ``minplus_convolve``) and
+``split_size`` fold their list operands, packed up to their INF tails, in
+the merge of ``_ALL``, which takes each operand as it is; ``_product``
+keeps the prefix products of that fold, ``combine_all`` reads the last one,
+with the tails padded back as it unpacks, and ``split_size`` goes back over
+them all.  ``deficiency_vector`` reads the root minimum as the
+contribution of ``_ROOT``.
 
 The deficiency witness walk (``reconstruct_deficiency_matching``) reads the
 products the vector build made on its way to each row, which
@@ -102,15 +107,16 @@ such child is the leaf block, or the empty product when there is none;
 then that child takes what is left, read off one lane per state.  A
 one-distinguished accumulator keeps dist among the earlier factors when it
 can, else gives it to this child and goes on with its all-rest
-accumulator.  The leaf children split their block in closed form: a leaf
-takes size 1 exactly when its parent edge is matched, so the first q of
-them are matched, the first taking dist when the accumulator has one.  No
-leaf is pushed on the stack; each vertex emits the parent edge of every
-child it puts at edge-loose or edge-strict.  On random trees the kept
-products add about three quarters to the tables' memory (tracemalloc:
-25.7 MB to 44.5 MB at 8200 vertices).
-``split_size`` reads its total off the product of ``_ALL`` over the
-components' F vectors and goes back over its prefix products the same way.
+accumulator.  The leaf children then take what is left, size 0 or 1, and
+one lane of their block's accumulator checks its cost.  At size 1 the
+first leaf child takes dist, its parent edge matched; every other leaf
+stays unmatched.  No leaf is pushed on the stack; each vertex emits the
+parent edge of every child it puts at edge-loose or edge-strict.  On random
+trees the kept products add about three quarters to the tables' memory
+(tracemalloc: 25.7 MB to 44.5 MB at 8200 vertices).
+``split_size`` reads its total off the last of ``_product``'s prefix
+products over the components' F vectors and goes back over the others the
+same way.
 """
 
 from __future__ import annotations
@@ -355,17 +361,10 @@ class _Lanes:
         once per kernel and table."""
         made = self.made.get(table)
         if made is None:
-            made = self.made[table] = _compiled(table)(self)
+            from .rows import compile_rows  # on first use: importing bchrom compiles none of it
+
+            made = self.made[table] = compile_rows(table, vector=True)(self)
         return made
-
-
-@cache
-def _compiled(table: tuple):
-    """``rows.compile_rows`` of a rule table on packed lanes, imported on
-    first use, so that importing bchrom compiles none of it."""
-    from .rows import compile_rows
-
-    return compile_rows(table, vector=True)
 
 
 def _finite(v: list[float]) -> int:
@@ -377,51 +376,38 @@ def _finite(v: list[float]) -> int:
     return max(n - tail, 1) if v[n - tail:].count(INF) == tail else n
 
 
-def _packed(rows: list[tuple], lens: list[int]) -> tuple[_Lanes, int, list[list[int]]]:
-    """Lanes for rows of list vectors, their shared offset and the rows
-    packed, each vector cut or INF-padded to its row's entry of ``lens``.
-    The offset lifts negative entries (from ``dominance_join``) to zero, so a
-    product over c rows carries it c times; no such product passes c times
+def _packed(vecs: list[list[float]]) -> tuple[_Lanes, int, list[tuple[int, int]]]:
+    """Lanes for list vectors, their shared offset and each vector packed up
+    to its INF tail (``_finite``), as a product of one: (lanes, vector).  The
+    offset lifts negative entries (from ``dominance_join``) to zero, so a
+    product of c vectors carries it c times; no such product passes c times
     the largest lifted entry."""
-    finite = set().union(*[v[:n] for row, n in zip(rows, lens) for v in row]) - {INF}
+    lens = list(map(_finite, vecs))
+    finite = set().union(*[v[:n] for v, n in zip(vecs, lens)]) - {INF}
     off = max(0, -min(finite, default=0))
-    kern = _Lanes(len(rows) * (max(finite, default=0) + off), sum(lens))
+    kern = _Lanes(len(vecs) * (max(finite, default=0) + off), sum(lens))
     inf, pack = kern.inf, kern.pack
-    return kern, off, [[pack([inf if x == INF else x + off for x in v[:n]] + [inf] * (n - len(v)))
-                        for v in row] for row, n in zip(rows, lens)]
+    return kern, off, [(n, pack([inf if x == INF else x + off for x in v[:n]] + [inf] * (n - len(v))))
+                       for v, n in zip(vecs, lens)]
 
 
 # Rules read as one-state tables ``((rule,),)`` (see ``rows.compile_rows``):
-# every one-vector row at its vector; exactly one (dist, rest) row at dist,
-# the others at rest; and the root minimum of a deficiency table.
+# every one-vector row at its vector, and the root minimum of a deficiency table.
 _ALL = (None, (0,), 0, 0)
-_ONE = (0, (1,), 0, 0)
 _ROOT = (None, (0, 1, 5), 0, 0)
 
 
-def _product(kern: _Lanes, rule: tuple, packed: list, lens: list[int], cap: int) -> tuple:
-    """The product of ``rule``'s contributions of the packed rows (row i has
-    lens[i] lanes), at sizes up to cap: (lanes, *accumulators).  The rule's
-    row has one state, its accumulator, which neither moves nor rises, so it
-    is read off the product without ``finish``."""
-    empty, contribution, merge, _ = kern.rows(((rule,),))
-    acc = None
-    for row, n in zip(packed, lens):
-        x = contribution(row, n)
-        acc = x if acc is None else merge(acc, x, cap)
-    return empty if acc is None else acc
-
-
-def _list_product(rule: tuple, rows: list[tuple], cap: int | None) -> list[float]:
-    """The row of ``rule`` over children with the (non-empty) list ``rows``,
-    at sizes up to cap and to the sum of the children's largest sizes.  A
-    row is packed up to the longest finite part of its vectors."""
-    lens = [max(map(_finite, row)) for row in rows]
-    kern, off, packed = _packed(rows, lens)
-    top = sum([max(map(len, row)) for row in rows]) - len(rows)
-    top = top if cap is None else min(cap, top)
-    acc = _product(kern, rule, packed, lens, top)
-    return kern.to_list(acc[-1], acc[0], top + 1, len(rows) * off)
+def _product(kern: _Lanes, xs: list[tuple[int, int]], cap: int) -> list[tuple[int, int]]:
+    """The products of ``_ALL`` over the first i packed vectors of xs, each
+    (lanes, vector), for i = 0..len(xs), at sizes up to cap: the empty
+    product, then one per vector.  The rule's row has one state, its
+    accumulator, which neither moves nor rises, so it is read off a product
+    without ``finish``."""
+    empty, _, merge, _ = kern.rows(((_ALL,),))
+    kept = [empty, *xs[:1]]
+    for x in xs[1:]:
+        kept.append(merge(kept[-1], x, cap))
+    return kept
 
 
 def minplus_convolve(a: list[float], b: list[float], cap: int | None = None) -> list[float]:
@@ -438,26 +424,18 @@ def minplus_convolve(a: list[float], b: list[float], cap: int | None = None) -> 
 
 
 def combine_all(children: list[list[float]], cap: int | None = None) -> list[float]:
-    """Min-cost way to split a total k across all children; the empty list
+    """Min-cost way to split a total k across all children, at sizes up to
+    cap and to the sum of the children's largest sizes; the empty list
     combines to cost zero at k=0."""
     if not children:
         return [0]
     if len(children) == 1 or cap is not None and cap < 0:
         return children[0][:None if cap is None else max(cap + 1, 0)]
-    return _list_product(_ALL, [(v,) for v in children], cap)
-
-
-def combine_one_distinguished(
-    dists: list[list[float]], rests: list[list[float]], cap: int | None = None
-) -> list[float]:
-    """Like combine_all over ``rests``, except exactly one child (any one)
-    contributes its ``dists`` vector instead; a child's two vectors are read
-    at the longer one's length."""
-    if not (dists and rests):
-        return [INF]
-    if cap is not None and cap < 0:
-        return []
-    return _list_product(_ONE, list(zip(dists, rests)), cap)
+    kern, off, xs = _packed(children)
+    top = sum(map(len, children)) - len(children)
+    top = top if cap is None else min(cap, top)
+    n, acc = _product(kern, xs, top)[-1]
+    return kern.to_list(acc, n, top + 1, len(children) * off)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +463,7 @@ class DeficiencyTables(_Record):
     (see the module docstring).  They stay out of equality and repr, which
     read the three fields alone.  ``deficiency_tables`` always passes them;
     tables made from the fields alone, as a record built by its fields is,
-    hold None and cannot be walked."""
+    hold None, and the walk refuses them with ``InvariantViolation``."""
 
     _fields = ("tree", "kernel", "packed")
     tree: RootedTree
@@ -513,14 +491,14 @@ class DeficiencyTables(_Record):
 
 def deficiency_tables(t: Graph) -> DeficiencyTables:
     rt = root_tree(t)
-    half, children = t.n // 2, rt.children
+    children = rt.children
     # a vertex adds at most two defects, so no entry or partial sum passes 2n
-    kern = _Lanes(2 * t.n + 2, half + 1)
+    kern = _Lanes(2 * t.n + 2, t.n // 2 + 1)
     empty, contribution, merge, finish = kern.rows(RULES)
     lanes = [_lanes(rt, v) for v in range(t.n)]
     leaf = finish(empty, 1)  # every childless vertex has this row, at cap 1
     powers = [contribution(leaf, 2)]  # the product over 2**i leaf children
-    blocks: dict[int, tuple] = {}  # the product over j leaf children, by j
+    blocks: dict[int, tuple] = {}  # the product over j leaf children, by j, at sizes 0 and 1
     vals: dict[int, tuple[int, ...]] = {}
     prods: dict[int, tuple] = {}
     for v in rt.order:
@@ -532,7 +510,7 @@ def deficiency_tables(t: Graph) -> DeficiencyTables:
         inner = [c for c in cs if children[c]]
         j = len(cs) - len(inner)
         if j and j not in blocks:
-            blocks[j] = _power(j, powers, merge, half)
+            blocks[j] = _power(j, powers, merge, 1)
         acc = blocks.get(j)  # None without leaf children
         kept = [acc or empty]
         for c in inner:
@@ -630,16 +608,16 @@ def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matchin
     At each vertex the walk reads its rule off the kept product and goes
     back over the children with children of their own, each taking its
     share from one search of the product before it; the leaf children take
-    theirs from the leaf block in closed form (see the module docstring)."""
+    what is left, 0 or 1, off one lane of their block (see the module
+    docstring)."""
     rt, kern, vals, prods = tables.tree, tables.kernel, tables.packed, tables.products
+    if prods is None:
+        raise InvariantViolation("deficiency tables made without their products cannot be walked")
     best = _root_minimum(tables, k)
     if best == INF:
         raise KOutOfRange(f"no matching of size {k} exists")
     children, rules = rt.children, _walk_rules()
-    empty, contribution, _, finish = kern.rows(RULES)
     w, mask = kern.width, (1 << kern.width) - 1
-    one = contribution(finish(empty, 1), 2)  # a leaf's product: per accumulator, sizes 0 and 1
-    at_leaf = [(x & mask, x >> w & mask) for x in one]
     s0 = rt.anchor
     st = next(s for s in (0, 1, 5) if kern.lane(vals[s0][s], k) == best)
     out = [norm_edge(rt.parent[s0], s0)] if st in (1, 2) else []
@@ -678,31 +656,15 @@ def reconstruct_deficiency_matching(tables: DeficiencyTables, k: int) -> Matchin
             if s == 1 or s == 2:
                 out.append(norm_edge(v, c))
             stack.append((c, s, share, cost))
-        if leaves:
-            matched = _matched_leaves(leaves, at_leaf[a], at_leaf[ra], dist is not None, size, target)
-            if matched is None:
+        if leaves:  # the block holds sizes 0 and 1; at 1 the first leaf takes dist
+            if not (size < ps[0][0] and ps[0][a] >> size * w & mask == target):
                 raise InvariantViolation(f"the leaf children of vertex {v} lost their rule's target")
-            if matched.stop:
-                out += [norm_edge(v, c) for c in [c for c in cs if not children[c]][matched]]
+            if size:
+                out.append(norm_edge(v, next(c for c in cs if not children[c])))
     matching = frozenset(out)
     if len(matching) != k:
         raise InvariantViolation("reconstructed matching has the wrong size")
     return matching
-
-
-def _matched_leaves(j: int, acc: tuple[int, int], rest: tuple[int, int], dist: bool,
-                    size: int, target: int) -> slice | None:
-    """The leaves matched to their parent, as a slice of its j leaf children,
-    when their block takes ``size`` at cost target; ``acc`` and ``rest`` are
-    a leaf's lanes at sizes 0 and 1 in the accumulator read and in its rest's
-    all-rest one.  A leaf takes size 1 exactly when its parent edge is
-    matched, and every split with the same number of such leaves costs the
-    same, so the first ``size`` leaves are matched.  With dist the first of
-    them takes it: the dist states of ``RULES`` match the parent edge."""
-    q, lead = size - dist, acc[1] if dist else 0  # the other leaves at size 1; the dist leaf
-    if 0 <= q <= j - dist and lead + (j - dist - q) * rest[0] + q * rest[1] == target:
-        return slice(size)
-    return None
 
 
 def split_size(fvecs: list[list[float]], k: int) -> list[int]:
@@ -712,13 +674,8 @@ def split_size(fvecs: list[list[float]], k: int) -> list[int]:
     inside one.  The total is read off the packed product, as ``combine_all``
     would make it, and the shares come from going back over the prefix
     products it was made from, as the deficiency witness walk does."""
-    lens = [_finite(f) for f in fvecs]
-    kern, _, packed = _packed([(f,) for f in fvecs], lens)
-    empty, _, merge, _ = kern.rows(((_ALL,),))
-    xs = [(n, row[0]) for row, n in zip(packed, lens)]  # each F vector, a product of one
-    prefix = [empty]
-    for i, x in enumerate(xs):
-        prefix.append(merge(prefix[-1], x, max(k, 0)) if i else x)  # k < 0 fails below
+    kern, _, xs = _packed(fvecs)
+    prefix = _product(kern, xs, max(k, 0))  # k < 0 fails below
     n, total = prefix[-1]
     if not 0 <= k < n or kern.lane(total, k) == kern.inf:
         raise KOutOfRange(f"no split of matching size {k} over the components")

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from bchrom.errors import KOutOfRange, NotATree
+from bchrom.errors import InvariantViolation, KOutOfRange, NotATree
 from bchrom.generators import random_labeled_tree
 from bchrom.graph import Graph, cycle_graph, path_graph, star_graph
 from bchrom.matching import is_strongly_maximal, s1_s2
 from bchrom.oracle import oracle_f_t_k, oracle_min_smm
 from bchrom.tree_dp import (
     INF,
+    DeficiencyTables,
     combine_all,
-    combine_one_distinguished,
     deficiency_matching,
     deficiency_tables,
     deficiency_vector,
@@ -24,6 +24,7 @@ from bchrom.tree_dp import (
 )
 
 from conftest import relabelled, tree_catalog
+from test_tree_dp_rules import _fold_one
 
 
 def test_min_smm_examples():
@@ -167,6 +168,8 @@ def test_combine_all_matches_exhaustive():
 
 
 def test_combine_one_distinguished_matches_exhaustive():
+    """The plain-list fold that the tests take as the reference for rules
+    with a dist state: exactly one vector takes its dist entry."""
     rng = random.Random(10)
     for _ in range(60):
         l = rng.randint(1, 4)
@@ -178,7 +181,7 @@ def test_combine_one_distinguished_matches_exhaustive():
         rests = [
             [rng.choice([INF, 0, 1, 3]) for _ in range(len(d))] for d in dists
         ]
-        got = combine_one_distinguished(dists, rests, kmax)
+        got = _fold_one(dists, rests, kmax)
         for k in range(len(got)):
             best = INF
             for di in range(l):
@@ -287,6 +290,17 @@ def test_dumps_have_expected_shape():
     def_rows = dump_deficiency_tables(deficiency_tables(t)).splitlines()
     assert all(len(r.split("\t")) == 4 for r in def_rows)
     assert any(r.split("\t")[3] == "INF" for r in def_rows)
+
+
+def test_walking_tables_made_without_their_products_fails_in_one_line():
+    """Tables made from their three fields alone equal the built ones but
+    hold no products, so the walk refuses them before it reads a lane."""
+    tables = deficiency_tables(path_graph(6))
+    bare = DeficiencyTables(tables.tree, tables.kernel, tables.packed)
+    assert bare == tables and bare.products is None
+    with pytest.raises(InvariantViolation) as caught:
+        reconstruct_deficiency_matching(bare, 2)
+    assert "\n" not in str(caught.value) and "products" in str(caught.value)
 
 
 def test_reconstruct_deficiency_spec_examples():

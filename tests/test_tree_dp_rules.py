@@ -3,10 +3,12 @@
 The reference below writes both recurrences out by hand, state by state: a
 fused five-state scalar pass for the minimum strongly maximal matching and a
 seven-state vector pass for the deficiency at each matching size, each with
-a leaf case of its own.  The tables that ``tree_dp`` reads off ``RULES``
-must equal it cell for cell on randomly labelled trees.  Beside them, the
-witness walk that tries the scalar rules one by one at each vertex is the
-reference for the walk that follows the choices the compiled row recorded.
+a leaf case of its own.  The vector pass folds its children over plain
+lists, so it shares no merge with the package.  The tables that
+``tree_dp`` reads off ``RULES`` must equal it cell for cell on randomly
+labelled trees.  Beside them, the witness walk that tries the scalar rules
+one by one at each vertex is the reference for the walk that follows the
+choices the compiled row recorded.
 """
 
 import io
@@ -26,8 +28,6 @@ from bchrom.tree_dp import (
     INF,
     RULES,
     STATE_NAMES,
-    combine_all,
-    combine_one_distinguished,
     deficiency_matching,
     deficiency_tables,
     deficiency_vector,
@@ -117,6 +117,40 @@ def _shift_add(vec: list, add: int, cap: int, shift: int = 0) -> list:
     return out
 
 
+def _minplus(a: list, b: list, cap: int) -> list:
+    """The min-plus product of two lists at sizes up to cap: each finite
+    entry of the shorter, added to the other moved up to its size; the
+    first such row lands on INF entries alone."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = [INF] * (min(cap, len(a) + len(b) - 2) + 1)
+    first = True
+    for i, x in enumerate(a[: len(out)]):
+        if x != INF:
+            row = [x + y for y in b[: len(out) - i]]
+            out[i : i + len(row)] = row if first else map(min, out[i : i + len(row)], row)
+            first = False
+    return out
+
+
+def _fold_all(vecs: list, cap: int) -> list:
+    """Every vector at a size of its own, the sizes summing to k, at k up to cap."""
+    out = vecs[0][: cap + 1]
+    for vec in vecs[1:]:
+        out = _minplus(out, vec, cap)
+    return out
+
+
+def _fold_one(dists: list, rests: list, cap: int) -> list:
+    """Like ``_fold_all`` over ``rests``, except that exactly one vector, any
+    one, is its entry of ``dists`` instead."""
+    none, one = rests[0][: cap + 1], dists[0][: cap + 1]
+    for dist, rest in zip(dists[1:], rests[1:]):
+        one = _vec_min(_minplus(one, rest, cap), _minplus(none, dist, cap))
+        none = _minplus(none, rest, cap)
+    return one
+
+
 def _reference_deficiency(t: Graph) -> dict:
     rt = root_tree(t)
     cap_all = t.n // 2
@@ -137,17 +171,15 @@ def _reference_deficiency(t: Graph) -> dict:
         m17 = [_vec_min(f[0], f[6]) for f in fs]
         f4s = [f[3] for f in fs]
         f1s = [f[0] for f in fs]
-        c45 = combine_all(m45, cap - 1)
-        c4 = combine_all(f4s, cap - 1)
-        c17 = combine_all(m17, cap)
-        f1 = combine_one_distinguished([f[2] for f in fs], m45, cap)
+        c45 = _fold_all(m45, cap - 1)
+        c4 = _fold_all(f4s, cap - 1)
+        c17 = _fold_all(m17, cap)
+        f1 = _fold_one([f[2] for f in fs], m45, cap)
         f2 = _shift_add(c45, 0, cap, shift=1)
         f3 = _vec_min(_shift_add(c4, 0, cap, shift=1), _shift_add(c45, 1, cap, shift=1))
-        f4 = _vec_min(combine_one_distinguished([f[1] for f in fs], f4s, cap), f1)
+        f4 = _vec_min(_fold_one([f[1] for f in fs], f4s, cap), f1)
         f5 = _vec_min(
-            _vec_min(
-                combine_all(f1s, cap), combine_one_distinguished([f[5] for f in fs], f1s, cap)
-            ),
+            _vec_min(_fold_all(f1s, cap), _fold_one([f[5] for f in fs], f1s, cap)),
             _shift_add(c17, 1, cap),
         )
         f6 = _shift_add(c17, 2, cap)
@@ -397,10 +429,9 @@ ONE_RULES = sorted({(dist, rest) for rules in RULES for dist, rest, _, _ in rule
                          ids=[f"dist{d}-rest{''.join(map(str, r))}" for d, r in ONE_RULES])
 def test_each_rule_read_as_a_one_rule_table_is_its_list_product(dist, rest):
     """A rule of ``RULES`` compiled as a one-state table, over random packed
-    7-state child rows folded in either order, gives the product of the list
-    functions: ``combine_all``, or ``combine_one_distinguished`` with dist,
-    of each child's lanewise minimum over rest, at caps below and above the
-    total."""
+    7-state child rows folded in either order, gives the plain-list fold:
+    ``_fold_all``, or ``_fold_one`` with dist, of each child's lanewise
+    minimum over rest, at caps below and above the total."""
     rng = random.Random(f"{dist}/{rest}")
     for trial in range(40):
         values = [INF, INF, 0, 1, 2, 5, 9] + ([2 ** 14 + 3] if trial % 5 == 4 else [])
@@ -414,9 +445,9 @@ def test_each_rule_read_as_a_one_rule_table_is_its_list_product(dist, rest):
         rests = [[min(column) for column in zip(*(row[s] for s in rest))] for row in rows]
         for cap in sorted({max(total - 2, 0), total, total + 3}):
             if dist is None:
-                want = combine_all(rests, cap)
+                want = _fold_all(rests, cap)
             else:
-                want = combine_one_distinguished([row[dist] for row in rows], rests, cap)
+                want = _fold_one([row[dist] for row in rows], rests, cap)
             want += [INF] * (cap + 1 - len(want))
             for order in (range(len(lens)), reversed(range(len(lens)))):
                 acc = None
@@ -425,3 +456,37 @@ def test_each_rule_read_as_a_one_rule_table_is_its_list_product(dist, rest):
                     acc = x if acc is None else merge(acc, x, cap)
                 (row,) = finish(acc, cap)
                 assert kern.to_list(row, cap + 1, cap + 1) == want, (trial, cap, lens)
+
+
+@pytest.mark.parametrize("bound", [2 ** 14 - 1, 2 ** 14])
+def test_a_product_of_leaves_is_infinite_above_size_one(bound):
+    """Merged one at a time at full cap, the contributions of j = 1..64
+    leaves leave every accumulator INF above size 1, and at sizes 0 and 1
+    equal the leaf block that ``deficiency_tables`` makes for j leaf
+    children.  A leaf reaches size 1 only at the dist states, since no rest
+    state of ``RULES`` holds size 1; this fails if one ever does."""
+    # spine vertex i > 0 has i + 1 leaf children, and spine 0 two leaves, one
+    # of them the root
+    spine, most = 64, 65
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        edges += [(i, n + j) for j in range(max(i + 1, 2))]
+        n += max(i + 1, 2)
+    tables = deficiency_tables(Graph.from_edges(n, edges))
+    rt = tables.tree
+    blocks = {sum(not rt.children[c] for c in rt.children[v]): ps[0]
+              for v, ps in tables.products.items()}
+    kern = _Lanes(bound, most + 1)
+    assert kern.width == (16 if bound < 2 ** 14 else 64)
+    empty, contribution, merge, finish = kern.rows(RULES)
+    one = contribution(finish(empty, 1), 2)
+    acc = one
+    for j in range(1, most):
+        if j > 1:
+            acc = merge(acc, one, j)
+        assert acc[0] == j + 1
+        block = blocks[j]
+        for x, y in zip(acc[1:], block[1:]):
+            assert kern.to_list(x, j + 1, j + 1)[2:] == [INF] * (j - 1), j
+            assert kern.to_list(x, 2, 2) == tables.kernel.to_list(y, block[0], 2), j
