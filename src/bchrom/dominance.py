@@ -365,7 +365,13 @@ def dominance_join(a: DominanceVector, b: DominanceVector) -> DominanceVector:
     return DominanceVector(a.chi + b.chi, tuple([-s for s in sums]))
 
 
+# the dominance of every one-vertex leaf: one class, which its vertex dominates
+_POINT_DOMINANCE = DominanceVector(1, (1,))
+
+
 def _leaf_dominance(leaf: TcLeaf) -> DominanceVector:
+    if leaf.tree.n == 1:
+        return _POINT_DOMINANCE
     if leaf.denotes_tree:
         return dominance_vector_tree(leaf.tree)
     return dominance_from_deficiency(leaf.tree.n, deficiency_vector(leaf.tree))

@@ -34,15 +34,23 @@ A tree-cograph expression is built from ``TcLeaf`` leaves by ``TcUnion``
 and ``TcJoin``.  A leaf stores a tree and denotes that tree or, with
 ``co``, its complement.  An expression is evaluated by writing the rows
 of its graph directly.  The tree-cograph decomposition works on sorted
-vertex subsets of the input graph: it splits off isolated and universal
-vertices by their degrees and searches the rest with set operations on
-its neighbor sets.  Both walk expressions on an explicit stack, so
-neither their time nor Python's recursion limit grows with the depth of
-the expression.
+vertex subsets of the input graph and splits off isolated and universal
+vertices by their degrees.  A node that leaves a rest of one part starts
+a peel run: one sort of the node by degree, then O(peeled) per level
+while each rest peels the same way, so a threshold graph's chain of n
+levels costs O(n log n) and not n^2 list steps.  Any other list S with
+m(S) edges is searched with set operations in O(|S| + m(S)).  A vertex's
+neighbor set is made from its row the first time a search or a leaf
+reads it, so a chain makes few or none, and every one-vertex part is
+made at once as a leaf over the shared one-vertex graph.  Evaluation and
+decomposition walk expressions on an explicit stack, so neither their
+time nor Python's recursion limit grows with the depth of the
+expression.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, compress, islice
 from operator import lt, not_
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
@@ -444,7 +452,7 @@ def is_coforest(g: Graph) -> bool:
     return _coforest_sized(g.n, g.m) and is_forest(complement(g))
 
 
-def _components(nbr: tuple[frozenset[int], ...], verts: Sequence[int]) -> list[list[int]]:
+def _components(nbr: Sequence[frozenset[int]], verts: Sequence[int]) -> list[list[int]]:
     """Connected components of the subgraph induced by ``verts``, each
     sorted, in the order of their first vertex in ``verts``."""
     left = set(verts)
@@ -466,7 +474,7 @@ def _components(nbr: tuple[frozenset[int], ...], verts: Sequence[int]) -> list[l
     return comps
 
 
-def _co_components(nbr: tuple[frozenset[int], ...], verts: Sequence[int]) -> list[list[int]]:
+def _co_components(nbr: Sequence[frozenset[int]], verts: Sequence[int]) -> list[list[int]]:
     """Connected components of the complement of the subgraph induced by
     ``verts``, ordered as in ``_components``.
 
@@ -628,6 +636,15 @@ class TcLeaf(_TcNode):
         return not self.co and self.tree.n >= 2
 
 
+def _point(v: int) -> TcLeaf:
+    """The leaf of the one vertex v over the shared ``_POINT``, made without
+    the tree test, which every point passes."""
+    leaf = object.__new__(TcLeaf)
+    d = leaf.__dict__
+    d["tree"], d["vertices"], d["co"] = _POINT, (v,), False
+    return leaf
+
+
 class _TcOperation(_TcNode):
     """A union or join of at least two subexpressions.  ``span``, the
     number of vertices denoted, is set once from the children's spans."""
@@ -736,7 +753,7 @@ def evaluate_tc(e: TcExpr) -> Graph:
     return Graph(n, tuple(tuple(sorted(row)) for row in rows))
 
 
-def _leaf_tree(nbr: tuple[frozenset[int], ...], verts: list[int], co: bool) -> Graph:
+def _leaf_tree(nbr: Sequence[frozenset[int]], verts: list[int], co: bool) -> Graph:
     """The subgraph induced by ``verts``, or with ``co`` its complement,
     relabelled 0..k-1 in order; every one-vertex list gets the one shared
     ``_POINT``."""
@@ -744,21 +761,19 @@ def _leaf_tree(nbr: tuple[frozenset[int], ...], verts: list[int], co: bool) -> G
         return _POINT
     index = {v: i for i, v in enumerate(verts)}
     inside = set(verts)
-    return Graph.from_edges(
-        len(verts),
-        (
-            (index[v], index[w])
-            for v in verts
-            for w in (inside - nbr[v] if co else nbr[v] & inside)
-            if v < w
-        ),
-    )
+    rows = (inside.difference(nbr[v], (v,)) if co else nbr[v] & inside for v in verts)
+    return Graph(len(verts), tuple(tuple(sorted(map(index.__getitem__, row))) for row in rows))
+
+
+def _part(verts: list[int]) -> list[int] | TcLeaf:
+    """A part to push for decomposition; one vertex is its leaf at once."""
+    return _point(verts[0]) if len(verts) == 1 else verts
 
 
 def decompose_tree_cograph(g: Graph) -> TcExpr:
     """Four-case decomposition: a leaf for a tree, a ``co`` leaf for a
     co-tree, a union over components, a join over co-components; fails
-    with NotTreeCograph otherwise.
+    with NotTreeCograph otherwise, and for the empty graph.
 
     A plain leaf wins over a ``co`` leaf when both apply, and children are
     ordered by their smallest contained vertex, so the result is canonical.
@@ -774,19 +789,45 @@ def decompose_tree_cograph(g: Graph) -> TcExpr:
     vertex is a co-component alone, and the rest is one co-component when
     it holds a vertex adjacent to none of it.  Only a node with neither,
     or a rest with neither, is searched, and the tree and co-tree tests
-    search only when the edge count allows.  A searched list S with m(S)
-    edges costs O(|S| + m(S)), any other node O(|S|) in whole-list
-    operations, and no node builds an induced subgraph or a complement;
-    only a leaf builds its tree, which has |S| - 1 edges.
+    search only when the edge count allows.
+
+    Costs: a node that peels into a rest of one part starts a peel run
+    (``_peel_run``), which sorts the node by degree once and then costs
+    O(peeled) per level while each rest does the same.  A searched list S
+    with m(S) edges costs O(|S| + m(S)), any other node O(|S|) in
+    whole-list operations.  A vertex's neighbor set is made from its row
+    the first time a search or a leaf reads it, so g's ``nbr_sets`` are not
+    built, and a chain of one-vertex levels makes sets for its last leaf
+    at most.  Every one-vertex part becomes its leaf over the shared
+    ``_POINT`` at once.  No node builds an induced subgraph or a
+    complement; only a leaf builds its tree, which has |S| - 1 edges.
     """
-    nbr = g.nbr_sets
+    if not g.n:
+        raise NotTreeCograph("the empty graph has no vertices")
+    adj = g.adj
+    nbr: list[frozenset[int] | None] = [None] * g.n
+    unmade = g.n
+
+    def sets(verts: list[int]) -> list:
+        """The neighbor sets by vertex, each of ``verts`` made if it was not."""
+        nonlocal unmade
+        if unmade:
+            missing = [v for v in verts if nbr[v] is None]
+            for v in missing:
+                nbr[v] = frozenset(adj[v])
+            unmade -= len(missing)
+        return nbr
+
     degree = list(g.degrees)
     done: list[TcExpr] = []
-    # a vertex list to decompose, or (operation, child count) once its
-    # children, pushed above it, are done
+    # a vertex list to decompose, a leaf that is done, or (operation, child
+    # count) once its children, pushed above it, are done
     todo: list = [list(range(g.n))]
     while todo:
         item = todo.pop()
+        if isinstance(item, TcLeaf):
+            done.append(item)
+            continue
         if isinstance(item, tuple):
             kind, k = item
             children = tuple(done[-k:])
@@ -805,46 +846,114 @@ def decompose_tree_cograph(g: Graph) -> TcExpr:
         comps = cocomps = None
         if m == top:  # a tree iff connected
             if not (lone or full):
-                comps = _components(nbr, verts)
+                comps = _components(sets(verts), verts)
             if full or comps and len(comps) == 1:
-                done.append(TcLeaf(_leaf_tree(nbr, verts, False), tuple(verts)))
+                done.append(TcLeaf(_leaf_tree(sets(verts), verts, False), tuple(verts)))
                 continue
         if s * top // 2 - m == top:  # a co-tree iff its complement is connected
             if not (lone or full):
-                cocomps = _co_components(nbr, verts)
+                cocomps = _co_components(sets(verts), verts)
             if lone or cocomps and len(cocomps) == 1:
-                done.append(TcLeaf(_leaf_tree(nbr, verts, True), tuple(verts), co=True))
+                done.append(TcLeaf(_leaf_tree(sets(verts), verts, True), tuple(verts), co=True))
                 continue
         if lone:
             kind = TcUnion
-            parts = [[v] for v in compress(verts, map(not_, degs))]
             rest = list(compress(verts, degs))
-            parts += [rest] if len(rest) - 1 in degs else _components(nbr, rest)
-            parts.sort()  # by first vertex, as the parts are disjoint
+            if len(rest) - 1 in degs:  # a vertex adjacent to all of the rest
+                _peel_run(verts, 2 * m, degree, done, todo)
+                continue
+            parts = [[v] for v in compress(verts, map(not_, degs))]
+            parts += _components(sets(rest), rest)
         elif full:
             kind = TcJoin
-            parts = [[v] for v in compress(verts, map(top.__eq__, degs))]
             rest = list(compress(verts, map(top.__ne__, degs)))
-            # a vertex of the rest with degree len(parts) is adjacent to none of it
-            parts += [rest] if len(parts) in degs else _co_components(nbr, rest)
-            parts.sort()
-        elif len(comps := comps or _components(nbr, verts)) > 1:
+            if s - len(rest) in degs:  # a vertex of the rest adjacent to none of it
+                _peel_run(verts, 2 * m, degree, done, todo)
+                continue
+            parts = [[v] for v in compress(verts, map(top.__eq__, degs))]
+            parts += _co_components(sets(rest), rest)
+        elif len(comps := comps or _components(sets(verts), verts)) > 1:
             kind, parts = TcUnion, comps
-        elif len(cocomps := cocomps or _co_components(nbr, verts)) > 1:
+        elif len(cocomps := cocomps or _co_components(sets(verts), verts)) > 1:
             kind, parts = TcJoin, cocomps
         else:
             raise NotTreeCograph(
                 "connected graph with connected complement that is neither a "
                 "tree nor a co-tree"
             )
+        parts.sort()  # by first vertex, as the parts are disjoint
         if kind is TcJoin:
             for part in parts:
                 outside = s - len(part)
                 for v in part:
                     degree[v] -= outside
         todo.append((kind, len(parts)))
-        todo.extend(reversed(parts))
+        todo.extend(map(_part, reversed(parts)))
     return done[0]
+
+
+def _peel_run(verts: list[int], dsum: int, degree: list[int], done: list, todo: list) -> None:
+    """Decompose the node ``verts``, which peels its isolated or universal
+    vertices and leaves a rest of one part, and each rest below it that
+    does the same; push the last rest for ``decompose_tree_cograph``.
+
+    ``dsum`` is the sum of the node's degrees.  The node is sorted by degree
+    once, and each level peels from one end of that order: isolated vertices
+    from the low end, universal ones from the high end.  Every remaining
+    vertex is adjacent to each universal vertex peeled, so their count is
+    kept as one ``offset``, and a vertex's degree in the current rest is
+    ``degree[v] - offset``, written back only on the last rest.  The
+    rest's degree sum gives its edge count, and a pointer that walks
+    ``verts`` past peeled vertices gives its least vertex.  Each level runs
+    the tests of ``decompose_tree_cograph`` in the same order and ends the
+    run on a rest of two vertices or fewer, a leaf, a rest with nothing to
+    peel or one that splits; so a level costs O(peeled).  Its peeled
+    vertices below the rest's least vertex are done at once, and the others
+    are pushed with the level's operation, to follow the last rest, as
+    ``parts.sort()`` orders the node's children.
+    """
+    order = sorted(verts, key=degree.__getitem__)
+    lo, hi, offset, first = 0, len(order), 0, 0
+    gone: set[int] = set()
+    while hi - lo > 2:
+        s = hi - lo
+        top, m = s - 1, dsum // 2
+        low, high = degree[order[lo]] - offset, degree[order[hi - 1]] - offset
+        lone, full = low == 0, high == top
+        if m == top and full or s * top // 2 - m == top and lone:
+            break  # a leaf; a node whose leaf test must search has nothing to peel
+        if lone:
+            cut = lo + 1
+            while cut < hi and degree[order[cut]] == offset:
+                cut += 1
+            if high != hi - cut - 1:  # no vertex adjacent to all of the rest
+                break
+            kind, peeled, lo = TcUnion, order[lo:cut], cut
+        elif full:
+            cut = hi - 1
+            while cut > lo and degree[order[cut - 1]] - offset == top:
+                cut -= 1
+            if low != hi - cut:  # no vertex of the rest adjacent to none of it
+                break
+            kind, peeled, hi = TcJoin, order[cut:hi], cut
+            # each peeled vertex had degree top, and each left loses them all
+            dsum -= len(peeled) * (top + hi - lo)
+            offset += len(peeled)
+        else:
+            break
+        gone.update(peeled)
+        while verts[first] in gone:
+            first += 1
+        peeled.sort()
+        below = bisect_left(peeled, verts[first])
+        done.extend(map(_point, peeled[:below]))
+        todo.append((kind, len(peeled) + 1))
+        todo.extend(map(_point, reversed(peeled[below:])))
+    rest = sorted(order[lo:hi])
+    if offset:
+        for v in rest:
+            degree[v] -= offset
+    todo.append(_part(rest))
 
 
 # ---------------------------------------------------------------------------

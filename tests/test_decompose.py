@@ -12,6 +12,8 @@ from contextlib import redirect_stdout
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchrom import tree_dp
 from bchrom.cli import main
@@ -254,6 +256,65 @@ def test_chain_decomposition_searches_a_linear_number_of_vertices(monkeypatch):
     assert sum(before) >= n * n // 4  # the search at every node visits about n^2 / 2
 
 
+def test_chain_decomposition_peels_without_searches_or_whole_graph_sets(monkeypatch):
+    from bchrom import graph
+
+    g = evaluate_tc(random_expression("chain", 400, random.Random(401)))
+    searched = []
+    for name in ("_components", "_co_components"):
+        monkeypatch.setattr(graph, name, _counted(searched, getattr(graph, name)))
+    expr = decompose_tree_cograph(g)
+    assert "nbr_sets" not in vars(g)
+    assert searched == []
+    assert expr == search_decompose(g)
+
+
+# blocks a creation step adds, as (vertex count, edges): a 2- or 3-vertex
+# tree or co-tree leaf, or a union of two 2-vertex leaves, so that a peel
+# run reaching one ends on a leaf or on a search
+_BLOCKS = {
+    "edge": (2, [(0, 1)]),
+    "non-edge": (2, []),
+    "path": (3, [(0, 1), (1, 2)]),
+    "co-path": (3, [(0, 1)]),
+    "two edges": (4, [(0, 1), (2, 3)]),
+    "edge and non-edge": (4, [(0, 1)]),
+}
+
+
+@st.composite
+def creation_graphs(draw) -> Graph:
+    """A graph grown from a creation sequence, randomly labelled.  Each step
+    adds one to three isolated or dominating vertices, as a threshold
+    graph's sequence does, or now and then a block of ``_BLOCKS`` beside
+    what is there or joined to all of it."""
+    kinds = st.sampled_from(["isolated"] * 4 + ["dominating"] * 4 + sorted(_BLOCKS))
+    steps = draw(st.lists(st.tuples(kinds, st.integers(1, 3), st.booleans()),
+                          min_size=1, max_size=40))
+    n, edges = 0, []
+    for kind, count, joined in steps:
+        if kind == "isolated":
+            size, inner, joined = count, [], False
+        elif kind == "dominating":
+            size, inner, joined = count, list(combinations(range(count), 2)), True
+        else:
+            size, inner = _BLOCKS[kind]
+        edges += [(n + a, n + b) for a, b in inner]
+        if joined:
+            edges += [(u, n + i) for u in range(n) for i in range(size)]
+        n += size
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(creation_graphs())
+def test_creation_sequences_decompose_as_the_search(g):
+    expr = decompose_tree_cograph(g)
+    assert expr == search_decompose(g)
+    assert evaluate_tc(expr) == g
+
+
 def _explicit_graph(e: TcExpr) -> Graph:
     """The graph an expression denotes, from explicit edges: a leaf's tree
     edges, or its non-edges for a ``co`` leaf, and at a join every pair of
@@ -300,7 +361,7 @@ def test_evaluate_refuses_leaf_maps_that_do_not_partition():
 
 
 def test_decompose_empty_graph_fails():
-    with pytest.raises(NotTreeCograph):
+    with pytest.raises(NotTreeCograph, match="^the empty graph has no vertices$"):
         decompose_tree_cograph(Graph(0, ()))
 
 

@@ -181,7 +181,7 @@ def test_combine_one_distinguished_matches_exhaustive():
         rests = [
             [rng.choice([INF, 0, 1, 3]) for _ in range(len(d))] for d in dists
         ]
-        got = _fold_one(dists, rests, kmax)
+        got, every_rest = _fold_one(dists, rests, kmax)
         for k in range(len(got)):
             best = INF
             for di in range(l):
@@ -190,6 +190,7 @@ def test_combine_one_distinguished_matches_exhaustive():
                 if k < len(ref):
                     best = min(best, ref[k])
             assert got[k] == best
+        assert every_rest == list(combine_all(rests, kmax))[: len(every_rest)]
 
 
 def test_split_size_shares_reach_the_combined_value():

@@ -141,14 +141,15 @@ def _fold_all(vecs: list, cap: int) -> list:
     return out
 
 
-def _fold_one(dists: list, rests: list, cap: int) -> list:
+def _fold_one(dists: list, rests: list, cap: int) -> tuple[list, list]:
     """Like ``_fold_all`` over ``rests``, except that exactly one vector, any
-    one, is its entry of ``dists`` instead."""
+    one, is its entry of ``dists`` instead; and ``_fold_all(rests, cap)``,
+    which that fold makes on the way."""
     none, one = rests[0][: cap + 1], dists[0][: cap + 1]
     for dist, rest in zip(dists[1:], rests[1:]):
         one = _vec_min(_minplus(one, rest, cap), _minplus(none, dist, cap))
         none = _minplus(none, rest, cap)
-    return one
+    return one, none
 
 
 def _reference_deficiency(t: Graph) -> dict:
@@ -171,17 +172,15 @@ def _reference_deficiency(t: Graph) -> dict:
         m17 = [_vec_min(f[0], f[6]) for f in fs]
         f4s = [f[3] for f in fs]
         f1s = [f[0] for f in fs]
-        c45 = _fold_all(m45, cap - 1)
-        c4 = _fold_all(f4s, cap - 1)
+        # the all-rest folds at cap; shifted up by one, they are read to cap - 1
+        f1, c45 = _fold_one([f[2] for f in fs], m45, cap)
+        one4, c4 = _fold_one([f[1] for f in fs], f4s, cap)
+        one6, c1 = _fold_one([f[5] for f in fs], f1s, cap)
         c17 = _fold_all(m17, cap)
-        f1 = _fold_one([f[2] for f in fs], m45, cap)
         f2 = _shift_add(c45, 0, cap, shift=1)
         f3 = _vec_min(_shift_add(c4, 0, cap, shift=1), _shift_add(c45, 1, cap, shift=1))
-        f4 = _vec_min(_fold_one([f[1] for f in fs], f4s, cap), f1)
-        f5 = _vec_min(
-            _vec_min(_fold_all(f1s, cap), _fold_one([f[5] for f in fs], f1s, cap)),
-            _shift_add(c17, 1, cap),
-        )
+        f4 = _vec_min(one4, f1)
+        f5 = _vec_min(_vec_min(c1, one6), _shift_add(c17, 1, cap))
         f6 = _shift_add(c17, 2, cap)
         f7 = _shift_add(c17, 1, cap)
         vals[v] = tuple(
@@ -447,7 +446,7 @@ def test_each_rule_read_as_a_one_rule_table_is_its_list_product(dist, rest):
             if dist is None:
                 want = _fold_all(rests, cap)
             else:
-                want = _fold_one([row[dist] for row in rows], rests, cap)
+                want = _fold_one([row[dist] for row in rows], rests, cap)[0]
             want += [INF] * (cap + 1 - len(want))
             for order in (range(len(lens)), reversed(range(len(lens)))):
                 acc = None
