@@ -31,6 +31,10 @@ from .errors import BchromError, InvariantViolation, NoRoute, NotABColoring
 from .graph import (
     Graph,
     TcExpr,
+    TcJoin,
+    TcLeaf,
+    TcUnion,
+    _fold,
     complement,
     evaluate_tc,
     is_tree,
@@ -39,7 +43,7 @@ from .graph import (
     stability_at_most_two,
 )
 from .route import plan
-from .tree_dp import deficiency_tables, dump_deficiency_tables, dump_smm_tables, smm_tables
+from .tree_dp import deficiency_tables, dump_deficiency_tables, dump_smm_tables, root_tree, smm_tables
 
 
 def _read(args) -> Graph | TcExpr:
@@ -53,22 +57,85 @@ def _graph(source: Graph | TcExpr) -> Graph:
     return source if isinstance(source, Graph) else evaluate_tc(source)
 
 
+def _matching_number(t: Graph) -> int:
+    """The size of a maximum matching of a tree: greedy, children before
+    parents, each vertex matched to its parent when both are free."""
+    if t.n < 2:
+        return 0
+    rt = root_tree(t)
+    free, parent, size = [True] * t.n, rt.parent, 0
+    for v in rt.order:
+        if free[v] and free[parent[v]]:
+            free[v] = free[parent[v]] = False
+            size += 1
+    return size
+
+
+def _leaf_stability(leaf: TcLeaf) -> tuple[int, int]:
+    """(alpha, omega) of the graph a leaf denotes.  A tree on s >= 2
+    vertices has alpha = s - nu (Koenig) and omega = 2; its complement swaps
+    the two."""
+    s = leaf.tree.n
+    if s == 1:
+        return 1, 1
+    alpha = s - _matching_number(leaf.tree)
+    return (2, alpha) if leaf.co else (alpha, 2)
+
+
+def _expression_facts(e: TcExpr) -> tuple[int, int, bool, int, int, list[int]]:
+    """n, m, whether it is a tree, alpha, omega and the degree sequence of
+    the graph an expression denotes, read off the expression alone.
+
+    One top-down pass pushes, per join, each child's siblings' span down to
+    its leaves: a vertex's degree is its degree in its leaf's graph (d in a
+    tree, s - 1 - d in a co leaf over s vertices) plus what its joins add.
+    A union adds its children's alpha and takes the largest omega; a join
+    does the reverse.  A union is never a tree and a join is one exactly
+    when it has n - 1 edges; a lone co leaf is one when its complement is."""
+    degrees: list[int] = []
+    stack = [(e, 0)]  # a node, and what the joins above it add to each of its degrees
+    while stack:
+        node, extra = stack.pop()
+        if isinstance(node, TcLeaf):
+            s = node.tree.n
+            degrees += [s - 1 - d + extra if node.co else d + extra for d in node.tree.degrees]
+        elif isinstance(node, TcJoin):
+            stack += [(c, extra + node.span - c.span) for c in node.children]
+        else:
+            stack += [(c, extra) for c in node.children]
+    n, m = len(degrees), sum(degrees) // 2
+    alpha, omega = _fold(e, _leaf_stability, lambda node, parts: (
+        (sum(a for a, _ in parts), max(w for _, w in parts)) if isinstance(node, TcUnion)
+        else (max(a for a, _ in parts), sum(w for _, w in parts))))
+    if isinstance(e, TcLeaf):
+        tree = not e.co or m == n - 1 and is_tree(complement(e.tree))
+    else:
+        tree = isinstance(e, TcJoin) and m == n - 1
+    return n, m, tree, alpha, omega, degrees
+
+
 def _cmd_analyze(args) -> int:
     source = _read(args)
-    g = _graph(source)
-    print(f"vertices: {g.n}")
-    print(f"edges: {g.m}")
-    print(f"tree: {'yes' if is_tree(g) else 'no'}")
-    print(f"triangle-free: {'yes' if is_triangle_free(g) else 'no'}")
-    print(f"stability-at-most-two: {'yes' if stability_at_most_two(g) else 'no'}")
+    if isinstance(source, Graph):
+        g = source
+        n, m, tree, degrees = g.n, g.m, is_tree(g), list(g.degrees)
+        triangle_free, stability_two = is_triangle_free(g), stability_at_most_two(g)
+    else:
+        n, m, tree, alpha, omega, degrees = _expression_facts(source)
+        triangle_free, stability_two = omega <= 2, alpha <= 2
+    print(f"vertices: {n}")
+    print(f"edges: {m}")
+    print(f"tree: {'yes' if tree else 'no'}")
+    print(f"triangle-free: {'yes' if triangle_free else 'no'}")
+    print(f"stability-at-most-two: {'yes' if stability_two else 'no'}")
     try:  # at max_n=0 the stability-two route admits only co-forests, all tree-cographs
         plan(source, "vector", max_n=0)
         print("tree-cograph: yes")
     except NoRoute:
         print("tree-cograph: no")
-    if g.n >= 1:
-        print(f"m-bound: {m_degree_bound(g)}")
-        print(f"max-degree: {g.max_degree()}")
+    if n >= 1:
+        print(f"m-bound: {m_degree_bound(degrees)}")  # sorts degrees, largest first
+        print(f"max-degree: {degrees[0]}")
     return 0
 
 

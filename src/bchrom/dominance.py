@@ -6,6 +6,10 @@ vertex over all proper colorings with exactly t classes.  A b-coloring with
 t colors exists iff ``dom[t] = t``; the b-chromatic number is the largest
 fixed point.  Tree-cograph composition works on whole value lists: a union
 is one pointwise pass, and a join runs on ``tree_dp.minplus_convolve``.
+Point peels compose in runs: a union or join whose other children are all
+one-vertex leaves only appends zeros or raises chi and every entry, so a
+chain of such nodes is kept pending and applied in one O(n) pass, and a
+threshold graph's chain of n levels costs O(n), not n^2 list steps.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from itertools import accumulate, compress, count, repeat
 from operator import le
 
 from .errors import InvariantViolation, KOutOfRange, NotATree, RangeError
-from .graph import Graph, TcExpr, TcLeaf, TcUnion, _fold, _Record, is_tree, m_degree_bound
+from .graph import Graph, TcExpr, TcJoin, TcLeaf, TcUnion, _fold, _Record, is_tree, m_degree_bound
 from .tree_dp import INF, RootedTree, deficiency_vector, minplus_convolve, root_tree
 
 
@@ -377,11 +381,59 @@ def _leaf_dominance(leaf: TcLeaf) -> DominanceVector:
     return dominance_from_deficiency(leaf.tree.n, deficiency_vector(leaf.tree))
 
 
+class _Run:
+    """Point peels not yet applied to ``base``: ``joins`` one-vertex join
+    children so far, and per union with one-vertex children, their count and
+    the joins before it."""
+
+    __slots__ = ("base", "joins", "blocks")
+
+    def __init__(self, base: DominanceVector) -> None:
+        self.base, self.joins, self.blocks = base, 0, []
+
+    def peel(self, points: int, union: bool) -> "_Run":
+        if union:
+            self.blocks.append((points, self.joins))
+        else:
+            self.joins += points
+        return self
+
+    def applied(self) -> DominanceVector:
+        """One pass: a joined point raises chi and every entry by one (its
+        class is dominant in every coloring), and a point beside the rest
+        in a union appends one 0 (an isolated vertex dominates no class, and
+        the rest reads 0 past its n), raised by the joins after it."""
+        j, base = self.joins, self.base
+        values = [x + j for x in base.values] if j else list(base.values)
+        for points, before in self.blocks:
+            values += [j - before] * points
+        return DominanceVector(base.chi + j, tuple(values))
+
+
+def _applied(part: DominanceVector | _Run) -> DominanceVector:
+    return part.applied() if isinstance(part, _Run) else part
+
+
 def dominance_tc(e: TcExpr) -> DominanceVector:
-    return _fold(
-        e,
-        _leaf_dominance,
-        lambda node, vecs: reduce(
-            dominance_union if isinstance(node, TcUnion) else dominance_join, vecs
-        ),
-    )
+    """The dominance vector of an expression, folded bottom-up with
+    ``dominance_union`` and ``dominance_join``.  Point peels compose in
+    runs: the one-vertex children of a node with one other child are kept
+    pending on that child's vector (see ``_Run``), across consecutive such
+    nodes, and a node of points alone starts from one point's vector, which
+    gives E_p or K_p.  The run is applied in one pass at a node with two or
+    more other children, and at the root."""
+
+    def operation(node: TcUnion | TcJoin, parts: list) -> DominanceVector | _Run:
+        union = isinstance(node, TcUnion)
+        others = [part for c, part in zip(node.children, parts)
+                  if not (isinstance(c, TcLeaf) and c.tree.n == 1)]
+        points = len(parts) - len(others)
+        if not others:
+            others, points = [_POINT_DOMINANCE], points - 1
+        if len(others) > 1:
+            rest = reduce(dominance_union if union else dominance_join, map(_applied, others))
+            return _Run(rest).peel(points, union) if points else rest
+        run = others[0] if isinstance(others[0], _Run) else _Run(others[0])
+        return run.peel(points, union)
+
+    return _applied(_fold(e, _leaf_dominance, operation))

@@ -518,11 +518,13 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     return Graph.from_edges(len(verts), edges)
 
 
-def m_degree_bound(g: Graph) -> int:
-    """Largest i such that at least i vertices have degree >= i-1."""
-    if g.n < 1:
+def m_degree_bound(g: Graph | list[int]) -> int:
+    """Largest i such that at least i vertices have degree >= i-1, of g or
+    of a degree sequence given as a list, which is sorted in place."""
+    degs = list(g.degrees) if isinstance(g, Graph) else g
+    if not degs:
         raise RangeError("m-bound requires at least one vertex")
-    degs = sorted(g.degrees, reverse=True)
+    degs.sort(reverse=True)
     # with degrees non-increasing the predicate holds on a prefix of i
     m = 0
     for i, d in enumerate(degs, start=1):

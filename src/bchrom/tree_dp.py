@@ -309,7 +309,9 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 class _Lanes:
     """Lanes for vectors of at most ``most`` entries, finite ones below
-    ``bound`` (see the module docstring); made per call, never at import."""
+    ``bound`` (see the module docstring).  The package takes its kernels
+    from ``_kernel``, one per lane width and size, made on first use and
+    never at import."""
 
     __slots__ = ("code", "width", "inf", "most", "high", "made")
 
@@ -323,7 +325,7 @@ class _Lanes:
         guard[0] = 2 * self.inf
         self.most = most
         self.high = int.from_bytes(guard.tobytes() * most, sys.byteorder)
-        self.made: dict[tuple, tuple] = {}
+        self.made: dict[int, tuple] = {}
 
     # Items go through int.from_bytes and int.to_bytes in sys.byteorder; on
     # a big-endian host the first item is the most significant, so the items
@@ -358,13 +360,33 @@ class _Lanes:
 
     def rows(self, table: tuple):
         """The packed row functions of a rule table on these lanes, made
-        once per kernel and table."""
-        made = self.made.get(table)
+        once per kernel and table.  They are found by the table's identity,
+        so no call hashes the nested table; each entry holds its table, so
+        no other table takes its id."""
+        made = self.made.get(id(table))
         if made is None:
             from .rows import compile_rows  # on first use: importing bchrom compiles none of it
 
-            made = self.made[table] = compile_rows(table, vector=True)(self)
-        return made
+            made = self.made[id(table)] = (table, compile_rows(table, vector=True)(self))
+        return made[1]
+
+
+_KERNELS: dict[tuple[str, int], _Lanes] = {}
+
+
+def _kernel(bound: int, most: int) -> _Lanes:
+    """The process's lanes for vectors of at most ``most`` entries, finite
+    ones below ``bound``: one kernel per lane width and per power of two at
+    least ``most``, made on first use, so a run holds at most two widths
+    times log2 of its largest size, and its rows are compiled once per
+    kernel and table."""
+    key = ("H" if bound < 1 << 14 else "Q", 1 << (most - 1).bit_length())
+    kern = _KERNELS.get(key)
+    if kern is None:
+        kern = _KERNELS[key] = _Lanes(bound, key[1])
+    elif bound >= kern.inf:
+        raise OverflowError(f"values up to {bound} do not fit a {kern.width}-bit lane")
+    return kern
 
 
 def _finite(v: list[float]) -> int:
@@ -385,7 +407,7 @@ def _packed(vecs: list[list[float]]) -> tuple[_Lanes, int, list[tuple[int, int]]
     lens = list(map(_finite, vecs))
     finite = set().union(*[v[:n] for v, n in zip(vecs, lens)]) - {INF}
     off = max(0, -min(finite, default=0))
-    kern = _Lanes(len(vecs) * (max(finite, default=0) + off), sum(lens))
+    kern = _kernel(len(vecs) * (max(finite, default=0) + off), sum(lens))
     inf, pack = kern.inf, kern.pack
     return kern, off, [(n, pack([inf if x == INF else x + off for x in v[:n]] + [inf] * (n - len(v))))
                        for v, n in zip(vecs, lens)]
@@ -395,6 +417,7 @@ def _packed(vecs: list[list[float]]) -> tuple[_Lanes, int, list[tuple[int, int]]
 # every one-vector row at its vector, and the root minimum of a deficiency table.
 _ALL = (None, (0,), 0, 0)
 _ROOT = (None, (0, 1, 5), 0, 0)
+_ALL_TABLE, _ROOT_TABLE = ((_ALL,),), ((_ROOT,),)
 
 
 def _product(kern: _Lanes, xs: list[tuple[int, int]], cap: int) -> list[tuple[int, int]]:
@@ -403,7 +426,7 @@ def _product(kern: _Lanes, xs: list[tuple[int, int]], cap: int) -> list[tuple[in
     product, then one per vector.  The rule's row has one state, its
     accumulator, which neither moves nor rises, so it is read off a product
     without ``finish``."""
-    empty, _, merge, _ = kern.rows(((_ALL,),))
+    empty, _, merge, _ = kern.rows(_ALL_TABLE)
     kept = [empty, *xs[:1]]
     for x in xs[1:]:
         kept.append(merge(kept[-1], x, cap))
@@ -493,7 +516,7 @@ def deficiency_tables(t: Graph) -> DeficiencyTables:
     rt = root_tree(t)
     children = rt.children
     # a vertex adds at most two defects, so no entry or partial sum passes 2n
-    kern = _Lanes(2 * t.n + 2, t.n // 2 + 1)
+    kern = _kernel(2 * t.n + 2, t.n // 2 + 1)
     empty, contribution, merge, finish = kern.rows(RULES)
     lanes = [_lanes(rt, v) for v in range(t.n)]
     leaf = finish(empty, 1)  # every childless vertex has this row, at cap 1
@@ -545,7 +568,7 @@ def deficiency_vector(t: Graph, tables: DeficiencyTables | None = None) -> list[
         return [0]
     tables = tables or deficiency_tables(t)
     kern, n = tables.kernel, t.n // 2 + 1
-    _, best = kern.rows(((_ROOT,),))[1](tables.packed[tables.tree.anchor], n)
+    _, best = kern.rows(_ROOT_TABLE)[1](tables.packed[tables.tree.anchor], n)
     return kern.to_list(best, n, n)
 
 
