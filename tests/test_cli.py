@@ -10,20 +10,29 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from bchrom.bcoloring import Coloring, verify_coloring
-from bchrom.cli import _write_vector, main
+from bchrom.cli import _expression_facts, _write_vector, main
 from bchrom.dominance import DominanceVector
-from bchrom.fileio import format_edgelist, parse_edgelist, parse_coloring
+from bchrom.fileio import format_edgelist, format_tc_expression, parse_edgelist, parse_coloring
 from bchrom.generators import random_labeled_tree
 from bchrom.graph import (
     Graph,
+    TcJoin,
+    TcLeaf,
+    TcUnion,
     complement,
     cycle_graph,
     empty_graph,
+    evaluate_tc,
     graph_union,
+    is_tree,
     is_triangle_free,
+    m_degree_bound,
     path_graph,
+    stability_at_most_two,
     star_graph,
 )
+
+from conftest import random_expression
 
 
 @pytest.fixture()
@@ -602,3 +611,109 @@ def test_tree_answers_match_the_per_entry_reference(tmp_path):
         if t.n <= 9:  # the brute-force oracle is exponential in n
             assert run(["oracle", "dominance", str(path)]) == (0, want), t
     assert pivoted == 4  # the _pivoted trees; no tree below 11 vertices has a pivot
+
+
+# ---------------------------------------------------------------------------
+# ``analyze`` on a .tcx reads every fact off the expression
+# ---------------------------------------------------------------------------
+
+
+def _clique_number(g: Graph) -> int:
+    """The largest clique, by a branch over each vertex's bitmask."""
+    best = 0
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        while cand and size + bin(cand).count("1") > best:
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            grow(size + 1, cand & g.bits[v])
+
+    grow(0, (1 << g.n) - 1)
+    return best
+
+
+def _folded_against_evaluated(e) -> tuple:
+    """The folded facts of e, once each is checked against the same fact of
+    its evaluated graph; alpha and omega exactly up to 14 vertices."""
+    n, m, tree, alpha, omega, degrees = _expression_facts(e)
+    g = evaluate_tc(e)
+    assert (n, m, tree) == (g.n, g.m, is_tree(g)), e
+    assert (omega <= 2, alpha <= 2) == (is_triangle_free(g), stability_at_most_two(g)), e
+    assert sorted(degrees) == sorted(g.degrees), e
+    assert (m_degree_bound(degrees), max(degrees)) == (m_degree_bound(g), g.max_degree()), e
+    if g.n <= 14:
+        assert (alpha, omega) == (_clique_number(complement(g)), _clique_number(g)), e
+    return n, m, tree, alpha, omega
+
+
+def _lone_leaves() -> list:
+    """(expression, its n, m, tree, alpha, omega) for leaves and a star."""
+    point = Graph(1, ((),))
+    star = TcJoin((TcLeaf(point, (0,)), TcUnion(tuple(TcLeaf(point, (v,)) for v in range(1, 5)))))
+    return [
+        (TcLeaf(path_graph(4), (0, 1, 2, 3), co=True), (4, 3, True, 2, 2)),  # co-P4 is P4
+        (TcLeaf(star_graph(3), (0, 1, 2, 3), co=True), (4, 3, False, 2, 3)),  # K3 and a point
+        (TcLeaf(point, (0,)), (1, 0, True, 1, 1)),
+        (TcLeaf(point, (0,), co=True), (1, 0, True, 1, 1)),
+        (TcLeaf(path_graph(2), (0, 1), co=True), (2, 0, False, 2, 1)),
+        (TcLeaf(path_graph(2), (0, 1)), (2, 1, True, 1, 2)),
+        (star, (5, 4, True, 4, 2)),
+    ]
+
+
+def test_tcx_analyze_facts_equal_those_of_the_evaluated_graph():
+    rng = random.Random("tcx analyze facts")
+    for family in ("chain", "wide", "nested"):
+        for n in (2, 3, 4, 5, 7, 9, 12, 14, 30, 60):
+            for _ in range(3):
+                _folded_against_evaluated(random_expression(family, n, rng))
+    for e, want in _lone_leaves():
+        assert _folded_against_evaluated(e) == want, e
+
+
+def test_tcx_analyze_prints_what_its_edge_list_prints(tmp_path):
+    rng = random.Random("tcx analyze text")
+    exprs = [random_expression(family, n, rng)
+             for family in ("chain", "wide", "nested") for n in (2, 5, 9, 40, 120)]
+    exprs += [e for e, _ in _lone_leaves()]
+    for i, e in enumerate(exprs):
+        tcx, edges = tmp_path / f"e{i}.tcx", tmp_path / f"e{i}.g"
+        tcx.write_text(format_tc_expression(e))
+        edges.write_text(format_edgelist(evaluate_tc(e)))
+        code, out = run(["analyze", str(tcx)])
+        assert code == 0 and (code, out) == run(["analyze", str(edges)]), e
+
+
+def test_tcx_analyze_never_evaluates_while_verify_and_chain_do(tmp_path, monkeypatch):
+    import bchrom.cli as cli
+    import bchrom.graph as graph
+    import bchrom.route as route
+
+    # a point joined to a co-tree: the complement of a forest, which chain answers
+    tree = random_labeled_tree(12, random.Random(12))
+    e = TcJoin((TcLeaf(Graph(1, ((),)), (0,)), TcLeaf(tree, tuple(range(1, 13)), co=True)))
+    tcx, col = tmp_path / "e.tcx", tmp_path / "e.col"
+    tcx.write_text(format_tc_expression(e))
+    col.write_text("".join(f"{v} {v}\n" for v in range(13)))
+
+    def raising(expr):
+        raise AssertionError("the expression was evaluated")
+
+    calls = []
+
+    def counted(expr):
+        calls.append(expr)
+        return evaluate_tc(expr)
+
+    for wrapper in (raising, counted):
+        for module in (cli, graph, route):
+            monkeypatch.setattr(module, "evaluate_tc", wrapper)
+        code, out = run(["analyze", str(tcx)])
+        assert code == 0 and "tree-cograph: yes\n" in out
+    assert not calls
+    code, out = run(["verify", str(tcx), str(col)])
+    assert code == 0 and out.startswith("B-COLORING no\n") and len(calls) == 1
+    code, out = run(["chain", str(tcx)])
+    assert code == 0 and out.startswith("colors: ") and len(calls) == 2

@@ -39,6 +39,7 @@ from bchrom.oracle import oracle_dominance
 from bchrom.route import StabilityTwoRoute, TreeCographRoute, plan
 
 from conftest import random_expression, random_stability2, tree_catalog
+from test_decompose import _chain
 
 
 def test_pivot_examples(piv11):
@@ -301,6 +302,83 @@ def test_dominance_tc_equals_the_reference_fold(family):
             ),
         )
         assert dominance_tc(expr) == want, (family, n)
+
+
+def _pairwise_fold(expr):
+    """The composition node by node, each node's children folded pairwise by
+    ``dominance_union`` or ``dominance_join``: the reference that the point
+    runs of ``dominance_tc`` must equal."""
+    return _fold(expr, _leaf_dominance, lambda node, vecs: reduce(
+        dominance_union if isinstance(node, TcUnion) else dominance_join, vecs))
+
+
+@pytest.mark.parametrize("family", ("nested", "wide", "chain"))
+def test_point_runs_equal_the_pairwise_fold(family):
+    rng = random.Random(f"point runs:{family}")
+    for n in range(2, 61):
+        expr = random_expression(family, n, rng)
+        assert dominance_tc(expr) == _pairwise_fold(expr), (family, n)
+
+
+def _points(*ids: int, co: bool = False) -> tuple:
+    return tuple(TcLeaf(Graph(1, ((),)), (v,), co=co) for v in ids)
+
+
+def test_point_runs_by_hand():
+    # a node of points alone: E_p for a union, K_p for a join
+    assert dominance_tc(TcUnion(_points(0, 1, 2, 3))) == DominanceVector(1, (1, 0, 0, 0))
+    assert dominance_tc(TcJoin(_points(0, 1, 2, 3))) == DominanceVector(4, (4,))
+    assert dominance_tc(TcJoin(_points(0, 1, co=True))) == DominanceVector(2, (2,))
+    p4 = TcLeaf(path_graph(4), (10, 11, 12, 13))
+    co5 = TcLeaf(path_graph(5), (20, 21, 22, 23, 24), co=True)
+    cases = {
+        "points beside two non-point children": [
+            TcJoin(_points(0) + (p4,) + _points(1) + (co5,)),
+            TcUnion((p4, co5) + _points(0, 1, 2)),
+        ],
+        "a run at the root": [
+            TcJoin(_points(0) + (TcUnion(_points(1, 2) + (TcJoin(_points(3) + (p4,)),)),)),
+            TcUnion(_points(0) + (TcJoin((p4,) + _points(1, 2)),)),
+        ],
+        "a run that ends in a co leaf": [
+            TcUnion(_points(0) + (TcJoin((co5,) + _points(1, 2)),)),
+            TcJoin(_points(0) + (TcUnion(_points(1) + (co5,)),)),
+            TcJoin((TcUnion(_points(0) + (co5,)), TcUnion(_points(1, 2) + (p4,)))),
+        ],
+        "points on both sides of the rest": [
+            TcUnion(_points(0, 1) + (TcJoin(_points(2) + (co5,) + _points(3)),) + _points(4)),
+            TcJoin(_points(0) + (TcUnion(_points(1) + (p4,) + _points(2, 3)),) + _points(4)),
+        ],
+        "a run under a node of two runs": [
+            TcJoin((TcUnion(_points(0) + (TcJoin(_points(1, 2)),)),
+                    TcUnion(_points(3) + (TcJoin(_points(4) + (p4,)),)))),
+        ],
+    }
+    for name, exprs in cases.items():
+        for expr in exprs:
+            assert dominance_tc(expr) == _pairwise_fold(expr), (name, expr)
+
+
+def test_a_chain_of_point_peels_composes_without_pairwise_steps(monkeypatch):
+    """Every node of a threshold graph's chain has one child besides its
+    points, so the whole chain is one run, applied once at the root."""
+    import bchrom.dominance as dominance
+
+    want = _pairwise_fold(_chain(300))
+    for name in ("dominance_union", "dominance_join"):
+        monkeypatch.setattr(dominance, name, None)  # a call fails
+    assert dominance_tc(_chain(300)) == want
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ("chain", "nested", "wide"))
+def test_point_runs_equal_the_pairwise_fold_at_scale(family):
+    rng = random.Random(f"point runs at scale:{family}")
+    exprs = [random_expression(family, n, rng) for n in (1000, 3000)]
+    if family == "chain":
+        exprs += [_chain(2000), _chain(2001, deepest_co=True)]
+    for expr in exprs:
+        assert dominance_tc(expr) == _pairwise_fold(expr), (family, expr.span)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
+from bchrom import tree_dp
+from bchrom.cli import main
 from bchrom.errors import InvariantViolation, KOutOfRange, NotATree
 from bchrom.generators import random_labeled_tree
-from bchrom.graph import Graph, cycle_graph, path_graph, star_graph
+from bchrom.fileio import format_edgelist, format_tc_expression
+from bchrom.graph import Graph, complement, cycle_graph, path_graph, star_graph
 from bchrom.matching import is_strongly_maximal, s1_s2
 from bchrom.oracle import oracle_f_t_k, oracle_min_smm
 from bchrom.tree_dp import (
@@ -23,7 +28,7 @@ from bchrom.tree_dp import (
     split_size,
 )
 
-from conftest import relabelled, tree_catalog
+from conftest import random_expression, relabelled, tree_catalog
 from test_tree_dp_rules import _fold_one
 
 
@@ -313,3 +318,110 @@ def test_reconstruct_deficiency_spec_examples():
     assert m3 == frozenset({(0, 1), (2, 3), (4, 5)})
     m2 = reconstruct_deficiency_matching(tabs, 2)
     assert sum(s1_s2(p6, m2)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Kernels shared per lane width and size
+# ---------------------------------------------------------------------------
+
+
+def _fresh_kernels(monkeypatch) -> None:
+    """Every kernel made for its call alone, at the exact size asked."""
+    monkeypatch.setattr(tree_dp, "_kernel", lambda bound, most: tree_dp._Lanes(bound, most))
+
+
+def _kernel_answers(trees: list[Graph], operands: list[list[list[float]]]) -> list:
+    """Tables, F vectors and, up to 1000 vertices, dumps of the trees; for
+    each list of operands, ``combine_all``, ``minplus_convolve`` of its
+    first and last, and ``split_size`` at up to 30 sizes the combination
+    reaches, spread evenly."""
+    out = []
+    for t in trees:
+        tables = deficiency_tables(t)
+        dump = dump_deficiency_tables(tables) if t.n <= 1000 else None
+        out.append((t.n, tables.values, dump, deficiency_vector(t, tables)))
+    for ops in operands:
+        total = combine_all(ops)
+        out.append((total, minplus_convolve(ops[0], ops[-1])))
+        ks = [k for k, x in enumerate(total) if x != INF]
+        out.append([split_size(ops, k) for k in ks[::max(1, -(-len(ks) // 30))]])
+    return out
+
+
+def _shuffled_sizes(rng: random.Random, sizes: tuple[int, ...]) -> tuple[list, list]:
+    trees = [random_labeled_tree(n, rng) for n in sizes]
+    operands = [[deficiency_vector(random_labeled_tree(rng.randint(2, min(n, 700)), rng))
+                 for _ in range(rng.randint(1, 4))] for n in sizes]
+    # 64-bit lanes: entries of 2**14 and above; and negative ones, lifted by an offset
+    operands += [[[rng.choice([INF, 0, 3, 2 ** 14 + rng.randint(0, 99), -rng.randint(0, 9)])
+                   for _ in range(rng.randint(1, min(n, 300)))] for _ in range(rng.randint(2, 3))]
+                 for n in sizes]
+    rng.shuffle(trees)
+    rng.shuffle(operands)
+    return trees, operands
+
+
+def test_shared_kernels_answer_as_fresh_ones(monkeypatch):
+    trees, operands = _shuffled_sizes(random.Random("shared kernels"),
+                                      (2, 3, 5, 9, 17, 33, 64, 65, 130, 257, 700))
+    monkeypatch.setattr(tree_dp, "_KERNELS", {})
+    shared = _kernel_answers(trees, operands)
+    assert {code for code, _ in tree_dp._KERNELS} == {"H", "Q"}
+    assert all(most & (most - 1) == 0 for _, most in tree_dp._KERNELS)
+    assert _kernel_answers(trees, operands) == shared  # on the kernels already made
+    _fresh_kernels(monkeypatch)
+    assert _kernel_answers(trees, operands) == shared
+
+
+@pytest.mark.slow
+def test_shared_kernels_answer_as_fresh_ones_on_64_bit_tables(monkeypatch):
+    """From 8191 vertices on, a tree's tables take 64-bit lanes."""
+    trees, operands = _shuffled_sizes(random.Random("shared wide kernels"), (8191, 8200, 40))
+    monkeypatch.setattr(tree_dp, "_KERNELS", {})
+    shared = _kernel_answers(trees, operands)
+    assert ("Q", 8192) in tree_dp._KERNELS
+    _fresh_kernels(monkeypatch)
+    assert _kernel_answers(trees, operands) == shared
+
+
+def _cli(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+def test_table_dumps_print_alike_on_shared_and_fresh_kernels(tmp_path, monkeypatch):
+    rng = random.Random("shared kernel dumps")
+    argvs = []
+    for i, n in enumerate((2, 9, 64, 65, 300)):
+        t = random_labeled_tree(n, rng)
+        tree, co = tmp_path / f"t{i}.g", tmp_path / f"co{i}.g"
+        tree.write_text(format_edgelist(t))
+        co.write_text(format_edgelist(complement(t)))
+        argvs += [["tables", "deficiency", str(tree)], ["dominance", str(co), "--dump-tables"]]
+    rng.shuffle(argvs)
+    shared = [_cli(argv) for argv in argvs]
+    _fresh_kernels(monkeypatch)
+    assert [_cli(argv) for argv in argvs] == shared
+
+
+def test_a_tcx_request_makes_a_logarithmic_number_of_kernels(tmp_path, monkeypatch):
+    """Each leaf DP and each join asks for a kernel; leaves of similar size
+    share one within a request."""
+    made, asked = [], []
+    kernel = tree_dp._kernel
+
+    class Counted(tree_dp._Lanes):
+        def __init__(self, bound: int, most: int) -> None:
+            made.append(most)
+            super().__init__(bound, most)
+
+    monkeypatch.setattr(tree_dp, "_KERNELS", {})
+    monkeypatch.setattr(tree_dp, "_Lanes", Counted)
+    monkeypatch.setattr(tree_dp, "_kernel", lambda bound, most: asked.append(most) or kernel(bound, most))
+    n = 200
+    tcx = tmp_path / "nested.tcx"
+    tcx.write_text(format_tc_expression(random_expression("nested", n, random.Random(n))))
+    _cli(["bchromatic", str(tcx)])
+    assert 0 < len(made) <= 2 * n.bit_length() < len(asked)
