@@ -12,6 +12,13 @@ chi, where dom[t] = t since trees and stability-two graphs are
 b-continuous; from a ``--coloring`` start, which it first checks with the
 verdict of ``verify``, it goes on from the start's t - 1.
 
+``analyze`` on a ``.tcx`` never builds the graph: every fact it prints is
+read off folds over the expression (``_expression_facts``), in time linear
+in n plus the leaves' own work.  ``bchromatic`` and ``dominance`` answer
+from the expression too; ``verify``, ``chain``, ``bcolor``, ``bchromatic
+--witness``, ``reduce``, ``certify``, ``oracle`` and ``tables`` evaluate it
+first.
+
 Importing this module loads only what the answering commands run: ``reduce``
 and ``certify`` import the hardness gadget (``reduction``), and ``oracle``
 the exhaustive reference (``oracle``), when they are run.

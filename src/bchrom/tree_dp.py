@@ -57,7 +57,10 @@ values: 16 bits while the bound is below 2**14, else 64.  For a tree's
 tables the bound is 2n + 2, since a vertex adds at most two defects; for
 list operands it is the most a sum of them can reach, once an offset has
 lifted negative entries to zero.  ``DeficiencyTables.values`` is the list
-view of the packed tables, unpacked on first read.
+view of the packed tables, unpacked on first read.  Kernels are shared
+process-wide (``_kernel``): one per lane width and per power of two of
+lanes, made on first use, so leaves and joins of similar size share one
+within a request, and each compiles its rows once per rule table.
 
 No table build walks a rule table per vertex, and no loop here is a
 min-plus product.  ``rows.compile_rows`` writes the row of a rule table as
