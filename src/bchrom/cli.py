@@ -50,7 +50,8 @@ from .graph import (
     stability_at_most_two,
 )
 from .route import plan
-from .tree_dp import deficiency_tables, dump_deficiency_tables, dump_smm_tables, root_tree, smm_tables
+from .tree_dp import deficiency_tables, dump_deficiency_tables, dump_smm_tables, root_tree
+from .tree_dp import smm_tables
 
 
 def _read(args) -> Graph | TcExpr:
