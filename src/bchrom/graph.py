@@ -33,26 +33,27 @@ for trees, forests and co-forests search a graph at most once.
 A tree-cograph expression is built from ``TcLeaf`` leaves by ``TcUnion``
 and ``TcJoin``.  A leaf stores a tree and denotes that tree or, with
 ``co``, its complement.  An expression is evaluated by writing the rows
-of its graph directly.  The tree-cograph decomposition works on sorted
-vertex subsets of the input graph and splits off isolated and universal
-vertices by their degrees.  A node that leaves a rest of one part starts
-a peel run: one sort of the node by degree, then O(peeled) per level
-while each rest peels the same way, so a threshold graph's chain of n
-levels costs O(n log n) and not n^2 list steps.  Any other list S with
-m(S) edges is searched with set operations in O(|S| + m(S)).  A vertex's
-neighbor set is made from its row the first time a search or a leaf
-reads it, so a chain makes few or none, and every one-vertex part is
-made at once as a leaf over the shared one-vertex graph.  Evaluation and
-decomposition walk expressions on an explicit stack, so neither their
-time nor Python's recursion limit grows with the depth of the
-expression.
+of its graph directly.  The tree-cograph decomposition is one loop over
+nodes, each a run of the input's vertices sorted by degree with the count
+that the joins above it took from every degree, so no degree is rewritten.
+A node's isolated vertices peel from the low end of its order and its
+universal ones from the high end; a rest of one part keeps the order with
+new bounds, so a peel costs O(peeled) and a threshold graph's chain of n
+levels costs one sort and O(n) steps, not n^2 list steps.  Any other node S
+with m(S) edges is searched with set operations in O(|S| + m(S)), and each
+of its parts is sorted by degree once.  A vertex's neighbor set is made
+from its row the first time a search or a leaf reads it, so a chain makes
+few or none, and every one-vertex part is made at once as a leaf over the
+shared one-vertex graph.  Each operation orders its children by least
+vertex once, when they are all done.  Evaluation and decomposition walk
+expressions on an explicit stack, so neither their time nor Python's
+recursion limit grows with the depth of the expression.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import chain, compress, islice
-from operator import lt, not_
+from itertools import chain, islice
+from operator import itemgetter, lt
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NotATree, NotTreeCograph, RangeError
@@ -757,19 +758,11 @@ def evaluate_tc(e: TcExpr) -> Graph:
 
 def _leaf_tree(nbr: Sequence[frozenset[int]], verts: list[int], co: bool) -> Graph:
     """The subgraph induced by ``verts``, or with ``co`` its complement,
-    relabelled 0..k-1 in order; every one-vertex list gets the one shared
-    ``_POINT``."""
-    if len(verts) == 1:
-        return _POINT
+    relabelled 0..k-1 in order."""
     index = {v: i for i, v in enumerate(verts)}
     inside = set(verts)
     rows = (inside.difference(nbr[v], (v,)) if co else nbr[v] & inside for v in verts)
     return Graph(len(verts), tuple(tuple(sorted(map(index.__getitem__, row))) for row in rows))
-
-
-def _part(verts: list[int]) -> list[int] | TcLeaf:
-    """A part to push for decomposition; one vertex is its leaf at once."""
-    return _point(verts[0]) if len(verts) == 1 else verts
 
 
 def decompose_tree_cograph(g: Graph) -> TcExpr:
@@ -780,182 +773,131 @@ def decompose_tree_cograph(g: Graph) -> TcExpr:
     A plain leaf wins over a ``co`` leaf when both apply, and children are
     ordered by their smallest contained vertex, so the result is canonical.
 
-    Nodes are sorted vertex lists of g, kept on an explicit stack.  The
-    degree of each vertex inside its current list is kept too: a component
-    keeps it, and a co-component loses the vertices outside it, to which
-    each of its vertices is adjacent.  So a node's edge count is a sum, and
-    its isolated and universal vertices are read off the degrees.  A node
-    with an isolated vertex is disconnected, and each such vertex is a
-    component alone; the rest is connected when it holds a vertex adjacent
-    to all of it.  A node with a universal vertex is connected, each such
-    vertex is a co-component alone, and the rest is one co-component when
-    it holds a vertex adjacent to none of it.  Only a node with neither,
-    or a rest with neither, is searched, and the tree and co-tree tests
-    search only when the edge count allows.
+    One loop decomposes every node, from an explicit stack.  A node is
+    ``(order, lo, hi, off, dsum, verts)``: ``order[lo:hi]`` holds its
+    vertices sorted by degree; ``off`` is what the joins above it took from
+    each degree, so a vertex's degree in the node is ``g.degrees[v] - off``;
+    ``dsum`` is the node's degree sum, so its edge count is ``dsum // 2``;
+    and ``verts`` is its vertex-sorted list, or None when it has none yet.
+    No degree is ever written.  A node's isolated vertices lie at the low
+    end of ``order`` and its universal ones at the high end.  A node with
+    an isolated vertex is disconnected, and each such vertex is a component
+    alone; the rest is connected when it holds a vertex adjacent to all of
+    it.  A node with a universal vertex is connected, each such vertex is a
+    co-component alone, and the rest is one co-component when it holds a
+    vertex adjacent to none of it.  Only a node with neither, or a rest
+    with neither, is searched, and the tree and co-tree tests search only
+    when the edge count allows.
 
-    Costs: a node that peels into a rest of one part starts a peel run
-    (``_peel_run``), which sorts the node by degree once and then costs
-    O(peeled) per level while each rest does the same.  A searched list S
-    with m(S) edges costs O(|S| + m(S)), any other node O(|S|) in
-    whole-list operations.  A vertex's neighbor set is made from its row
-    the first time a search or a leaf reads it, so g's ``nbr_sets`` are not
-    built, and a chain of one-vertex levels makes sets for its last leaf
-    at most.  Every one-vertex part becomes its leaf over the shared
-    ``_POINT`` at once.  No node builds an induced subgraph or a
-    complement; only a leaf builds its tree, which has |S| - 1 edges.
+    Costs: a rest of one part is pushed as the same ``order`` with new
+    bounds, a join's rest with ``off`` raised and ``dsum`` lowered, so a
+    peel level costs O(peeled), and a threshold graph's chain of n levels
+    costs one sort and O(n) steps.  A node S that splits costs
+    O(|S| + m(S)) for its search, with m(S) edges, and O(|S| log |S|) to
+    sort each part by degree once; a join part's ``off`` grows by the
+    vertices outside it.  A vertex's neighbor set is made from its row the
+    first time a search or a leaf reads it, so g's ``nbr_sets`` are not
+    built, and a chain of one-vertex levels makes sets for its last leaf at
+    most.  Every one-vertex part, the one-vertex graph included, is done at
+    once as a leaf over the shared ``_POINT``.  The other parts are pushed
+    in reverse, so they finish in the order they were found.  Each done
+    expression is kept with its least vertex, and each operation sorts its
+    children by it once, which moves nothing and costs k - 1 comparisons
+    when they are already ascending.  No node builds an induced subgraph
+    or a complement; only a leaf builds its tree, which has |S| - 1 edges.
     """
     if not g.n:
         raise NotTreeCograph("the empty graph has no vertices")
-    adj = g.adj
+    if g.n == 1:
+        return _point(0)
+    adj, degree = g.adj, g.degrees
     nbr: list[frozenset[int] | None] = [None] * g.n
     unmade = g.n
 
-    def sets(verts: list[int]) -> list:
-        """The neighbor sets by vertex, each of ``verts`` made if it was not."""
+    def sets(verts: list[int]) -> tuple[list, list[int]]:
+        """The neighbor sets by vertex, each of ``verts`` made if it was
+        not, and ``verts``: the arguments of a search or a leaf."""
         nonlocal unmade
         if unmade:
             missing = [v for v in verts if nbr[v] is None]
             for v in missing:
                 nbr[v] = frozenset(adj[v])
             unmade -= len(missing)
-        return nbr
+        return nbr, verts
 
-    degree = list(g.degrees)
-    done: list[TcExpr] = []
-    # a vertex list to decompose, a leaf that is done, or (operation, child
-    # count) once its children, pushed above it, are done
-    todo: list = [list(range(g.n))]
+    done: list[tuple[int, TcExpr]] = []  # each with its least vertex
+    everything = list(range(g.n))
+    # a node, or (operation, child count) once its children, pushed above it
+    # or already in done, are done
+    todo: list = [(sorted(everything, key=degree.__getitem__), 0, g.n, 0, 2 * g.m, everything)]
+    second = itemgetter(1)
     while todo:
         item = todo.pop()
-        if isinstance(item, TcLeaf):
-            done.append(item)
-            continue
-        if isinstance(item, tuple):
+        if len(item) == 2:
             kind, k = item
-            children = tuple(done[-k:])
+            children = done[-k:]
             del done[-k:]
-            done.append(kind(children))
+            children.sort()  # by least vertex: they differ, so no two nodes are compared
+            done.append((children[0][0], kind(tuple(map(second, children)))))
             continue
-        verts = item
-        s = len(verts)
-        top = s - 1
-        degs = list(map(degree.__getitem__, verts))
-        m = sum(degs) // 2
-        # an isolated vertex disconnects a list of two or more (a list of
-        # one is a tree leaf); a universal vertex connects the list and
-        # disconnects its complement
-        lone, full = 0 in degs, top in degs
-        comps = cocomps = None
+        order, lo, hi, off, dsum, verts = item
+        s, top, m = hi - lo, hi - lo - 1, dsum // 2
+        low, high = degree[order[lo]] - off, degree[order[hi - 1]] - off
+        # an isolated vertex disconnects a node (of two or more vertices); a
+        # universal vertex connects it and disconnects its complement
+        lone, full = low == 0, high == top
+        comps = cocomps = co = None
         if m == top:  # a tree iff connected
             if not (lone or full):
-                comps = _components(sets(verts), verts)
+                comps = _components(*sets(order[lo:hi]))
             if full or comps and len(comps) == 1:
-                done.append(TcLeaf(_leaf_tree(sets(verts), verts, False), tuple(verts)))
-                continue
-        if s * top // 2 - m == top:  # a co-tree iff its complement is connected
+                co = False
+        if co is None and s * top // 2 - m == top:  # a co-tree iff its complement is connected
             if not (lone or full):
-                cocomps = _co_components(sets(verts), verts)
+                cocomps = _co_components(*sets(order[lo:hi]))
             if lone or cocomps and len(cocomps) == 1:
-                done.append(TcLeaf(_leaf_tree(sets(verts), verts, True), tuple(verts), co=True))
-                continue
+                co = True
+        if co is not None:
+            verts = verts or sorted(order[lo:hi])
+            done.append((verts[0], TcLeaf(_leaf_tree(*sets(verts), co), tuple(verts), co)))
+            continue
+        # parts is None when the rest left by the peeled points is one part
         if lone:
-            kind = TcUnion
-            rest = list(compress(verts, degs))
-            if len(rest) - 1 in degs:  # a vertex adjacent to all of the rest
-                _peel_run(verts, 2 * m, degree, done, todo)
-                continue
-            parts = [[v] for v in compress(verts, map(not_, degs))]
-            parts += _components(sets(rest), rest)
+            cut = lo + 1
+            while cut < hi and degree[order[cut]] == off:
+                cut += 1
+            kind, points, lo = TcUnion, order[lo:cut], cut
+            # one part when the rest holds a vertex adjacent to all of it
+            parts = None if high == hi - lo - 1 else _components(*sets(order[lo:hi]))
         elif full:
-            kind = TcJoin
-            rest = list(compress(verts, map(top.__ne__, degs)))
-            if s - len(rest) in degs:  # a vertex of the rest adjacent to none of it
-                _peel_run(verts, 2 * m, degree, done, todo)
-                continue
-            parts = [[v] for v in compress(verts, map(top.__eq__, degs))]
-            parts += _co_components(sets(rest), rest)
-        elif len(comps := comps or _components(sets(verts), verts)) > 1:
-            kind, parts = TcUnion, comps
-        elif len(cocomps := cocomps or _co_components(sets(verts), verts)) > 1:
-            kind, parts = TcJoin, cocomps
+            cut = hi - 1
+            while cut > lo and degree[order[cut - 1]] - off == top:
+                cut -= 1
+            kind, points, hi = TcJoin, order[cut:hi], cut
+            # one part when the rest holds a vertex adjacent to none of it
+            parts = None if low == len(points) else _co_components(*sets(order[lo:hi]))
+            # each point had degree top, and each vertex left loses them all
+            dsum -= len(points) * (top + hi - lo)
+            off += len(points)
+        elif len(comps := comps or _components(*sets(order[lo:hi]))) > 1:
+            kind, points, parts = TcUnion, (), comps
+        elif len(cocomps := cocomps or _co_components(*sets(order[lo:hi]))) > 1:
+            kind, points, parts = TcJoin, (), cocomps
         else:
             raise NotTreeCograph(
                 "connected graph with connected complement that is neither a "
                 "tree nor a co-tree"
             )
-        parts.sort()  # by first vertex, as the parts are disjoint
-        if kind is TcJoin:
-            for part in parts:
-                outside = s - len(part)
-                for v in part:
-                    degree[v] -= outside
-        todo.append((kind, len(parts)))
-        todo.extend(map(_part, reversed(parts)))
-    return done[0]
-
-
-def _peel_run(verts: list[int], dsum: int, degree: list[int], done: list, todo: list) -> None:
-    """Decompose the node ``verts``, which peels its isolated or universal
-    vertices and leaves a rest of one part, and each rest below it that
-    does the same; push the last rest for ``decompose_tree_cograph``.
-
-    ``dsum`` is the sum of the node's degrees.  The node is sorted by degree
-    once, and each level peels from one end of that order: isolated vertices
-    from the low end, universal ones from the high end.  Every remaining
-    vertex is adjacent to each universal vertex peeled, so their count is
-    kept as one ``offset``, and a vertex's degree in the current rest is
-    ``degree[v] - offset``, written back only on the last rest.  The
-    rest's degree sum gives its edge count, and a pointer that walks
-    ``verts`` past peeled vertices gives its least vertex.  Each level runs
-    the tests of ``decompose_tree_cograph`` in the same order and ends the
-    run on a rest of two vertices or fewer, a leaf, a rest with nothing to
-    peel or one that splits; so a level costs O(peeled).  Its peeled
-    vertices below the rest's least vertex are done at once, and the others
-    are pushed with the level's operation, to follow the last rest, as
-    ``parts.sort()`` orders the node's children.
-    """
-    order = sorted(verts, key=degree.__getitem__)
-    lo, hi, offset, first = 0, len(order), 0, 0
-    gone: set[int] = set()
-    while hi - lo > 2:
-        s = hi - lo
-        top, m = s - 1, dsum // 2
-        low, high = degree[order[lo]] - offset, degree[order[hi - 1]] - offset
-        lone, full = low == 0, high == top
-        if m == top and full or s * top // 2 - m == top and lone:
-            break  # a leaf; a node whose leaf test must search has nothing to peel
-        if lone:
-            cut = lo + 1
-            while cut < hi and degree[order[cut]] == offset:
-                cut += 1
-            if high != hi - cut - 1:  # no vertex adjacent to all of the rest
-                break
-            kind, peeled, lo = TcUnion, order[lo:cut], cut
-        elif full:
-            cut = hi - 1
-            while cut > lo and degree[order[cut - 1]] - offset == top:
-                cut -= 1
-            if low != hi - cut:  # no vertex of the rest adjacent to none of it
-                break
-            kind, peeled, hi = TcJoin, order[cut:hi], cut
-            # each peeled vertex had degree top, and each left loses them all
-            dsum -= len(peeled) * (top + hi - lo)
-            offset += len(peeled)
-        else:
-            break
-        gone.update(peeled)
-        while verts[first] in gone:
-            first += 1
-        peeled.sort()
-        below = bisect_left(peeled, verts[first])
-        done.extend(map(_point, peeled[:below]))
-        todo.append((kind, len(peeled) + 1))
-        todo.extend(map(_point, reversed(peeled[below:])))
-    rest = sorted(order[lo:hi])
-    if offset:
-        for v in rest:
-            degree[v] -= offset
-    todo.append(_part(rest))
+        done.extend(zip(points, map(_point, points)))
+        if parts is None:
+            todo += (kind, len(points) + 1), (order, lo, hi, off, dsum, None)
+            continue
+        todo.append((kind, len(points) + len(parts)))
+        for part in reversed(parts):
+            o = off + hi - lo - len(part) if kind is TcJoin else off
+            todo.append((sorted(part, key=degree.__getitem__), 0, len(part), o,
+                         sum(map(degree.__getitem__, part)) - o * len(part), part))
+    return done[0][1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ can be checked against it on randomly labelled expressions.
 import io
 import random
 from contextlib import redirect_stdout
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bchrom import tree_dp
@@ -29,6 +29,7 @@ from bchrom.graph import (
     TcUnion,
     _co_components,
     _components,
+    _fold,
     _leaf_tree,
     complement,
     complete_bipartite,
@@ -42,6 +43,7 @@ from bchrom.graph import (
     is_tree,
     m_degree_bound,
     m_i_count,
+    path_graph,
     stability_at_most_two,
     star_graph,
     tc_postorder,
@@ -313,6 +315,101 @@ def test_creation_sequences_decompose_as_the_search(g):
     expr = decompose_tree_cograph(g)
     assert expr == search_decompose(g)
     assert evaluate_tc(expr) == g
+
+
+def _relabelled(e: TcExpr, label) -> TcExpr:
+    """e with each vertex v renamed ``label[v]``."""
+    return _fold(e, lambda leaf: TcLeaf(leaf.tree, tuple(label[v] for v in leaf.vertices), leaf.co),
+                 lambda node, children: type(node)(tuple(children)))
+
+
+_ONE = Graph(1, ((),))
+_OPERATIONS = st.sampled_from((TcUnion, TcJoin))
+
+
+@st.composite
+def run_split_expressions(draw) -> TcExpr:
+    """A union/join expression in which runs of threshold points hold
+    multi-part splits and splits hold runs, one to three levels deep, in a
+    random labelling.  A run wraps what it holds in one to six levels, each
+    a union or a join with one to three points, as a threshold graph's
+    creation sequence adds isolated or dominating vertices; a split is a
+    union or a join of two or three such expressions; the innermost are
+    trees or co-trees of one to four vertices.  ``creation_graphs`` grows
+    one part only, so none of its splits holds two runs."""
+    ids = count()
+
+    def expression(depth: int, shapes: tuple[str, ...] = ("leaf", "run", "split")) -> TcExpr:
+        shape = draw(st.sampled_from(shapes)) if depth else "leaf"
+        if shape == "split":
+            kind = draw(_OPERATIONS)
+            return kind(tuple(expression(depth - 1) for _ in range(draw(st.integers(2, 3)))))
+        if shape == "run":
+            e = expression(depth - 1)
+            for kind, points in draw(st.lists(st.tuples(_OPERATIONS, st.integers(1, 3)),
+                                              min_size=1, max_size=6)):
+                e = kind((e, *(TcLeaf(_ONE, (next(ids),)) for _ in range(points))))
+            return e
+        size = draw(st.integers(1, 4))
+        tree = Graph.from_edges(size, [(draw(st.integers(0, v - 1)), v) for v in range(1, size)])
+        return TcLeaf(tree, tuple(islice(ids, size)), co=size > 2 and draw(st.booleans()))
+
+    e = expression(draw(st.integers(1, 3)), ("run", "split"))
+    return _relabelled(e, draw(st.permutations(range(e.span))))
+
+
+def _two_runs() -> TcExpr:
+    """A union of two runs of points, each ending in a join of a 2- and a
+    3-vertex leaf, in a random labelling."""
+    ids = count()
+
+    def run(levels: int) -> TcExpr:
+        e = TcJoin((TcLeaf(path_graph(2), tuple(islice(ids, 2))),
+                    TcLeaf(path_graph(3), tuple(islice(ids, 3)), co=True)))
+        for level in range(levels):
+            e = (TcJoin if level % 2 else TcUnion)((TcLeaf(_ONE, (next(ids),)), e))
+        return e
+
+    e = TcUnion((run(5), run(6)))
+    label = list(range(e.span))
+    random.Random("two runs").shuffle(label)
+    return _relabelled(e, label)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_split_expressions())
+@example(_two_runs())
+def test_runs_and_splits_decompose_as_the_search(e):
+    g = evaluate_tc(e)
+    expr = decompose_tree_cograph(g)
+    assert expr == search_decompose(g)
+    assert evaluate_tc(expr) == g
+
+
+def _two_chains(kind) -> TcExpr:
+    """A union or a join of two 1000-level chains, in a random labelling."""
+    label = list(range(2000))
+    random.Random(f"two chains:{kind.head}").shuffle(label)
+    return kind((_relabelled(_chain(1000), label[:1000]), _relabelled(_chain(1000), label[1000:])))
+
+
+_AT_SCALE = {
+    "nested": lambda: random_expression("nested", 2000, random.Random("scale:nested")),
+    "wide": lambda: random_expression("wide", 2000, random.Random("scale:wide")),
+    "union of chains": lambda: _two_chains(TcUnion),
+    "join of chains": lambda: _two_chains(TcJoin),
+    "leaf chain": lambda: _leaf_chain(300, (2,), random.Random("scale:leaf chain")),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(_AT_SCALE))
+def test_decomposition_at_scale(name):
+    g = evaluate_tc(_AT_SCALE[name]())
+    expr = decompose_tree_cograph(g)
+    assert "nbr_sets" not in vars(g)
+    assert evaluate_tc(expr) == g
+    assert expr == search_decompose(g)
 
 
 def _explicit_graph(e: TcExpr) -> Graph:
