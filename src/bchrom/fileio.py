@@ -252,11 +252,13 @@ def _read_coforest(text: str, body: int, n: int, m: int) -> Graph | None:
     vertex u, and compared with the body.  A row that the body holds
     whole is passed over with one comparison; elsewhere the first
     mismatch is found by ``_common_prefix``, and the row's line that
-    holds it is taken to be missing.  The graph is the complement of the
-    missing pairs, and comes linked to that sparse complement, with its
-    rows left to be made on first read (``graph.complement``).  A text
-    that lacks its final ``"\n"`` or ends in empty lines is compared as
-    if it ended in one ``"\n"``.
+    holds it is taken to be missing.  The missing pairs are found in
+    canonical order, so ``Graph.from_sorted_pairs`` builds their forest
+    with no set or sort per vertex.  The graph is the complement of that
+    forest, and comes linked to it, with its rows left to be made on
+    first read (``graph.complement``).  A text that lacks its final
+    ``"\n"`` or ends in empty lines is compared as if it ended in one
+    ``"\n"``.
     """
     if not text.endswith("\n") or text.endswith("\n\n"):
         text = text.rstrip("\n") + "\n"
@@ -266,7 +268,8 @@ def _read_coforest(text: str, body: int, n: int, m: int) -> Graph | None:
     if budget < 0 or len(text) - body < 6 * m:
         return None
     ids = list(map(str, range(n)))
-    missing: list[Edge] = []
+    us: list[int] = []  # the missing pairs (us[i], ws[i]), found in canonical order
+    ws: list[int] = []
     pos = body
     for u in range(n - 1):
         head = f"e {u} "
@@ -275,15 +278,16 @@ def _read_coforest(text: str, body: int, n: int, m: int) -> Graph | None:
         while not text.startswith(row[j:], pos):
             cut = row.rfind("\n", 0, j + _common_prefix(text, pos, row, j)) + 1
             end = row.index("\n", cut) + 1
-            missing.append((u, int(row[cut + len(head) : end - 1])))
-            if len(missing) > budget:
+            us.append(u)
+            ws.append(int(row[cut + len(head) : end - 1]))
+            if len(us) > budget:
                 return None
             pos += cut - j
             j = end
         pos += len(row) - j
-    if pos != len(text) or len(missing) != budget:
+    if pos != len(text) or len(us) != budget:
         return None
-    return complement(Graph.from_edges(n, missing))
+    return complement(Graph.from_sorted_pairs(n, us, ws))
 
 
 def _read_rows(text: str, body: int, n: int, m: int) -> Graph | None:

@@ -188,9 +188,10 @@ class Graph(_Record):
         vertex's lower neighbors arrive before its higher ones, and each
         group rises.
 
-        ``fileio.parse_edgelist`` calls it on the edge lists that its
-        co-forest and dense-row readers refuse: those with fewer than 12n
-        edges or a density below 1/4, and those whose text is not
+        ``fileio._read_coforest`` calls it on the pairs missing from a
+        co-forest's text, and ``fileio.parse_edgelist`` on the edge lists
+        that its co-forest and dense-row readers refuse: those with fewer
+        than 12n edges or a density below 1/4, and those whose text is not
         canonical, as with a comment, a blank line or other whitespace.
         Pairs in another order reach it too, and it returns None for them.
         """

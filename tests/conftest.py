@@ -2,13 +2,30 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
 from bchrom.generators import random_graph, random_labeled_tree, random_triangle_free
 from bchrom.graph import Graph, TcJoin, TcLeaf, TcUnion, complement, path_graph, star_graph
+
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_PATH = os.pathsep.join([os.path.join(_HERE, os.pardir, "src"), _HERE])
+
+
+def fresh_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """``python *args`` run by a fresh interpreter that imports bchrom from
+    src and the test modules from tests, its output captured as text; past
+    ``timeout`` seconds it is killed and ``subprocess.TimeoutExpired`` fails
+    the test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_PATH, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def all_graphs(n: int):

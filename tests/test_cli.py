@@ -1,8 +1,5 @@
 import io
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
@@ -32,7 +29,7 @@ from bchrom.graph import (
     star_graph,
 )
 
-from conftest import random_expression
+from conftest import fresh_python, random_expression
 
 
 @pytest.fixture()
@@ -332,14 +329,6 @@ def test_bchromatic_c5_via_oracle_route(files):
     assert code == 0 and out == "3\n"
 
 
-def _python(script: str) -> subprocess.CompletedProcess:
-    """``script`` run by a fresh interpreter that imports bchrom from src."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          timeout=120)
-
-
 def test_requests_import_no_reference_code(files, tmp_path):
     """Importing the CLI loads neither the exhaustive reference, the hardness
     gadget, the compiled DP rows, networkx nor the class machinery of
@@ -353,7 +342,8 @@ def test_requests_import_no_reference_code(files, tmp_path):
              for argv in (["bchromatic", path, "--witness", witness],
                           ["dominance", path], ["bcolor", path, "3", "-o", str(tmp_path / "c.col")],
                           ["chain", path], ["chain", path, "--coloring", witness])]
-    done = _python(
+    done = fresh_python(
+        "-c",
         "import sys, bchrom.cli\n"
         "bchrom.cli.build_parser()\n"
         "absent = {'bchrom.oracle', 'bchrom.reduction', 'networkx', 'dataclasses', 'inspect'}\n"
@@ -383,7 +373,8 @@ def test_chain_without_networkx_answers_with_b_colorings(tmp_path):
     assert run(["bchromatic", str(path), "--witness", str(witness)])[0] == 0
     outs = []
     for argv in (["chain", str(path)], ["chain", str(path), "--coloring", str(witness)]):
-        done = _python(
+        done = fresh_python(
+            "-c",
             "import sys\n"
             "sys.modules['networkx'] = None\n"
             "from bchrom.cli import main\n"

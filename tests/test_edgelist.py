@@ -23,9 +23,9 @@ from bchrom.errors import ParseError
 import bchrom.fileio
 from bchrom.fileio import format_edgelist, parse_edgelist
 from bchrom.generators import random_graph, random_labeled_tree
-from bchrom.graph import Edge, Graph, complement, empty_graph, evaluate_tc, is_forest
+from bchrom.graph import Edge, Graph, complement, empty_graph, evaluate_tc, is_forest, star_graph
 
-from conftest import random_expression
+from conftest import random_expression, spider
 
 
 def reference_parse_edgelist(text: str) -> Graph:
@@ -358,14 +358,36 @@ def canonical_variants(g: Graph, rng: random.Random) -> list[str]:
     return out
 
 
+def hub_labelled(g: Graph, hub: int, rng: random.Random) -> Graph:
+    """g, whose vertex 0 is a hub, with the hub labelled ``hub``, its
+    neighbors the highest other labels and every other vertex one of the
+    rest, each group in a random order."""
+    labels = [v for v in range(g.n) if v != hub]
+    near = list(g.adj[0])
+    far = [v for v in range(1, g.n) if v not in near]
+    rng.shuffle(near)
+    rng.shuffle(far)
+    perm = dict(zip([0, *far, *near], [hub, *labels]))
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def test_co_forest_texts_and_their_changes_match_reference():
     # canonical co-forest texts are read by comparison with the text of
     # K_n, and come linked to their forest; every text the comparison
-    # refuses is read as before, with the same graph or the same error
+    # refuses is read as before, with the same graph or the same error.
+    # The complement of a star or spider misses its hub's lines: a whole
+    # row (hub 0 or in between), a run of lines ending a row (a spider's
+    # hub below its neighbors) or every row's last line and the last row
+    # (hub n - 1)
     rng = random.Random(17)
+    forests = [random_forest(rng.randint(2, 80) if trial % 3 else rng.randint(2, 8), rng)
+               for trial in range(40)]
+    for hubbed in (star_graph(2), star_graph(8), star_graph(39), spider([1, 2, 3]),
+                   spider([2, 2, 2, 2]), spider([1] * 5 + [6]), spider([3] * 10)):
+        forests += [hub_labelled(hubbed, hub, rng) for hub in (0, hubbed.n // 2, hubbed.n - 1)]
     linked = 0
-    for trial in range(40):
-        g = complement(random_forest(rng.randint(2, 80) if trial % 3 else rng.randint(2, 8), rng))
+    for forest in forests:
+        g = complement(forest)
         for text in canonical_variants(g, rng):
             got = outcome(parse_edgelist, text)
             assert got == outcome(reference_parse_edgelist, text), repr(text)
@@ -373,7 +395,30 @@ def test_co_forest_texts_and_their_changes_match_reference():
                     got.n * (got.n - 1) // 2 - got.m < max(got.n, 1)):
                 assert "_complement" in vars(got), repr(text)
                 linked += 1
-    assert linked > 80
+    assert linked > 150
+
+
+def read_coforest(text: str) -> Graph | None:
+    """What the co-forest reader makes of ``text``, at any size."""
+    n, m, _, body = bchrom.fileio._read_header(text)
+    return bchrom.fileio._read_coforest(text, body, n, m)
+
+
+def test_texts_the_co_forest_reader_accepts_give_the_graph_of_their_pairs():
+    # after random changes too: a text the reader accepts gives the graph
+    # Graph.from_edges builds from its lines
+    rng = random.Random(30)
+    accepted = 0
+    for _ in range(3000):
+        g = complement(random_forest(rng.randint(1, 12), rng))
+        text = format_edgelist(g)
+        assert read_coforest(text) == g
+        changed = mutate(text, rng)
+        got = outcome(read_coforest, changed)
+        if isinstance(got, Graph):
+            assert got == reference_parse_edgelist(changed), repr(changed)
+            accepted += 1
+    assert accepted > 100
 
 
 @pytest.fixture
