@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 import subprocess
@@ -9,9 +10,21 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from bchrom.generators import random_graph, random_labeled_tree, random_triangle_free
-from bchrom.graph import Graph, TcJoin, TcLeaf, TcUnion, complement, path_graph, star_graph
+from bchrom.graph import (
+    Graph,
+    TcJoin,
+    TcLeaf,
+    TcUnion,
+    complement,
+    complete_bipartite,
+    cycle_graph,
+    graph_union,
+    path_graph,
+    star_graph,
+)
 
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -155,6 +168,64 @@ def random_expression(family: str, n: int, rng: random.Random):
             del done[-k:]
             done.append(ops[depth % 2](children))
     return done[0]
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies
+# ---------------------------------------------------------------------------
+
+
+def _pruefer_edges(seq: list[int], n: int) -> list[tuple[int, int]]:
+    """The edges of the tree on 0..n-1 whose Prüfer sequence is seq, n - 2
+    entries long: each entry is joined to the least leaf left."""
+    if n < 2:
+        return []
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((leaves[0], leaves[1]))
+    return edges
+
+
+@st.composite
+def labelled_trees(draw, min_n: int = 1, max_n: int = 40) -> Graph:
+    """A tree decoded from a drawn Prüfer sequence, under a drawn
+    permutation of its vertices."""
+    n = draw(st.integers(min_n, max_n))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in _pruefer_edges(seq, n)])
+
+
+def co_trees(min_n: int = 1, max_n: int = 40):
+    """The complement of a drawn labelled tree."""
+    return labelled_trees(min_n, max_n).map(complement)
+
+
+@st.composite
+def triangle_free_complements(draw, max_n: int = 9) -> Graph:
+    """The complement of a triangle-free graph on at most max_n >= 5
+    vertices: a forest plus one C5, C7 or K(a, b) component with a, b >= 2,
+    under a drawn permutation of its vertices."""
+    cycles = st.sampled_from([cycle_graph(c) for c in (5, 7) if c <= max_n])
+    bipartite = st.integers(2, max_n // 2).flatmap(
+        lambda a: st.integers(a, max_n - a).map(lambda b: complete_bipartite(a, b)))
+    piece = draw(cycles | bipartite)
+    rest = draw(st.integers(0, max_n - piece.n))
+    # each forest vertex after the first hangs off an earlier one or starts a tree
+    parents = [draw(st.one_of(st.none(), st.integers(0, v - 1))) for v in range(1, rest)]
+    forest = Graph.from_edges(rest, [(p, v) for v, p in enumerate(parents, 1) if p is not None])
+    g = graph_union(piece, forest)
+    perm = draw(st.permutations(range(g.n)))
+    return complement(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,17 @@
+import gc
 import io
 import random
+import sys
 import tracemalloc
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bchrom.bcoloring import Coloring, verify_coloring
+from bchrom import cli
+from bchrom.bcoloring import BVerdict, Coloring, verify_coloring
 from bchrom.cli import _expression_facts, _write_vector, main
-from bchrom.dominance import DominanceVector
+from bchrom.dominance import DominanceVector, _Run
 from bchrom.fileio import format_edgelist, format_tc_expression, parse_edgelist, parse_coloring
 from bchrom.generators import random_labeled_tree
 from bchrom.graph import (
@@ -27,7 +30,10 @@ from bchrom.graph import (
     path_graph,
     stability_at_most_two,
     star_graph,
+    _TcNode,
 )
+from bchrom.route import Route
+from bchrom.tree_dp import DeficiencyTables, RootedTree, SmmTables
 
 from conftest import fresh_python, random_expression
 
@@ -708,3 +714,138 @@ def test_tcx_analyze_never_evaluates_while_verify_and_chain_do(tmp_path, monkeyp
     assert code == 0 and out.startswith("B-COLORING no\n") and len(calls) == 1
     code, out = run(["chain", str(tcx)])
     assert code == 0 and out.startswith("colors: ") and len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector, paused while main answers
+# ---------------------------------------------------------------------------
+
+
+class _Escape(BaseException):
+    """Not an Exception, like a benchmark worker's alarm: main catches none."""
+
+
+def _escape(args):
+    raise _Escape()
+
+
+@pytest.mark.parametrize("collecting", (True, False))
+def test_main_leaves_the_collector_as_it_found_it(files, tmp_path, monkeypatch, collecting):
+    empty, missing = tmp_path / "empty.g", str(tmp_path / "missing.g")
+    empty.write_text("p 0 0\n")
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run(["dominance", files["p6"]])[0] == 0
+        assert gc.isenabled() is collecting
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run(["dominance", str(empty)])[0] == 1  # a BchromError
+            assert gc.isenabled() is collecting
+            assert run(["dominance", missing])[0] == 1  # an OSError
+            assert gc.isenabled() is collecting
+            with pytest.raises(SystemExit) as exc:  # a usage error, before the pause
+                run(["dominance", files["p6"], "--max-n", "many"])
+            assert exc.value.code == 2 and gc.isenabled() is collecting
+        assert err.getvalue().splitlines()[:2] == [
+            "error: the graph has no vertices",
+            f"error: [Errno 2] No such file or directory: {missing!r}",
+        ]
+        monkeypatch.setattr(cli, "_read", _escape)
+        with pytest.raises(_Escape):
+            run(["dominance", files["p6"]])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def _premise_requests(tmp_path) -> list[list[str]]:
+    """Requests that build big graphs, tables and colorings on each route."""
+    rng = random.Random(37)
+    texts = {
+        "tree.g": format_edgelist(random_labeled_tree(2000, rng)),
+        "cotree.g": format_edgelist(complement(random_labeled_tree(200, rng))),
+        "nested.tcx": format_tc_expression(random_expression("nested", 1000, rng)),
+        "dense.g": format_edgelist(evaluate_tc(random_expression("wide", 300, rng))),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    tree, cotree, nested, dense = (str(tmp_path / name) for name in texts)
+    return [
+        ["dominance", tree],
+        ["dominance", cotree],
+        ["bchromatic", cotree, "--witness", str(tmp_path / "witness.txt")],
+        ["bchromatic", nested],
+        ["analyze", dense],
+    ]
+
+
+def test_no_collection_starts_while_main_answers(tmp_path):
+    started = []
+
+    def count(phase, info):
+        frame = sys._getframe(1)  # where the allocation that started it was made
+        while frame is not None and frame.f_code is not main.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    cli.build_parser()  # built once per process, before the pause
+    for argv in _premise_requests(tmp_path):
+        gc.collect()  # so that parsing the arguments starts no collection either
+        gc.callbacks.append(count)
+        try:
+            code, _ = run(argv)
+        finally:
+            gc.callbacks.remove(count)
+        assert code == 0 and started == [], (argv[0], started)
+        assert gc.isenabled()
+
+
+_NEVER_CYCLIC = (Route, RootedTree, SmmTables, DeficiencyTables, Coloring, BVerdict,
+                 DominanceVector, _Run, _TcNode)
+
+
+def _linked_pairs_left(argv: list[str]) -> int:
+    """The number of graph-complement pairs in the cyclic garbage one
+    request leaves, after checking that the garbage holds nothing else but
+    what those pairs hold."""
+    cli.build_parser()  # argparse's formatters make cycles, once per process
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _ = run(argv)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert code == 0, argv
+    assert not [o for o in garbage if isinstance(o, _NEVER_CYCLIC)], argv
+    graphs = [o for o in garbage if type(o) is Graph]
+    for g in graphs:
+        co = vars(g).get("_complement")
+        assert co is not g and type(co) is Graph and vars(co)["_complement"] is g, argv
+    in_garbage = {id(o) for o in garbage}
+    held, todo = {id(g) for g in graphs}, list(graphs)
+    while todo:
+        for r in gc.get_referents(todo.pop()):
+            if id(r) in in_garbage and id(r) not in held:
+                held.add(id(r))
+                todo.append(r)
+    assert held == in_garbage, (argv, [type(o).__name__ for o in garbage if id(o) not in held][:10])
+    return len(graphs) // 2
+
+
+def test_a_request_leaves_no_cyclic_garbage_but_linked_complements(tmp_path):
+    for argv in _premise_requests(tmp_path):
+        _linked_pairs_left(argv)
+    # chain makes no cycle per step: as many pairs at 60 vertices as at 300
+    pairs = []
+    for n in (60, 300):
+        path = tmp_path / f"cotree{n}.g"
+        path.write_text(format_edgelist(complement(random_labeled_tree(n, random.Random(n)))))
+        pairs.append(_linked_pairs_left(["chain", str(path)]))
+    assert pairs[0] == pairs[1], pairs

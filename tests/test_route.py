@@ -12,6 +12,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchrom import dominance, fileio, graph, tree_dp
 from bchrom.bcoloring import coloring_to_matching, matching_to_coloring, verify_coloring
@@ -53,7 +55,8 @@ from bchrom.oracle import continuity_chain, oracle_min_smm, oracle_nu
 from bchrom.route import StabilityTwoRoute, plan
 from bchrom.tree_dp import INF, combine_all, deficiency_vector, min_smm_tree
 
-from conftest import random_expression, random_stability2
+from conftest import co_trees, labelled_trees, random_expression, random_stability2
+from conftest import triangle_free_complements
 
 
 def _relabel(g: Graph, rng: random.Random) -> Graph:
@@ -522,6 +525,24 @@ def test_b_continuity_of_coforests_beyond_the_oracle():
             route = plan(g, "vector")
             assert route.name in ("tree", "stability-two")
             _assert_b_continuous(route)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(labelled_trees(max_n=9), co_trees(max_n=9), triangle_free_complements(max_n=9)))
+def test_drawn_trees_co_trees_and_triangle_free_complements_match_the_oracle(g):
+    assert plan(g, "vector").vector == oracle_dominance(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(labelled_trees(max_n=40), co_trees(max_n=40)), st.data())
+def test_drawn_trees_and_co_trees_are_b_continuous_and_colored_as_dom_says(g, data):
+    route = plan(g, "coloring")
+    _assert_b_continuous(route)
+    vec = route.vector
+    k = data.draw(st.integers(vec.chi, g.n))
+    coloring = route.coloring(k)
+    assert coloring.t == k
+    assert len(verify_coloring(g, coloring).dominant_classes) == vec.value_at(k)
 
 
 def test_co_tree_answers_are_the_same_in_every_labelling_and_text():

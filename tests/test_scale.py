@@ -5,7 +5,7 @@
   and ``chain`` on a 2000-vertex co-tree.
 - Result 4: tree-cograph recognition, decomposition and composition on
   2000-10000-vertex edge lists and expressions, in any line order and any
-  labelling.
+  labelling, and ``.tcx`` requests on a chain of depth 1e5.
 - Result 1: co-trees read from canonical and shuffled text give the same
   answers and colorings.
 - Every subcommand answers in a fresh interpreter.
@@ -201,6 +201,15 @@ def test_tcx_requests_at_scale(tmp_path):
     _answer("bchromatic", nested, timeout=60)
     # the chain's first join makes an edge, and each of its 999 other joins adds a color
     assert _answer("dominance", chain, timeout=60).splitlines()[0] == "1001 1001"
+
+
+def test_a_chain_of_depth_100000_as_tcx_is_answered(tmp_path):
+    e, path = _chain(100000), tmp_path / "chain100000.tcx"
+    path.write_text(format_tc_expression(e))
+    vec = dominance_tc(e)
+    assert "tree-cograph: yes" in _answer("analyze", path, timeout=60).splitlines()
+    assert _answer("dominance", path, timeout=60).splitlines()[0] == f"{vec.chi} {vec.values[0]}"
+    assert _answer("bchromatic", path, timeout=60) == f"{vec.b_chromatic()}\n"
 
 
 def test_canonical_shuffled_and_commented_tree_cograph_edge_lists_answer_alike(tmp_path):
