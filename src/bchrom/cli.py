@@ -136,7 +136,7 @@ def _cmd_analyze(args) -> int:
     source = _read(args)
     if isinstance(source, Graph):
         g = source
-        n, m, tree, degrees = g.n, g.m, is_tree(g), list(g.degrees)
+        n, m, tree, degrees = g.n, g.m, is_tree(g), g.degrees
         triangle_free, stability_two = is_triangle_free(g), stability_at_most_two(g)
     else:
         n, m, tree, alpha, omega, degrees = _expression_facts(source)
@@ -152,8 +152,8 @@ def _cmd_analyze(args) -> int:
     except NoRoute:
         print("tree-cograph: no")
     if n >= 1:
-        print(f"m-bound: {m_degree_bound(degrees)}")  # sorts degrees, largest first
-        print(f"max-degree: {degrees[0]}")
+        print(f"m-bound: {m_degree_bound(degrees)}")
+        print(f"max-degree: {max(degrees)}")
     return 0
 
 
@@ -168,13 +168,15 @@ def _write(path: str | None, coloring: Coloring) -> None:
 
 def _write_vector(vec: DominanceVector) -> None:
     """One 't dom' line per t from chi to n, in one write.  The zero tail,
-    every t above max degree + 1 on a tree, is joined with no formatting."""
+    every t above max degree + 1 on a tree, is written by one format of its
+    t values.  It is the vector's zeros when none comes before a nonzero
+    entry, as on a tree; else a scan finds the last nonzero entry."""
     values, chi = vec.values, vec.chi
-    head = len(bytes(map(truth, values)).rstrip(b"\0"))  # up to the last nonzero entry
-    lines = [f"{t} {d}\n" for t, d in enumerate(values[:head], chi)]
-    if head < len(values):
-        lines.append(" 0\n".join(map(str, range(chi + head, vec.n + 1))) + " 0\n")
-    sys.stdout.write("".join(lines))
+    head = len(values) - values.count(0)
+    if 0 in values[:head]:
+        head = len(bytes(map(truth, values)).rstrip(b"\0"))
+    tail = "%d 0\n" * (len(values) - head) % tuple(range(chi + head, vec.n + 1))
+    sys.stdout.write("".join([f"{t} {d}\n" for t, d in enumerate(values[:head], chi)]) + tail)
 
 
 def _cmd_bchromatic(args) -> int:

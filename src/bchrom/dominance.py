@@ -14,6 +14,7 @@ threshold graph's chain of n levels costs O(n), not n^2 list steps.
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 from itertools import accumulate, compress, count, repeat
 from operator import le
@@ -70,30 +71,32 @@ class PivotReport(_Record):
 
 
 def find_pivot(t: Graph) -> PivotReport:
-    """Scan for the distinguished non-dense vertex that forces the b-chromatic
-    number of a tree one below its degree bound."""
+    """Search for the distinguished non-dense vertex that forces the
+    b-chromatic number of a tree one below its degree bound.
+
+    The dense vertices, of degree at least m - 1, are found by a search of
+    the degrees' bytes, marked where they reach m - 1, when they are under
+    an eighth of the tree and every degree is below 256; else by one scan
+    of the degrees.  A pivot sees every dense vertex or a dense neighbor
+    of it, so it lies within distance two of any dense vertex d0: only
+    those vertices are tried, in increasing order, so the first found is
+    the least, as a scan of every vertex would find."""
     if not is_tree(t):
         raise NotATree("pivot search requires a tree")
     m = m_degree_bound(t)
-    deg = t.degrees
-    dense = frozenset(compress(count(), map(le, repeat(m - 1), deg)))
+    adj, deg, counts = t.adj, t.degrees, t.degree_counts
+    if t.n > 64 and len(counts) <= 256 and 8 * sum(counts[m - 1 :]) < t.n:
+        marks = bytes(deg).translate(bytes(m - 1) + b"\1" * (257 - m))  # 1 at each dense vertex
+        dense = frozenset(map(re.Match.start, re.finditer(b"\1", marks)))
+    else:
+        dense = frozenset(compress(count(), map(le, repeat(m - 1), deg)))
     pivot = None
-    if len(dense) == m:
-        for v in range(t.n):
-            if v in dense:
-                continue
-            near = set(t.adj[v])
-            ok = all(
-                d in near or any(x in dense and x in near for x in t.adj[d])
-                for d in dense
-            )
-            if not ok:
-                continue
-            for d in dense & near:
-                if any(x in dense for x in t.adj[d]) and deg[d] != m - 1:
-                    ok = False
-                    break
-            if ok:
+    if len(dense) == m < t.n:  # d0 is the least dense vertex
+        near_d0 = adj[min(dense)]
+        for v in sorted(set(near_d0).union(*[adj[x] for x in near_d0 if x in dense]) - dense):
+            seen = dense.intersection(adj[v])  # the dense vertices v sees
+            if (all(d in seen or not seen.isdisjoint(adj[d]) for d in dense)
+                    and all(deg[d] == m - 1 or dense.isdisjoint(adj[d]) for d in seen)):
                 pivot = v
                 break
     return PivotReport(m, dense, pivot)
@@ -109,23 +112,16 @@ def dominance_vector_tree(t: Graph) -> DominanceVector:
     """Assemble the vector from its four regimes: the identity up to the
     b-chromatic number, one dip at the degree bound for pivoted trees, the
     degree counts up to max degree + 1, and zero beyond."""
-    if not is_tree(t) or t.n < 2:
+    if t.n < 2:
         raise NotATree("tree dominance needs a tree on >= 2 vertices")
-    rep = find_pivot(t)
-    m = rep.m_value
-    delta = t.max_degree()
-    chi_b = rep.b_chromatic
-    # at_least[d]: number of vertices of degree at least d, for d <= delta + 1
-    at_least = [0] * (delta + 2)
-    for d in t.degrees:
-        at_least[d] += 1
-    at_least = list(accumulate(reversed(at_least)))[::-1]
+    rep = find_pivot(t)  # which refuses a graph that is not a tree
     # values[i - 2] = dom[i] for i = 2..n; after the identity and the dip,
-    # i = len(values) + 2 is next, and it reads at_least[i - 1]
-    values = list(range(2, chi_b + 1))
+    # m - 1 entries, come the counts of vertices of degree at least d, for
+    # d from m up to the max degree, summed from the top down
+    values = list(range(2, rep.b_chromatic + 1))
     if rep.pivot is not None:
-        values.append(m - 1)
-    values += at_least[len(values) + 1 : delta + 1]
+        values.append(rep.m_value - 1)
+    values += reversed(list(accumulate(t.degree_counts[: rep.m_value - 1 : -1])))
     values += [0] * (t.n - 1 - len(values))
     return DominanceVector(2, tuple(values))
 
@@ -260,7 +256,7 @@ def _complete(rt: RootedTree, wcolor: list[int], k: int) -> list[int] | None:
 def _dominating_coloring(rt: RootedTree, k: int, target: int) -> list[int]:
     t = rt.graph
     deg = list(t.degrees)
-    dense = sum(d >= k - 1 for d in deg)
+    dense = t.n - sum(t.degree_counts[: k - 1])
     for v in rt.order:  # children first, so each is a leaf when dropped
         if dense <= target + 1:
             break
@@ -269,10 +265,8 @@ def _dominating_coloring(rt: RootedTree, k: int, target: int) -> list[int]:
         deg[p] -= 1
         deg[v] = 0
     dense_core = [v for v in range(t.n) if deg[v] >= k - 1]
-    if len(dense_core) == target:
-        tries = [dense_core]
-    else:
-        tries = [dense_core[:i] + dense_core[i + 1 :] for i in range(len(dense_core))]
+    tries = ([dense_core] if len(dense_core) == target
+             else [dense_core[:i] + dense_core[i + 1 :] for i in range(len(dense_core))])
     for wset in tries:
         wcolor = [-1] * t.n
         for c, w in enumerate(wset):

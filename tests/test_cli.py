@@ -362,13 +362,43 @@ def test_requests_import_no_reference_code(files, tmp_path):
     assert [lines[0], *lines[-2:]] == ["[]", str([0] * len(argvs)), "[]"]
 
 
+def _old_vector_text(vec: DominanceVector) -> str:
+    """The vector's lines as the joined-tail writer printed them."""
+    values, chi = vec.values, vec.chi
+    head = len(bytes(map(bool, values)).rstrip(b"\0"))
+    lines = [f"{t} {d}\n" for t, d in enumerate(values[:head], chi)]
+    if head < len(values):
+        lines.append(" 0\n".join(map(str, range(chi + head, vec.n + 1))) + " 0\n")
+    return "".join(lines)
+
+
+def _random_vector(rng: random.Random) -> DominanceVector:
+    """A vector of one of four shapes: inner zeros, an all-zero tail, no
+    zero at all, or one entry."""
+    chi, shape = rng.randint(1, 6), rng.choice(("inner", "tail", "none", "one"))
+    size = 1 if shape == "one" else rng.randint(2, 60)
+    values = [chi] + [rng.randint(1, chi + j) for j in range(1, size)]
+    if shape == "inner":
+        for j in rng.sample(range(1, size), rng.randint(1, size - 1)):
+            values[j] = 0
+    elif shape == "tail":
+        cut = rng.randint(1, size - 1)
+        values[cut:] = [0] * (size - cut)
+    return DominanceVector(chi, tuple(values))
+
+
 def test_vector_lines_keep_inner_zeros_and_join_the_zero_tail():
-    for vec in (DominanceVector(2, (2, 2, 1, 0, 0, 0)), DominanceVector(3, (3, 4, 5, 0, 6)),
-                DominanceVector(3, (3, 0, 0)), DominanceVector(1, (1,))):
+    rng = random.Random("vector lines")
+    vectors = [DominanceVector(2, (2, 2, 1, 0, 0, 0)), DominanceVector(3, (3, 4, 5, 0, 6)),
+               DominanceVector(3, (3, 0, 0)), DominanceVector(1, (1,)),
+               DominanceVector(2, (2,) + (0,) * 20000)]
+    vectors += [_random_vector(rng) for _ in range(2000)]
+    for vec in vectors:
         buf = io.StringIO()
         with redirect_stdout(buf):
             _write_vector(vec)
-        assert buf.getvalue() == "".join(f"{t} {d}\n" for t, d in enumerate(vec.values, vec.chi))
+        want = "".join(f"{t} {d}\n" for t, d in enumerate(vec.values, vec.chi))
+        assert buf.getvalue() == want == _old_vector_text(vec), vec
 
 
 def test_chain_without_networkx_answers_with_b_colorings(tmp_path):
@@ -608,6 +638,22 @@ def test_tree_answers_match_the_per_entry_reference(tmp_path):
         if t.n <= 9:  # the brute-force oracle is exponential in n
             assert run(["oracle", "dominance", str(path)]) == (0, want), t
     assert pivoted == 4  # the _pivoted trees; no tree below 11 vertices has a pivot
+
+
+def test_analyze_reads_the_max_degree_and_the_bound_leaves_the_degrees_unsorted(tmp_path):
+    degrees = [1, 1, 3, 1, 2, 1, 1]
+    assert m_degree_bound(degrees) == 2 and degrees == [1, 1, 3, 1, 2, 1, 1]
+    rng = random.Random("analyze max degree")
+    trees = [star_graph(6), _caterpillar(5, 2), path_graph(7), star_graph(300), _pivoted(7, 10)]
+    exprs = [random_expression(family, n, rng) for family in ("wide", "nested") for n in (9, 40)]
+    for i, g in enumerate([_relabelled(t, rng) for t in trees] + list(map(evaluate_tc, exprs))):
+        path = tmp_path / f"g{i}.g"
+        path.write_text(format_edgelist(g))
+        assert run(["analyze", str(path)]) == (0, _old_analyze_text(g)), g
+    for i, e in enumerate(exprs):  # an expression's degrees come in leaf order
+        path = tmp_path / f"e{i}.tcx"
+        path.write_text(format_tc_expression(e))
+        assert run(["analyze", str(path)]) == (0, _old_analyze_text(evaluate_tc(e))), e
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ from bchrom.graph import (
 from bchrom.oracle import oracle_dominance
 from bchrom.route import StabilityTwoRoute, TreeCographRoute, plan
 
-from conftest import random_expression, random_stability2, tree_catalog
+from conftest import random_expression, random_stability2, relabelled, tree_catalog
+from test_cli import _pivoted
 from test_decompose import _chain
 
 
@@ -77,9 +78,27 @@ def test_tree_dominance_against_oracle():
         assert b_chromatic_tree(t) == want.b_chromatic()
 
 
+def _hubs_on_a_path(n: int, hubs: int) -> Graph:
+    """A path of n - 2 * hubs vertices, with two leaves on each of ``hubs``
+    of its vertices, spread along it: exactly ``hubs`` vertices of degree 4."""
+    spine = n - 2 * hubs
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    for h in range(hubs):
+        at = (h + 1) * spine // (hubs + 1)
+        edges += [(at, spine + 2 * h), (at, spine + 2 * h + 1)]
+    return Graph.from_edges(n, edges)
+
+
 def test_pivot_unique_when_present():
     # scan the full candidate set; at most one vertex can qualify
-    for t in tree_catalog(9, extra_random=120, seed=92):
+    rng = random.Random(38)
+    hub_trees = [_hubs_on_a_path(n, 5) for n in (40, 2000, 20000)]  # m = 5 dense vertices, no pivot
+    hub_trees += [_pivoted(m, extra) for m, extra in ((5, 30), (7, 2000), (20, 20000))]
+    hub_trees = [relabelled(t, rng) for t in hub_trees]
+    pivots = [find_pivot(t).pivot for t in hub_trees]
+    assert [p is None for p in pivots] == [True] * 3 + [False] * 3
+    assert all(len(find_pivot(t).dense) == find_pivot(t).m_value for t in hub_trees)
+    for t in tree_catalog(9, extra_random=120, seed=92) + hub_trees:
         rep = find_pivot(t)
         m = rep.m_value
         if len(rep.dense) != m:

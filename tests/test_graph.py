@@ -15,6 +15,7 @@ from bchrom.graph import (
     complement,
     complete_bipartite,
     complete_graph,
+    count_degrees,
     cycle_graph,
     decompose_tree_cograph,
     empty_graph,
@@ -29,9 +30,10 @@ from bchrom.graph import (
     stability_at_most_two,
     star_graph,
 )
+from bchrom.dominance import dominance_vector_tree, find_pivot
 from bchrom.oracle import oracle_chi_b, oracle_chromatic
 
-from conftest import all_graphs, random_graph_corpus, random_stability2
+from conftest import all_graphs, labelled_trees, random_graph_corpus, random_stability2, relabelled
 
 
 def test_complement_examples():
@@ -223,6 +225,75 @@ def test_m_degree_bound_examples():
 def test_m_degree_bound_at_most_max_degree_plus_one():
     for g in random_graph_corpus(120, 9):
         assert m_degree_bound(g) <= g.max_degree() + 1
+
+
+def _sorted_bound(degrees) -> int:
+    """The m-bound by its definition, on the degrees sorted largest first:
+    the largest i whose i-th degree is at least i - 1."""
+    ranked = sorted(degrees, reverse=True)
+    return max(i for i, d in enumerate(ranked, 1) if d >= i - 1)
+
+
+def _check_degree_facts(t: Graph) -> None:
+    """The facts read off a tree's per-degree count against the sort and
+    scan definitions: the count itself, the m-bound of the tree and of its
+    degree list (left as it was), the max degree, m_i, the dense set and
+    the degree counts in the dominance vector."""
+    degrees = list(t.degrees)
+    kept = list(degrees)
+    delta = max(degrees)
+    assert t.degree_counts == tuple(degrees.count(d) for d in range(delta + 1))
+    assert count_degrees(degrees) == t.degree_counts
+    m = _sorted_bound(degrees)
+    assert m_degree_bound(t) == m_degree_bound(degrees) == m, degrees
+    assert degrees == kept
+    assert t.max_degree() == delta
+    for i in range(m + 1, delta + 2):
+        assert m_i_count(t, i) == sum(d >= i - 1 for d in degrees)
+    assert find_pivot(t).dense == frozenset(v for v, d in enumerate(degrees) if d >= m - 1)
+    if t.n >= 2:
+        vec = dominance_vector_tree(t)
+        for i in range(m + 1, t.n + 1):  # at_least[i - 1] above the bound, then zeros
+            assert vec.value_at(i) == sum(d >= i - 1 for d in degrees), (t.adj, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_trees(min_n=1, max_n=60))
+def test_degree_facts_of_drawn_trees_match_their_definitions(t):
+    _check_degree_facts(t)
+
+
+def test_degree_facts_of_one_and_two_vertices_stars_and_hubs():
+    rng = random.Random(38)
+    one, two = Graph(1, ((),)), path_graph(2)
+    assert one.degree_counts == (1,) and m_degree_bound(one) == 1 and one.max_degree() == 0
+    assert two.degree_counts == (0, 2) and m_degree_bound(two) == 2
+    assert find_pivot(one).dense == {0} and find_pivot(two).dense == {0, 1}
+    trees = [one, two]
+    # every degree under 32 (bytes only); a hub of 32 to 255 (bytes, then
+    # the sorted count); a hub of 256 or more (no bytes)
+    for legs in (3, 31, 32, 40, 255, 256, 300, 2000):
+        trees.append(relabelled(star_graph(legs), rng))
+        spider = [(0, v) for v in range(1, legs + 1)]  # a star with a path on each of 5 legs
+        spider += [(v, legs + v) for v in range(1, 6)] + [(legs + v, legs + 5 + v) for v in range(1, 6)]
+        trees.append(relabelled(Graph.from_edges(legs + 11, spider), rng))
+    for t in trees:
+        _check_degree_facts(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 300) | st.integers(0, 6), min_size=1, max_size=80))
+def test_m_degree_bound_of_drawn_degree_lists_leaves_them_as_they_are(degrees):
+    kept = list(degrees)
+    assert m_degree_bound(degrees) == _sorted_bound(degrees)
+    assert count_degrees(degrees) == tuple(degrees.count(d) for d in range(max(degrees) + 1))
+    assert degrees == kept
+
+
+def test_m_degree_bound_of_no_vertices_is_refused():
+    for degrees in ([], (), Graph(0, ())):
+        with pytest.raises(RangeError):
+            m_degree_bound(degrees)
 
 
 def test_m_i_count_star():
