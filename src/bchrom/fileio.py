@@ -25,20 +25,24 @@ same error naming the same line, whichever reader takes it.
 
 The general reader reads the body in pieces of about ``PIECE_CHARS``
 characters, each cut just after a ``"\\n"``, and checks each piece with
-whole-list operations: every third word is ``e``, and there are 3k words
-for k rows.  A plain piece (ASCII, lines ended by ``"\\n"`` alone, each
-starting with ``e``) is split as it is; any other piece is first stripped
-of blank lines, comments and surrounding whitespace.  No list of the whole
-file's words or lines is built.  On invalid input the body is then walked
-line by line, and the error names the first bad line.  The endpoints are
-read by ``int()``, or, when m >= 2n, through a table of vertex ids: there
-each id is spelled four times on average, and looking a word up saves
-about a quarter of what an entry costs to build.  Pairs in canonical
-order, strictly increasing in (u, v) as ``format_edgelist`` writes them,
-are built by ``Graph.from_sorted_pairs``, which appends each pair to its
-two rows, with no set or sort per vertex.  Pairs in any other order are
-built by ``Graph.from_edges``; a duplicate, reversed or out-of-range pair
-is then named by its line.
+whole-string operations.  A plain piece (ASCII, lines ended by ``"\\n"``
+alone, each starting with ``e``) is read as it is; any other piece is
+first stripped of blank lines, comments and surrounding whitespace.  With
+each of its k lines' leading ``e `` and one final ``"\\n"`` taken off, a
+piece whose characters other than digits and ``-`` are exactly one space
+in each line is scanned by one ``json.loads``: the ids are then 2k words,
+and a word that JSON reads as an integer ``int()`` reads as the same
+integer.  A piece that fails that separator check (a tab, a sign ``+``,
+an ``_``) or whose ids JSON refuses (a leading zero, a lone ``-``) is
+split into words instead: every third is ``e``, there are 3k words, and
+the endpoints are read by ``int()``.  No list of the whole file's words or
+lines is built.  On invalid input the body is then walked line by line,
+and the error names the first bad line.  Pairs in canonical order,
+strictly increasing in (u, v) as ``format_edgelist`` writes them, are
+built by ``Graph.from_sorted_pairs``, which appends each pair to its two
+rows, with no set or sort per vertex.  Pairs in any other order are built
+by ``Graph.from_edges``; a duplicate, reversed or out-of-range pair is
+then named by its line.
 
 The co-forest reader does not split the body: it compares the body with
 the canonical text of K_n, built one vertex's row of lines at a time, and
@@ -63,9 +67,11 @@ leaves depth-first, left to right.
 
 from __future__ import annotations
 
+import json
 import operator
 import os
 import re
+from contextlib import suppress
 from itertools import islice
 from typing import Iterator
 
@@ -88,6 +94,10 @@ from .matching import Matching
 PIECE_CHARS = 1 << 18
 # line boundaries of str.splitlines other than "\n", in ASCII
 _OTHER_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e"
+# the characters of the ids that a JSON scan reads, and the separators
+# between them, as JSON writes them
+_ID_CHARS = str.maketrans("", "", "0123456789-")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 def _read_header(text: str) -> tuple[int, int, int, int]:
@@ -141,19 +151,6 @@ def _body_error(text: str, start: int, n: int, m: int) -> ParseError:
     return ParseError(f"header declares {m} edges, found {len(seen)}")
 
 
-def _read_ints(words: list[str], ids: dict[str, int]) -> list[int]:
-    """The integers ``int()`` reads from ``words``.  When ``ids`` holds
-    every word, spelled in canonical decimal, the words are looked up in
-    it, which is faster than ``int()`` and shares one int object per
-    vertex."""
-    if ids:
-        try:
-            return list(map(ids.__getitem__, words))
-        except KeyError:
-            pass
-    return list(map(int, words))
-
-
 def _pieces(text: str, start: int) -> Iterator[str]:
     """``text[start:]`` in pieces of at least ``PIECE_CHARS`` characters,
     each but the last cut just after a ``"\\n"``."""
@@ -163,14 +160,30 @@ def _pieces(text: str, start: int) -> Iterator[str]:
         start = end
 
 
-def _piece_pairs(piece: str, ids: dict[str, int]) -> tuple[list[int], list[int]] | None:
-    """The endpoints ``(us, vs)`` of the rows of ``piece``, or None if a
-    row is not ``e <u> <v>`` with integer endpoints.
+def _split_ends(piece: str, k: int) -> list[int]:
+    """The endpoints ``u, v`` of the k rows of ``piece``, row by row, read
+    by splitting it at whitespace; a ValueError if a row is not
+    ``e <u> <v>`` with integer endpoints."""
+    # each of the k rows starts with the letter e, every third of the 3k
+    # words is "e", and no word that int() reads holds an e: so the words
+    # "e" are exactly the rows' first words, and each row is e <u> <v>
+    words = piece.split()
+    if len(words) != 3 * k or words[::3].count("e") != k:
+        raise ValueError
+    del words[::3]
+    return list(map(int, words))
+
+
+def _piece_ends(piece: str) -> list[int]:
+    """The endpoints ``u, v`` of the rows of ``piece``, row by row; a
+    ValueError if a row is not ``e <u> <v>`` with integer endpoints.
 
     The piece is checked with whole-list operations.  It is plain when it
     is ASCII, ends its lines with ``"\\n"`` alone and starts each line
     with ``e``; any other piece is first stripped of blank lines, comments
-    and surrounding whitespace.
+    and surrounding whitespace.  Rows of exactly ``e <u> <v>``, with ids
+    of digits and ``-``, are read by one ``json.loads``, and the rest, or
+    any that JSON refuses, by ``_split_ends``.
     """
     k = piece.count("\n") + (not piece.endswith("\n"))
     if (not piece.isascii() or any(end in piece for end in _OTHER_LINE_ENDS)
@@ -182,39 +195,32 @@ def _piece_pairs(piece: str, ids: dict[str, int]) -> tuple[list[int], list[int]]
         piece = "\n".join(rows)
         del rows
         if piece.count("\ne") + piece.startswith("e") != k:
-            return None
-    # each of the k rows starts with the letter e, every third of the 3k
-    # words is "e", and no word that int() reads holds an e: so the words
-    # "e" are exactly the rows' first words, and each row is e <u> <v>
-    words = piece.split()
-    if len(words) != 3 * k or words[::3].count("e") != k:
-        return None
-    try:
-        return _read_ints(words[1::3], ids), _read_ints(words[2::3], ids)
-    except ValueError:
-        return None
+            raise ValueError
+    if piece.startswith("e "):
+        # with each line's leading "e " and one final line end taken off,
+        # ids whose other characters are one space in each of the k lines
+        # are exactly 2k words of digits and "-", which JSON reads as int()
+        # does, or refuses
+        ids = piece[2 : -1 if piece.endswith("\n") else None].replace("\ne ", "\n")
+        if ids.translate(_ID_CHARS) == " \n" * (k - 1) + " ":
+            with suppress(ValueError):
+                return json.loads("[" + ids.translate(_COMMAS) + "]")
+    return _split_ends(piece, k)
 
 
 def _read_body(text: str, start: int, body: int, n: int, m: int) -> tuple[list[int], list[int]]:
     """The endpoints ``(us, vs)`` of the m rows from offset ``body`` on;
     the header is line ``start``.  Only when a piece fails its checks is
     the body walked line by line, to name the first bad line."""
-    # an entry of the table costs about as much as four int() calls save,
-    # so it pays only at four or more endpoint words per id, m >= 2n; and
-    # the header alone must not size it: each id spelled in the body takes
-    # a character of the body at least
-    ids = {str(v): v for v in range(min(n, len(text) - body))} if m >= 2 * n else {}
-    us: list[int] = []
-    vs: list[int] = []
-    for piece in _pieces(text, body):
-        pairs = _piece_pairs(piece, ids)
-        if pairs is None:
-            raise _body_error(text, start, n, m)
-        us += pairs[0]
-        vs += pairs[1]
-    if len(us) != m:
+    ends: list[int] = []
+    try:
+        for piece in _pieces(text, body):
+            ends += _piece_ends(piece)
+    except ValueError:
+        raise _body_error(text, start, n, m) from None
+    if len(ends) != 2 * m:
         raise _body_error(text, start, n, m)
-    return us, vs
+    return ends[::2], ends[1::2]
 
 
 def _common_prefix(text: str, pos: int, row: str, j: int) -> int:

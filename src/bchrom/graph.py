@@ -364,15 +364,16 @@ def is_triangle_free(g: Graph) -> bool:
     floor(n^2/4) edges, so a denser graph, such as a co-forest read from
     its canonical text, answers no without reading a row.  A graph with
     fewer edges than vertices, as a forest has, is tested with its neighbor
-    sets, whose size grows with n + m.  Any other graph is tested row by
-    row on bitmasks made as the rows are reached, and the test stops at the
-    first edge that closes a triangle.
+    sets, whose size grows with n + m: each edge's two sets are compared,
+    which walks the smaller, so a star's hub is walked by no edge.  Any
+    other graph is tested row by row on bitmasks made as the rows are
+    reached, and the test stops at the first edge that closes a triangle.
     """
     if g.m > g.n * g.n // 4:
         return False
     if g.m < g.n:
-        sets, adj = g.nbr_sets, g.adj
-        return all(sets[u].isdisjoint(adj[v]) for u, v in g.edges)
+        sets = g.nbr_sets
+        return all(sets[u].isdisjoint(sets[v]) for u, v in g.edges)
     return _rows_if_triangle_free(g.adj) is not None
 
 

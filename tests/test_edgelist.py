@@ -8,7 +8,9 @@ labellings, on files that span several pieces with defects placed at the
 cuts between them, on seeded random mutations of small files, on
 canonical co-forest files, which are read by comparison with the text of
 K_n, and on canonical dense files, which are read one row at a time, each
-with one change; both must return equal graphs or raise ``ParseError``
+with one change, and on plain bodies whose lines split or merge their ids
+or spell them otherwise than JSON does, which the one-scan read of plain
+pieces refuses; both must return equal graphs or raise ``ParseError``
 with the same message.
 """
 
@@ -23,9 +25,12 @@ from bchrom.errors import ParseError
 import bchrom.fileio
 from bchrom.fileio import format_edgelist, parse_edgelist
 from bchrom.generators import random_graph, random_labeled_tree
-from bchrom.graph import Edge, Graph, complement, empty_graph, evaluate_tc, is_forest, star_graph
+from bchrom.graph import (
+    Edge, Graph, complement, empty_graph, evaluate_tc, is_forest, path_graph, star_graph,
+)
 
 from conftest import random_expression, spider
+from test_tree_dp_rules import _caterpillar
 
 
 def reference_parse_edgelist(text: str) -> Graph:
@@ -168,7 +173,7 @@ def test_large_header_over_a_short_body_allocates_by_the_body():
     with pytest.raises(ParseError, match="^header declares 100000000 edges, found 0$"):
         parse_edgelist("p 100000000 100000000\n")
     tracemalloc.start()
-    try:  # at m >= 2n, where the table of vertex ids is built
+    try:  # at m >= 2n too: no reader sizes anything by the header's n
         assert_same("p 1000000 2000000\ne 0 1\ne 2 3\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -443,20 +448,41 @@ def read_rows(text: str) -> Graph | None:
     return bchrom.fileio._read_rows(text, body, n, m)
 
 
-def test_dense_texts_and_their_changes_match_reference(rows_read):
-    # canonical dense texts are read one row at a time; every text that
-    # reader refuses is read as before, with the same graph or the same error
-    rng = random.Random(28)
+def dense_graphs(rng: random.Random) -> list[Graph]:
+    """24 random graphs of density 1/4 to 0.9 in random labellings, then
+    six wide and six nested tree-cographs."""
     graphs = [relabel(random_graph(rng.randint(2, 150), rng.uniform(0.25, 0.9), rng), rng)
               for _ in range(24)]
     graphs += [evaluate_tc(random_expression(family, rng.randint(10, 150), rng))
                for family in ("wide", "nested") for _ in range(6)]
+    return graphs
+
+
+def check_dense_texts(graphs: list[Graph], rng: random.Random, rows_read: list[Graph]) -> None:
+    # canonical dense texts are read one row at a time; every text that
+    # reader refuses is read as before, with the same graph or the same error
     for g in graphs:
         for text in canonical_variants(g, rng):
             assert_same(text)
-    assert len(rows_read) > 80
     for g in rows_read:
         assert g == Graph.from_edges(g.n, g.edges)
+
+
+def test_dense_texts_and_their_changes_match_reference(rows_read):
+    # a seeded third of the slow twin's graphs: 8 random, 2 wide, 2 nested
+    rng = random.Random(28)
+    graphs = dense_graphs(rng)
+    pick = random.Random(280)
+    part = pick.sample(graphs[:24], 8) + pick.sample(graphs[24:30], 2) + pick.sample(graphs[30:], 2)
+    check_dense_texts(part, rng, rows_read)
+    assert len(rows_read) > 80 * len(part) // len(graphs)
+
+
+@pytest.mark.slow
+def test_all_dense_texts_and_their_changes_match_reference(rows_read):
+    rng = random.Random(28)
+    check_dense_texts(dense_graphs(rng), rng, rows_read)
+    assert len(rows_read) > 80
 
 
 def test_texts_the_row_reader_accepts_give_the_graph_of_their_pairs():
@@ -520,9 +546,11 @@ def test_defects_in_canonical_place_name_their_line():
 
 
 @pytest.mark.parametrize("spell", ["0{}".format, "00{}".format, "+{}".format])
-def test_ids_spelled_otherwise_parse_alike_with_and_without_the_id_table(spell, rows_read):
-    # the table of vertex ids is built only at m >= 2n, and at m = 400 a
-    # canonical body is read one row at a time
+def test_ids_spelled_otherwise_parse_alike_in_sparse_and_dense_bodies(spell, rows_read):
+    # the scan refuses each spelling, so the general reader splits the
+    # piece that holds one, on either side of m = 2n; at m = 400 a
+    # canonical body is read one row at a time, and one so spelled by the
+    # general reader
     rng = random.Random(16)
     n = 30
     everyone = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -539,3 +567,94 @@ def test_ids_spelled_otherwise_parse_alike_with_and_without_the_id_table(spell, 
             text = f"p {n} {m}\n" + "\n".join(body) + "\n"
             assert parse_edgelist(text) == g
             assert_same(text)
+
+
+@pytest.fixture
+def split_pieces(monkeypatch) -> list[str]:
+    """The pieces that the general reader reads by splitting them."""
+    split = []
+    real = bchrom.fileio._split_ends
+
+    def spy(piece, k):
+        split.append(piece)
+        return real(piece, k)
+
+    monkeypatch.setattr(bchrom.fileio, "_split_ends", spy)
+    return split
+
+
+def test_plain_bodies_that_split_or_merge_their_ids_match_reference(split_pieces):
+    # in each body a line holds other than one id either side of one
+    # space after its "e ", so the scan's separator check or JSON refuses
+    # it, and the split reads it as the reference does
+    for body in ("e 1 2 3\ne 4\n", "e 1 2 3\ne 4", "e 1 \n", "e 1 \ne 2 3\n", "e 12\ne 3 4 5\n",
+                 "e 12\ne 3 4 5", "e 1  2\n", "e  1 2\n", "e 1 2 \n", "e 1 2\ne 3 4 \n",
+                 "e 1 2\ne 3  4", "e 1 2 \ne 3 4\n", "e 1\ne 2\n", "e\ne 1 2\n", "e 1 2\ne\n"):
+        for m in (1, 2):
+            split_pieces.clear()
+            assert_same(f"p 13 {m}\n{body}")
+            assert split_pieces, body
+
+
+@pytest.mark.parametrize("spell", ["+1", "01", "-0", "-1", "1_0", "1e2", "1.0", "9" * 5000])
+def test_ids_of_every_spelling_read_alike_scanned_or_split(spell, split_pieces):
+    # the scan reads -0 and -1 as int() does, and refuses the rest, whose
+    # pieces are split; a 5000-digit id reads alike whether or not the
+    # interpreter limits the digits int() reads
+    for row in (f"e {spell} 12", f"e 0 {spell}", f"e {spell} {spell}"):
+        for text in (f"p 300 2\ne 0 1\n{row}\n", f"p 300 2\n{row}\ne 20 30\n",
+                     f"p 300 1\n{row}"):
+            split_pieces.clear()
+            assert_same(text)
+            if spell in ("-0", "-1"):
+                assert not split_pieces, text
+            elif len(spell) < 5:
+                assert split_pieces, text
+
+
+def test_crlf_and_vertical_tab_line_ends_match_reference():
+    rng = random.Random(39)
+    for g in (relabel(random_labeled_tree(30, rng), rng), random_graph(12, 0.3, rng)):
+        text = format_edgelist(g)
+        for end in ("\r\n", "\x0b", "\r"):
+            changed = text.replace("\n", end)
+            assert parse_edgelist(changed) == g
+            assert_same(changed)
+            assert_same(changed.replace(end, "\n", 2))
+
+
+def test_plain_sparse_bodies_cut_into_pieces_match_reference(monkeypatch, split_pieces):
+    # canonical tree bodies are scanned whole at every cut; a defect at a
+    # cut is named as the reference names it
+    rng = random.Random(40)
+    trees = [relabel(random_labeled_tree(300, rng), rng), path_graph(200),
+             relabel(star_graph(150), rng)]
+    for size in (1, 7, 64, 1000):
+        monkeypatch.setattr(bchrom.fileio, "PIECE_CHARS", size)
+        for g in trees:
+            split_pieces.clear()
+            text = format_edgelist(g)
+            assert parse_edgelist(text) == g
+            assert parse_edgelist(text[:-1]) == g
+            assert not split_pieces
+            cuts = body_cuts(text)
+            assert cuts
+            for line in cuts[:3]:
+                for changed in defects_around(text, line):
+                    assert_same(changed)
+            assert_same(dressed(g, rng))
+
+
+def test_canonical_bodies_of_every_tree_shape_are_never_split(monkeypatch, split_pieces):
+    # random trees, paths, stars and caterpillars in random labellings,
+    # written as format_edgelist writes them, in one piece or in several
+    rng = random.Random(41)
+    trees = []
+    for n in (7, 300, 2000):
+        trees += [relabel(g, rng) for g in (random_labeled_tree(n, rng), path_graph(n),
+                                            star_graph(n - 1), _caterpillar(n))]
+    for size in (bchrom.fileio.PIECE_CHARS, 1000):
+        monkeypatch.setattr(bchrom.fileio, "PIECE_CHARS", size)
+        for g in trees:
+            assert parse_edgelist(format_edgelist(g)) == g
+    assert not split_pieces

@@ -144,6 +144,23 @@ def test_triangle_free_examples():
     assert is_triangle_free(path_graph(6))
 
 
+def test_a_triangle_among_isolated_vertices_is_found_with_fewer_edges_than_vertices():
+    # the sparse test compares each edge's two neighbor sets, whichever is
+    # larger: the triangle's vertices sit at the ends and in the middle of
+    # the labels, and in the last graphs a hub labelled above its leaves
+    # closes the triangle with two of them
+    for n in (4, 5, 9, 40):
+        for a, b, c in ((0, 1, 2), (0, n // 2, n - 1), (n - 3, n - 2, n - 1)):
+            g = Graph.from_edges(n, [(a, b), (a, c), (b, c)])
+            assert g.m < g.n and not is_triangle_free(g)
+            assert is_triangle_free(Graph.from_edges(n, [(a, b), (b, c)]))
+        hub = n - 2
+        star = [(v, hub) for v in range(hub)]
+        assert is_triangle_free(Graph.from_edges(n, star))
+        g = Graph.from_edges(n, star + [(0, 1)])
+        assert g.m < g.n and not is_triangle_free(g)
+
+
 def test_triangle_free_agrees_with_the_bitmask_test_either_side_of_m_equal_n():
     # graphs with fewer edges than vertices are tested with neighbor sets
     rng = random.Random(12)

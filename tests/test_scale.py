@@ -8,6 +8,7 @@
   labelling, and ``.tcx`` requests on a chain of depth 1e5.
 - Result 1: co-trees read from canonical and shuffled text give the same
   answers and colorings.
+- ``analyze`` answers a 20 000-vertex star alike wherever its hub is.
 - Every subcommand answers in a fresh interpreter.
 
 A check that once ran as one process under a time limit runs so still: in
@@ -17,6 +18,7 @@ cached kernels or tables.
 """
 
 import random
+import time
 
 import pytest
 
@@ -32,6 +34,7 @@ from bchrom.graph import (
     complete_bipartite,
     decompose_tree_cograph,
     evaluate_tc,
+    is_triangle_free,
     path_graph,
     star_graph,
 )
@@ -277,6 +280,27 @@ def test_canonical_and_shuffled_co_tree_edge_lists_answer_and_color_alike(tmp_pa
         colorings.append((col.read_text(), out))
     assert colorings[0] == colorings[1]
     assert "B-COLORING yes" in colorings[0][1].splitlines()
+
+
+def test_analyze_answers_a_star_alike_wherever_its_hub_is(tmp_path):
+    # the sparse triangle test walks the smaller of each edge's two
+    # neighbor sets, so a hub labelled above its leaves is never walked:
+    # the test costs about as much with the hub at n/2 or n - 1 as at 0
+    n = 20000
+    answers, costs = set(), []
+    for hub in (0, n // 2, n - 1):
+        star = Graph.from_edges(n, [(min(hub, v), max(hub, v)) for v in range(n) if v != hub])
+        path = tmp_path / f"star-{hub}.g"
+        path.write_text(format_edgelist(star))
+        answers.add(_answer("analyze", path, timeout=60))
+        assert len(star.nbr_sets) == len(star.edges) + 1  # made before the clock starts
+        start = time.perf_counter()
+        assert is_triangle_free(star)
+        costs.append(time.perf_counter() - start)
+    assert answers == {f"vertices: {n}\nedges: {n - 1}\ntree: yes\ntriangle-free: yes\n"
+                       "stability-at-most-two: no\ntree-cograph: yes\nm-bound: 2\n"
+                       f"max-degree: {n - 1}\n"}
+    assert max(costs) < 20 * costs[0] + 0.05, costs
 
 
 # ---------------------------------------------------------------------------
