@@ -7,7 +7,14 @@ Edge-list format (bit-exact): UTF-8; lines starting ``#`` are comments; the
 first non-comment line is ``p <n> <m>``; exactly m lines ``e <u> <v>`` with
 ``0 <= u < v < n`` follow.  Duplicate or out-of-range edges are parse errors.
 
-The header is read line by line, and the body by the first of three
+Lines are walked in one place, ``_lines``: it reads the text one
+``"\\n"``-ended segment at a time, splits each as ``str.splitlines``
+splits the whole text, and yields each line that is neither blank nor a
+comment with its number, the offset after it and its words.  The header,
+the walk that names a body's first bad line, and the matching and
+coloring readers all read through it, so each numbers lines alike.
+
+The header is read by that walk, and the body by the first of three
 readers that takes it:
 
 - the co-forest reader, ``_read_coforest``, takes a header with fewer
@@ -62,7 +69,9 @@ Expression format: s-expressions over
 the inline form lists n and then edge pairs.  Both leaf heads read a tree
 into a ``TcLeaf``; ``cotree`` sets its ``co`` flag, so the leaf denotes
 the tree's complement.  Vertex ids of the denoted graph are assigned to
-leaves depth-first, left to right.
+leaves depth-first, left to right.  An expression is written by
+``graph._tc_text``, the writer of its repr too, from the one walk over
+expressions in ``graph``.
 """
 
 from __future__ import annotations
@@ -85,6 +94,7 @@ from .graph import (
     TcUnion,
     _POINT,
     _coforest_sized,
+    _tc_text,
     complement,
     norm_edge,
 )
@@ -100,43 +110,45 @@ _ID_CHARS = str.maketrans("", "", "0123456789-")
 _COMMAS = str.maketrans(" \n", ",,")
 
 
-def _read_header(text: str) -> tuple[int, int, int, int]:
-    """``(n, m, line number of the header, offset of the line after it)``
-    from the first line that is neither blank nor a comment.  Lines are
-    read one ``"\\n"``-ended segment at a time, each split as
-    ``str.splitlines`` splits the whole text."""
-    lineno = pos = 0
+def _lines(text: str, pos: int = 0, lineno: int = 0) -> Iterator[tuple[int, int, list[str]]]:
+    """``(line number, offset after the line, words)`` of each line from
+    offset ``pos`` on that is neither blank nor a comment, where the line
+    at ``pos`` is line ``lineno + 1``.  Lines are read one ``"\\n"``-ended
+    segment at a time, each split as ``str.splitlines`` splits the whole
+    text, so no list of the text's lines is built."""
     while pos < len(text):
         nl = text.find("\n", pos)
         for raw in text[pos : len(text) if nl < 0 else nl + 1].splitlines(keepends=True):
             lineno += 1
             pos += len(raw)
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] != "p" or len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'p <n> <m>'")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer counts") from None
-            if n < 0 or m < 0:
-                raise ParseError(f"line {lineno}: negative counts")
-            return n, m, lineno, pos
+            words = raw.split()
+            if words and words[0][0] != "#":
+                yield lineno, pos, words
+
+
+def _read_header(text: str) -> tuple[int, int, int, int]:
+    """``(n, m, line number of the header, offset of the line after it)``
+    from the first line that is neither blank nor a comment."""
+    for lineno, pos, parts in _lines(text):
+        if parts[0] != "p" or len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 'p <n> <m>'")
+        try:
+            n, m = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer counts") from None
+        if n < 0 or m < 0:
+            raise ParseError(f"line {lineno}: negative counts")
+        return n, m, lineno, pos
     raise ParseError("missing 'p <n> <m>' header")
 
 
-def _body_error(text: str, start: int, n: int, m: int) -> ParseError:
-    """The error for a body, from line ``start + 1`` on, that the bulk
-    checks rejected: the body is walked line by line, and the first bad
-    line is named.  If every line is good on its own, the count is wrong."""
+def _body_error(text: str, start: int, body: int, n: int, m: int) -> ParseError:
+    """The error for a body from offset ``body`` on, after the header on
+    line ``start``, that the bulk checks rejected: the body is walked line
+    by line, and the first bad line is named.  If every line is good on its
+    own, the count is wrong."""
     seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines()[start:], start=start + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, _, parts in _lines(text, body, start):
         if parts[0] != "e" or len(parts) != 3:
             return ParseError(f"line {lineno}: expected 'e <u> <v>'")
         try:
@@ -217,9 +229,9 @@ def _read_body(text: str, start: int, body: int, n: int, m: int) -> tuple[list[i
         for piece in _pieces(text, body):
             ends += _piece_ends(piece)
     except ValueError:
-        raise _body_error(text, start, n, m) from None
+        raise _body_error(text, start, body, n, m) from None
     if len(ends) != 2 * m:
-        raise _body_error(text, start, n, m)
+        raise _body_error(text, start, body, n, m)
     return ends[::2], ends[1::2]
 
 
@@ -364,10 +376,10 @@ def parse_edgelist(text: str) -> Graph:
     g = Graph.from_sorted_pairs(n, us, vs)
     if g is None:
         if m and (min(us) < 0 or max(vs) >= n or not all(map(operator.lt, us, vs))):
-            raise _body_error(text, start, n, m)
+            raise _body_error(text, start, body, n, m)
         g = Graph.from_edges(n, zip(us, vs))
         if g.m != m:  # from_edges collapsed a duplicate
-            raise _body_error(text, start, n, m)
+            raise _body_error(text, start, body, n, m)
     return g
 
 
@@ -519,25 +531,11 @@ def read_tc_expression(path: str) -> TcExpr:
 
 
 def format_tc_expression(e: TcExpr) -> str:
-    parts: list[str] = []
-    stack: list[TcExpr | str] = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif isinstance(node, TcLeaf):
-            head = "cotree" if node.co else "tree"
-            nums = " ".join(f"{u} {v}" for u, v in node.tree.edges)
-            body = f"{node.tree.n} {nums}".strip()
-            parts.append(f"({head} {body})")
-        else:
-            parts.append(f"({node.head} ")
-            stack.append(")")
-            for i, child in enumerate(reversed(node.children)):
-                if i:
-                    stack.append(" ")
-                stack.append(child)
-    return "".join(parts)
+    def leaf(node: TcLeaf) -> str:
+        nums = "".join(f" {u} {v}" for u, v in node.tree.edges)
+        return f"({'cotree' if node.co else 'tree'} {node.tree.n}{nums})"
+
+    return _tc_text(e, leaf, lambda node: f"({node.head} ", " ", ")")
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +549,7 @@ def format_matching(m: Matching) -> str:
 
 def _int_pairs(text: str, shape: str) -> Iterator[tuple[int, int, int]]:
     """``(line number, a, b)`` per line of the two integers ``shape`` names."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, _, parts in _lines(text):
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected {shape!r}")
         try:

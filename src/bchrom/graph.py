@@ -47,14 +47,19 @@ few or none, and every one-vertex part is made at once as a leaf over the
 shared one-vertex graph.  Each operation orders its children by least
 vertex once, when they are all done.  Evaluation and decomposition walk
 expressions on an explicit stack, so neither their time nor Python's
-recursion limit grows with the depth of the expression.
+recursion limit grows with the depth of the expression.  Equality, hashing
+and printing read one walk, ``_tc_preorder``, which yields each node before
+its children and a None after each operation's last child; ``_tc_text``
+writes an expression from it, as its repr or, for ``fileio``, as ``.tcx``
+text.  An induced subgraph is built once, by ``_leaf_tree``, for the
+decomposition's leaves and for ``induced_subgraph`` alike.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice
 from math import isqrt
-from operator import itemgetter, lt
+from operator import eq, itemgetter, lt
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NotATree, NotTreeCograph, RangeError
@@ -142,14 +147,6 @@ class Graph(_Record):
         d = self.__dict__
         d["n"], d["adj"] = n, adj
 
-    def __getattr__(self, name: str):
-        # reached only for a name the instance and the class lack: the rows
-        # of a complement that ``_complement_of`` left to its sparse graph
-        if name != "adj" or "_complement" not in vars(self):
-            raise AttributeError(f"'Graph' object has no attribute {name!r}")
-        adj = vars(self)["adj"] = tuple(_co_rows(vars(self)["_complement"]))
-        return adj
-
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a canonical graph; duplicate edges collapse silently.
@@ -207,6 +204,10 @@ class Graph(_Record):
             nbrs[u].append(v)
             nbrs[v].append(u)
         return Graph(n, tuple(map(tuple, nbrs)))
+
+    # read only where __init__ set no rows: those of a complement that
+    # ``_complement_of`` left to its sparse graph
+    adj = _cached(lambda self: tuple(_co_rows(vars(self)["_complement"])))
 
     @_cached
     def edges(self) -> tuple[Edge, ...]:
@@ -283,7 +284,7 @@ def _complement_of(g: Graph) -> Graph:
 
     When g has fewer edges than vertices, as a forest has, the complement
     is dense and its rows are not made here: they are made from g on the
-    first read of its ``adj`` (``Graph.__getattr__``), and its degrees and
+    first read of its ``adj``, a cached view, and its degrees and
     edge count are set from g's now.
     """
     n = g.n
@@ -514,15 +515,7 @@ def _co_components(nbr: Sequence[frozenset[int]], verts: Sequence[int]) -> list[
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph induced by ``keep``, relabelled 0..k-1 in sorted order."""
-    verts = sorted(set(keep))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u in verts
-        for v in g.adj[u]
-        if u < v and v in index
-    ]
-    return Graph.from_edges(len(verts), edges)
+    return _leaf_tree(g.adj, sorted(set(keep)), False)
 
 
 def count_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
@@ -586,12 +579,14 @@ def m_i_count(t: Graph, i: int) -> int:
 
 
 class _TcNode(_Record):
-    """Equality, hashing and repr of expression nodes, on an explicit stack.
+    """Equality, hashing and repr of expression nodes, each read from the
+    one walk ``_tc_preorder``.
 
     These replace the record's methods, which would recurse once per level
     of nesting and fail on deep expressions.  As with them, nodes are equal
     when they have the same class and equal fields; ``span`` is left out,
-    being derived.
+    being derived.  Two walks are compared node by node and stop at the
+    first difference; the hash is that of the walk's keys.
     """
 
     __slots__ = ()
@@ -599,47 +594,17 @@ class _TcNode(_Record):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            if isinstance(a, _TcOperation):
-                if len(a.children) != len(b.children):
-                    return False
-                pairs.extend(zip(a.children, b.children))
-            elif a.co != b.co or a.tree != b.tree or a.vertices != b.vertices:
-                return False
-        return True
+        return self is other or all(map(eq, _tc_keys(self), _tc_keys(other)))
 
     def __hash__(self) -> int:
-        return _fold(
-            self,
-            lambda leaf: hash((leaf.co, leaf.tree, leaf.vertices)),
-            lambda node, values: hash((node.head, *values)),
-        )
+        return hash(tuple(_tc_keys(self)))
 
     def __repr__(self) -> str:
-        parts: list[str] = []
-        stack: list = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                parts.append(node)
-            elif isinstance(node, _TcOperation):
-                parts.append(f"{type(node).__name__}(children=(")
-                stack.append("))")
-                for i, child in enumerate(reversed(node.children)):
-                    if i:
-                        stack.append(", ")
-                    stack.append(child)
-            else:
-                parts.append(
-                    f"TcLeaf(tree={node.tree!r}, vertices={node.vertices!r}, co={node.co!r})"
-                )
-        return "".join(parts)
+        return _tc_text(
+            self,
+            lambda leaf: f"TcLeaf(tree={leaf.tree!r}, vertices={leaf.vertices!r}, co={leaf.co!r})",
+            lambda node: f"{type(node).__name__}(children=(", ", ", "))",
+        )
 
 
 class TcLeaf(_TcNode):
@@ -709,6 +674,46 @@ TcExpr = TcLeaf | TcUnion | TcJoin
 _T = TypeVar("_T")
 
 
+def _tc_preorder(e: TcExpr) -> Iterator[TcExpr | None]:
+    """Every node of an expression, each before its children and siblings
+    left to right, with a None after the last child of each operation,
+    from an explicit stack."""
+    stack: list[TcExpr | None] = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, _TcOperation):
+            stack.append(None)
+            stack += reversed(node.children)
+
+
+def _tc_keys(e: TcExpr) -> Iterator[object]:
+    """What each step of the walk adds to equality and the hash: a leaf's
+    fields, an operation's class, or the class of the None that closes it."""
+    return ((node.co, node.tree, node.vertices) if node.__class__ is TcLeaf else node.__class__
+            for node in _tc_preorder(e))
+
+
+def _tc_text(
+    e: TcExpr, leaf: Callable[[TcLeaf], str], opening: Callable[[TcUnion | TcJoin], str],
+    separator: str, closing: str,
+) -> str:
+    """An expression written from the walk: each leaf's text, each
+    operation's opening text, its children's between separators, then
+    ``closing``."""
+    parts: list[str] = []
+    for node in _tc_preorder(e):
+        if node is None:
+            parts[-1] = closing  # in place of the separator after the last child
+            parts.append(separator)
+        elif node.__class__ is TcLeaf:
+            parts += leaf(node), separator
+        else:
+            parts.append(opening(node))
+    parts.pop()
+    return "".join(parts)
+
+
 def tc_postorder(e: TcExpr) -> Iterator[TcExpr]:
     """Every node of an expression, children before their parent and
     siblings left to right, from an explicit stack."""
@@ -741,10 +746,6 @@ def _fold(
     return values[0]
 
 
-def _leaf_vertex_sets(e: TcExpr) -> list[int]:
-    return [v for node in tc_postorder(e) if isinstance(node, TcLeaf) for v in node.vertices]
-
-
 def evaluate_tc(e: TcExpr) -> Graph:
     """Build the graph an expression denotes, honoring the leaf vertex maps.
 
@@ -754,7 +755,7 @@ def evaluate_tc(e: TcExpr) -> Graph:
     is sorted once at the end.  Every edge is added at one node only, so
     the rows have no repeats.
     """
-    verts = _leaf_vertex_sets(e)
+    verts = [v for node in tc_postorder(e) if isinstance(node, TcLeaf) for v in node.vertices]
     n = len(verts)
     if sorted(verts) != list(range(n)):
         raise ValueError("leaf vertex maps must partition 0..n-1")
@@ -789,12 +790,13 @@ def evaluate_tc(e: TcExpr) -> Graph:
     return Graph(n, tuple(tuple(sorted(row)) for row in rows))
 
 
-def _leaf_tree(nbr: Sequence[frozenset[int]], verts: list[int], co: bool) -> Graph:
-    """The subgraph induced by ``verts``, or with ``co`` its complement,
-    relabelled 0..k-1 in order."""
+def _leaf_tree(nbr: Sequence[Iterable[int]], verts: list[int], co: bool) -> Graph:
+    """The subgraph induced by the sorted ``verts``, or with ``co`` its
+    complement, relabelled 0..k-1 in order; ``nbr`` holds each vertex's
+    neighbors, as rows or as sets."""
     index = {v: i for i, v in enumerate(verts)}
     inside = set(verts)
-    rows = (inside.difference(nbr[v], (v,)) if co else nbr[v] & inside for v in verts)
+    rows = (inside.difference(nbr[v], (v,)) if co else inside.intersection(nbr[v]) for v in verts)
     return Graph(len(verts), tuple(tuple(sorted(map(index.__getitem__, row))) for row in rows))
 
 
@@ -934,7 +936,7 @@ def decompose_tree_cograph(g: Graph) -> TcExpr:
 
 
 # ---------------------------------------------------------------------------
-# Small constructors, used across the test-suite and the CLI
+# Small constructors, used by the test-suite
 # ---------------------------------------------------------------------------
 
 

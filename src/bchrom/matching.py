@@ -33,10 +33,6 @@ def validate_matching(g: Graph, m: Matching) -> set[int]:
     return matched
 
 
-def _free_neighbors(g: Graph, matched: set[int], v: int) -> list[int]:
-    return [w for w in g.adj[v] if w not in matched]
-
-
 def _defects(g: Graph, pairs, free: int) -> tuple[int, int]:
     """The two deficiency counts of matched ``pairs`` whose unmatched vertices
     are the bits of ``free``: free vertices with a free neighbor, and pairs
@@ -64,8 +60,7 @@ def _free_mask(g: Graph, matched: set[int]) -> int:
 
 def is_strongly_maximal(g: Graph, m: Matching) -> bool:
     """No augmenting path of length one or three exists for m in g."""
-    matched = validate_matching(g, m)
-    return _defects(g, m, _free_mask(g, matched)) == (0, 0)
+    return s1_s2(g, m) == (0, 0)
 
 
 def find_short_augmenting(g: Graph, m: Matching) -> AltPath | None:
@@ -81,8 +76,10 @@ def find_short_augmenting(g: Graph, m: Matching) -> AltPath | None:
     best: AltPath | None = None
     for v, w in sorted(m):
         for p, q in ((v, w), (w, v)):
-            for u in _free_neighbors(g, matched, p):
-                for x in _free_neighbors(g, matched, q):
+            us = [u for u in g.adj[p] if u not in matched]
+            xs = [x for x in g.adj[q] if x not in matched]
+            for u in us:
+                for x in xs:
                     if u == x:
                         continue
                     seq = (u, p, q, x)

@@ -63,6 +63,16 @@ def _reference_complement(g: Graph) -> Graph:
     )
 
 
+def _reference_induced(g: Graph, keep) -> Graph:
+    """The subgraph induced by ``keep``, relabelled in sorted order, built
+    from its pairs u < v, as ``_reference_complement`` builds."""
+    verts = sorted(set(keep))
+    return Graph.from_edges(
+        len(verts),
+        [(i, j) for (i, u), (j, v) in combinations(enumerate(verts), 2) if g.has_edge(u, v)],
+    )
+
+
 def reference_decompose(g: Graph):
     def rec(sub: Graph, ids: tuple[int, ...]):
         if is_tree(sub):
@@ -75,7 +85,7 @@ def reference_decompose(g: Graph):
             if len(parts) > 1:
                 return kind(
                     tuple(
-                        rec(induced_subgraph(sub, c), tuple(ids[v] for v in c))
+                        rec(_reference_induced(sub, c), tuple(ids[v] for v in c))
                         for c in parts
                     )
                 )
@@ -102,6 +112,20 @@ def test_decompose_round_trips_at_300(family):
     rng = random.Random(f"large:{family}")
     g = evaluate_tc(random_expression(family, 300, rng))
     assert evaluate_tc(decompose_tree_cograph(g)) == g
+
+
+def test_induced_subgraph_equals_its_reference_on_random_graphs():
+    # keep in any order, with repeats; and a leaf's tree is the same graph
+    # whether it is built from rows or from neighbor sets
+    rng = random.Random(40)
+    for _ in range(200):
+        g = random_graph(rng.randint(1, 30), rng.random(), rng)
+        keep = rng.choices(range(g.n), k=rng.randint(0, 2 * g.n))
+        assert induced_subgraph(g, keep) == _reference_induced(g, keep)
+        verts = sorted(set(keep))
+        for co in (False, True):
+            assert _leaf_tree(g.adj, verts, co) == _leaf_tree(g.nbr_sets, verts, co)
+        assert _leaf_tree(g.adj, verts, True) == _reference_complement(_reference_induced(g, keep))
 
 
 def test_non_tree_cographs_fail_in_both():

@@ -30,7 +30,6 @@ from bchrom.graph import (
     empty_graph,
     graph_join,
     graph_union,
-    induced_subgraph,
     path_graph,
     star_graph,
     tc_postorder,
@@ -40,7 +39,7 @@ from bchrom.route import StabilityTwoRoute, TreeCographRoute, plan
 
 from conftest import random_expression, random_stability2, relabelled, tree_catalog
 from test_cli import _pivoted
-from test_decompose import _chain
+from test_decompose import _chain, _reference_induced
 
 
 def test_pivot_examples(piv11):
@@ -420,7 +419,7 @@ def _delete_leaf_vertex(expr, rng: random.Random):
             return node
         if not keep:
             return None
-        return TcLeaf(induced_subgraph(tree, keep), tuple(node.vertices[v] for v in keep), node.co)
+        return TcLeaf(_reference_induced(tree, keep), tuple(node.vertices[v] for v in keep), node.co)
 
     def operation(node, children):
         children = tuple(c for c in children if c is not None)

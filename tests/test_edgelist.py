@@ -254,14 +254,28 @@ def defects_around(text: str, line: int) -> list[str]:
     return out
 
 
-def test_co_tree_over_several_pieces_matches_reference():
+def co_tree_over_several_pieces() -> tuple[Graph, random.Random, list[str]]:
+    """A 700-vertex co-tree, the generator that drew it, its canonical text,
+    which spans three pieces or more, and that text with a duplicate edge
+    just before the first cut."""
     rng = random.Random(700)
     g = relabel(complement(random_labeled_tree(700, rng)), rng)
     canonical = format_edgelist(g)
     cuts = body_cuts(canonical)
     assert len(cuts) >= 3
-    texts = [canonical, dressed(g, rng, end="\r\n")]
-    texts.append(defects_around(canonical, cuts[0])[0])  # a duplicate edge just before the cut
+    return g, rng, [canonical, defects_around(canonical, cuts[0])[0]]
+
+
+def test_co_tree_over_several_pieces_matches_reference():
+    # the slow twin's canonical and defective texts, not its dressed one
+    for text in co_tree_over_several_pieces()[2]:
+        assert_same(text)
+
+
+@pytest.mark.slow
+def test_all_co_tree_texts_over_several_pieces_match_reference():
+    g, rng, (canonical, defective) = co_tree_over_several_pieces()
+    texts = [canonical, dressed(g, rng, end="\r\n"), defective]
     for text in texts:
         assert_same(text)
     assert parse_edgelist(texts[1]) == g
@@ -376,20 +390,25 @@ def hub_labelled(g: Graph, hub: int, rng: random.Random) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def test_co_forest_texts_and_their_changes_match_reference():
-    # canonical co-forest texts are read by comparison with the text of
-    # K_n, and come linked to their forest; every text the comparison
-    # refuses is read as before, with the same graph or the same error.
-    # The complement of a star or spider misses its hub's lines: a whole
-    # row (hub 0 or in between), a run of lines ending a row (a spider's
-    # hub below its neighbors) or every row's last line and the last row
-    # (hub n - 1)
-    rng = random.Random(17)
+def co_forests(rng: random.Random) -> list[Graph]:
+    """40 random forests, then 21 stars and spiders, each with its hub
+    labelled 0, in between or n - 1.  The complement of a star or spider
+    misses its hub's lines: a whole row (hub 0 or in between), a run of
+    lines ending a row (a spider's hub below its neighbors) or every row's
+    last line and the last row (hub n - 1)."""
     forests = [random_forest(rng.randint(2, 80) if trial % 3 else rng.randint(2, 8), rng)
                for trial in range(40)]
     for hubbed in (star_graph(2), star_graph(8), star_graph(39), spider([1, 2, 3]),
                    spider([2, 2, 2, 2]), spider([1] * 5 + [6]), spider([3] * 10)):
         forests += [hub_labelled(hubbed, hub, rng) for hub in (0, hubbed.n // 2, hubbed.n - 1)]
+    return forests
+
+
+def check_co_forest_texts(forests: list[Graph], rng: random.Random) -> int:
+    """How many canonical co-forest texts came linked to their forest.
+    They are read by comparison with the text of K_n; every text the
+    comparison refuses is read as before, with the same graph or the same
+    error."""
     linked = 0
     for forest in forests:
         g = complement(forest)
@@ -400,7 +419,22 @@ def test_co_forest_texts_and_their_changes_match_reference():
                     got.n * (got.n - 1) // 2 - got.m < max(got.n, 1)):
                 assert "_complement" in vars(got), repr(text)
                 linked += 1
-    assert linked > 150
+    return linked
+
+
+def test_co_forest_texts_and_their_changes_match_reference():
+    # a seeded third of the slow twin's forests: 13 random, 7 stars and spiders
+    rng = random.Random(17)
+    forests = co_forests(rng)
+    pick = random.Random(170)
+    part = pick.sample(forests[:40], 13) + pick.sample(forests[40:], 7)
+    assert check_co_forest_texts(part, rng) > 150 * len(part) // len(forests)
+
+
+@pytest.mark.slow
+def test_all_co_forest_texts_and_their_changes_match_reference():
+    rng = random.Random(17)
+    assert check_co_forest_texts(co_forests(rng), rng) > 150
 
 
 def read_coforest(text: str) -> Graph | None:

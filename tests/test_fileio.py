@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchrom.bcoloring import Coloring
 from bchrom.errors import ParseError
@@ -24,6 +26,7 @@ from bchrom.graph import (
     TcLeaf,
     TcUnion,
     complement,
+    norm_edge,
     decompose_tree_cograph,
     evaluate_tc,
     path_graph,
@@ -31,6 +34,7 @@ from bchrom.graph import (
 )
 
 from conftest import random_expression
+from test_edgelist import outcome, reference_parse_edgelist
 
 
 def test_edgelist_round_trip():
@@ -192,3 +196,75 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path):
         read_coloring(str(col), 2)
     col.write_bytes(b"0 0\n1 1\n")
     assert read_coloring(str(col), 2) == Coloring((0, 1), 2)
+
+
+# ---------------------------------------------------------------------------
+# Line numbers: every reader numbers lines as str.splitlines does
+# ---------------------------------------------------------------------------
+
+
+def reference_pairs(text: str, shape: str):
+    """``(line number, a, b)`` per content line, numbered by ``text.splitlines()``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected {shape!r}")
+        try:
+            yield lineno, int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer fields") from None
+
+
+def reference_parse_matching(text: str):
+    return frozenset(norm_edge(u, v) for _, u, v in reference_pairs(text, "u v"))
+
+
+def reference_parse_coloring(text: str, n: int) -> Coloring:
+    assign: dict[int, int] = {}
+    for lineno, v, cls in reference_pairs(text, "<vertex> <class>"):
+        if not 0 <= v < n:
+            raise ParseError(f"line {lineno}: vertex {v} out of range")
+        if v in assign:
+            raise ParseError(f"line {lineno}: vertex {v} colored twice")
+        if not 0 <= cls < n:
+            raise ParseError(f"line {lineno}: class {cls} out of range")
+        assign[v] = cls
+    if len(assign) < n:
+        raise ParseError("some vertex has no color")
+    return Coloring(tuple(assign[v] for v in range(n)), max(assign.values(), default=-1) + 1)
+
+
+# every line boundary of str.splitlines
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINES = [
+    "p 4 3", "p 4 0", "p 4 x", "p -1 0",  # headers
+    "e 0 1", "e 1 2", "e 2 3", " e 0 3\t", "e 3 1",  # edges
+    "0 1", "1 0", "2 3", "3 2", "0 7", "-1 2",  # pairs
+    "# c", "  # e 0 1", "#",  # comments
+    "", " ", "\t",  # blank lines
+    "x", "e 1", "1 2 3", "p 1", "e 0 y", "1 z",  # junk
+]
+
+
+@st.composite
+def line_texts(draw) -> str:
+    """Lines of the pool, each ended by a line boundary drawn for it, with
+    or without the last line's end."""
+    lines = draw(st.lists(st.sampled_from(LINES), max_size=10))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_texts())
+def test_every_reader_numbers_lines_as_splitlines_does(text):
+    assert outcome(parse_edgelist, text) == outcome(reference_parse_edgelist, text)
+    assert outcome(parse_matching, text) == outcome(reference_parse_matching, text)
+    assert outcome(lambda t: parse_coloring(t, 4), text) == outcome(
+        lambda t: reference_parse_coloring(t, 4), text)
